@@ -22,7 +22,6 @@ from .stability import WeightTriple
 
 DEFAULT_TOL = 1e-9
 
-J_SIGNS = (1.0, 1.0, -1.0)
 J_FLOAT = np.diag([1.0, 1.0, -1.0]).astype(complex)
 J_EXACT = linalg.mat(
     [

@@ -288,7 +288,7 @@ def cmd_ch2_classify(args) -> int:
     obj = _load_json(args.config)
     try:
         a = ch2.Matrix21.from_json(obj)
-    except (KeyError, TypeError, ch2.CH2Error) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix input: {exc}") from exc
     if args.exact and not a.is_exact:
         raise InputError("--exact given but the matrix has floating entries")

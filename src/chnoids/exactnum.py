@@ -118,16 +118,12 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GQ({self})"
 
-    _PATTERN = _re.compile(
-        r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?"
-        r"\s*(?P<im>[+-]?(?:\d+(?:/\d+)?)?)i?\s*$"
-    )
-
     @staticmethod
     def parse(s: str) -> "GaussianRational":
         s = s.strip().replace(" ", "")
         if not s:
             raise ValueError("empty Gaussian rational literal")
+        re_part, im_part = s, "0"
         if s.endswith("i"):
             body = s[:-1]
             # split into real part and imaginary coefficient
@@ -140,8 +136,10 @@ class GaussianRational:
                 im_part = "1"
             elif im_part == "-":
                 im_part = "-1"
+        try:
             return GaussianRational(Fraction(re_part), Fraction(im_part))
-        return GaussianRational(Fraction(s), Fraction(0))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 def _coerce(x) -> GaussianRational:
@@ -433,9 +431,9 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
         raise ExactArithmeticError("resultant of a zero form")
     m, n = f.degree, g.degree
     if m == 0:
-        return f.coeffs[0] ** _power_exponent(n)
+        return f.coeffs[0] ** n
     if n == 0:
-        return g.coeffs[0] ** _power_exponent(m)
+        return g.coeffs[0] ** m
     size = m + n
     rows: list[list[GaussianRational]] = []
     for i in range(n):
@@ -449,10 +447,6 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
             row[i + k] = c
         rows.append(row)
     return _determinant(rows)
-
-
-def _power_exponent(n: int) -> int:
-    return n
 
 
 def _determinant(rows: list[list[GaussianRational]]) -> GaussianRational:
@@ -527,17 +521,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (GaussianRational, int, Fraction)):
             return RationalFunction.make(self.num * _coerce(other), self.den)
@@ -600,12 +583,6 @@ class RationalOneForm:
     @property
     def is_zero(self) -> bool:
         return self.fn.is_zero
-
-    def __add__(self, other: "RationalOneForm") -> "RationalOneForm":
-        return RationalOneForm(self.fn + other.fn)
-
-    def __neg__(self) -> "RationalOneForm":
-        return RationalOneForm(-self.fn)
 
     def scale_by(self, other) -> "RationalOneForm":
         """Multiply by a scalar or a polynomial (still a 1-form)."""

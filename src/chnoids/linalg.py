@@ -6,7 +6,7 @@ is pure and allocation-light; sizes never exceed a handful of rows.
 
 from __future__ import annotations
 
-from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly
+from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, _determinant
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
 Vector = tuple[GaussianRational, ...]
@@ -138,24 +138,7 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> GaussianRational:
-    rows = [list(row) for row in a]
-    n = len(rows)
-    out = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            out = -out
-        pv = rows[c][c]
-        out = out * pv
-        inv = pv.inverse()
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if not f.is_zero:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+    return _determinant([list(row) for row in a])
 
 
 def charpoly(a: Matrix) -> UniPoly:

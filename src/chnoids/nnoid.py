@@ -1,18 +1,24 @@
 """The explicit off-diagonal Higgs field on the n-punctured sphere.
 
-Builds the 3x3 logarithmic Higgs field from a logarithmic 1-form and the
-three section polynomials, verifies its exact trace identities, computes
-puncture residues two independent ways, and classifies nilpotent types,
-canonical flags and end types.
+The 3x3 logarithmic Higgs field is held in factored form Phi = omega * S:
+the logarithmic 1-form omega = (omega_num / V) dz, V the vanishing
+polynomial of the punctures, times the polynomial section matrix
+S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].  Since omega != 0, the
+trace identities tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0
+are checked as the polynomial identities tr S = 0 and tr S^2 = 0.  The
+module also computes puncture residues two independent ways and
+classifies nilpotent types, canonical flags and end types.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .exactnum import (
+    ONE,
     BinaryForm,
     GaussianRational,
     RationalFunction,
@@ -87,7 +93,7 @@ class NnoidData:
             g1 = BinaryForm.from_json(obj["g1"])
             g2 = BinaryForm.from_json(obj["g2"])
             q = BinaryForm.from_json(obj["q"])
-        except (KeyError, ValueError, SphereError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise NnoidDataError(f"malformed n-noid data: {exc}") from exc
         data = NnoidData.make(punctures, omega, g1, g2, q)
         if "n" in obj and obj["n"] != data.n:
@@ -103,30 +109,50 @@ L_INDEX = 2
 
 @dataclass(frozen=True)
 class HiggsField:
-    """3x3 matrix of rational 1-forms, strictly off-diagonal in the 2+1 split."""
+    """Phi = omega * S, strictly off-diagonal in the 2+1 split.
 
-    entries: tuple[tuple[RationalOneForm, ...], ...]
+    ``omega_num`` is the numerator of omega over V, the vanishing
+    polynomial of the punctures, and ``s`` the 3x3 polynomial matrix S.
+    """
+
+    omega_num: UniPoly
+    s: tuple[tuple[UniPoly, ...], ...]
     data: NnoidData
 
+    @cached_property
+    def _entries(self) -> tuple[tuple[RationalOneForm, ...], ...]:
+        """Each entry (omega_num / V) * s_ij as a reduced 1-form, derived once.
+
+        V is squarefree with roots exactly the punctures and omega_num
+        never vanishes there (each residue is nonzero and the punctures
+        are distinct), so the only common factors are the linear factors
+        of V at punctures where s_ij vanishes; no generic gcd is needed.
+        """
+        vanishing = self.data.punctures.vanishing_poly()
+        rows = []
+        for row in self.s:
+            forms = []
+            for sij in row:
+                if sij.is_zero:
+                    forms.append(RationalOneForm.make(sij, vanishing))
+                    continue
+                num, den = self.omega_num * sij, vanishing
+                for p in self.data.punctures.affine:
+                    if sij(p).is_zero:
+                        lin = UniPoly.of([-p, ONE])
+                        num, den = num // lin, den // lin
+                forms.append(RationalOneForm(RationalFunction(num, den)))
+            rows.append(tuple(forms))
+        return tuple(rows)
+
     def entry(self, i: int, j: int) -> RationalOneForm:
-        return self.entries[i][j]
+        return self._entries[i][j]
 
 
 @dataclass(frozen=True)
 class ResidueMatrix:
     point: ProjPoint
     matrix: linalg.Matrix
-
-
-@dataclass(frozen=True)
-class QuadraticDifferential:
-    """A rational function times dz^2."""
-
-    fn: RationalFunction
-
-    @property
-    def is_zero(self) -> bool:
-        return self.fn.is_zero
 
 
 class EndType(enum.Enum):
@@ -142,80 +168,42 @@ class CanonicalFlag:
     plane: tuple[linalg.Vector, linalg.Vector]
 
 
-def _scaled_log_form(data: NnoidData, num0: UniPoly, s: UniPoly) -> RationalOneForm:
-    """(num0/V) * s reduced without a generic gcd.
-
-    V is squarefree with roots exactly the punctures and num0 never
-    vanishes there (each residue is nonzero and the punctures are
-    distinct), so the only common factors are the linear factors of V at
-    punctures where s vanishes.
-    """
-    if s.is_zero:
-        return RationalOneForm.make(UniPoly.zero(), UniPoly.of([1]))
-    num = num0 * s
-    den = data.punctures.vanishing_poly()
-    for p in data.punctures.affine:
-        if s(p).is_zero:
-            lin = UniPoly.of([-p, GaussianRational.of(1)])
-            num = num // lin
-            den = den // lin
-    return RationalOneForm(RationalFunction(num, den))
-
-
 def build_higgs(data: NnoidData) -> HiggsField:
-    """Assemble the off-diagonal Higgs field in the affine chart.
+    """Assemble Phi = omega * S in the affine chart.
 
-    The lower-left block is (g1, g2) * omega, the upper-right block is
-    (-q g2, q g1)^t * omega; the diagonal blocks vanish identically.
+    The lower-left block of S is (g1, g2), the upper-right block is
+    (-q g2, q g1)^t; the diagonal blocks vanish identically.
     """
-    omega_num = data.omega.numerator_poly()
     g1 = data.g1.dehomogenize()
     g2 = data.g2.dehomogenize()
     q = data.q.dehomogenize()
-    zero = RationalOneForm.make(UniPoly.zero(), UniPoly.of([1]))
-    beta_1 = _scaled_log_form(data, omega_num, -(q * g2))
-    beta_2 = _scaled_log_form(data, omega_num, q * g1)
-    gamma_1 = _scaled_log_form(data, omega_num, g1)
-    gamma_2 = _scaled_log_form(data, omega_num, g2)
-    entries = (
-        (zero, zero, beta_1),
-        (zero, zero, beta_2),
-        (gamma_1, gamma_2, zero),
+    zero = UniPoly.zero()
+    s = (
+        (zero, zero, -(q * g2)),
+        (zero, zero, q * g1),
+        (g1, g2, zero),
     )
-    return HiggsField(entries, data)
+    return HiggsField(data.omega.numerator_poly(), s, data)
 
 
-def trace_phi(phi: HiggsField) -> RationalOneForm:
-    acc = phi.entries[0][0]
-    for i in (1, 2):
-        acc = acc + phi.entries[i][i]
-    return acc
+def trace_phi(phi: HiggsField) -> UniPoly:
+    """tr S; tr Phi is this polynomial times omega, and omega != 0."""
+    return phi.s[0][0] + phi.s[1][1] + phi.s[2][2]
 
 
-def trace_phi_squared(phi: HiggsField) -> QuadraticDifferential:
-    """tr(Phi^2) as an exact quadratic differential.
+def trace_phi_squared(phi: HiggsField) -> UniPoly:
+    """tr S^2 = sum of S_ij S_ji; tr Phi^2 is this polynomial times omega^2.
 
-    Accumulated over a common denominator so the identically-zero case is
-    detected without any gcd work; a sign tamper in either block makes
-    the numerator a nonzero polynomial.
+    omega != 0, so tr Phi^2 vanishes identically iff this polynomial is
+    zero; a sign tamper in either block leaves a nonzero multiple of
+    q g1 g2.
     """
-    from .exactnum import poly_gcd
-
-    num_acc = UniPoly.zero()
-    den_acc = UniPoly.of([1])
+    s = phi.s
+    acc = UniPoly.zero()
     for i in range(3):
         for j in range(3):
-            a, b = phi.entries[i][j], phi.entries[j][i]
-            if a.is_zero or b.is_zero:
-                continue
-            pn = a.num * b.num
-            pd = a.den * b.den
-            # lcm-style accumulation keeps the denominator degree bounded
-            g = poly_gcd(den_acc, pd)
-            cof = pd // g
-            num_acc = num_acc * cof + pn * (den_acc // g)
-            den_acc = den_acc * cof
-    return QuadraticDifferential(RationalFunction.make(num_acc, den_acc))
+            acc = acc + s[i][j] * s[j][i]
+    return acc
 
 
 def residue_matrix(phi: HiggsField, p: ProjPoint) -> ResidueMatrix:
@@ -224,7 +212,7 @@ def residue_matrix(phi: HiggsField, p: ProjPoint) -> ResidueMatrix:
         raise SphereError(f"{p} is not a puncture")
     z = p.affine
     m = linalg.mat(
-        [[phi.entries[i][j].residue_at(z) for j in range(3)] for i in range(3)]
+        [[phi.entry(i, j).residue_at(z) for j in range(3)] for i in range(3)]
     )
     return ResidueMatrix(p, m)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,37 @@ def test_nnoid_check_bad_input(tmp_path, capsys):
     path = write_json(tmp_path, "bad2.json", obj)
     code, _, _ = run(["nnoid", "check", path], capsys)
     assert code == 2
+
+    good = data.to_json()
+    for key, value in (("residues", ["1/0"] * 5), ("punctures", 5)):
+        obj = dict(good, **{key: value})
+        path = write_json(tmp_path, f"bad-{key}.json", obj)
+        code, _, err = run(["nnoid", "check", path], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+
+# sha256 of the `nnoid check` certificate for random_nnoid_data(n, 2602),
+# recorded at commit f39907c, before the Higgs field was held as omega * S
+PINNED_CERTIFICATES = {
+    4: "ae65df17217e61e8787fe475a3d2d1f0dfcc51314cb78eefe953aba07b79b17c",
+    5: "461e3b06ceba3109a01d610a97dc10316a84ca655a04208e04c7bd59254962c2",
+    6: "4d4c65694d1417d630066dc2092d23cf4b4313ac9c7604901de1f372bf69038b",
+    7: "a9f96e877eeb2b0f998c307788cfc7c5d376881c163243b4ab77974c4f7a76da",
+    8: "8ea836dff59635f8a714145e7a9b35d3ead6b46760a29fd238d7921034744c18",
+    9: "2eaeecfaf9d7fc628e32646cda1e0f9bd911f5806caf26428cc7400634f1686e",
+    10: "fcad0b36b82b504ea5eda01037b2efd5e1dcce64ea7b6ef261c944a653de1792",
+    11: "105f04e97db677079e95dbb123ed4241502e7e20ac135349773ff87dae838a4e",
+    12: "16ff477ea5bdfe4fe856fb721f3720409005c7015291593603f2e9f75c44eefe",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CERTIFICATES))
+def test_nnoid_check_certificate_pinned(n, tmp_path, capsys):
+    path = write_json(tmp_path, "nn.json", random_nnoid_data(n, 2602).to_json())
+    code, out, _ = run(["nnoid", "check", path], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFICATES[n]
 
 
 def test_nnoid_check_missing_file(capsys):
@@ -161,6 +193,13 @@ def test_ch2_classify_not_form_preserving(tmp_path, capsys):
     )
     code, _, _ = run(["ch2", "classify", path], capsys)
     assert code == 2
+    # malformed entries are input errors too
+    for entry in ("1/0", "abc"):
+        matrix = [["1", "0", "0"], ["0", entry, "0"], ["0", "0", "1"]]
+        path = write_json(tmp_path, "bad.json", {"matrix": matrix})
+        code, _, err = run(["ch2", "classify", path], capsys)
+        assert code == 2
+        assert "Traceback" not in err
 
 
 def test_ch2_distance(tmp_path, capsys):

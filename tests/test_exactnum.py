@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chnoids import linalg
 from chnoids.exactnum import (
     GQ,
     ONE,
@@ -46,6 +50,9 @@ def test_field_ops_basic():
 def test_division_by_zero():
     with pytest.raises(ExactArithmeticError):
         ZERO.inverse()
+    for literal in ["1/0", "1/0i", "2+1/0i", "0/0"]:
+        with pytest.raises(ValueError):
+            GaussianRational.parse(literal)
 
 
 def test_parse_round_trip():
@@ -143,6 +150,54 @@ def test_resultant_examples():
 def test_resultant_zero_input():
     with pytest.raises(ExactArithmeticError):
         resultant(BinaryForm.zero(2), Z0)
+
+
+def leibniz_det(rows):
+    """Determinant by the permutation expansion, the oracle for elimination."""
+    n = len(rows)
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -ONE if inversions % 2 else ONE
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def random_gq(rng):
+    if rng.random() < 0.3:  # zeros force row swaps and singular cases
+        return ZERO
+    re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+    return GQ(re, im)
+
+
+def sylvester(f, g):
+    size = f.degree + g.degree
+    rows = []
+    for form, count in ((f, g.degree), (g, f.degree)):
+        for i in range(count):
+            row = [ZERO] * size
+            for k, c in enumerate(form.coeffs):
+                row[i + k] = c
+            rows.append(row)
+    return rows
+
+
+def test_det_and_resultant_match_leibniz():
+    rng = random.Random(2602)
+    for size in range(1, 6):
+        for _ in range(12):
+            rows = [[random_gq(rng) for _ in range(size)] for _ in range(size)]
+            if size > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])  # a repeated row: determinant zero
+            assert linalg.det(linalg.mat(rows)) == leibniz_det(rows)
+            m = rng.randint(0, size)
+            f = BinaryForm.of(m, [random_gq(rng) for _ in range(m + 1)])
+            g = BinaryForm.of(size - m, [random_gq(rng) for _ in range(size - m + 1)])
+            if f.is_zero or g.is_zero:
+                continue
+            assert resultant(f, g) == leibniz_det(sylvester(f, g))
 
 
 def test_gcd_forms_examples():

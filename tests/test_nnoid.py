@@ -59,6 +59,7 @@ def test_build_higgs_structure():
     data = reference_data()
     phi = build_higgs(data)
     omega = data.omega.as_rational_form()
+    assert phi.s[2][0] == data.g1.dehomogenize()
     # entry (3,1) = g1 * omega, entry (1,3) = -q g2 * omega
     assert phi.entry(2, 0) == omega.scale_by(data.g1.dehomogenize())
     assert phi.entry(0, 2) == omega.scale_by(-(data.q.dehomogenize() * data.g2.dehomogenize()))
@@ -83,18 +84,17 @@ def test_trace_identities():
 
 
 def test_trace_phi_squared_detects_tamper():
-    # flipping the sign of beta_1 makes CB = 2 q g1 g2 != 0
+    # flipping the sign of S[0][2] = -q g2 makes tr S^2 = 4 q g1 g2 != 0
     data = reference_data()
     phi = build_higgs(data)
+    s = phi.s
     tampered = nnoid.HiggsField(
-        (
-            (phi.entry(0, 0), phi.entry(0, 1), -phi.entry(0, 2)),
-            phi.entries[1],
-            phi.entries[2],
-        ),
+        phi.omega_num,
+        ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]),
         data,
     )
-    assert not trace_phi_squared(tampered).is_zero
+    g1, g2, q = (f.dehomogenize() for f in (data.g1, data.g2, data.q))
+    assert trace_phi_squared(tampered) == q * g1 * g2 * 4
 
 
 def test_residue_two_ways_and_kernel_relation():
