@@ -35,6 +35,13 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _load_object(path: str) -> dict:
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object in {path}")
+    return obj
+
+
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out_path:
@@ -94,8 +101,8 @@ def cmd_nnoid_check(args) -> int:
         closed = nnoid.residue_matrix_closed_form(data, p)
         agree = direct.matrix == closed.matrix
         k = nnoid.nilpotency_profile(direct.matrix)
-        jt = nnoid.jordan_type(direct.matrix) if k not in (None, 1) else None
-        et = nnoid.end_type(direct.matrix).value if jt else None
+        jt = nnoid.JORDAN_TYPES.get(k)
+        et = nnoid.END_TYPES[jt].value if jt else None
         ok = agree and k == 3 and jt == (3,) and et == "II"
         residues_ok = residues_ok and ok
         residue_detail.append(
@@ -320,12 +327,15 @@ def _parse_vector(raw) -> list:
 
 
 def cmd_ch2_distance(args) -> int:
-    obj = _load_json(args.config)
+    obj = _load_object(args.config)
     try:
         z = _parse_vector(obj["z"])
         w = _parse_vector(obj["w"])
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed distance input: {exc}") from exc
+    try:
         d = ch2.distance(z, w)
-    except (KeyError, ch2.CH2Error) as exc:
+    except ch2.CH2Error as exc:
         raise InputError(str(exc)) from exc
     checks = [_check("distance", True, f"d = {d:.12g}")]
     cert = _certificate("ch2 distance", obj, checks, "done", distance=d)
@@ -339,7 +349,7 @@ def cmd_ch2_distance(args) -> int:
 
 
 def cmd_cusp_verify(args) -> int:
-    obj = _load_json(args.config)
+    obj = _load_object(args.config)
     try:
         grid = cusp.StripGrid.from_json(obj.get("grid", {"Nx": 256, "Ny": 256, "Y": 1.0, "Ymax": 20.0}))
     except (KeyError, TypeError, ValueError) as exc:
@@ -351,7 +361,7 @@ def cmd_cusp_verify(args) -> int:
                 tuple(tuple(m) for m in raw.get("modes", [])),
                 tuple(raw.get("poly", (0.0, 0.0, 0.0))),
             )
-        except (TypeError, ValueError, cusp.CuspGridError) as exc:
+        except (AttributeError, TypeError, ValueError, cusp.CuspGridError) as exc:
             raise InputError(f"malformed generator spec: {exc}") from exc
     else:
         spec = cusp.random_subharmonic_spec(random.Random(args.seed))

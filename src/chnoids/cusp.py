@@ -248,6 +248,10 @@ class SubharmonicSpec:
     poly: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if len(self.poly) != 3 or any(len(m) != 3 for m in self.modes):
+            raise CuspGridError("modes are (k, amplitude, phase); the profile has 3 coefficients")
+        if not all(isinstance(x, (int, float)) for x in (*self.poly, *sum(self.modes, ()))):
+            raise CuspGridError("mode and profile coefficients must be numbers")
         if self.poly[2] < 0:
             raise CuspGridError("quadratic profile coefficient must be >= 0")
         if any(k < 1 for k, _, _ in self.modes):

@@ -1,7 +1,8 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
 Scalars, univariate polynomials, homogeneous binary forms and rational
-1-forms, all with exact (Fraction-backed) coefficients.  Zero-locus
+1-forms, all with exact coefficients.  A scalar is held as three Python
+ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  Zero-locus
 queries never materialize algebraic numbers: everything goes through
 resultants, gcds and evaluation.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _gcd
+from math import lcm as _lcm
 from typing import Iterable, Sequence
 
 
@@ -28,27 +31,51 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number a + bi with rational a, b, stored in lowest terms."""
+    """A complex number (a + bi)/d with Python ints a, b, d.
 
-    re: Fraction
-    im: Fraction
+    The triple is canonical: d > 0, gcd(a, b, d) = 1, and zero is (0, 0, 1),
+    so equal numbers have equal triples.  Instances are immutable; build
+    them with ``GaussianRational.of`` (or ``GQ``) and ``parse``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build Gaussian rationals with GaussianRational.of or parse")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(_frac(re), _frac(im))
+        re, im = _frac(re), _frac(im)
+        d = _lcm(re.denominator, im.denominator)
+        return _new(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _canonical(a + c, b + e, d)
+        return _canonical(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
         return self + (-_coerce(other))
@@ -57,19 +84,20 @@ class GaussianRational:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        return _canonical(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.abs_sq()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
             raise ExactArithmeticError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+        return _canonical(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other) -> "GaussianRational":
         return self * _coerce(other).inverse()
@@ -89,18 +117,26 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def abs_sq(self) -> Fraction:
         """|z|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def __bool__(self) -> bool:
         return not self.is_zero
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -108,12 +144,13 @@ class GaussianRational:
     # -- serialization ("a/b+c/di") ---------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def __repr__(self) -> str:
         return f"GQ({self})"
@@ -137,16 +174,41 @@ class GaussianRational:
             elif im_part == "-":
                 im_part = "-1"
         try:
-            return GaussianRational(Fraction(re_part), Fraction(im_part))
+            return GaussianRational.of(re_part, im_part)
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {s!r}") from exc
+
+
+_object_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + bi)/d from a triple already in canonical form."""
+    z = _object_new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d for d > 0, reduced to canonical form."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
 
 
 def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(_frac(x), Fraction(0))
+    if isinstance(x, int):
+        return _new(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {x!r} to Q(i)")
 
 

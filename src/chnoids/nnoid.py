@@ -93,7 +93,7 @@ class NnoidData:
             g1 = BinaryForm.from_json(obj["g1"])
             g2 = BinaryForm.from_json(obj["g2"])
             q = BinaryForm.from_json(obj["q"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise NnoidDataError(f"malformed n-noid data: {exc}") from exc
         data = NnoidData.make(punctures, omega, g1, g2, q)
         if "n" in obj and obj["n"] != data.n:
@@ -242,17 +242,23 @@ def nilpotency_profile(m: linalg.Matrix) -> int | None:
     return None
 
 
+# Jordan type of a nonzero nilpotent 3x3 matrix by its nilpotency profile,
+# and end type by Jordan type
+JORDAN_TYPES = {2: (2, 1), 3: (3,)}
+END_TYPES = {(2, 1): EndType.TYPE_I, (3,): EndType.TYPE_II}
+
+
 def jordan_type(m: linalg.Matrix) -> tuple[int, ...]:
     k = nilpotency_profile(m)
     if k is None:
         raise NnoidDataError("matrix is not nilpotent")
     if k == 1:
         raise NnoidDataError("zero matrix has no nonzero Jordan type")
-    return (2, 1) if k == 2 else (3,)
+    return JORDAN_TYPES[k]
 
 
 def end_type(m: linalg.Matrix) -> EndType:
-    return EndType.TYPE_I if jordan_type(m) == (2, 1) else EndType.TYPE_II
+    return END_TYPES[jordan_type(m)]
 
 
 def canonical_flag(m: linalg.Matrix) -> CanonicalFlag:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from chnoids import linalg
+from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
-from chnoids.exactnum import GaussianRational
+from chnoids.exactnum import GQ, GaussianRational
 from chnoids.nnoid import NnoidData
 
 
@@ -72,7 +76,13 @@ def test_nnoid_check_bad_input(tmp_path, capsys):
     assert code == 2
 
     good = data.to_json()
-    for key, value in (("residues", ["1/0"] * 5), ("punctures", 5)):
+    for key, value in (
+        ("residues", ["1/0"] * 5),
+        ("punctures", 5),
+        ("punctures", [1, 2, 3, 4, 5]),
+        ("residues", [1, 2, 3, 4, -10]),
+        ("g1", {"degree": 1, "coeffs": [1, 2]}),
+    ):
         obj = dict(good, **{key: value})
         path = write_json(tmp_path, f"bad-{key}.json", obj)
         code, _, err = run(["nnoid", "check", path], capsys)
@@ -101,6 +111,59 @@ def test_nnoid_check_certificate_pinned(n, tmp_path, capsys):
     code, out, _ = run(["nnoid", "check", path], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFICATES[n]
+
+
+def _classify_seed(kind: str):
+    one, zero, i = GQ(1), GQ(0), GQ(0, 1)
+    u, v, w = (GQ(a, b) / GQ(a, -b) for a, b in ((3, 4), (5, 12), (1, 2)))
+    if kind == "regular-elliptic":
+        return linalg.mat([[u, zero, zero], [zero, v, zero], [zero, zero, w]])
+    if kind == "repeated-elliptic":
+        return linalg.mat([[u, zero, zero], [zero, v, zero], [zero, zero, u]])
+    if kind == "parabolic":  # I + i v v* J with v = (1, 0, 1) null
+        return linalg.mat([[one + i, zero, -i], [zero, one, zero], [i, zero, one - i]])
+    # rational boost with t = 2: cosh = 5/4, sinh = 3/4
+    ch, sh = GQ(Fraction(5, 4)), GQ(Fraction(3, 4))
+    return linalg.mat([[ch, zero, sh], [zero, one, zero], [sh, zero, ch]])
+
+
+def classify_input(kind: str, seed: int) -> dict:
+    """The seed matrix of ``kind`` conjugated by a seeded exact U(2,1) element."""
+    g = random_exact_form_preserving(random.Random(seed)).rows
+    g_inv = linalg.mat_mul(linalg.mat_mul(J_EXACT, linalg.conj_transpose(g)), J_EXACT)
+    return Matrix21(linalg.mat_mul(linalg.mat_mul(g, _classify_seed(kind)), g_inv)).to_json()
+
+
+# sha256 of the `ch2 classify` certificate for classify_input(kind, seed),
+# recorded at commit f07ae3e, while each scalar was a pair of Fractions
+PINNED_CLASSIFY = {
+    ("regular-elliptic", 17): ("elliptic",
+        "3684624186644e97a4e524f1bdf63a66b90040454cc30d24c5c0c82dde512e18"),
+    ("regular-elliptic", 26): ("elliptic",
+        "4861e0051404df5fb58158d9d3f57f01f26b39688b107f670233494016c76aa2"),
+    ("repeated-elliptic", 17): ("elliptic",
+        "d402f6b34a16cde203cfa98cbb2cf78a4a4d4c759a89e51a0bd3f6ef6807b2d1"),
+    ("repeated-elliptic", 26): ("elliptic",
+        "e34183cc3082c51c5f1aaada869e232b4921907a8af5146dc77b7a9fe40702cc"),
+    ("parabolic", 17): ("parabolic",
+        "45986044371794bdd273c52c5fb4ecb031f941262bad311c7606af44b8c93a65"),
+    ("parabolic", 26): ("parabolic",
+        "e822c798797ec0726e69a83fdaa28460cc81ef413153c4baf10252ccb9852b2e"),
+    ("loxodromic", 17): ("loxodromic",
+        "90e688b4425d74c91d4cabef11a2c4e08a7080561717f15e315dfdfe1dc62681"),
+    ("loxodromic", 26): ("loxodromic",
+        "321a3b4dafe0ef278455c544c393c7b227064abec121b1381b85219bb283e558"),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_CLASSIFY))
+def test_ch2_classify_certificate_pinned(kind, seed, tmp_path, capsys):
+    path = write_json(tmp_path, "m.json", classify_input(kind, seed))
+    code, out, _ = run(["ch2", "classify", path], capsys)
+    assert code == 0
+    label, digest = PINNED_CLASSIFY[kind, seed]
+    assert json.loads(out)["classification"] == label
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_nnoid_check_missing_file(capsys):
@@ -213,6 +276,28 @@ def test_ch2_distance(tmp_path, capsys):
     code, out, _ = run(["ch2", "distance", path], capsys)
     assert code == 0
     assert abs(json.loads(out)["distance"] - 2.0) < 1e-9
+
+
+SMALL_GRID = {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 5.0}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("ch2 distance", [1]),
+        ("ch2 distance", {"z": 5, "w": ["0", "0", "1"]}),
+        ("cusp verify", [1]),
+        ("cusp verify", {"grid": SMALL_GRID, "spec": 5}),
+        ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [[1, "a", 0.0]]}}),
+        ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0]}}),
+    ],
+)
+def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
+    path = write_json(tmp_path, "bad.json", obj)
+    code, _, err = run([*command.split(), path], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:")
 
 
 def test_cusp_verify(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -80,6 +81,87 @@ def test_mul_commutes(a, b):
 def test_inverse_axiom(a):
     if not a.is_zero:
         assert a * a.inverse() == ONE
+
+
+# Reference model for the differential test: a Gaussian rational as a pair
+# of Fractions (re, im), with the schoolbook complex formulas.
+
+
+def ref_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def ref_inverse(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return (p[0] / n, -p[1] / n)
+
+
+def ref_pow(p, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = ref_mul(out, p)
+    return ref_inverse(out) if n < 0 else out
+
+
+def as_pair(z):
+    return (z.re, z.im)
+
+
+def assert_canonical(z):
+    a, b, d = z._a, z._b, z._d
+    assert all(type(x) is int for x in (a, b, d))
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if a == 0 and b == 0:
+        assert d == 1
+
+
+fraction_pair = st.tuples(small_fraction, small_fraction)
+
+
+@settings(max_examples=300)
+@given(fraction_pair, fraction_pair, st.integers(min_value=-4, max_value=4))
+def test_scalar_matches_fraction_pairs(p, q, k):
+    x, y = GQ(*p), GQ(*q)
+    results = {
+        "add": (x + y, (p[0] + q[0], p[1] + q[1])),
+        "sub": (x - y, (p[0] - q[0], p[1] - q[1])),
+        "mul": (x * y, ref_mul(p, q)),
+        "neg": (-x, (-p[0], -p[1])),
+        "conjugate": (x.conjugate(), (p[0], -p[1])),
+        "int-add": (3 + x, (p[0] + 3, p[1])),
+        "int-sub": (3 - x, (3 - p[0], -p[1])),
+        "fraction-mul": (x * q[0], (p[0] * q[0], p[1] * q[0])),
+    }
+    if any(q):
+        results["div"] = (x / y, ref_mul(p, ref_inverse(q)))
+        results["inverse"] = (y.inverse(), ref_inverse(q))
+    if any(p) or k >= 0:
+        results["pow"] = (x**k, ref_pow(p, k))
+    for name, (z, expected) in results.items():
+        assert as_pair(z) == expected, name
+        assert_canonical(z)
+        assert GaussianRational.parse(str(z)) == z
+    assert x.abs_sq() == p[0] * p[0] + p[1] * p[1]
+    assert x.is_zero == (not any(p))
+    # equal values reached by different routes are equal and hash equal
+    for u, v in ((x * y, y * x), ((x + y) - y, x), (x, GQ(str(p[0])) + GQ(0, str(p[1])))):
+        assert u == v
+        assert hash(u) == hash(v)
+    assert (x == y) == (p == q)
+
+
+def test_scalar_canonical_zero_and_immutable():
+    z = GQ(Fraction(1, 3), Fraction(2, 3)) - GQ(Fraction(1, 3), Fraction(2, 3))
+    assert (z._a, z._b, z._d) == (0, 0, 1)
+    assert z == ZERO and hash(z) == hash(ZERO)
+    assert (GQ(Fraction(2, 4), Fraction(-3, 6))._a, GQ("1/2", "-1/2")._d) == (1, 2)
+    with pytest.raises(AttributeError):
+        z.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        z._a = 1
+    with pytest.raises(TypeError):
+        GaussianRational(1, 2)
 
 
 # ---------------------------------------------------------------------------
