@@ -2,6 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 negative verdict, 2 input
 error.  All randomness is seeded and the seed is echoed in the output.
+
+Each subcommand is an entry of ``COMMANDS``; ``main`` is the one boundary
+around them that loads the JSON, maps input errors to exit 2, emits the
+output and the summary, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import __version__, ch2, cusp, nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
@@ -20,33 +25,48 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
+# Size limits; a larger input is an input error.  At each limit, on a 2-CPU
+# host: nnoid check of random data takes 6.2 s at n = 64, a stability region
+# 4.4-6.4 s (10.6 s with n = 10^5), cusp verify 0.1-0.8 s.
+MAX_NNOID_N = 64
+MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs checked times n
+MAX_GRID_POINTS = 2**20  # Nx * Ny
+
 
 class InputError(ValueError):
     pass
 
 
-def _load_json(path: str) -> dict:
+# Malformed JSON shows up as any of these while it is turned into domain
+# objects; during the computation only the package's own input errors
+# (INPUT_ERRORS) are input errors, and anything else is a fault that surfaces.
+PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError)
+INPUT_ERRORS = (InputError, NnoidDataError, SphereError, stability.StabilityError, ch2.CH2Error,
+                cusp.CuspGridError)
+
+
+def _load_json(path: str):
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_object(path: str) -> dict:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"expected a JSON object in {path}")
-    return obj
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text + "\n")
     else:
         print(text)
 
@@ -64,9 +84,9 @@ def _certificate(command: str, input_echo, checks: list[dict], status: str, **ex
     return cert
 
 
-def _summary(cert: dict) -> None:
-    print(f"[chnoids {cert['command']}] status: {cert['status']}", file=sys.stderr)
-    for c in cert["checks"]:
+def _summary(command: str, output: dict) -> None:
+    print(f"[chnoids {command}] status: {output.get('status', 'done')}", file=sys.stderr)
+    for c in output.get("checks", ()):
         mark = "ok" if c["passed"] else "FAIL"
         print(f"  {mark:4s} {c['name']}: {c['detail']}", file=sys.stderr)
 
@@ -75,17 +95,21 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _over_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise InputError(f"{what} = {value} is over the limit of {limit}")
+
+
 # ---------------------------------------------------------------------------
 # nnoid
 
 
-def cmd_nnoid_check(args) -> int:
-    obj = _load_json(args.config)
-    try:
-        data = NnoidData.from_json(obj)
-    except NnoidDataError as exc:
-        raise InputError(str(exc)) from exc
+def _parse_nnoid_check(obj: dict, args) -> NnoidData:
+    _over_limit("n", len(obj["punctures"]), MAX_NNOID_N)
+    return NnoidData.from_json(obj)
 
+
+def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
     checks = []
     phi = nnoid.build_higgs(data)
     checks.append(
@@ -149,9 +173,7 @@ def cmd_nnoid_check(args) -> int:
         residues=residue_detail,
         stability=cert_s.to_json(),
     )
-    _emit(cert, args.out)
-    _summary(cert)
-    return EXIT_OK if status != "failed" else EXIT_FAIL
+    return cert, status != "failed"
 
 
 MAX_REJECTIONS = 1000
@@ -193,54 +215,45 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
     raise InputError(f"rejection sampler exhausted {MAX_REJECTIONS} attempts")
 
 
-def cmd_nnoid_random(args) -> int:
-    data = random_nnoid_data(args.n, args.seed)
-    obj = data.to_json()
+def cmd_nnoid_random(n: int, args) -> tuple[dict, bool]:
+    obj = random_nnoid_data(n, args.seed).to_json()
     obj["seed"] = args.seed
-    _emit(obj, args.out)
-    print(f"[chnoids nnoid random] n={args.n} seed={args.seed}", file=sys.stderr)
-    return EXIT_OK
+    return obj, True
 
 
 # ---------------------------------------------------------------------------
 # stability
 
 
-def _parse_weights(obj: dict, n: int) -> list[stability.PunctureWeights]:
+def _fraction(s) -> Fraction:
+    return Fraction(str(s))
+
+
+def _parse_stability(obj: dict, pairs: int):
+    """Surface and per-puncture weights; ``pairs`` (d1, d2) pairs will be checked."""
+    surf = stability.SurfaceData(int(obj["genus"]), int(obj["n"]))
+    _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
     raw = obj.get("weights")
     if not raw:
-        return [stability.PunctureWeights.of(stability.WeightTriple.zero())] * n
-    if len(raw) != n:
-        raise InputError(f"need {n} weight entries, got {len(raw)}")
-    out = []
+        return surf, [stability.PunctureWeights.of(stability.WeightTriple.zero())] * surf.punctures
+    if len(raw) != surf.punctures:
+        raise InputError(f"need {surf.punctures} weight entries, got {len(raw)}")
+    weights = []
     for entry in raw:
-        try:
-            triple = stability.WeightTriple.of(*[_fraction(s) for s in entry["triple"]])
-            beta = _fraction(entry["beta"]) if "beta" in entry else None
-            gamma = _fraction(entry["gamma"]) if "gamma" in entry else None
-            out.append(stability.PunctureWeights.of(triple, beta, gamma))
-        except (KeyError, TypeError, stability.StabilityError) as exc:
-            raise InputError(f"malformed weight entry {entry!r}: {exc}") from exc
-    return out
+        triple = stability.WeightTriple.of(*[_fraction(s) for s in entry["triple"]])
+        beta = _fraction(entry["beta"]) if "beta" in entry else None
+        gamma = _fraction(entry["gamma"]) if "gamma" in entry else None
+        weights.append(stability.PunctureWeights.of(triple, beta, gamma))
+    return surf, weights
 
 
-def _fraction(s):
-    from fractions import Fraction
-
-    try:
-        return Fraction(str(s))
-    except ValueError as exc:
-        raise InputError(f"bad rational {s!r}") from exc
+def _parse_stability_check(obj: dict, args):
+    surf, weights = _parse_stability(obj, 1)
+    return obj, surf, stability.MixedDegreeData.of(int(obj["d1"]), int(obj["d2"]), weights)
 
 
-def cmd_stability_check(args) -> int:
-    obj = _load_json(args.config)
-    try:
-        surf = stability.SurfaceData(int(obj["genus"]), int(obj["n"]))
-        weights = _parse_weights(obj, surf.punctures)
-        data = stability.MixedDegreeData.of(int(obj["d1"]), int(obj["d2"]), weights)
-    except (KeyError, TypeError, ValueError, stability.StabilityError) as exc:
-        raise InputError(f"malformed stability input: {exc}") from exc
+def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
+    obj, surf, data = inputs
     cert_s = stability.check_mixed_stability(data, surf)
     checks = [
         _check(
@@ -255,20 +268,19 @@ def cmd_stability_check(args) -> int:
         ),
     ]
     cert = _certificate("stability check", obj, checks, cert_s.verdict, stability=cert_s.to_json())
-    _emit(cert, args.out)
-    _summary(cert)
-    return EXIT_OK if cert_s.verdict == "stable" else EXIT_FAIL
+    return cert, cert_s.verdict == "stable"
 
 
-def cmd_stability_region(args) -> int:
-    obj = _load_json(args.config)
-    try:
-        surf = stability.SurfaceData(int(obj["genus"]), int(obj["n"]))
-        weights = _parse_weights(obj, surf.punctures)
-        dmax = int(obj.get("dmax", 6))
-        region = stability.stability_region(surf, weights, dmax)
-    except (KeyError, TypeError, ValueError, stability.StabilityError) as exc:
-        raise InputError(f"malformed region input: {exc}") from exc
+def _parse_stability_region(obj: dict, args):
+    dmax = int(obj.get("dmax", 6))
+    return (obj, dmax, *_parse_stability(obj, (dmax + 1) ** 2))
+
+
+def cmd_stability_region(inputs, args) -> tuple[dict, bool]:
+    obj, dmax, surf, weights = inputs
+    region = stability.stability_region(surf, weights, dmax)
+    if args.csv:
+        _write(args.csv, "d1,d2\n" + "".join(f"{d1},{d2}\n" for d1, d2 in region))
     checks = [_check("region", True, f"{len(region)} stable pairs with d1, d2 <= {dmax}")]
     cert = _certificate(
         "stability region",
@@ -277,32 +289,23 @@ def cmd_stability_region(args) -> int:
         "done",
         region=[list(p) for p in region],
     )
-    _emit(cert, args.out)
-    _summary(cert)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("d1,d2\n")
-            for d1, d2 in region:
-                fh.write(f"{d1},{d2}\n")
-    return EXIT_OK
+    return cert, True
 
 
 # ---------------------------------------------------------------------------
 # ch2
 
 
-def cmd_ch2_classify(args) -> int:
-    obj = _load_json(args.config)
-    try:
-        a = ch2.Matrix21.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix input: {exc}") from exc
+def _parse_ch2_classify(obj, args) -> ch2.Matrix21:
+    a = ch2.Matrix21.from_json(obj)
     if args.exact and not a.is_exact:
         raise InputError("--exact given but the matrix has floating entries")
-    try:
-        label = ch2.classify_isometry(a, tol=args.tol)
-    except ch2.CH2Error as exc:
-        raise InputError(str(exc)) from exc
+    return a
+
+
+def cmd_ch2_classify(a: ch2.Matrix21, args) -> tuple[dict, bool]:
+    tol = ch2.DEFAULT_TOL if args.tol is None else args.tol
+    label = ch2.classify_isometry(a, tol=tol)
     checks = [_check("classification", True, label)]
     cert = _certificate(
         "ch2 classify",
@@ -310,63 +313,49 @@ def cmd_ch2_classify(args) -> int:
         checks,
         label,
         classification=label,
-        tol=args.tol,
+        tol=tol,
     )
-    _emit(cert, args.out)
-    _summary(cert)
-    return EXIT_OK
+    return cert, True
 
 
-def _parse_vector(raw) -> list:
+def _vector(raw) -> list:
     if len(raw) != 3:
         raise InputError("CH^2 points are 3-vectors")
-    try:
-        return [complex(str(x).replace("i", "j")) for x in raw]
-    except ValueError as exc:
-        raise InputError(f"bad vector entry: {exc}") from exc
+    return [complex(str(x).replace("i", "j")) for x in raw]
 
 
-def cmd_ch2_distance(args) -> int:
-    obj = _load_object(args.config)
-    try:
-        z = _parse_vector(obj["z"])
-        w = _parse_vector(obj["w"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed distance input: {exc}") from exc
-    try:
-        d = ch2.distance(z, w)
-    except ch2.CH2Error as exc:
-        raise InputError(str(exc)) from exc
+def _parse_ch2_distance(obj: dict, args):
+    return obj, _vector(obj["z"]), _vector(obj["w"])
+
+
+def cmd_ch2_distance(inputs, args) -> tuple[dict, bool]:
+    obj, z, w = inputs
+    d = ch2.distance(z, w)
     checks = [_check("distance", True, f"d = {d:.12g}")]
-    cert = _certificate("ch2 distance", obj, checks, "done", distance=d)
-    _emit(cert, args.out)
-    _summary(cert)
-    return EXIT_OK
+    return _certificate("ch2 distance", obj, checks, "done", distance=d), True
 
 
 # ---------------------------------------------------------------------------
 # cusp
 
 
-def cmd_cusp_verify(args) -> int:
-    obj = _load_object(args.config)
-    try:
-        grid = cusp.StripGrid.from_json(obj.get("grid", {"Nx": 256, "Ny": 256, "Y": 1.0, "Ymax": 20.0}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed grid spec: {exc}") from exc
-    if "spec" in obj:
-        try:
-            raw = obj["spec"]
-            spec = cusp.SubharmonicSpec(
-                tuple(tuple(m) for m in raw.get("modes", [])),
-                tuple(raw.get("poly", (0.0, 0.0, 0.0))),
-            )
-        except (AttributeError, TypeError, ValueError, cusp.CuspGridError) as exc:
-            raise InputError(f"malformed generator spec: {exc}") from exc
-    else:
-        spec = cusp.random_subharmonic_spec(random.Random(args.seed))
-    field = cusp.make_subharmonic_sample(spec, grid)
-    tol = args.tol if args.tol is not None else grid.default_tol()
+def _parse_cusp_verify(obj: dict, args):
+    grid = cusp.StripGrid.from_json(obj.get("grid", {"Nx": 256, "Ny": 256, "Y": 1.0, "Ymax": 20.0}))
+    _over_limit("Nx * Ny", grid.nx * grid.ny, MAX_GRID_POINTS)
+    if "spec" not in obj:
+        return grid, cusp.random_subharmonic_spec(random.Random(args.seed))
+    raw = obj["spec"]
+    spec = cusp.SubharmonicSpec(
+        tuple(tuple(m) for m in raw.get("modes", [])),
+        tuple(raw.get("poly", (0.0, 0.0, 0.0))),
+    )
+    return grid, spec
+
+
+def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
+    grid, spec = inputs
+    field = spec.sample(grid)
+    tol = grid.default_tol() if args.tol is None else args.tol
     conv = cusp.check_mean_convexity(field, tol=tol)
     sup = cusp.check_sup_bound(field, tol=tol)
     checks = [
@@ -382,73 +371,73 @@ def cmd_cusp_verify(args) -> int:
         convexity=conv.to_json(),
         sup_bound=sup.to_json(),
     )
-    _emit(cert, args.out)
-    _summary(cert)
-    return EXIT_OK if status == "pass" else EXIT_FAIL
+    return cert, status == "pass"
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
+ARGUMENTS = {
+    "config": dict(help="JSON input file, or - for stdin"),
+    "n": dict(type=int, help="number of punctures"),
+    "--out": dict(metavar="PATH", help="write the output to PATH instead of stdout"),
+    "--seed": dict(type=int, default=0, help="seed of the random generator (default 0)"),
+    "--tol": dict(type=float, help="tolerance of the floating-point checks"),
+    "--exact": dict(action="store_true", help="refuse a matrix with floating entries"),
+    "--csv": dict(metavar="PATH", help="also write the stable pairs as CSV to PATH"),
+}
+
+# subcommand: (the ARGUMENTS it reads, parse, handler).  parse(loaded JSON or
+# None, args) returns the domain input; handler(domain input, args) returns
+# the output and whether it passed.
+COMMANDS = {
+    "nnoid check": (("config", "--out"), _parse_nnoid_check, cmd_nnoid_check),
+    "nnoid random": (("n", "--seed", "--out"), lambda _, args: args.n, cmd_nnoid_random),
+    "stability check": (("config", "--out"), _parse_stability_check, cmd_stability_check),
+    "stability region": (("config", "--out", "--csv"), _parse_stability_region,
+                         cmd_stability_region),
+    "ch2 classify": (("config", "--tol", "--exact", "--out"), _parse_ch2_classify,
+                     cmd_ch2_classify),
+    "ch2 distance": (("config", "--out"), _parse_ch2_distance, cmd_ch2_distance),
+    "cusp verify": (("config", "--seed", "--tol", "--out"), _parse_cusp_verify,
+                    cmd_cusp_verify),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chnoids")
     parser.add_argument("--version", action="version", version=f"chnoids {__version__}")
-    sub = parser.add_subparsers(dest="module", required=True)
-
-    def common(p, tol_default=None):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--exact", action="store_true")
-        p.add_argument("--out", metavar="PATH", default=None)
-
-    p_nnoid = sub.add_parser("nnoid").add_subparsers(dest="action", required=True)
-    p = p_nnoid.add_parser("check")
-    p.add_argument("config")
-    common(p)
-    p.set_defaults(func=cmd_nnoid_check)
-    p = p_nnoid.add_parser("random")
-    p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(func=cmd_nnoid_random)
-
-    p_stab = sub.add_parser("stability").add_subparsers(dest="action", required=True)
-    p = p_stab.add_parser("check")
-    p.add_argument("config")
-    common(p)
-    p.set_defaults(func=cmd_stability_check)
-    p = p_stab.add_parser("region")
-    p.add_argument("config")
-    p.add_argument("--csv", default=None)
-    common(p)
-    p.set_defaults(func=cmd_stability_region)
-
-    p_ch2 = sub.add_parser("ch2").add_subparsers(dest="action", required=True)
-    p = p_ch2.add_parser("classify")
-    p.add_argument("config")
-    common(p, tol_default=ch2.DEFAULT_TOL)
-    p.set_defaults(func=cmd_ch2_classify)
-    p = p_ch2.add_parser("distance")
-    p.add_argument("config")
-    common(p, tol_default=ch2.DEFAULT_TOL)
-    p.set_defaults(func=cmd_ch2_distance)
-
-    p_cusp = sub.add_parser("cusp").add_subparsers(dest="action", required=True)
-    p = p_cusp.add_parser("verify")
-    p.add_argument("config")
-    common(p)
-    p.set_defaults(func=cmd_cusp_verify)
-
+    modules = parser.add_subparsers(dest="module", required=True)
+    actions = {}
+    for name, (arguments, _, _) in COMMANDS.items():
+        module, action = name.split()
+        if module not in actions:
+            actions[module] = modules.add_parser(module).add_subparsers(dest="action", required=True)
+        p = actions[module].add_parser(action)
+        for arg in arguments:
+            p.add_argument(arg, **ARGUMENTS[arg])
+        p.set_defaults(command=name)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    arguments, parse, handler = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except InputError as exc:
+        try:
+            inputs = parse(_load_json(args.config) if "config" in arguments else None, args)
+        except INPUT_ERRORS:
+            raise
+        except PARSE_ERRORS as exc:
+            raise InputError(f"malformed input: {type(exc).__name__}: {exc}") from exc
+        output, passed = handler(inputs, args)
+        _emit(output, args.out)
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    _summary(args.command, output)
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

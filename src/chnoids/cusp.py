@@ -10,6 +10,7 @@ claims the asymptotic statements themselves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -138,53 +139,36 @@ class StripReport:
         }
 
 
-def _subharmonic_precondition(s: StripField, tol: float) -> tuple[bool, float]:
-    lap = discrete_laplacian(s)
-    worst = float(lap.min())
-    return worst >= -tol, worst
-
-
-def check_mean_convexity(s: StripField, tol: Optional[float] = None) -> StripReport:
-    """Discrete second differences of the row mean must be >= -tol.
+def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> StripReport:
+    """Report on a per-row slack that must be >= -tol.
 
     The subharmonicity precondition (five-point Laplacian >= -tol) is
     itself verified and reported, never silently assumed.
     """
     tol = s.grid.default_tol() if tol is None else tol
-    pre_ok, lap_worst = _subharmonic_precondition(s, tol)
-    m = mean_function(s)
-    second = (m[2:] - 2 * m[1:-1] + m[:-2]) / s.grid.hy**2
-    worst = float(second.min())
-    passed = worst >= -tol
-    note = "" if pre_ok else f"subharmonicity precondition violated (min Laplacian {lap_worst:g})"
-    return StripReport(
-        passed=passed,
-        tol=tol,
-        worst_slack=worst,
-        precondition_ok=pre_ok,
-        per_row_slack=tuple(float(x) for x in second),
-        note=note,
-    )
-
-
-def check_sup_bound(s: StripField, tol: Optional[float] = None) -> StripReport:
-    """U(0, y) <= sup_t m(t) + sqrt(2 pi) A(y) with slack tol, every row."""
-    tol = s.grid.default_tol() if tol is None else tol
-    pre_ok, lap_worst = _subharmonic_precondition(s, tol)
-    m_sup = float(mean_function(s).max())
-    a = oscillation_a(s)
-    slack = m_sup + math.sqrt(TWO_PI) * a - s.u[:, 0]
+    lap_worst = float(discrete_laplacian(s).min())
+    pre_ok = lap_worst >= -tol
     worst = float(slack.min())
-    passed = worst >= -tol
-    note = "" if pre_ok else f"subharmonicity precondition violated (min Laplacian {lap_worst:g})"
     return StripReport(
-        passed=passed,
+        passed=worst >= -tol,
         tol=tol,
         worst_slack=worst,
         precondition_ok=pre_ok,
         per_row_slack=tuple(float(x) for x in slack),
-        note=note,
+        note="" if pre_ok else f"subharmonicity precondition violated (min Laplacian {lap_worst:g})",
     )
+
+
+def check_mean_convexity(s: StripField, tol: Optional[float] = None) -> StripReport:
+    """Discrete second differences of the row mean must be >= -tol."""
+    m = mean_function(s)
+    return _strip_report(s, tol, (m[2:] - 2 * m[1:-1] + m[:-2]) / s.grid.hy**2)
+
+
+def check_sup_bound(s: StripField, tol: Optional[float] = None) -> StripReport:
+    """U(0, y) <= sup_t m(t) + sqrt(2 pi) A(y) with slack tol, every row."""
+    m_sup = float(mean_function(s).max())
+    return _strip_report(s, tol, m_sup + math.sqrt(TWO_PI) * oscillation_a(s) - s.u[:, 0])
 
 
 def check_distance_lipschitz(s: StripField, o: Sequence, tol: float = 1e-9) -> StripReport:
@@ -250,25 +234,25 @@ class SubharmonicSpec:
     def __post_init__(self):
         if len(self.poly) != 3 or any(len(m) != 3 for m in self.modes):
             raise CuspGridError("modes are (k, amplitude, phase); the profile has 3 coefficients")
-        if not all(isinstance(x, (int, float)) for x in (*self.poly, *sum(self.modes, ()))):
-            raise CuspGridError("mode and profile coefficients must be numbers")
+        coeffs = (*self.poly, *sum(self.modes, ()))
+        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in coeffs):
+            raise CuspGridError("mode and profile coefficients must be finite numbers")
         if self.poly[2] < 0:
             raise CuspGridError("quadratic profile coefficient must be >= 0")
-        if any(k < 1 for k, _, _ in self.modes):
-            raise CuspGridError("mode frequencies must be >= 1")
+        # an integer frequency keeps the field 2 pi-periodic in x
+        if any(k < 1 or not float(k).is_integer() for k, _, _ in self.modes):
+            raise CuspGridError("mode frequencies must be integers >= 1")
 
     def sample(self, grid: StripGrid) -> StripField:
-        xs = grid.xs[None, :]
-        ys = grid.ys[:, None]
         b0, b1, b2 = self.poly
-        u = np.full((grid.ny, grid.nx), 0.0) + b0 + b1 * ys + b2 * ys**2
-        for k, amp, phase in self.modes:
-            u = u + amp * np.exp(-k * ys) * np.cos(k * xs + phase)
+        # a sample that overflows is not finite, which StripField rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = grid.xs[None, :]
+            ys = grid.ys[:, None]
+            u = np.full((grid.ny, grid.nx), 0.0) + b0 + b1 * ys + b2 * ys**2
+            for k, amp, phase in self.modes:
+                u = u + amp * np.exp(-k * ys) * np.cos(k * xs + phase)
         return StripField(grid, u)
-
-
-def make_subharmonic_sample(spec: SubharmonicSpec, grid: StripGrid) -> StripField:
-    return spec.sample(grid)
 
 
 def random_subharmonic_spec(rng, max_modes: int = 4) -> SubharmonicSpec:

@@ -188,10 +188,6 @@ def make_log_form(punctures: PunctureSet, residues: Sequence[GaussianRational]) 
     return LogOneForm(punctures, rs)
 
 
-def residue_of_form(omega: LogOneForm, p: ProjPoint) -> GaussianRational:
-    return omega.residue_at(p)
-
-
 @dataclass(frozen=True)
 class MobiusMap:
     """z -> (a z + b)/(c z + d) acting on [z0 : z1], exact and invertible."""

@@ -39,12 +39,8 @@ class SurfaceData:
 
     @property
     def kappa(self) -> int:
+        """Degree of the log-canonical bundle, 2g-2+n."""
         return 2 * self.genus - 2 + self.punctures
-
-
-def log_canonical_degree(s: SurfaceData) -> int:
-    """Degree of the log-canonical bundle, 2g-2+n."""
-    return s.kappa
 
 
 @dataclass(frozen=True)

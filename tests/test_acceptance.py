@@ -30,7 +30,6 @@ from chnoids.cusp import (
     StripGrid,
     check_mean_convexity,
     check_sup_bound,
-    make_subharmonic_sample,
     mean_function,
     oscillation_a,
     random_subharmonic_spec,
@@ -260,7 +259,7 @@ def test_criterion_8_cusp_harness(report):
     tol = grid.default_tol()  # 10 * h^2
     ok = True
     for _ in range(50):
-        field = make_subharmonic_sample(random_subharmonic_spec(rng), grid)
+        field = random_subharmonic_spec(rng).sample(grid)
         ok = ok and check_mean_convexity(field, tol=tol).passed
         ok = ok and check_sup_bound(field, tol=tol).passed
     # convergence order under grid doubling on a smooth field

@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chnoids import linalg
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
@@ -166,6 +171,61 @@ def test_ch2_classify_certificate_pinned(kind, seed, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+REGION_WEIGHTS = [
+    {"triple": ["1/4", "1/2", "3/4"], "beta": "1/2", "gamma": "1/4"},
+    {"triple": ["0", "0", "2/3"], "beta": "2/3", "gamma": "0"},
+    {"triple": ["1/6", "1/6", "1/6"]},
+]
+REGION_INPUT = {"genus": 1, "n": 3, "dmax": 7, "weights": REGION_WEIGHTS}
+
+# name: (command and flags, JSON config or None, exit code, sha256 of stdout),
+# recorded at commit 02945bd, before the commands shared one boundary
+PINNED_OUTPUTS = {
+    "stability-check-stable": ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2}, 0,
+        "eb9f6347496179435319c8bd996d6075364fc8c80d16235113b289c9db4e9c90"),
+    "stability-check-unstable": ("stability check", {"genus": 0, "n": 5, "d1": 5, "d2": 5}, 1,
+        "5c4d35cb6cd308d1826c2dffe4fdd795fd1d5350fad75338d1ba754a555f2ece"),
+    "stability-check-weighted": ("stability check", {"genus": 0, "n": 4, "d1": 0, "d2": 0,
+        "weights": [{"triple": ["0", "1/3", "1/3"], "beta": "0", "gamma": "1/3"}] * 4}, 0,
+        "c7e810bc7cdc4a18481939edea1047da96061b8c3a8118573efd44b7b944a3a5"),
+    "stability-region": ("stability region", REGION_INPUT, 0,
+        "6c909b68167d0aebaff6b14f208b9398bc48adc8483d2da4d1ad006de33d1236"),
+    "ch2-distance": ("ch2 distance", {"z": ["0", "0", "1"], "w": ["0.5", "0.25i", "1"]}, 0,
+        "fab5e404fd27d3164131a14cc438c7f1b5b95c2051610e7e3eb14d6eb12f4a70"),
+    "cusp-verify-seeded": ("cusp verify --seed 5",
+        {"grid": {"Nx": 16, "Ny": 16, "Y": 1.0, "Ymax": 6.0}}, 0,
+        "8d130feaee332f1b20647b856b9a27bcdc1ef0b04de83a8b7eec071cbbdcef18"),
+    "cusp-verify-spec": ("cusp verify", {"grid": {"Nx": 32, "Ny": 24, "Y": 0.5, "Ymax": 8.0},
+        "spec": {"modes": [[1, 0.5, 0.0], [3, -1.25, 2.0]], "poly": [0.0, 0.1, 0.2]}}, 0,
+        "0f478c01ca32f5e8ad0b851f68d2eed332d7823463f068ba5ade2a29ce81ca67"),
+    "nnoid-random-4": ("nnoid random 4 --seed 7", None, 0,
+        "1d576bb969e2f4b04b0bc0cbe2e526414ee0cf2c943f19b8ccedf1dfa303712a"),
+    "nnoid-random-9": ("nnoid random 9 --seed 2602", None, 0,
+        "099cfd1d002294add7ae0fdcfaa0464c8490b40f8b961e8ed51508fd646c0f57"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_pinned(name, tmp_path, capsys):
+    command, config, expect_code, digest = PINNED_OUTPUTS[name]
+    argv = command.split()
+    if config is not None:
+        argv.insert(2, write_json(tmp_path, "in.json", config))
+    code, out, _ = run(argv, capsys)
+    assert code == expect_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_stability_region_csv_pinned(tmp_path, capsys):
+    csv = tmp_path / "region.csv"
+    path = write_json(tmp_path, "r.json", REGION_INPUT)
+    code, out, _ = run(["stability", "region", path, "--csv", str(csv)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS["stability-region"][3]
+    assert (hashlib.sha256(csv.read_bytes()).hexdigest()
+            == "f52131b8f34610fa7149af4ec68ef6b24a9976bff9e5c359b5ff99d6563842db")
+
+
 def test_nnoid_check_missing_file(capsys):
     code, _, err = run(["nnoid", "check", "/nonexistent.json"], capsys)
     assert code == 2
@@ -281,6 +341,24 @@ def test_ch2_distance(tmp_path, capsys):
 SMALL_GRID = {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 5.0}
 
 
+def nnoid_json(n: int) -> dict:
+    """Valid n-noid data for any n >= 4: punctures 0..n-1, g1 = z0^(n-4),
+    g2 = z1^(n-3) (no common zero) and q = z0^3 + z1^3 (nonzero at them)."""
+    return {
+        "punctures": [str(k) for k in range(n)],
+        "residues": ["1"] * (n - 1) + [str(1 - n)],
+        "g1": {"degree": n - 4, "coeffs": ["1"] + ["0"] * (n - 4)},
+        "g2": {"degree": n - 3, "coeffs": ["0"] * (n - 3) + ["1"]},
+        "q": {"degree": 3, "coeffs": ["1", "0", "0", "1"]},
+    }
+
+
+def weights_json(triple, **flags) -> list[dict]:
+    return [{"triple": triple, **flags}] * 5
+
+
+# a string is written as it stands, so that it can hold literals such as
+# 1e400 that json.dumps would not write
 @pytest.mark.parametrize(
     "command, obj",
     [
@@ -290,11 +368,28 @@ SMALL_GRID = {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 5.0}
         ("cusp verify", {"grid": SMALL_GRID, "spec": 5}),
         ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [[1, "a", 0.0]]}}),
         ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0]}}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                             "weights": weights_json(["0", "0", "1/0"])}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                             "weights": weights_json(["0", "0", "1/2"], beta="1/0")}),
+        ("stability check", '{"genus": 0, "n": 5, "d1": 1e400, "d2": 2}'),
+        ("stability region", '{"genus": 0, "n": 5, "dmax": 1e400}'),
+        ("cusp verify", '{"grid": {"Nx": 1e400, "Ny": 8, "Y": 1.0, "Ymax": 5.0}}'),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 1e308}}),
+        ("cusp verify", '{"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 5.0},'
+                        ' "spec": {"modes": [[1e400, 1, 0]]}}'),
+        pytest.param("nnoid check", "[" * 100000, id="nnoid check-deeply-nested"),
+        # over the size limits
+        ("nnoid check", nnoid_json(65)),
+        ("stability check", {"genus": 0, "n": 10**5 + 1, "d1": 1, "d2": 2}),
+        ("stability region", {"genus": 0, "n": 5, "dmax": 10**8}),
+        ("cusp verify", {"grid": {"Nx": 100000, "Ny": 100000, "Y": 1.0, "Ymax": 5.0}}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
-    path = write_json(tmp_path, "bad.json", obj)
-    code, _, err = run([*command.split(), path], capsys)
+    path = tmp_path / "bad.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    code, _, err = run([*command.split(), str(path)], capsys)
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error:")
@@ -328,6 +423,118 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dst.read_text())["status"] == "stable"
+
+
+UNREAD_FLAGS = {
+    "nnoid check in.json": ("--seed 1", "--tol 1e-3", "--exact"),
+    "nnoid random 5": ("--tol 1e-3", "--exact"),
+    "stability check in.json": ("--seed 1", "--tol 1e-3", "--exact"),
+    "stability region in.json": ("--seed 1", "--tol 1e-3", "--exact"),
+    "ch2 classify in.json": ("--seed 1",),
+    "ch2 distance in.json": ("--seed 1", "--tol 1e-3", "--exact"),
+    "cusp verify in.json": ("--exact",),
+}
+
+
+# a subcommand refuses every flag it does not read
+@pytest.mark.parametrize(
+    "argv", [f"{command} {flag}" for command, flags in UNREAD_FLAGS.items() for flag in flags]
+)
+def test_unread_flag_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+
+
+# every flag each subcommand reads, with inputs that pass
+KEPT_FLAGS = {
+    "nnoid check": (nnoid_json(5), []),
+    "nnoid random": (None, ["5", "--seed", "3"]),
+    "stability check": ({"genus": 0, "n": 5, "d1": 1, "d2": 2}, []),
+    "stability region": (REGION_INPUT, ["--csv", "region.csv"]),
+    "ch2 classify": ({"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                     ["--tol", "1e-8", "--exact"]),
+    "ch2 distance": ({"z": ["0", "0", "1"], "w": ["0.5", "0", "1"]}, []),
+    "cusp verify": ({"grid": SMALL_GRID}, ["--seed", "2", "--tol", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_read_flags_accepted(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config, flags = KEPT_FLAGS[command]
+    inputs = [write_json(tmp_path, "in.json", config)] if config is not None else []
+    code, out, _ = run([*command.split(), *inputs, *flags, "--out", "out.json"], capsys)
+    assert code == 0
+    assert out == ""
+    assert json.loads((tmp_path / "out.json").read_text())
+    if "--csv" in flags:
+        assert (tmp_path / "region.csv").read_text().startswith("d1,d2\n")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path, "s.json", {"genus": 0, "n": 5, "d1": 1, "d2": 2})
+    missing = str(tmp_path / "no-such-dir" / "x")
+    for flags in (["stability", "check", path, "--out", missing],
+                  ["stability", "region", path, "--csv", missing]):
+        code, _, err = run(flags, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+
+# one valid input per config-reading subcommand, mutated by the fuzz test
+FUZZ_SEEDS = {
+    "nnoid check": nnoid_json(4),
+    "stability check": {"genus": 0, "n": 3, "d1": 1, "d2": 0, "weights": REGION_WEIGHTS},
+    "stability region": REGION_INPUT,
+    "ch2 classify": {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "ch2 distance": {"z": ["0", "0", "1"], "w": ["0.5", "0.25i", "1"]},
+    "cusp verify": {"grid": SMALL_GRID, "spec": {"modes": [[1, 0.5, 0.0]], "poly": [0, 0.1, 0.2]}},
+}
+DROP, WRAP, INF = object(), object(), "<1e400>"
+# replacement values: every JSON type, a zero denominator, an overflowing
+# float literal and integers too large for a float or a machine word
+REPLACEMENTS = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, INF, 10**30, -(2**64), 10**400]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _paths(value, (*prefix, key))
+
+
+def _mutate(obj, path, how):
+    if not path:
+        return [obj] if how in (DROP, WRAP) else how
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if how is DROP:
+        del parent[path[-1]]
+    elif how is WRAP:
+        parent[path[-1]] = [parent[path[-1]]]
+    else:
+        parent[path[-1]] = how
+    return obj
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mutated_json_never_crashes(command, data, tmp_path_factory):
+    seed = FUZZ_SEEDS[command]
+    path = data.draw(st.sampled_from(list(_paths(seed))))
+    how = data.draw(st.sampled_from([DROP, WRAP, *REPLACEMENTS]))
+    text = json.dumps(_mutate(seed, path, how)).replace(f'"{INF}"', "1e400")
+    src = tmp_path_factory.mktemp("fuzz") / "in.json"
+    src.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command.split(), str(src)])
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err.getvalue()
 
 
 def test_random_sampler_invariants():

@@ -15,7 +15,6 @@ from chnoids.cusp import (
     check_sup_bound,
     discrete_laplacian,
     l2_tail_witness,
-    make_subharmonic_sample,
     mean_function,
     oscillation_a,
     random_subharmonic_spec,
@@ -104,7 +103,7 @@ def test_generated_fields_pass():
     rng = random.Random(2024)
     for _ in range(10):
         spec = random_subharmonic_spec(rng)
-        field = make_subharmonic_sample(spec, GRID)
+        field = spec.sample(GRID)
         assert check_mean_convexity(field).passed
         assert check_sup_bound(field).passed
         lap = discrete_laplacian(field)
@@ -116,6 +115,12 @@ def test_subharmonic_spec_validation():
         SubharmonicSpec(((1, 1.0, 0.0),), (0.0, 0.0, -1.0))
     with pytest.raises(CuspGridError):
         SubharmonicSpec(((0, 1.0, 0.0),))
+    # a fractional frequency would make the field not 2 pi-periodic in x
+    with pytest.raises(CuspGridError):
+        SubharmonicSpec(((1.5, 1.0, 0.0),))
+    with pytest.raises(CuspGridError):
+        SubharmonicSpec(((10**400, 1.0, 0.0),))
+    assert SubharmonicSpec(((2.0, 1.0, 0.0),)).modes == ((2.0, 1.0, 0.0),)
     empty = SubharmonicSpec(())
     assert np.allclose(empty.sample(GRID).u, 0.0)
 

@@ -11,7 +11,6 @@ from chnoids.sphere import (
     divisor_of_form,
     make_log_form,
     mobius_normalize,
-    residue_of_form,
 )
 
 
@@ -36,10 +35,10 @@ def test_proj_point_parse():
 def test_make_log_form_valid():
     P = punctures(0, 1, 2, 3, 4)
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
-    assert residue_of_form(omega, ProjPoint.finite(GQ(3))) == GQ(1)
-    assert residue_of_form(omega, ProjPoint.finite(GQ(4))) == GQ(-4)
+    assert omega.residue_at(ProjPoint.finite(GQ(3))) == GQ(1)
+    assert omega.residue_at(ProjPoint.finite(GQ(4))) == GQ(-4)
     with pytest.raises(SphereError):
-        residue_of_form(omega, ProjPoint.finite(GQ(7)))
+        omega.residue_at(ProjPoint.finite(GQ(7)))
 
 
 def test_make_log_form_rejects():

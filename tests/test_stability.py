@@ -11,7 +11,6 @@ from chnoids.stability import (
     SurfaceData,
     WeightTriple,
     check_mixed_stability,
-    log_canonical_degree,
     nnoid_degrees,
     par_deg_E,
     par_deg_W1,
@@ -24,8 +23,8 @@ from chnoids.stability import (
 
 
 def test_surface_data():
-    assert log_canonical_degree(SurfaceData(0, 5)) == 3
-    assert log_canonical_degree(SurfaceData(1, 1)) == 1
+    assert SurfaceData(0, 5).kappa == 3
+    assert SurfaceData(1, 1).kappa == 1
     with pytest.raises(StabilityError):
         SurfaceData(0, 2)
 
