@@ -57,17 +57,30 @@ def in_ch2(z: Sequence) -> bool:
     return v.real < 0
 
 
+def _unit_representative(z: Sequence) -> list[complex]:
+    """The point [Z] as complex coordinates scaled to largest modulus 1."""
+    zc = [complex(x) for x in z]
+    moduli = [abs(x) for x in zc]
+    scale = max(moduli)
+    if not (scale > 0.0 and all(map(math.isfinite, moduli))):
+        raise CH2Error("a CH^2 point needs a nonzero finite representative")
+    return [x / scale for x in zc]
+
+
 def distance(z: Sequence, w: Sequence) -> float:
     """Bergman distance, cosh^2(d/2) = <Z,W><W,Z> / (<Z,Z><W,W>).
 
-    Projective-representative independent; the factor-2 normalization
-    matches holomorphic sectional curvature -4.
+    Projective-representative independent, and computed on the
+    representatives of largest coordinate modulus 1 so that no scale
+    underflows or overflows; the factor-2 normalization matches
+    holomorphic sectional curvature -4.
     """
-    if not in_ch2(z) or not in_ch2(w):
+    z, w = _unit_representative(z), _unit_representative(w)
+    zz = herm_form(z, z).real
+    ww = herm_form(w, w).real
+    if not (zz < 0 and ww < 0):
         raise CH2Error("distance arguments must lie in CH^2")
-    zw = complex(herm_form(z, w))
-    zz = complex(herm_form(z, z)).real
-    ww = complex(herm_form(w, w)).real
+    zw = herm_form(z, w)
     ratio = (zw * zw.conjugate()).real / (zz * ww)
     # rounding can push the ratio a hair under 1 at coincident points
     ratio = max(ratio, 1.0)
@@ -175,46 +188,33 @@ def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     """Elliptic / parabolic / loxodromic trichotomy for a form-preserving matrix.
 
     Loxodromic iff some eigenvalue modulus differs from 1; otherwise
-    elliptic iff diagonalizable.  Exact backing: repeated roots of a
-    cubic over Q(i) are themselves in Q(i), so the modulus test for them
-    is exact and only well-separated simple roots are judged numerically.
+    elliptic iff diagonalizable.  Exact backing decides with exact
+    rationals only, by Goldman's trace discriminant (Complex Hyperbolic
+    Geometry, 1999, Thm 6.2.4): with tau = tr A and |det A| = 1,
+    f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is positive iff A
+    is loxodromic and negative iff A is regular elliptic.  At f = 0 an
+    eigenvalue repeats, and A is elliptic iff its minimal polynomial is
+    squarefree.  Float backing compares eigenvalues within ``tol``.
     """
     if not preserves_form(a, tol):
         raise CH2Error("matrix does not preserve the signature-(2,1) form")
     if a.is_exact:
-        return _classify_exact(a.rows, tol)
+        return _classify_exact(a.rows)
     return _classify_float(a.as_array(), tol)
 
 
-def _classify_exact(rows: linalg.Matrix, tol: float) -> str:
-    p = linalg.charpoly(rows)
-    g = poly_gcd(p, p.derivative())
-    if g.is_zero or g.degree == 0:
-        # three simple eigenvalues: squarefree, hence diagonalizable
-        moduli = [abs(z) for z in np.roots([complex(c) for c in reversed(p.coeffs)])]
-        if any(abs(m - 1.0) > tol for m in moduli):
-            return IsometryClass.LOXODROMIC
-        return IsometryClass.ELLIPTIC
-    a2 = p.coeffs[2]  # z^3 + a2 z^2 + ...
-    if g.degree == 2:
-        lam = -a2 / GaussianRational.of(3)  # triple eigenvalue, exact
-        if lam.abs_sq() != 1:
-            return IsometryClass.LOXODROMIC
-        scaled = linalg.mat_scale(linalg.identity(3), lam)
-        return (
-            IsometryClass.ELLIPTIC
-            if rows == scaled
-            else IsometryClass.PARABOLIC
-        )
-    # g linear: the double eigenvalue (and hence the third) lies in Q(i)
-    lam_double = -g.coeffs[0]
-    lam_simple = -a2 - lam_double - lam_double
-    if lam_double.abs_sq() != 1 or lam_simple.abs_sq() != 1:
+def _classify_exact(rows: linalg.Matrix) -> str:
+    a0, _, a2, _ = linalg.charpoly(rows).coeffs  # z^3 + a2 z^2 + a1 z + a0
+    tau, det = -a2, -a0
+    t2 = tau.abs_sq()
+    f = t2 * t2 - 8 * (tau**3 / det).re + 18 * t2 - 27
+    if f > 0:
         return IsometryClass.LOXODROMIC
+    if f < 0:
+        return IsometryClass.ELLIPTIC
     m = linalg.minimal_polynomial(rows)
     sqfree = poly_gcd(m, m.derivative())
-    diagonalizable = sqfree.is_zero or sqfree.degree == 0
-    return IsometryClass.ELLIPTIC if diagonalizable else IsometryClass.PARABOLIC
+    return IsometryClass.ELLIPTIC if sqfree.degree == 0 else IsometryClass.PARABOLIC
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:

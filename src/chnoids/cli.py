@@ -27,10 +27,13 @@ EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
 # host: nnoid check of random data takes 6.2 s at n = 64, a stability region
-# 4.4-6.4 s (10.6 s with n = 10^5), cusp verify 0.1-0.8 s.
+# 4.4-6.4 s (6.4 s with 10^5 weighted punctures), cusp verify 0.1-0.8 s on
+# the grid alone, 0.5-1.4 s with 16 modes on 2^20 points and 6.5 s with 2^18
+# modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs checked times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny
+MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
 
 
 class InputError(ValueError):
@@ -349,6 +352,7 @@ def _parse_cusp_verify(obj: dict, args):
         tuple(tuple(m) for m in raw.get("modes", [])),
         tuple(raw.get("poly", (0.0, 0.0, 0.0))),
     )
+    _over_limit("modes * Nx * Ny", len(spec.modes) * grid.nx * grid.ny, MAX_MODE_WORK)
     return grid, spec
 
 

@@ -234,7 +234,7 @@ class SubharmonicSpec:
     def __post_init__(self):
         if len(self.poly) != 3 or any(len(m) != 3 for m in self.modes):
             raise CuspGridError("modes are (k, amplitude, phase); the profile has 3 coefficients")
-        coeffs = (*self.poly, *sum(self.modes, ()))
+        coeffs = (*self.poly, *(x for m in self.modes for x in m))
         if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in coeffs):
             raise CuspGridError("mode and profile coefficients must be finite numbers")
         if self.poly[2] < 0:

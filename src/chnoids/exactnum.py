@@ -245,14 +245,6 @@ class UniPoly:
         return UniPoly(())
 
     @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly.of([c])
-
-    @staticmethod
-    def variable() -> "UniPoly":
-        return UniPoly.of([0, 1])
-
-    @staticmethod
     def from_roots(roots: Sequence[GaussianRational]) -> "UniPoly":
         p = UniPoly.of([1])
         for r in roots:
@@ -488,54 +480,34 @@ def eval_form(f: BinaryForm, p) -> GaussianRational:
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
-    """Sylvester resultant; zero iff f, g share a projective root over C."""
+    """Resultant at the declared degrees; zero iff f, g share a projective root over C.
+
+    Euclidean remainder sequence in the chart z = z0/z1 (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.3): with lead(b) != 0 and
+    k = deg(a mod b), Res_{m,n}(a, b) = (-1)^(mn) lead(b)^(m-k) Res_{n,k}(b, a mod b),
+    ending at Res_{m,0}(a, c) = c^m.
+    """
     if f.is_zero or g.is_zero:
         raise ExactArithmeticError("resultant of a zero form")
     m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows: list[list[GaussianRational]] = []
-    for i in range(n):
-        row = [ZERO] * size
-        for k, c in enumerate(f.coeffs):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [ZERO] * size
-        for k, c in enumerate(g.coeffs):
-            row[i + k] = c
-        rows.append(row)
-    return _determinant(rows)
-
-
-def _determinant(rows: list[list[GaussianRational]]) -> GaussianRational:
-    """In-place Gaussian elimination over Q(i)."""
-    n = len(rows)
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not rows[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
+    out = ONE
+    if g.coeffs[0].is_zero:  # g vanishes at [1:0], so its chart degree drops
+        if f.coeffs[0].is_zero:
             return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor.is_zero:
-                continue
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
+        f, g, m, n = g, f, n, m
+        if m * n % 2:
+            out = -out
+    a, b = f.dehomogenize(), g.dehomogenize()
+    while n:
+        r = a % b
+        if r.is_zero:
+            return ZERO
+        k = r.degree
+        out = out * b.leading() ** (m - k)
+        if m * n % 2:
+            out = -out
+        a, b, m, n = b, r, n, k
+    return out * b.leading() ** m
 
 
 def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:

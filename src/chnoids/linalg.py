@@ -6,7 +6,7 @@ is pure and allocation-light; sizes never exceed a handful of rows.
 
 from __future__ import annotations
 
-from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, _determinant
+from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
 Vector = tuple[GaussianRational, ...]
@@ -18,22 +18,6 @@ def mat(rows) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c: GaussianRational) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -65,17 +49,27 @@ def conj_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[i][j].conjugate() for i in range(n)) for j in range(m))
 
 
-def _echelon(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Row-reduce in place; returns (reduced rows, pivot column list)."""
+def _echelon(
+    rows: list[list[GaussianRational]],
+) -> tuple[list[list[GaussianRational]], list[int], GaussianRational]:
+    """Row-reduce in place; returns (reduced rows, pivot column list, pivot product).
+
+    The pivot product carries the sign of the row swaps, so for a square
+    matrix of full rank it is the determinant.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    product = ONE
     r = 0
     for c in range(n_cols):
         pivot = next((i for i in range(r, n_rows) if not rows[i][c].is_zero), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            product = -product
+        product = product * rows[r][c]
         inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(n_rows):
@@ -86,18 +80,13 @@ def _echelon(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRati
         r += 1
         if r == n_rows:
             break
-    return rows, pivots
-
-
-def rank(a: Matrix) -> int:
-    _, pivots = _echelon([list(row) for row in a])
-    return len(pivots)
+    return rows, pivots, product
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Basis of the right null space."""
     n_cols = len(a[0])
-    rows, pivots = _echelon([list(row) for row in a])
+    rows, pivots, _ = _echelon([list(row) for row in a])
     free = [c for c in range(n_cols) if c not in pivots]
     basis: list[Vector] = []
     for fc in free:
@@ -113,7 +102,7 @@ def column_space_basis(a: Matrix) -> list[Vector]:
     """Basis of the column space (as column vectors)."""
     n = len(a)
     transposed = [[a[i][j] for i in range(n)] for j in range(len(a[0]))]
-    rows, pivots = _echelon([list(r) for r in transposed])
+    rows, pivots, _ = _echelon([list(r) for r in transposed])
     return [tuple(rows[i]) for i in range(len(pivots))]
 
 
@@ -121,9 +110,9 @@ def in_span(v: Vector, basis: list[Vector]) -> bool:
     if not basis:
         return all(x.is_zero for x in v)
     rows = [list(b) for b in basis]
-    _, pivots_before = _echelon([r[:] for r in rows])
+    pivots_before = _echelon([r[:] for r in rows])[1]
     rows.append(list(v))
-    _, pivots_after = _echelon(rows)
+    pivots_after = _echelon(rows)[1]
     return len(pivots_after) == len(pivots_before)
 
 
@@ -131,14 +120,15 @@ def inverse(a: Matrix) -> Matrix:
     """Exact inverse via Gauss-Jordan on [A | I]; raises on singular input."""
     n = len(a)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = _echelon(aug)
+    rows, pivots, _ = _echelon(aug)
     if pivots != list(range(n)):
         raise ExactArithmeticError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
 def det(a: Matrix) -> GaussianRational:
-    return _determinant([list(row) for row in a])
+    _, pivots, product = _echelon([list(row) for row in a])
+    return product if len(pivots) == len(a) else ZERO
 
 
 def charpoly(a: Matrix) -> UniPoly:
@@ -162,14 +152,15 @@ def charpoly(a: Matrix) -> UniPoly:
 def minimal_polynomial(a: Matrix) -> UniPoly:
     """Monic minimal polynomial, via the first linear dependence among powers."""
     n = len(a)
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
-    flat = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
-    for d in range(1, n + 2):
+    power = identity(n)
+    flat = [[x for row in power for x in row]]
+    for d in range(1, n + 1):
+        # each power only once the lower ones are independent
+        power = mat_mul(power, a)
+        flat.append([x for row in power for x in row])
         # solve c_0 I + ... + c_{d-1} A^{d-1} = -A^d
         rows = [[flat[k][e] for k in range(d)] + [-flat[d][e]] for e in range(n * n)]
-        reduced, pivots = _echelon(rows)
+        reduced, pivots, _ = _echelon(rows)
         if d not in pivots:
             sol = [ZERO] * d
             for r, pc in enumerate(pivots):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -120,15 +121,15 @@ class MixedDegreeData:
         pw = PunctureWeights.of(WeightTriple.zero())
         return MixedDegreeData.of(d1, d2, [pw] * n)
 
-    @property
+    @cached_property
     def sum_omega(self) -> Fraction:
         return sum((pw.omega for pw in self.puncture_weights), Fraction(0))
 
-    @property
+    @cached_property
     def sum_beta(self) -> Fraction:
         return sum((pw.beta for pw in self.puncture_weights), Fraction(0))
 
-    @property
+    @cached_property
     def sum_gamma(self) -> Fraction:
         return sum((pw.gamma for pw in self.puncture_weights), Fraction(0))
 

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +54,13 @@ def test_distance_basic():
     assert abs(distance(scaled, w) - 2.0) < 1e-12
     with pytest.raises(CH2Error):
         distance(E1, E3)
+    # representatives whose Hermitian products underflow or overflow
+    tiny = (0.0, 0.0, 1e-160)
+    assert distance(tiny, tiny) == 0.0
+    assert distance(E3, (0.0, 0.0, 1e200)) == 0.0
+    for bad in ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, math.nan, 1.0)):
+        with pytest.raises(CH2Error):
+            distance(bad, E3)
 
 
 def test_distance_symmetry_triangle():
@@ -116,6 +125,18 @@ def test_classify_exact_edge_cases():
     ch, sh = GQ("5/4"), GQ("3/4")
     bexact = Matrix21.exact([[ch, zero, sh], [zero, GQ(1), zero], [sh, zero, ch]])
     assert classify_isometry(bexact) == "loxodromic"
+    # three distinct unit eigenvalues u_k = (k + i)/(k - i) within 2e-6 of each other
+    u = [GQ(k, 1) / GQ(k, -1) for k in (1000, 1001, 1002)]
+    clustered = Matrix21.exact([[u[0], zero, zero], [zero, u[1], zero], [zero, zero, u[2]]])
+    assert classify_isometry(clustered) == "elliptic"
+    g = random_exact_form_preserving(random.Random(11))
+    conj = linalg.mat_mul(linalg.mat_mul(g.rows, clustered.rows), linalg.inverse(g.rows))
+    assert classify_isometry(Matrix21(conj)) == "elliptic"
+    # exact boost with t = 1 + 10^-12: eigenvalue moduli t^(+-1) differ from 1 by 1e-12
+    t = Fraction(10**12 + 1, 10**12)
+    ch, sh = GQ((t + 1 / t) / 2), GQ((t - 1 / t) / 2)
+    near = Matrix21.exact([[ch, zero, sh], [zero, GQ(1), zero], [sh, zero, ch]])
+    assert classify_isometry(near) == "loxodromic"
 
 
 def test_classify_rejects_non_form_preserving():
@@ -137,8 +158,6 @@ def test_conjugation_invariance_float():
 
 
 def test_conjugation_invariance_exact():
-    import random
-
     rng = random.Random(3)
     seeds = [identity_matrix(), parabolic_seed()]
     labels = [classify_isometry(s) for s in seeds]

@@ -384,6 +384,13 @@ def weights_json(triple, **flags) -> list[dict]:
         ("stability check", {"genus": 0, "n": 10**5 + 1, "d1": 1, "d2": 2}),
         ("stability region", {"genus": 0, "n": 5, "dmax": 10**8}),
         ("cusp verify", {"grid": {"Nx": 100000, "Ny": 100000, "Y": 1.0, "Ymax": 5.0}}),
+        (
+            "cusp verify",
+            {
+                "grid": {"Nx": 1024, "Ny": 1024, "Y": 1.0, "Ymax": 5.0},
+                "spec": {"modes": [[1, 0.1, 0.0]] * 17, "poly": [0.0, 0.0, 0.0]},
+            },
+        ),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):

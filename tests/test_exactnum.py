@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from chnoids import linalg
 from chnoids.exactnum import (
@@ -280,6 +282,29 @@ def test_det_and_resultant_match_leibniz():
             if f.is_zero or g.is_zero:
                 continue
             assert resultant(f, g) == leibniz_det(sylvester(f, g))
+
+
+def sympy_det(rows):
+    """Determinant by sympy's DomainMatrix over QQ_I, an independent oracle."""
+    entries = [[QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+                for x in row] for row in rows]
+    d = DomainMatrix(entries, (len(rows), len(rows)), QQ_I).det()
+    return GQ(f"{d.x.numerator}/{d.x.denominator}", f"{d.y.numerator}/{d.y.denominator}")
+
+
+def test_resultant_matches_sympy_sylvester_det():
+    rng = random.Random(5)
+    shapes = [(8, 9), (9, 8), (0, 9), (8, 0)] + [
+        (rng.randint(0, 8), rng.randint(0, 9)) for _ in range(36)
+    ]
+    for m, n in shapes:
+        if m + n == 0:
+            continue
+        f = BinaryForm.of(m, [random_gq(rng) for _ in range(m + 1)])
+        g = BinaryForm.of(n, [random_gq(rng) for _ in range(n + 1)])
+        if f.is_zero or g.is_zero:
+            continue
+        assert resultant(f, g) == sympy_det(sylvester(f, g)), (f, g)
 
 
 def test_gcd_forms_examples():
