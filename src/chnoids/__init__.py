@@ -7,57 +7,3 @@ classification (ch2), and the cusp-strip finite-difference harness (cusp).
 """
 
 __version__ = "0.1.0"
-
-from .exactnum import (
-    BinaryForm,
-    GaussianRational,
-    RationalFunction,
-    RationalOneForm,
-    UniPoly,
-    gcd_forms,
-    resultant,
-)
-from .sphere import LogOneForm, MobiusMap, ProjPoint, PunctureSet, make_log_form, mobius_normalize
-from .nnoid import NnoidData, build_higgs, trace_phi, trace_phi_squared
-from .stability import (
-    MixedDegreeData,
-    PunctureWeights,
-    SurfaceData,
-    WeightTriple,
-    check_mixed_stability,
-)
-from .ch2 import Matrix21, classify_isometry, distance
-from .cusp import StripField, StripGrid, check_mean_convexity, check_sup_bound
-
-__all__ = [
-    "__version__",
-    "BinaryForm",
-    "GaussianRational",
-    "RationalFunction",
-    "RationalOneForm",
-    "UniPoly",
-    "gcd_forms",
-    "resultant",
-    "LogOneForm",
-    "MobiusMap",
-    "ProjPoint",
-    "PunctureSet",
-    "make_log_form",
-    "mobius_normalize",
-    "NnoidData",
-    "build_higgs",
-    "trace_phi",
-    "trace_phi_squared",
-    "MixedDegreeData",
-    "PunctureWeights",
-    "SurfaceData",
-    "WeightTriple",
-    "check_mixed_stability",
-    "Matrix21",
-    "classify_isometry",
-    "distance",
-    "StripField",
-    "StripGrid",
-    "check_mean_convexity",
-    "check_sup_bound",
-]

@@ -1,14 +1,13 @@
 """The projective model of the complex hyperbolic plane.
 
 Signature-(2,1) Hermitian form, membership and distance, the isometry
-trichotomy, determinant normalization, weight extraction and unipotent
-monodromy exponentials.  Dual numeric backing: exact Q(i) wherever the
-inputs are rational, binary64 where transcendentals enter.
+trichotomy and unipotent monodromy exponentials.  Dual numeric backing:
+exact Q(i) wherever the inputs are rational, binary64 where
+transcendentals enter.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .exactnum import GaussianRational, UniPoly, poly_gcd
-from .stability import WeightTriple
+from .exactnum import GaussianRational, poly_gcd
 
 DEFAULT_TOL = 1e-9
 
@@ -50,11 +48,19 @@ def herm_form(z: Sequence, w: Sequence):
 
 
 def in_ch2(z: Sequence) -> bool:
-    """Whether [Z] is a negative line for the form."""
-    v = herm_form(z, z)
-    if isinstance(v, GaussianRational):
-        return v.re < 0
-    return v.real < 0
+    """Whether [Z] is a negative line for the form.
+
+    Float input is tested on its representative of largest coordinate
+    modulus 1, so no scale underflows; a zero or non-finite vector is not
+    in CH^2.
+    """
+    if _is_exact_vector(z):
+        return herm_form(z, z).re < 0
+    try:
+        z = _unit_representative(z)
+    except CH2Error:
+        return False
+    return herm_form(z, z).real < 0
 
 
 def _unit_representative(z: Sequence) -> list[complex]:
@@ -244,60 +250,7 @@ def _classify_float(arr: np.ndarray, tol: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# normalization, weights, exponentials
-
-
-def su_normalize(a: Matrix21, tol: float = DEFAULT_TOL) -> Matrix21:
-    """Scale by the principal inverse cube root of the determinant."""
-    if not preserves_form(a, tol):
-        raise CH2Error("matrix does not preserve the signature-(2,1) form")
-    if a.is_exact:
-        d = linalg.det(a.rows)
-        if d.is_zero:
-            raise CH2Error("singular matrix")
-        if d == GaussianRational.of(1):
-            return a
-        det = complex(d)
-    else:
-        det = complex(np.linalg.det(a.as_array()))
-        if abs(det) < tol:
-            raise CH2Error("singular matrix")
-    root = abs(det) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(det) / 3.0)
-    return Matrix21.floating(a.as_array() / root)
-
-
-@dataclass(frozen=True)
-class ExtractedWeights:
-    """Eigenvalue arguments of a unit-spectrum matrix, as sorted weights."""
-
-    triple: WeightTriple
-    sum_integral: bool
-    two_equal: bool
-
-
-def weights_from_semisimple(a: Matrix21, tol: float = DEFAULT_TOL) -> ExtractedWeights:
-    """Sorted eigenvalue arguments alpha_j = arg(lambda_j)/(2 pi) in [0, 1).
-
-    Requires all eigenvalue moduli 1 (not loxodromic).  The floats are
-    rationalized with a bounded denominator so the result feeds directly
-    into exact slope arithmetic.
-    """
-    eigvals = np.linalg.eigvals(a.as_array())
-    scale = max(1.0, float(np.abs(a.as_array()).max()))
-    modulus_tol = max(tol, 10.0 * (np.finfo(float).eps * scale) ** (1.0 / 3.0))
-    if any(abs(abs(l) - 1.0) > modulus_tol for l in eigvals):
-        raise CH2Error("loxodromic input: eigenvalue moduli differ from 1")
-    raw = sorted((cmath.phase(l) / (2 * math.pi)) % 1.0 for l in eigvals)
-    # snap arguments indistinguishable from 0 or 1 to zero
-    raw = [0.0 if min(x, 1.0 - x) <= max(tol, 1e-12) else x for x in raw]
-    raw.sort()
-    total = sum(raw)
-    sum_integral = abs(total - round(total)) <= 10 * max(tol, 1e-12)
-    two_equal = (abs(raw[0] - raw[1]) <= max(tol, 1e-12)) or (
-        abs(raw[1] - raw[2]) <= max(tol, 1e-12)
-    )
-    fracs = sorted(Fraction(x).limit_denominator(10**6) for x in raw)
-    return ExtractedWeights(WeightTriple.of(*fracs), sum_integral, two_equal)
+# exponentials
 
 
 def unipotent_exponential(n_matrix, r, tol: float = DEFAULT_TOL) -> Matrix21:

@@ -26,10 +26,11 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check of random data takes 6.2 s at n = 64, a stability region
-# 4.4-6.4 s (6.4 s with 10^5 weighted punctures), cusp verify 0.1-0.8 s on
-# the grid alone, 0.5-1.4 s with 16 modes on 2^20 points and 6.5 s with 2^18
-# modes on 8 x 8.
+# host: nnoid check takes 11-13 s at n = 64 with random coefficients (nearly
+# all of it the resultant of g1 and g2) and 1.4-1.8 s with g1 = z0^60,
+# g2 = z1^61, a stability region 4.4-6.4 s (6.4 s with 10^5 weighted
+# punctures), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16
+# modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs checked times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny
@@ -186,6 +187,9 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
     """Seeded rejection sampler for valid n-noid data; small integer entries."""
     if n < 4:
         raise InputError("need n >= 4")
+    pool = [GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3)]
+    if n > len(pool):
+        raise InputError(f"nnoid random draws at most {len(pool)} punctures")
     rng = random.Random(seed)
 
     def gint(lo=-4, hi=4):
@@ -193,7 +197,6 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
 
     for _ in range(MAX_REJECTIONS):
         try:
-            pool = [GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3)]
             pts = [ProjPoint.finite(z) for z in rng.sample(pool, n)]
             punctures = PunctureSet.of(pts)
             residues = []

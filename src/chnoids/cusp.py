@@ -205,20 +205,6 @@ def check_distance_lipschitz(s: StripField, o: Sequence, tol: float = 1e-9) -> S
     )
 
 
-def l2_tail_witness(g: np.ndarray, ys: np.ndarray, eps: float) -> Optional[float]:
-    """Smallest grid y with |g(y)| < eps, or None on the truncated window.
-
-    None documents that smallness was not certified on this window, not
-    that no such y exists further out.
-    """
-    if eps <= 0:
-        raise CuspGridError("eps must be positive")
-    hits = np.nonzero(np.abs(np.asarray(g)) < eps)[0]
-    if hits.size == 0:
-        return None
-    return float(np.asarray(ys)[hits[0]])
-
-
 @dataclass(frozen=True)
 class SubharmonicSpec:
     """U = sum a_k e^(-k y) cos(k x + phi_k) + (b0 + b1 y + b2 y^2), b2 >= 0.

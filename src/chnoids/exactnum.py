@@ -382,73 +382,14 @@ class BinaryForm:
             raise ValueError("a degree-d binary form needs exactly d+1 coefficients")
         return BinaryForm(degree, cs)
 
-    @staticmethod
-    def zero(degree: int) -> "BinaryForm":
-        return BinaryForm.of(degree, [0] * (degree + 1))
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        d = self.degree + other.degree
-        out = [ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(d, tuple(out))
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
-
-    def scale(self, c) -> "BinaryForm":
-        c = _coerce(c)
-        return BinaryForm(self.degree, tuple(a * c for a in self.coeffs))
-
-    def evaluate(self, z0: GaussianRational, z1: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        d = self.degree
-        # Horner in z1/z0 direction without divisions: accumulate monomials
-        p0 = [ONE]
-        for _ in range(d):
-            p0.append(p0[-1] * z0)
-        p1 = [ONE]
-        for _ in range(d):
-            p1.append(p1[-1] * z1)
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                acc = acc + c * p0[d - k] * p1[k]
-        return acc
 
     def dehomogenize(self) -> UniPoly:
         """f(z, 1) as a polynomial in the affine coordinate z = z0/z1."""
         # coefficient of z^j is coeffs[d-j]
         return UniPoly.of(list(reversed(self.coeffs)))
-
-    def infinity_multiplicity(self) -> int:
-        """Multiplicity of the zero at [1:0], i.e. the power of z1 dividing f."""
-        if self.is_zero:
-            raise ExactArithmeticError("zero form has no divisor")
-        m = 0
-        while self.coeffs[m].is_zero:
-            m += 1
-        return m
-
-    def normalized(self) -> "BinaryForm":
-        """Scale so the first nonzero coefficient is 1."""
-        if self.is_zero:
-            return self
-        for c in self.coeffs:
-            if not c.is_zero:
-                return self.scale(c.inverse())
-        raise AssertionError
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
@@ -456,27 +397,6 @@ class BinaryForm:
     @staticmethod
     def from_json(obj: dict) -> "BinaryForm":
         return BinaryForm.of(obj["degree"], [GaussianRational.parse(c) for c in obj["coeffs"]])
-
-
-def homogenize(p: UniPoly, degree: int) -> BinaryForm:
-    """Inverse of dehomogenize at a declared degree >= deg p."""
-    if p.is_zero:
-        return BinaryForm.zero(degree)
-    if p.degree > degree:
-        raise ValueError("declared degree too small")
-    cs = [ZERO] * (degree + 1)
-    for j, c in enumerate(p.coeffs):
-        cs[degree - j] = c
-    return BinaryForm(degree, tuple(cs))
-
-
-def eval_form(f: BinaryForm, p) -> GaussianRational:
-    """Value of f at the canonical representative of a projective point.
-
-    ``p`` must expose canonical coordinates ``z0`` and ``z1``; whether the
-    value vanishes does not depend on the representative.
-    """
-    return f.evaluate(p.z0, p.z1)
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
@@ -510,24 +430,6 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
     return out * b.leading() ** m
 
 
-def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Gcd of binary forms up to scalar, first nonzero coefficient 1.
-
-    gcd(f, 0) is f normalized; both inputs zero is an error.
-    """
-    if f.is_zero and g.is_zero:
-        raise ExactArithmeticError("gcd of two zero forms")
-    if f.is_zero:
-        return g.normalized()
-    if g.is_zero:
-        return f.normalized()
-    a = min(f.infinity_multiplicity(), g.infinity_multiplicity())
-    h = poly_gcd(f.dehomogenize(), g.dehomogenize())
-    hdeg = 0 if h.is_zero else h.degree
-    z1_power = BinaryForm.of(a, [0] * a + [1]) if a else BinaryForm.of(0, [1])
-    return (homogenize(h, hdeg) * z1_power).normalized()
-
-
 # ---------------------------------------------------------------------------
 # rational functions and 1-forms
 
@@ -554,19 +456,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return RationalFunction.make(self.num * _coerce(other), self.den)
-        return RationalFunction.make(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __call__(self, z: GaussianRational) -> GaussianRational:
-        d = self.den(z)
-        if d.is_zero:
-            raise ExactArithmeticError("evaluation at a pole")
-        return self.num(z) * d.inverse()
 
     def pole_order(self, p: GaussianRational) -> int:
         return self.den.root_multiplicity(p)
@@ -618,11 +507,9 @@ class RationalOneForm:
     def is_zero(self) -> bool:
         return self.fn.is_zero
 
-    def scale_by(self, other) -> "RationalOneForm":
-        """Multiply by a scalar or a polynomial (still a 1-form)."""
-        if isinstance(other, UniPoly):
-            return RationalOneForm(RationalFunction.make(self.num * other, self.den))
-        return RationalOneForm(self.fn * other)
+    def scale_by(self, other: UniPoly) -> "RationalOneForm":
+        """Multiply by a polynomial (still a 1-form)."""
+        return RationalOneForm(RationalFunction.make(self.num * other, self.den))
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         return self.fn.residue_at(p)

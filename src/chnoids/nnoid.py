@@ -24,7 +24,6 @@ from .exactnum import (
     RationalFunction,
     RationalOneForm,
     UniPoly,
-    eval_form,
     resultant,
 )
 from .sphere import LogOneForm, ProjPoint, PunctureSet, SphereError, make_log_form
@@ -71,8 +70,9 @@ class NnoidData:
             raise NnoidDataError("g1 and g2 must be nonzero")
         if resultant(g1, g2).is_zero:
             raise NnoidDataError("g1 and g2 share a projective zero")
+        q_affine = q.dehomogenize()
         for p in punctures:
-            if eval_form(q, p).is_zero:
+            if q_affine(p.affine).is_zero:
                 raise NnoidDataError(f"q vanishes at the puncture {p}")
         return NnoidData(n, punctures, omega, g1, g2, q)
 
@@ -220,9 +220,10 @@ def residue_matrix(phi: HiggsField, p: ProjPoint) -> ResidueMatrix:
 def residue_matrix_closed_form(data: NnoidData, p: ProjPoint) -> ResidueMatrix:
     """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
     r = data.omega.residue_at(p)
-    g1 = eval_form(data.g1, p)
-    g2 = eval_form(data.g2, p)
-    q = eval_form(data.q, p)
+    z = p.affine
+    g1 = data.g1.dehomogenize()(z)
+    g2 = data.g2.dehomogenize()(z)
+    q = data.q.dehomogenize()(z)
     zero = GaussianRational.of(0)
     rows = [
         [zero, zero, r * (-(q * g2))],

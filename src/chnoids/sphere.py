@@ -1,24 +1,15 @@
-"""Points, divisors and logarithmic 1-forms on the punctured sphere.
+"""Points and logarithmic 1-forms on the punctured sphere.
 
 Everything lives in a single affine chart: punctures must be finite, and
-inputs containing the point at infinity are pre-processed by
-``mobius_normalize`` (the transform is carried along for round-tripping).
+an input with a puncture at infinity is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .exactnum import (
-    ONE,
-    ZERO,
-    BinaryForm,
-    ExactArithmeticError,
-    GaussianRational,
-    RationalOneForm,
-    UniPoly,
-)
+from .exactnum import ONE, ZERO, GaussianRational, RationalOneForm, UniPoly
 
 
 class SphereError(ValueError):
@@ -41,15 +32,6 @@ class ProjPoint:
     @staticmethod
     def infinity() -> "ProjPoint":
         return ProjPoint(ONE, ZERO)
-
-    @staticmethod
-    def of(z0: GaussianRational, z1: GaussianRational) -> "ProjPoint":
-        """Canonicalize an arbitrary nonzero coordinate pair."""
-        if z1.is_zero:
-            if z0.is_zero:
-                raise SphereError("[0:0] is not a projective point")
-            return ProjPoint.infinity()
-        return ProjPoint(z0 / z1, ONE)
 
     @property
     def is_infinity(self) -> bool:
@@ -84,7 +66,7 @@ class PunctureSet:
         if not pts:
             raise SphereError("need at least one puncture")
         if any(p.is_infinity for p in pts):
-            raise SphereError("punctures must be finite; apply mobius_normalize first")
+            raise SphereError("punctures must be finite")
         if len(set(pts)) != len(pts):
             raise SphereError("punctures must be pairwise distinct")
         return PunctureSet(pts)
@@ -107,32 +89,6 @@ class PunctureSet:
 
     def vanishing_poly(self) -> UniPoly:
         return UniPoly.from_roots(self.affine)
-
-
-@dataclass(frozen=True)
-class Divisor:
-    """Lazy divisor: total degree plus a multiplicity oracle.
-
-    Only degrees and multiplicities at given rational points are ever
-    needed; divisors are never factored.
-    """
-
-    degree: int
-    multiplicity: Callable[[ProjPoint], int]
-
-
-def divisor_of_form(f: BinaryForm) -> Divisor:
-    if f.is_zero:
-        raise ExactArithmeticError("zero form has no divisor")
-    affine_part = f.dehomogenize()
-    inf_mult = f.infinity_multiplicity()
-
-    def mult(p: ProjPoint) -> int:
-        if p.is_infinity:
-            return inf_mult
-        return affine_part.root_multiplicity(p.affine)
-
-    return Divisor(degree=f.degree, multiplicity=mult)
 
 
 @dataclass(frozen=True)
@@ -186,56 +142,3 @@ def make_log_form(punctures: PunctureSet, residues: Sequence[GaussianRational]) 
     if not total.is_zero:
         raise SphereError(f"residues must sum to zero (got {total})")
     return LogOneForm(punctures, rs)
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """z -> (a z + b)/(c z + d) acting on [z0 : z1], exact and invertible."""
-
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    d: GaussianRational
-
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(ONE, ZERO, ZERO, ONE)
-
-    def determinant(self) -> GaussianRational:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint.of(self.a * p.z0 + self.b * p.z1, self.c * p.z0 + self.d * p.z1)
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.b.is_zero and self.c.is_zero and not self.a.is_zero and self.a == self.d
-        )
-
-    def to_json(self) -> dict:
-        return {"matrix": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
-
-
-def mobius_normalize(points: Sequence[ProjPoint]) -> tuple[MobiusMap, list[ProjPoint]]:
-    """Send every input point to a finite point, recording the transform.
-
-    Distinct inputs stay distinct (Mobius maps are injective).  Without a
-    point at infinity the transform is the identity.
-    """
-    pts = list(points)
-    if len(set(pts)) != len(pts):
-        raise SphereError("points must be distinct")
-    if not any(p.is_infinity for p in pts):
-        return MobiusMap.identity(), pts
-    finite_values = {p.z0 for p in pts if not p.is_infinity}
-    k = 0
-    while GaussianRational.of(k) in finite_values:
-        k += 1
-    c = GaussianRational.of(k)
-    # z -> 1/(z - c): infinity goes to 0, every finite p != c stays finite
-    transform = MobiusMap(ZERO, ONE, ONE, -c)
-    return transform, [transform.apply(p) for p in pts]

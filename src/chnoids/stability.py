@@ -71,10 +71,6 @@ class WeightTriple:
     def total(self) -> Fraction:
         return self.a1 + self.a2 + self.a3
 
-    def admissibility(self) -> tuple[bool, bool]:
-        """(sum is an integer, two weights coincide) - reported, not enforced."""
-        return (self.total.denominator == 1, self.a1 == self.a2 or self.a2 == self.a3)
-
 
 @dataclass(frozen=True)
 class PunctureWeights:
@@ -221,11 +217,6 @@ def check_mixed_stability(d: MixedDegreeData, s: SurfaceData) -> StabilityCertif
             f"expanded form said {verdict_exp}/{failing_exp}"
         )
     return StabilityCertificate(verdict_slope, slope_w1, slope_w2, exp1, exp2, failing_slope)
-
-
-def unipotent_inequalities(d1: int, d2: int, kappa: int) -> tuple[bool, bool]:
-    """The weight-zero inequalities 2d1+d2 < 3k and d1+2d2 < 3k."""
-    return (2 * d1 + d2 < 3 * kappa, d1 + 2 * d2 < 3 * kappa)
 
 
 def nnoid_degrees(n: int) -> tuple[int, int]:

@@ -19,9 +19,7 @@ from chnoids.ch2 import (
     preserves_form,
     random_exact_form_preserving,
     random_form_preserving,
-    su_normalize,
     unipotent_exponential,
-    weights_from_semisimple,
 )
 from chnoids.exactnum import GQ
 
@@ -42,6 +40,10 @@ def test_in_ch2():
     assert in_ch2(E3)
     assert not in_ch2(E1)
     assert in_ch2((1.0, 0.0, 2.0))  # 1 - 4 < 0
+    # projective: <Z,Z> of this representative underflows, its point is e3
+    assert in_ch2((0.0, 0.0, 1e-200))
+    assert not in_ch2((0.0, 0.0, 0.0))
+    assert not in_ch2((0.0, 0.0, math.inf))
 
 
 def test_distance_basic():
@@ -168,34 +170,6 @@ def test_conjugation_invariance_exact():
         for seed, label in zip(seeds, labels):
             conj = Matrix21(linalg.mat_mul(linalg.mat_mul(g.rows, seed.rows), ginv))
             assert classify_isometry(conj) == label
-
-
-def test_su_normalize():
-    a = identity_matrix()
-    assert su_normalize(a) is a
-    i, zero = GQ(0, 1), GQ(0)
-    scalar = Matrix21.exact([[i, zero, zero], [zero, i, zero], [zero, zero, i]])
-    out = su_normalize(scalar)
-    assert abs(np.linalg.det(out.as_array()) - 1.0) < 1e-12
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        g = random_form_preserving(rng, scale=0.5)
-        out = su_normalize(g)
-        assert abs(np.linalg.det(out.as_array()) - 1.0) < 1e-12
-
-
-def test_weights_from_semisimple():
-    unip = unipotent_exponential(np.zeros((3, 3)), 1.0)
-    w = weights_from_semisimple(unip)
-    assert w.triple.values == (0, 0, 0)
-    diag = Matrix21.floating(np.diag([1j, 1j, -1.0]))
-    w = weights_from_semisimple(diag)
-    from fractions import Fraction
-
-    assert w.triple.values == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert w.sum_integral and w.two_equal
-    with pytest.raises(CH2Error):
-        weights_from_semisimple(boost(1.0))
 
 
 def test_unipotent_exponential():

@@ -3,13 +3,18 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chnoids
 from chnoids import linalg
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
@@ -42,6 +47,15 @@ def test_nnoid_random_n4(capsys):
     code, out, _ = run(["nnoid", "random", "4", "--seed", "1"], capsys)
     assert code == 0
     assert NnoidData.from_json(json.loads(out)).n == 4
+
+
+# the sampler's puncture pool has 55 points
+@pytest.mark.parametrize("n", [56, 64])
+def test_nnoid_random_over_pool_exits_2(n, capsys):
+    code, out, err = run(["nnoid", "random", str(n)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: nnoid random draws at most 55 punctures\n"
 
 
 def test_nnoid_check_pipeline(tmp_path, capsys):
@@ -549,3 +563,37 @@ def test_random_sampler_invariants():
         data = random_nnoid_data(n, 17)
         # re-validates all NnoidData invariants
         assert NnoidData.from_json(data.to_json()) == data
+
+
+SRC = str(Path(chnoids.__file__).resolve().parents[1])
+
+
+def run_fresh(argv):
+    """``python -m chnoids.cli argv`` in a new interpreter; (exit code, stdout)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "chnoids.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout
+
+
+# In-process tests import every module before they run, so only a new
+# interpreter shows a command that needs a module nothing imports for it.
+def test_fresh_process_matches_in_process(tmp_path, capsys):
+    sampled = tmp_path / "nnoid.json"
+    parabolic = {"matrix": [["1+1i", "0", "-1i"], ["0", "1", "0"], ["1i", "0", "1-1i"]]}
+    stable = {"genus": 0, "n": 5, "d1": 1, "d2": 2}
+    cases = [
+        ["nnoid", "random", "5", "--seed", "7"],
+        ["nnoid", "check", str(sampled)],
+        ["stability", "check", write_json(tmp_path, "s.json", stable)],
+        ["ch2", "classify", write_json(tmp_path, "m.json", parabolic)],
+        ["cusp", "verify", write_json(tmp_path, "c.json", {"grid": SMALL_GRID}), "--seed", "3"],
+    ]
+    for argv in cases:
+        fresh = run_fresh(argv)
+        if argv[:2] == ["nnoid", "random"]:
+            sampled.write_text(fresh[1])
+        assert fresh == run(argv, capsys)[:2], argv
+        assert fresh[0] == 0 and fresh[1], argv

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -20,22 +21,9 @@ from chnoids.exactnum import (
     GaussianRational,
     RationalFunction,
     UniPoly,
-    eval_form,
-    gcd_forms,
-    homogenize,
     poly_gcd,
     resultant,
 )
-
-
-class FakePoint:
-    def __init__(self, z0, z1):
-        self.z0 = z0
-        self.z1 = z1
-
-
-def pt(p):
-    return FakePoint(GQ(p), ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +211,17 @@ Z1 = BinaryForm.of(1, [0, 1])
 
 def test_resultant_examples():
     assert not resultant(Z0, Z1).is_zero
-    assert resultant(Z0, Z0 * Z1).is_zero
+    assert resultant(Z0, BinaryForm.of(2, [0, 1, 0])).is_zero  # z0 and z0 z1
     # f = z0^2 - z1^2, g = z0 - 2 z1: no common root, g's root [2:1] gives f = 3
     f = BinaryForm.of(2, [1, 0, -1])
     g = BinaryForm.of(1, [1, -2])
-    assert eval_form(f, pt(2)) == GQ(3)
+    assert f.dehomogenize()(GQ(2)) == GQ(3)
     assert not resultant(f, g).is_zero
 
 
 def test_resultant_zero_input():
     with pytest.raises(ExactArithmeticError):
-        resultant(BinaryForm.zero(2), Z0)
+        resultant(BinaryForm.of(2, [0, 0, 0]), Z0)
 
 
 def leibniz_det(rows):
@@ -284,10 +272,17 @@ def test_det_and_resultant_match_leibniz():
             assert resultant(f, g) == leibniz_det(sylvester(f, g))
 
 
+Z_SYM, Z0_SYM, Z1_SYM = symbols("z z0 z1")
+
+
+def qq_i(x):
+    """A Gaussian rational as an element of sympy's QQ_I."""
+    return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+
 def sympy_det(rows):
     """Determinant by sympy's DomainMatrix over QQ_I, an independent oracle."""
-    entries = [[QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
-                for x in row] for row in rows]
+    entries = [[qq_i(x) for x in row] for row in rows]
     d = DomainMatrix(entries, (len(rows), len(rows)), QQ_I).det()
     return GQ(f"{d.x.numerator}/{d.x.denominator}", f"{d.y.numerator}/{d.y.denominator}")
 
@@ -307,23 +302,32 @@ def test_resultant_matches_sympy_sylvester_det():
         assert resultant(f, g) == sympy_det(sylvester(f, g)), (f, g)
 
 
-def test_gcd_forms_examples():
-    g = gcd_forms(Z0 * Z1, Z0 * Z0)
-    assert g == Z0.normalized()
-    assert gcd_forms(Z0, Z1).degree == 0
-    f = BinaryForm.of(2, [2, 1, 1])
-    assert gcd_forms(f, BinaryForm.zero(3)) == f.normalized()
-    with pytest.raises(ExactArithmeticError):
-        gcd_forms(BinaryForm.zero(1), BinaryForm.zero(2))
+def sympy_poly(p):
+    return Poly.from_list([qq_i(c) for c in reversed(p.coeffs)], Z_SYM, domain=QQ_I)
+
+
+def test_poly_gcd_and_divmod_match_sympy():
+    rng = random.Random(31)
+    for _ in range(180):
+        # a planted monic common factor, so that most gcds are not 1
+        common = UniPoly.of([random_gq(rng) for _ in range(rng.randint(0, 3))] + [ONE])
+        a, b = (UniPoly.of([random_gq(rng) for _ in range(rng.randint(0, 6))]) * common
+                for _ in range(2))
+        sa, sb = sympy_poly(a), sympy_poly(b)
+        assert sympy_poly(poly_gcd(a, b)) == sa.gcd(sb).monic(), (a, b)
+        if b.is_zero:
+            continue
+        q, r = a.divmod(b)
+        assert (sympy_poly(q), sympy_poly(r)) == sa.div(sb), (a, b)
 
 
 def test_eval_form_examples():
-    cube = Z1 * Z1 * Z1
+    cube = BinaryForm.of(3, [0, 0, 0, 1])  # z1^3
     for p in [0, 7, -3]:
-        assert eval_form(cube, pt(p)) == ONE
-    assert eval_form(Z0, pt(0)).is_zero
+        assert cube.dehomogenize()(GQ(p)) == ONE
+    assert Z0.dehomogenize()(GQ(0)).is_zero
     f = BinaryForm.of(2, [1, 0, -1])
-    assert eval_form(f, pt(2)) == GQ(3)
+    assert f.dehomogenize()(GQ(2)) == GQ(3)
 
 
 form_strategy = st.integers(min_value=0, max_value=6).flatmap(
@@ -333,26 +337,20 @@ form_strategy = st.integers(min_value=0, max_value=6).flatmap(
 )
 
 
+def sympy_form(f):
+    """f as a homogeneous bivariate sympy polynomial in z0, z1 over QQ_I."""
+    terms = {(f.degree - k, k): qq_i(c) for k, c in enumerate(f.coeffs) if not c.is_zero}
+    return Poly.from_dict(terms, Z0_SYM, Z1_SYM, domain=QQ_I)
+
+
 @settings(max_examples=60, deadline=None)
 @given(form_strategy, form_strategy)
 def test_resultant_iff_gcd(f, g):
     if f.is_zero or g.is_zero:
         return
     shares_root = resultant(f, g).is_zero
-    gcd_deg = gcd_forms(f, g).degree
+    gcd_deg = sympy_form(f).gcd(sympy_form(g)).total_degree()
     assert shares_root == (gcd_deg >= 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(form_strategy, form_strategy, gq_strategy)
-def test_eval_multiplicative(f, g, p):
-    point = FakePoint(p, ONE)
-    assert eval_form(f * g, point) == eval_form(f, point) * eval_form(g, point)
-
-
-def test_homogenize_roundtrip():
-    f = BinaryForm.of(3, [1, 2, 0, 5])
-    assert homogenize(f.dehomogenize(), 3) == f
 
 
 # ---------------------------------------------------------------------------

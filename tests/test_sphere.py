@@ -3,27 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chnoids.exactnum import GQ, ZERO, BinaryForm
-from chnoids.sphere import (
-    ProjPoint,
-    PunctureSet,
-    SphereError,
-    divisor_of_form,
-    make_log_form,
-    mobius_normalize,
-)
+from chnoids.exactnum import GQ, ZERO
+from chnoids.sphere import ProjPoint, PunctureSet, SphereError, make_log_form
 
 
 def punctures(*zs):
     return PunctureSet.of([ProjPoint.finite(GQ(z)) for z in zs])
-
-
-def test_proj_point_canonical():
-    p = ProjPoint.of(GQ(4), GQ(2))
-    assert p == ProjPoint.finite(GQ(2))
-    assert ProjPoint.of(GQ(3), ZERO).is_infinity
-    with pytest.raises(SphereError):
-        ProjPoint.of(ZERO, ZERO)
 
 
 def test_proj_point_parse():
@@ -88,52 +73,3 @@ def test_residues_sum_zero_and_match(points, data):
         # partial-fraction realization agrees with the stored residues
         assert form.residue_at(p.affine) == omega.residue_at(p)
     assert total.is_zero
-
-
-def test_divisor_of_form():
-    z0, z1 = BinaryForm.of(1, [1, 0]), BinaryForm.of(1, [0, 1])
-    f = z0 * z0 * z1  # z0^2 z1
-    d = divisor_of_form(f)
-    assert d.degree == 3
-    assert d.multiplicity(ProjPoint.finite(GQ(0))) == 2
-    assert d.multiplicity(ProjPoint.infinity()) == 1
-    assert d.multiplicity(ProjPoint.finite(GQ(1))) == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
-    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
-    st.integers(-3, 3),
-)
-def test_divisor_additivity(fc, gc, p):
-    f = BinaryForm.of(len(fc) - 1, fc)
-    g = BinaryForm.of(len(gc) - 1, gc)
-    if f.is_zero or g.is_zero:
-        return
-    point = ProjPoint.finite(GQ(p))
-    total = divisor_of_form(f * g).multiplicity(point)
-    assert total == divisor_of_form(f).multiplicity(point) + divisor_of_form(g).multiplicity(point)
-
-
-def test_mobius_normalize_identity():
-    pts = [ProjPoint.finite(GQ(k)) for k in range(3)]
-    t, out = mobius_normalize(pts)
-    assert t.is_identity
-    assert out == pts
-
-
-def test_mobius_normalize_infinity():
-    pts = [ProjPoint.finite(GQ(0)), ProjPoint.infinity()]
-    t, out = mobius_normalize(pts)
-    assert all(not p.is_infinity for p in out)
-    assert len(set(out)) == len(out)
-    inv = t.inverse()
-    assert [inv.apply(p) for p in out] == pts
-
-
-def test_mobius_roundtrip_many():
-    pts = [ProjPoint.finite(GQ(k)) for k in (-2, 0, 1, 5)] + [ProjPoint.infinity()]
-    t, out = mobius_normalize(pts)
-    inv = t.inverse()
-    assert [inv.apply(p) for p in out] == pts

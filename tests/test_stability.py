@@ -18,7 +18,6 @@ from chnoids.stability import (
     prop94_degrees,
     stability_region,
     twist_invariance_check,
-    unipotent_inequalities,
 )
 
 
@@ -30,10 +29,8 @@ def test_surface_data():
 
 
 def test_weight_triple():
-    w = WeightTriple.of("1/4", "1/4", "1/2")
-    assert w.admissibility() == (True, True)
-    w2 = WeightTriple.of(0, Fraction(1, 3), Fraction(1, 2))
-    assert w2.admissibility() == (False, False)
+    WeightTriple.of("1/4", "1/4", "1/2")
+    WeightTriple.of(0, Fraction(1, 3), Fraction(1, 2))
     with pytest.raises(StabilityError):
         WeightTriple.of("1/2", "1/4", "3/4")  # out of order
     with pytest.raises(StabilityError):
@@ -90,13 +87,6 @@ def test_certificate_json():
     obj = cert.to_json()
     assert obj["verdict"] == "stable"
     assert obj["expanded_1"] == {"lhs": "4", "rhs": "9"}
-
-
-def test_unipotent_inequalities():
-    for n in range(4, 20):
-        assert unipotent_inequalities(n - 4, n - 3, n - 2) == (True, True)
-    assert unipotent_inequalities(0, 0, 1) == (True, True)
-    assert unipotent_inequalities(2, 2, 2) == (False, False)
 
 
 def test_nnoid_degrees():
