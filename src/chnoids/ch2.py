@@ -93,6 +93,52 @@ def distance(z: Sequence, w: Sequence) -> float:
     return 2.0 * math.acosh(math.sqrt(ratio))
 
 
+def _unit_representatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``_unit_representative`` over the last axis of f.
+
+    Returns the scaled points and the mask of points with a nonzero finite
+    representative; the other points come back as zero vectors.  The
+    moduli (hypot) and the division of each part round as the scalar path
+    does, so the sign of <Z,Z> is decided on the same numbers.
+    """
+    moduli = np.hypot(f.real, f.imag)
+    scale = moduli.max(axis=-1)
+    ok = (scale > 0.0) & np.isfinite(moduli).all(axis=-1)
+    scale = np.where(ok, scale, 1.0)[..., None]
+    f = np.where(ok[..., None], f, 0.0)
+    z = np.empty(f.shape, dtype=complex)
+    z.real = f.real / scale
+    z.imag = f.imag / scale
+    return z, ok
+
+
+def _herm_forms(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``herm_form`` along the last axes of z and w, broadcast."""
+    return z[..., 0] * w[..., 0].conj() + z[..., 1] * w[..., 1].conj() - z[..., 2] * w[..., 2].conj()
+
+
+def points_in_ch2(f) -> np.ndarray:
+    """Array form of ``in_ch2`` for float points along the last axis of f."""
+    z, ok = _unit_representatives(np.asarray(f, dtype=complex))
+    return ok & (_herm_forms(z, z).real < 0)
+
+
+def distances(z, w) -> np.ndarray:
+    """Array form of ``distance`` between the points along the last axes of
+    z and w, broadcast against each other; raises as ``distance`` does."""
+    z, z_ok = _unit_representatives(np.asarray(z, dtype=complex))
+    w, w_ok = _unit_representatives(np.asarray(w, dtype=complex))
+    if not (z_ok.all() and w_ok.all()):
+        raise CH2Error("a CH^2 point needs a nonzero finite representative")
+    zz = _herm_forms(z, z).real
+    ww = _herm_forms(w, w).real
+    if not ((zz < 0).all() and (ww < 0).all()):
+        raise CH2Error("distance arguments must lie in CH^2")
+    zw = _herm_forms(z, w)
+    ratio = (zw * zw.conj()).real / (zz * ww)
+    return 2.0 * np.arccosh(np.sqrt(np.maximum(ratio, 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # matrices
 

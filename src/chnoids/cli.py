@@ -28,11 +28,12 @@ EXIT_INPUT = 2
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
 # host: nnoid check takes 11-13 s at n = 64 with random coefficients (nearly
 # all of it the resultant of g1 and g2) and 1.4-1.8 s with g1 = z0^60,
-# g2 = z1^61, a stability region 4.4-6.4 s (6.4 s with 10^5 weighted
-# punctures), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16
-# modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
+# g2 = z1^61, a stability region 0.30-0.34 s at n = 5, dmax = 140 (7.3 s
+# with 10^5 weighted punctures at dmax = 0, nearly all of it parsing and
+# echoing the weights), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
+# with 16 modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
-MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs checked times n
+MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny
 MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
 
@@ -235,9 +236,17 @@ def _fraction(s) -> Fraction:
     return Fraction(str(s))
 
 
+def _integer(value) -> int:
+    """A JSON count or degree; a boolean or a number with a fractional part
+    is an input error, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _parse_stability(obj: dict, pairs: int):
-    """Surface and per-puncture weights; ``pairs`` (d1, d2) pairs will be checked."""
-    surf = stability.SurfaceData(int(obj["genus"]), int(obj["n"]))
+    """Surface and per-puncture weights for a query over ``pairs`` (d1, d2) pairs."""
+    surf = stability.SurfaceData(_integer(obj["genus"]), _integer(obj["n"]))
     _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
     raw = obj.get("weights")
     if not raw:
@@ -255,7 +264,7 @@ def _parse_stability(obj: dict, pairs: int):
 
 def _parse_stability_check(obj: dict, args):
     surf, weights = _parse_stability(obj, 1)
-    return obj, surf, stability.MixedDegreeData.of(int(obj["d1"]), int(obj["d2"]), weights)
+    return obj, surf, stability.MixedDegreeData.of(_integer(obj["d1"]), _integer(obj["d2"]), weights)
 
 
 def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
@@ -278,7 +287,7 @@ def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
 
 
 def _parse_stability_region(obj: dict, args):
-    dmax = int(obj.get("dmax", 6))
+    dmax = _integer(obj.get("dmax", 6))
     return (obj, dmax, *_parse_stability(obj, (dmax + 1) ** 2))
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ch2 import distance, in_ch2
+from .ch2 import distance, distances, in_ch2, points_in_ch2
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL_FACTOR = 10.0
@@ -65,7 +65,11 @@ class StripGrid:
 
     @staticmethod
     def from_json(obj: dict) -> "StripGrid":
-        return StripGrid(int(obj["Nx"]), int(obj["Ny"]), float(obj["Y"]), float(obj["Ymax"]))
+        counts = obj["Nx"], obj["Ny"]
+        # a boolean or fractional count is refused rather than truncated
+        if any(isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()) for c in counts):
+            raise CuspGridError("Nx and Ny must be integers")
+        return StripGrid(int(counts[0]), int(counts[1]), float(obj["Y"]), float(obj["Ymax"]))
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,7 @@ class StripField:
         if self.f is not None:
             if self.f.shape != (self.grid.ny, self.grid.nx, 3):
                 raise CuspGridError("F samples must be shaped (Ny, Nx, 3)")
-            norms = (
-                np.abs(self.f[..., 0]) ** 2
-                + np.abs(self.f[..., 1]) ** 2
-                - np.abs(self.f[..., 2]) ** 2
-            )
-            if not (norms < 0).all():
+            if not points_in_ch2(self.f).all():
                 raise CuspGridError("every F sample must lie in CH^2")
 
 
@@ -175,33 +174,27 @@ def check_distance_lipschitz(s: StripField, o: Sequence, tol: float = 1e-9) -> S
     """|U(x+hx) - U(x)| <= d(F(x+hx), F(x)) + tol with U = d(o, F).
 
     The discrete form of the 1-Lipschitz projection of distance; a
-    metric-space fact, so it must hold for any CH^2-valued F.
+    metric-space fact, so it must hold for any CH^2-valued F.  Distances
+    are taken over the whole grid at once; the cell that decides the
+    verdict is then recomputed with the scalar ``distance``.
     """
     if s.f is None:
         raise CuspGridError("field carries no CH^2 map samples")
     if not in_ch2(o):
         raise CuspGridError("base point must lie in CH^2")
-    ny, nx = s.grid.ny, s.grid.nx
-    u = np.empty((ny, nx))
-    for iy in range(ny):
-        for ix in range(nx):
-            u[iy, ix] = distance(o, s.f[iy, ix])
-    worst = math.inf
-    slacks = []
-    for iy in range(ny):
-        row_worst = math.inf
-        for ix in range(nx):
-            jx = (ix + 1) % nx
-            step = distance(s.f[iy, ix], s.f[iy, jx])
-            slack = step + tol - abs(u[iy, jx] - u[iy, ix])
-            row_worst = min(row_worst, slack)
-        slacks.append(row_worst)
-        worst = min(worst, row_worst)
+    u = distances(o, s.f)
+    step = distances(s.f, np.roll(s.f, -1, axis=1))
+    slack = step + tol - np.abs(np.roll(u, -1, axis=1) - u)
+    iy, ix = np.unravel_index(np.argmin(slack), slack.shape)
+    z, w = s.f[iy, ix], s.f[iy, (ix + 1) % s.grid.nx]
+    slack[iy, ix] = distance(z, w) + tol - abs(distance(o, w) - distance(o, z))
+    per_row = slack.min(axis=1)
+    worst = float(per_row.min())
     return StripReport(
         passed=worst >= 0.0,
         tol=tol,
         worst_slack=worst - tol,
-        per_row_slack=tuple(slacks),
+        per_row_slack=tuple(float(x) for x in per_row),
     )
 
 

@@ -7,6 +7,7 @@ must agree; a disagreement signals an implementation bug and aborts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -188,6 +189,15 @@ def _verdict(lhs1, rhs1, lhs2, rhs2) -> tuple[str, tuple[str, ...]]:
     return "stable", ()
 
 
+def _expanded_rhs(d: MixedDegreeData, s: SurfaceData) -> tuple[Fraction, Fraction]:
+    """Right-hand sides of 2 d1 + d2 < rhs1 and d1 + 2 d2 < rhs2."""
+    k3 = 3 * s.kappa
+    return (
+        k3 + d.sum_omega - 3 * d.sum_beta,
+        k3 + 2 * d.sum_omega - 3 * (d.sum_beta + d.sum_gamma),
+    )
+
+
 def check_mixed_stability(d: MixedDegreeData, s: SurfaceData) -> StabilityCertificate:
     """Evaluate both strict slope inequalities, slope and expanded form.
 
@@ -203,12 +213,9 @@ def check_mixed_stability(d: MixedDegreeData, s: SurfaceData) -> StabilityCertif
     slope_w2 = (deg_w2 / 2, mu_e)
     verdict_slope, failing_slope = _verdict(*slope_w1, *slope_w2)
 
-    k3 = 3 * s.kappa
-    exp1 = (Fraction(2 * d.d1 + d.d2), k3 + d.sum_omega - 3 * d.sum_beta)
-    exp2 = (
-        Fraction(d.d1 + 2 * d.d2),
-        k3 + 2 * d.sum_omega - 3 * (d.sum_beta + d.sum_gamma),
-    )
+    rhs1, rhs2 = _expanded_rhs(d, s)
+    exp1 = (Fraction(2 * d.d1 + d.d2), rhs1)
+    exp2 = (Fraction(d.d1 + 2 * d.d2), rhs2)
     verdict_exp, failing_exp = _verdict(*exp1, *exp2)
 
     if verdict_slope != verdict_exp or failing_slope != failing_exp:
@@ -251,16 +258,49 @@ def twist_invariance_check(d: MixedDegreeData, s: SurfaceData, m: int) -> bool:
     return base == twisted
 
 
+def _largest_below(bound: Fraction) -> int:
+    """The largest integer strictly less than bound."""
+    return math.ceil(bound) - 1
+
+
 def stability_region(
     s: SurfaceData, weights: Sequence[PunctureWeights], dmax: int
 ) -> list[tuple[int, int]]:
-    """All (d1, d2) in [0, dmax]^2 with a stable verdict, lexicographic."""
+    """All (d1, d2) in [0, dmax]^2 with a stable verdict, lexicographic.
+
+    Both strict inequalities are linear in (d1, d2), so each d1 has a
+    largest stable d2, found in closed form twice: from the slope gaps
+    mu(W) - mu(E) at (d1, 0) with their d2 coefficient, and from the
+    expanded form.  The two must agree.
+    """
     if dmax < 0:
         raise StabilityError("dmax must be nonnegative")
+    base = MixedDegreeData.of(0, 0, weights)
+
+    def at(d1: int, d2: int) -> MixedDegreeData:
+        # the same weights at other degrees, sharing the sums of ``base``
+        d = MixedDegreeData(d1, d2, base.puncture_weights)
+        for name in ("sum_omega", "sum_beta", "sum_gamma"):
+            d.__dict__[name] = getattr(base, name)
+        return d
+
+    def slope_gaps(d: MixedDegreeData) -> tuple[Fraction, Fraction]:
+        mu_e = par_deg_E(d) / 3
+        return par_deg_W1(d, s) - mu_e, par_deg_W2(d, s) / 2 - mu_e
+
+    # d2 coefficients of the two gaps; stable means both gaps are negative
+    coeffs = [g1 - g0 for g1, g0 in zip(slope_gaps(at(0, 1)), slope_gaps(base))]
+    rhs1, rhs2 = _expanded_rhs(base, s)
     out = []
     for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1):
-            cert = check_mixed_stability(MixedDegreeData.of(d1, d2, weights), s)
-            if cert.verdict == "stable":
-                out.append((d1, d2))
+        by_slope = min(
+            _largest_below(-gap / c) for gap, c in zip(slope_gaps(at(d1, 0)), coeffs)
+        )
+        by_expanded = min(_largest_below(rhs1 - 2 * d1), _largest_below((rhs2 - d1) / 2))
+        if by_slope != by_expanded:
+            raise InternalDisagreement(
+                f"at d1 = {d1} the slope form bounds d2 by {by_slope}, "
+                f"the expanded form by {by_expanded}"
+            )
+        out.extend((d1, d2) for d2 in range(min(by_slope, dmax) + 1))
     return out

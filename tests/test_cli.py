@@ -230,6 +230,40 @@ def test_output_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `stability region` stdout on weighted inputs, recorded at commit
+# 867aa3c, when every (d1, d2) pair went through check_mixed_stability;
+# "limit" sits at MAX_STABILITY_WORK ((140 + 1)^2 * 5 = 99405 pairs times n)
+PINNED_REGIONS = {
+    "limit": ({"genus": 30, "n": 5, "dmax": 140, "weights": [
+        {"triple": ["1/7", "2/7", "5/7"], "beta": "2/7", "gamma": "1/7"},
+        {"triple": ["0", "1/2", "3/4"], "beta": "3/4", "gamma": "0"},
+        {"triple": ["1/3", "1/3", "2/3"]},
+        {"triple": ["1/12", "5/12", "11/12"], "beta": "11/12", "gamma": "5/12"},
+        {"triple": ["0", "0", "0"]}]}, 6016,
+        "91642070df6f702c3ee1c4f392a0677548d59fed080dadc1491b0b245d76676a"),
+    "fractional": ({"genus": 2, "n": 4, "dmax": 25, "weights": [
+        {"triple": ["1/5", "2/5", "4/5"], "beta": "4/5", "gamma": "2/5"},
+        {"triple": ["1/9", "1/9", "7/9"], "beta": "1/9", "gamma": "7/9"},
+        {"triple": ["3/11", "6/11", "10/11"], "gamma": "6/11"},
+        {"triple": ["0", "1/13", "12/13"], "beta": "12/13"}]}, 54,
+        "b104e04d62d5dce353354f8c144303fc474bba010bd8707dd19648718af13f42"),
+    # both right-hand sides are integers, so the region's edge is semistable
+    "boundary": ({"genus": 1, "n": 2, "dmax": 8, "weights": [
+        {"triple": ["1/3", "1/3", "1/3"], "beta": "1/3", "gamma": "1/3"},
+        {"triple": ["0", "1/3", "2/3"], "beta": "1/3", "gamma": "2/3"}]}, 7,
+        "7560af61d7016b164aa3cdd3f3a4c04f7875282f0278cf68ed2070ec9a8029f5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REGIONS))
+def test_stability_region_pinned(name, tmp_path, capsys):
+    config, size, digest = PINNED_REGIONS[name]
+    code, out, _ = run(["stability", "region", write_json(tmp_path, "in.json", config)], capsys)
+    assert code == 0
+    assert len(json.loads(out)["region"]) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_stability_region_csv_pinned(tmp_path, capsys):
     csv = tmp_path / "region.csv"
     path = write_json(tmp_path, "r.json", REGION_INPUT)
@@ -405,6 +439,16 @@ def weights_json(triple, **flags) -> list[dict]:
                 "spec": {"modes": [[1, 0.1, 0.0]] * 17, "poly": [0.0, 0.0, 0.0]},
             },
         ),
+        # a fractional or boolean count or degree is refused, not truncated
+        ("stability region", {"genus": 0, "n": 5, "dmax": 3.7}),
+        ("stability region", {"genus": 0, "n": 5, "dmax": True}),
+        ("stability region", {"genus": 1.5, "n": 5, "dmax": 3}),
+        ("stability region", {"genus": 0, "n": 5.5, "dmax": 3}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1.5, "d2": 2}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": False}),
+        ("stability check", {"genus": True, "n": 5, "d1": 1, "d2": 2}),
+        ("cusp verify", {"grid": {"Nx": 8.7, "Ny": 8, "Y": 1.0, "Ymax": 5.0}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": True, "Y": 1.0, "Ymax": 5.0}}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from chnoids.ch2 import geodesic_point
+from chnoids.ch2 import distance, geodesic_point
 from chnoids.cusp import (
     CuspGridError,
     StripField,
@@ -48,6 +49,21 @@ def test_field_validation():
     f[..., 0] = 1.0  # positive vector, not in CH^2
     with pytest.raises(CuspGridError):
         StripField(GRID, np.zeros((GRID.ny, GRID.nx)), f)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_field_membership_is_projective(scale):
+    # e3 at any scale is the origin of CH^2; <Z,Z> itself underflows at
+    # 1e-200 and overflows at 1e200
+    f = np.zeros((GRID.ny, GRID.nx, 3), dtype=complex)
+    f[..., 2] = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        StripField(GRID, np.zeros((GRID.ny, GRID.nx)), f)
+    for bad in (0.0, np.inf, np.nan):
+        f[0, 0, 2] = bad
+        with pytest.raises(CuspGridError):
+            StripField(GRID, np.zeros((GRID.ny, GRID.nx)), f)
 
 
 def test_mean_function():
@@ -161,3 +177,69 @@ def test_distance_lipschitz_random_maps():
 def test_distance_lipschitz_requires_f():
     with pytest.raises(CuspGridError):
         check_distance_lipschitz(field_from(lambda x, y: 0 * x + y), (0.0, 0.0, 1.0))
+
+
+def lipschitz_oracle(s, o, tol=1e-9):
+    """(passed, per-row slacks): the check as a double loop over the scalar
+    ``ch2.distance``, two calls per grid point."""
+    ny, nx = s.grid.ny, s.grid.nx
+    u = [[distance(o, s.f[iy, ix]) for ix in range(nx)] for iy in range(ny)]
+    slacks = []
+    for iy in range(ny):
+        slacks.append(min(
+            distance(s.f[iy, ix], s.f[iy, (ix + 1) % nx]) + tol
+            - abs(u[iy][(ix + 1) % nx] - u[iy][ix])
+            for ix in range(nx)
+        ))
+    return min(slacks) >= 0.0, slacks
+
+
+def oracle_maps():
+    rng = np.random.default_rng(11)
+    g = StripGrid(12, 8, 0.0, 1.0)
+    for _ in range(4):
+        v = 0.15 * (rng.standard_normal((g.ny, g.nx, 2)) + 1j * rng.standard_normal((g.ny, g.nx, 2)))
+        f = np.concatenate([v, np.ones((g.ny, g.nx, 1))], axis=2)
+        yield f, (0.1, 0.2j, 1.0)
+    geo = np.zeros((g.ny, g.nx, 3), dtype=complex)
+    for ix, x in enumerate(g.xs):
+        geo[:, ix, :] = geodesic_point(0.1 * math.sin(x))
+    yield geo, (0.0, 0.0, 1.0)
+    const = np.zeros((g.ny, g.nx, 3), dtype=complex)
+    const[..., 2] = 1.0
+    yield const, (0.1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_distance_lipschitz_matches_scalar_oracle(case):
+    f, o = list(oracle_maps())[case]
+    g = StripGrid(f.shape[1], f.shape[0], 0.0, 1.0)
+    rng = np.random.default_rng(case)
+    # a random factor in 1e-150..1e150 per sample leaves every point the same
+    rescaled = f * 10.0 ** rng.uniform(-150, 150, f.shape[:2])[..., None]
+    for samples in (f, rescaled):
+        s = StripField(g, np.zeros(f.shape[:2]), samples)
+        report = check_distance_lipschitz(s, o)
+        passed, slacks = lipschitz_oracle(s, o)
+        assert report.passed == passed
+        assert np.allclose(report.per_row_slack, slacks, rtol=0.0, atol=1e-12)
+        assert report.worst_slack == pytest.approx(min(slacks) - 1e-9, abs=1e-12)
+
+
+def test_distance_lipschitz_oracle_sees_a_failure():
+    # a tolerance below the rounding of the distances makes the geodesic
+    # map fail where the bound is tight; both paths must say so
+    f, o = list(oracle_maps())[4]
+    s = StripField(StripGrid(12, 8, 0.0, 1.0), np.zeros(f.shape[:2]), f)
+    report = check_distance_lipschitz(s, o, tol=-1e-6)
+    passed, slacks = lipschitz_oracle(s, o, tol=-1e-6)
+    assert not report.passed and not passed
+    assert np.allclose(report.per_row_slack, slacks, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("o", [(1.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, np.inf)])
+def test_distance_lipschitz_base_point_outside(o):
+    f, _ = list(oracle_maps())[0]
+    s = StripField(StripGrid(12, 8, 0.0, 1.0), np.zeros(f.shape[:2]), f)
+    with pytest.raises(CuspGridError, match="base point must lie in CH\\^2"):
+        check_distance_lipschitz(s, o)

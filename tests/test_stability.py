@@ -4,7 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chnoids import stability
 from chnoids.stability import (
+    InternalDisagreement,
     MixedDegreeData,
     PunctureWeights,
     StabilityError,
@@ -157,3 +159,61 @@ def test_forms_agree(args):
 def test_twist_invariance(args, m):
     d, s = args
     assert twist_invariance_check(d, s, m)
+
+
+def brute_force_region(s, weights, dmax):
+    """The region as the verdict of every pair, one full check each."""
+    return [
+        (d1, d2)
+        for d1 in range(dmax + 1)
+        for d2 in range(dmax + 1)
+        if check_mixed_stability(MixedDegreeData.of(d1, d2, weights), s).verdict == "stable"
+    ]
+
+
+@st.composite
+def region_data(draw):
+    genus = draw(st.integers(0, 2))
+    n = draw(st.integers(max(1, 3 - 2 * genus), 8))
+    pws = []
+    for _ in range(n):
+        vals = sorted(draw(st.tuples(frac_strategy, frac_strategy, frac_strategy)))
+        beta = draw(st.sampled_from(vals))
+        gamma = draw(st.sampled_from(vals))
+        pws.append(PunctureWeights.of(WeightTriple.of(*vals), beta, gamma))
+    return SurfaceData(genus, n), pws, draw(st.integers(0, 15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(region_data())
+def test_stability_region_matches_pairwise_checks(args):
+    s, weights, dmax = args
+    assert stability_region(s, weights, dmax) == brute_force_region(s, weights, dmax)
+
+
+def test_stability_region_boundary_pairs_excluded():
+    # kappa = 2, sum omega = 2, sum beta = 2/3, sum gamma = 1: both right-hand
+    # sides are integers (6 and 5), so the region's edge is strictly semistable
+    s = SurfaceData(1, 2)
+    weights = [
+        PunctureWeights.of(WeightTriple.of("1/3", "1/3", "1/3"), "1/3", "1/3"),
+        PunctureWeights.of(WeightTriple.of(0, "1/3", "2/3"), "1/3", "2/3"),
+    ]
+    region = stability_region(s, weights, 8)
+    assert region == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert region == brute_force_region(s, weights, 8)
+    for edge in ((1, 2), (3, 0)):
+        cert = check_mixed_stability(MixedDegreeData.of(*edge, weights), s)
+        assert cert.verdict == "strictly-semistable"
+
+
+def test_stability_region_forms_must_agree(monkeypatch):
+    s = SurfaceData(0, 5)
+    weights = [PunctureWeights.of(WeightTriple.zero())] * 5
+    original = stability.par_deg_W1
+    # a slope form that drifts from the expanded form from d1 = 2 on
+    monkeypatch.setattr(
+        stability, "par_deg_W1", lambda d, s: original(d, s) + (1 if d.d1 >= 2 else 0)
+    )
+    with pytest.raises(InternalDisagreement, match="at d1 = 2"):
+        stability_region(s, weights, 4)
