@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__, ch2, cusp, nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData, NnoidDataError
-from .sphere import ProjPoint, PunctureSet, SphereError, make_log_form
+from .sphere import PunctureSet, SphereError, make_log_form
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -198,8 +198,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
 
     for _ in range(MAX_REJECTIONS):
         try:
-            pts = [ProjPoint.finite(z) for z in rng.sample(pool, n)]
-            punctures = PunctureSet.of(pts)
+            punctures = PunctureSet.of(rng.sample(pool, n))
             residues = []
             for _ in range(n - 1):
                 r = gint()
@@ -217,7 +216,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
             g2 = BinaryForm.of(n - 3, [gint() for _ in range(n - 2)])
             q = BinaryForm.of(3, [gint() for _ in range(4)])
             return NnoidData.make(punctures, omega, g1, g2, q)
-        except (NnoidDataError, SphereError, ValueError):
+        except ValueError:
             continue
     raise InputError(f"rejection sampler exhausted {MAX_REJECTIONS} attempts")
 

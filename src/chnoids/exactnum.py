@@ -334,23 +334,6 @@ class UniPoly:
             return self
         return self * self.leading().inverse()
 
-    def shifted(self, p: GaussianRational) -> "UniPoly":
-        """Taylor shift: returns q with q(w) = self(w + p)."""
-        out = UniPoly.zero()
-        base = UniPoly.of([p, ONE])
-        power = UniPoly.of([1])
-        for c in self.coeffs:
-            out = out + power * c
-            power = power * base
-        return out
-
-    def root_multiplicity(self, p: GaussianRational) -> int:
-        f, m = self, 0
-        while not f.is_zero and f(p).is_zero:
-            f = f // UniPoly.of([-p, ONE])
-            m += 1
-        return m
-
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over Q(i); gcd(0, 0) is the zero polynomial."""
@@ -457,32 +440,19 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def pole_order(self, p: GaussianRational) -> int:
-        return self.den.root_multiplicity(p)
-
     def residue_at(self, p: GaussianRational) -> GaussianRational:
-        """Residue of (self) dz at z = p, any finite pole order."""
-        m = self.pole_order(p)
-        if m == 0:
+        """Residue of (self) dz at z = p, where p is at most a simple pole.
+
+        A pole of higher order raises: every denominator here divides the
+        squarefree vanishing polynomial of the punctures.
+        """
+        h, rem = self.den.divmod(UniPoly.of([-p, ONE]))
+        if not rem.is_zero:  # rem = den(p) != 0: no pole at p
             return ZERO
-        lin = UniPoly.of([-p, ONE])
-        h = self.den
-        for _ in range(m):
-            h = h // lin
-        if m == 1:
-            return self.num(p) * h(p).inverse()
-        # coefficient of (z-p)^(m-1) in the Taylor expansion of num/h at p
-        num_s = self.num.shifted(p)
-        h_s = h.shifted(p)
-        inv0 = h_s.coeffs[0].inverse()
-        series = [ZERO] * m
-        for k in range(m):
-            acc = num_s.coeffs[k] if k < len(num_s.coeffs) else ZERO
-            for j in range(k):
-                hk = h_s.coeffs[k - j] if k - j < len(h_s.coeffs) else ZERO
-                acc = acc - series[j] * hk
-            series[k] = acc * inv0
-        return series[m - 1]
+        h_p = h(p)
+        if h_p.is_zero:
+            raise ExactArithmeticError(f"pole of order at least 2 at {p}")
+        return self.num(p) * h_p.inverse()
 
 
 @dataclass(frozen=True)

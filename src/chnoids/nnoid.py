@@ -26,7 +26,7 @@ from .exactnum import (
     UniPoly,
     resultant,
 )
-from .sphere import LogOneForm, ProjPoint, PunctureSet, SphereError, make_log_form
+from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
 
 
 class NnoidDataError(ValueError):
@@ -72,7 +72,7 @@ class NnoidData:
             raise NnoidDataError("g1 and g2 share a projective zero")
         q_affine = q.dehomogenize()
         for p in punctures:
-            if q_affine(p.affine).is_zero:
+            if q_affine(p).is_zero:
                 raise NnoidDataError(f"q vanishes at the puncture {p}")
         return NnoidData(n, punctures, omega, g1, g2, q)
 
@@ -86,15 +86,12 @@ class NnoidData:
 
     @staticmethod
     def from_json(obj: dict) -> "NnoidData":
-        try:
-            punctures = PunctureSet.of([ProjPoint.parse(s) for s in obj["punctures"]])
-            residues = [GaussianRational.parse(s) for s in obj["residues"]]
-            omega = make_log_form(punctures, residues)
-            g1 = BinaryForm.from_json(obj["g1"])
-            g2 = BinaryForm.from_json(obj["g2"])
-            q = BinaryForm.from_json(obj["q"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise NnoidDataError(f"malformed n-noid data: {exc}") from exc
+        punctures = PunctureSet.of([GaussianRational.parse(s) for s in obj["punctures"]])
+        residues = [GaussianRational.parse(s) for s in obj["residues"]]
+        omega = make_log_form(punctures, residues)
+        g1 = BinaryForm.from_json(obj["g1"])
+        g2 = BinaryForm.from_json(obj["g2"])
+        q = BinaryForm.from_json(obj["q"])
         data = NnoidData.make(punctures, omega, g1, g2, q)
         if "n" in obj and obj["n"] != data.n:
             raise NnoidDataError("declared n disagrees with the puncture count")
@@ -137,7 +134,7 @@ class HiggsField:
                     forms.append(RationalOneForm.make(sij, vanishing))
                     continue
                 num, den = self.omega_num * sij, vanishing
-                for p in self.data.punctures.affine:
+                for p in self.data.punctures:
                     if sij(p).is_zero:
                         lin = UniPoly.of([-p, ONE])
                         num, den = num // lin, den // lin
@@ -151,7 +148,7 @@ class HiggsField:
 
 @dataclass(frozen=True)
 class ResidueMatrix:
-    point: ProjPoint
+    point: GaussianRational
     matrix: linalg.Matrix
 
 
@@ -206,24 +203,22 @@ def trace_phi_squared(phi: HiggsField) -> UniPoly:
     return acc
 
 
-def residue_matrix(phi: HiggsField, p: ProjPoint) -> ResidueMatrix:
+def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
     """Entrywise residue of Phi at a puncture (partial-fraction route)."""
     if p not in phi.data.punctures:
         raise SphereError(f"{p} is not a puncture")
-    z = p.affine
     m = linalg.mat(
-        [[phi.entry(i, j).residue_at(z) for j in range(3)] for i in range(3)]
+        [[phi.entry(i, j).residue_at(p) for j in range(3)] for i in range(3)]
     )
     return ResidueMatrix(p, m)
 
 
-def residue_matrix_closed_form(data: NnoidData, p: ProjPoint) -> ResidueMatrix:
+def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
     """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
     r = data.omega.residue_at(p)
-    z = p.affine
-    g1 = data.g1.dehomogenize()(z)
-    g2 = data.g2.dehomogenize()(z)
-    q = data.q.dehomogenize()(z)
+    g1 = data.g1.dehomogenize()(p)
+    g2 = data.g2.dehomogenize()(p)
+    q = data.q.dehomogenize()(p)
     zero = GaussianRational.of(0)
     rows = [
         [zero, zero, r * (-(q * g2))],

@@ -1,7 +1,7 @@
-"""Points and logarithmic 1-forms on the punctured sphere.
+"""Puncture sets and logarithmic 1-forms on the punctured sphere.
 
-Everything lives in a single affine chart: punctures must be finite, and
-an input with a puncture at infinity is refused.
+Everything lives in a single affine chart: a puncture is a Gaussian
+rational, so an input with a puncture at infinity does not parse.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import ONE, ZERO, GaussianRational, RationalOneForm, UniPoly
+from .exactnum import ZERO, GaussianRational, RationalOneForm, UniPoly
 
 
 class SphereError(ValueError):
@@ -17,56 +17,16 @@ class SphereError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProjPoint:
-    """A point [z0 : z1] of CP^1 in canonical form: [p : 1] or [1 : 0]."""
-
-    z0: GaussianRational
-    z1: GaussianRational
-
-    @staticmethod
-    def finite(p) -> "ProjPoint":
-        if not isinstance(p, GaussianRational):
-            p = GaussianRational.of(p)
-        return ProjPoint(p, ONE)
-
-    @staticmethod
-    def infinity() -> "ProjPoint":
-        return ProjPoint(ONE, ZERO)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.z1.is_zero
-
-    @property
-    def affine(self) -> GaussianRational:
-        if self.is_infinity:
-            raise SphereError("point at infinity has no affine coordinate")
-        return self.z0
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinity else str(self.z0)
-
-    @staticmethod
-    def parse(s: str) -> "ProjPoint":
-        s = s.strip()
-        if s in ("inf", "oo", "infinity"):
-            return ProjPoint.infinity()
-        return ProjPoint.finite(GaussianRational.parse(s))
-
-
-@dataclass(frozen=True)
 class PunctureSet:
-    """n >= 1 pairwise distinct finite points of CP^1."""
+    """n >= 1 pairwise distinct points of the affine chart."""
 
-    points: tuple[ProjPoint, ...]
+    points: tuple[GaussianRational, ...]
 
     @staticmethod
-    def of(points: Sequence[ProjPoint]) -> "PunctureSet":
+    def of(points: Sequence[GaussianRational]) -> "PunctureSet":
         pts = tuple(points)
         if not pts:
             raise SphereError("need at least one puncture")
-        if any(p.is_infinity for p in pts):
-            raise SphereError("punctures must be finite")
         if len(set(pts)) != len(pts):
             raise SphereError("punctures must be pairwise distinct")
         return PunctureSet(pts)
@@ -77,18 +37,14 @@ class PunctureSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p: ProjPoint) -> bool:
+    def __contains__(self, p: GaussianRational) -> bool:
         return p in self.points
 
-    def index(self, p: ProjPoint) -> int:
+    def index(self, p: GaussianRational) -> int:
         return self.points.index(p)
 
-    @property
-    def affine(self) -> tuple[GaussianRational, ...]:
-        return tuple(p.affine for p in self.points)
-
     def vanishing_poly(self) -> UniPoly:
-        return UniPoly.from_roots(self.affine)
+        return UniPoly.from_roots(self.points)
 
 
 @dataclass(frozen=True)
@@ -101,7 +57,7 @@ class LogOneForm:
     punctures: PunctureSet
     residues: tuple[GaussianRational, ...]
 
-    def residue_at(self, p: ProjPoint) -> GaussianRational:
+    def residue_at(self, p: GaussianRational) -> GaussianRational:
         if p not in self.punctures:
             raise SphereError(f"{p} is not a puncture of this form")
         return self.residues[self.punctures.index(p)]
@@ -112,7 +68,7 @@ class LogOneForm:
         Never vanishes at a puncture: its value at p_i is r_i times the
         product of (p_i - p_j), all nonzero.
         """
-        pts = self.punctures.affine
+        pts = self.punctures.points
         num = UniPoly.zero()
         for i, r in enumerate(self.residues):
             others = [q for j, q in enumerate(pts) if j != i]

@@ -8,9 +8,8 @@ must agree; a disagreement signals an implementation bug and aborts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -101,34 +100,31 @@ class PunctureWeights:
 
 @dataclass(frozen=True)
 class MixedDegreeData:
-    """(d1, d2) plus per-puncture (omega_p, beta_p, gamma_p) bookkeeping."""
+    """(d1, d2) plus the sums over the punctures of omega_p, beta_p and gamma_p."""
 
     d1: int
     d2: int
-    puncture_weights: tuple[PunctureWeights, ...]
+    sum_omega: Fraction
+    sum_beta: Fraction
+    sum_gamma: Fraction
 
     @staticmethod
     def of(d1: int, d2: int, puncture_weights: Iterable[PunctureWeights]) -> "MixedDegreeData":
         if d1 < 0 or d2 < 0:
             raise StabilityError("d1 and d2 must be nonnegative")
-        return MixedDegreeData(d1, d2, tuple(puncture_weights))
+        pws = tuple(puncture_weights)
+        return MixedDegreeData(
+            d1,
+            d2,
+            sum((pw.omega for pw in pws), Fraction(0)),
+            sum((pw.beta for pw in pws), Fraction(0)),
+            sum((pw.gamma for pw in pws), Fraction(0)),
+        )
 
     @staticmethod
     def weight_free(d1: int, d2: int, n: int) -> "MixedDegreeData":
-        pw = PunctureWeights.of(WeightTriple.zero())
-        return MixedDegreeData.of(d1, d2, [pw] * n)
-
-    @cached_property
-    def sum_omega(self) -> Fraction:
-        return sum((pw.omega for pw in self.puncture_weights), Fraction(0))
-
-    @cached_property
-    def sum_beta(self) -> Fraction:
-        return sum((pw.beta for pw in self.puncture_weights), Fraction(0))
-
-    @cached_property
-    def sum_gamma(self) -> Fraction:
-        return sum((pw.gamma for pw in self.puncture_weights), Fraction(0))
+        """Zero weights at each of the n punctures, so every sum is zero."""
+        return MixedDegreeData.of(d1, d2, ())
 
 
 def par_deg_E(d: MixedDegreeData) -> Fraction:
@@ -278,11 +274,7 @@ def stability_region(
     base = MixedDegreeData.of(0, 0, weights)
 
     def at(d1: int, d2: int) -> MixedDegreeData:
-        # the same weights at other degrees, sharing the sums of ``base``
-        d = MixedDegreeData(d1, d2, base.puncture_weights)
-        for name in ("sum_omega", "sum_beta", "sum_gamma"):
-            d.__dict__[name] = getattr(base, name)
-        return d
+        return replace(base, d1=d1, d2=d2)
 
     def slope_gaps(d: MixedDegreeData) -> tuple[Fraction, Fraction]:
         mu_e = par_deg_E(d) / 3

@@ -101,6 +101,9 @@ def test_nnoid_check_bad_input(tmp_path, capsys):
         ("punctures", [1, 2, 3, 4, 5]),
         ("residues", [1, 2, 3, 4, -10]),
         ("g1", {"degree": 1, "coeffs": [1, 2]}),
+        ("punctures", ["inf"] + good["punctures"][1:]),
+        ("punctures", ["oo"] + good["punctures"][1:]),
+        ("punctures", ["infinity"] + good["punctures"][1:]),
     ):
         obj = dict(good, **{key: value})
         path = write_json(tmp_path, f"bad-{key}.json", obj)

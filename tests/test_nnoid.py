@@ -17,12 +17,12 @@ from chnoids.nnoid import (
     trace_phi,
     trace_phi_squared,
 )
-from chnoids.sphere import ProjPoint, PunctureSet, make_log_form
+from chnoids.sphere import PunctureSet, make_log_form
 
 
 def reference_data():
     """n=5, P={0..4}, r={1,1,1,1,-4}, g1=z0, g2=z0^2+z1^2, q=z1^3."""
-    P = PunctureSet.of([ProjPoint.finite(GQ(k)) for k in range(5)])
+    P = PunctureSet.of([GQ(k) for k in range(5)])
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
     g1 = BinaryForm.of(1, [1, 0])
     g2 = BinaryForm.of(2, [1, 0, 1])
@@ -31,7 +31,7 @@ def reference_data():
 
 
 def test_make_validates():
-    P = PunctureSet.of([ProjPoint.finite(GQ(k)) for k in range(5)])
+    P = PunctureSet.of([GQ(k) for k in range(5)])
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
     g1 = BinaryForm.of(1, [1, 0])
     with pytest.raises(NnoidDataError):

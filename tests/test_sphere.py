@@ -4,26 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chnoids.exactnum import GQ, ZERO
-from chnoids.sphere import ProjPoint, PunctureSet, SphereError, make_log_form
+from chnoids.sphere import PunctureSet, SphereError, make_log_form
 
 
 def punctures(*zs):
-    return PunctureSet.of([ProjPoint.finite(GQ(z)) for z in zs])
-
-
-def test_proj_point_parse():
-    assert ProjPoint.parse("inf").is_infinity
-    assert ProjPoint.parse("2+1i") == ProjPoint.finite(GQ(2, 1))
-    assert str(ProjPoint.infinity()) == "inf"
+    return PunctureSet.of([GQ(z) for z in zs])
 
 
 def test_make_log_form_valid():
     P = punctures(0, 1, 2, 3, 4)
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
-    assert omega.residue_at(ProjPoint.finite(GQ(3))) == GQ(1)
-    assert omega.residue_at(ProjPoint.finite(GQ(4))) == GQ(-4)
+    assert omega.residue_at(GQ(3)) == GQ(1)
+    assert omega.residue_at(GQ(4)) == GQ(-4)
     with pytest.raises(SphereError):
-        omega.residue_at(ProjPoint.finite(GQ(7)))
+        omega.residue_at(GQ(7))
 
 
 def test_make_log_form_rejects():
@@ -32,7 +26,7 @@ def test_make_log_form_rejects():
     with pytest.raises(SphereError):
         make_log_form(punctures(0, 1, 2), [GQ(1), GQ(0), GQ(-1)])  # zero residue
     with pytest.raises(SphereError):
-        PunctureSet.of([ProjPoint.finite(GQ(0))] * 2)  # duplicates
+        PunctureSet.of([GQ(0)] * 2)  # duplicates
 
 
 def test_log_form_rational_realization():
@@ -71,5 +65,5 @@ def test_residues_sum_zero_and_match(points, data):
     for p in P:
         total = total + omega.residue_at(p)
         # partial-fraction realization agrees with the stored residues
-        assert form.residue_at(p.affine) == omega.residue_at(p)
+        assert form.residue_at(p) == omega.residue_at(p)
     assert total.is_zero
