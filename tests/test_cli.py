@@ -135,6 +135,30 @@ def test_nnoid_check_certificate_pinned(n, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFICATES[n]
 
 
+# Valid n = 7 data with fractional punctures, residues and form coefficients,
+# so that every exact kernel works over a common denominator other than 1;
+# g1 vanishes at the puncture 1/2 and g2 at -1/6.  sha256 of its `nnoid check`
+# certificate recorded at commit ed3cc3a.
+FRACTIONAL_NNOID = {
+    "n": 7,
+    "punctures": ["1/2", "-2/3+1/5i", "3/7i", "5/4-1/3i", "-1/6", "2+2/9i", "-7/5-3/2i"],
+    "residues": ["1/3", "-2/5+1/2i", "3/4i", "1/7-1/3i", "-5/6", "2/11+1/13i",
+                 "443/770-155/156i"],
+    "g1": {"degree": 3, "coeffs": ["-3/4i", "3/8i", "5/3+1/6i", "-5/6-1/12i"]},
+    "g2": {"degree": 4, "coeffs": ["1/9", "-17/54+2/7i", "-1/18+1/21i", "2/5", "1/15"]},
+    "q": {"degree": 3, "coeffs": ["7/8", "1/12-1/5i", "0", "3/13"]},
+}
+PINNED_FRACTIONAL = "05cb3f36db927c7da1749af5720b291dd67c3bfe17505b17680da8ba77353221"
+
+
+def test_nnoid_check_fractional_certificate_pinned(tmp_path, capsys):
+    path = write_json(tmp_path, "frac.json", FRACTIONAL_NNOID)
+    code, out, _ = run(["nnoid", "check", path], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "stable"
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FRACTIONAL
+
+
 def _classify_seed(kind: str):
     one, zero, i = GQ(1), GQ(0), GQ(0, 1)
     u, v, w = (GQ(a, b) / GQ(a, -b) for a, b in ((3, 4), (5, 12), (1, 2)))

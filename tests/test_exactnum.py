@@ -366,3 +366,148 @@ def test_residue_double_pole_raises():
     r = RationalFunction.make(num, den)
     with pytest.raises(ExactArithmeticError):
         r.residue_at(GQ(1))
+
+
+# ---------------------------------------------------------------------------
+# differential oracles for the exact kernels, over sympy's QQ_I
+#
+# Coefficients have denominators up to 13 and about 30% of them are zero;
+# evaluation points are never Gaussian integers, so every kernel meets
+# operands over a common denominator other than 1.
+
+
+def fractional_gq(rng, zeros=0.3):
+    if rng.random() < zeros:
+        return ZERO
+    re, im = (Fraction(rng.randint(-20, 20), rng.randint(1, 13)) for _ in range(2))
+    return GQ(re, im)
+
+
+def non_integer_point(rng):
+    return GQ(Fraction(rng.randint(-20, 20), rng.randint(2, 13)),
+              Fraction(rng.randint(-20, 20), rng.randint(2, 13)))
+
+
+def fractional_poly(rng, max_deg):
+    return UniPoly.of([fractional_gq(rng) for _ in range(rng.randint(0, max_deg + 1))])
+
+
+def from_qq_i(x):
+    return GQ(Fraction(int(x.x.numerator), int(x.x.denominator)),
+              Fraction(int(x.y.numerator), int(x.y.denominator)))
+
+
+def test_poly_mul_and_call_match_sympy():
+    rng = random.Random(4409)
+    for _ in range(150):
+        a, b = fractional_poly(rng, 9), fractional_poly(rng, 9)
+        assert sympy_poly(a * b) == sympy_poly(a) * sympy_poly(b), (a, b)
+        c = fractional_gq(rng)
+        assert sympy_poly(a * c) == sympy_poly(a).mul_ground(qq_i(c)), (a, c)
+        z = non_integer_point(rng)
+        value = QQ_I.from_sympy(sympy_poly(a).eval(QQ_I.to_sympy(qq_i(z))))
+        assert a(z) == from_qq_i(value), (a, z)
+
+
+def fractional_matrix(rng, rows, cols):
+    return linalg.mat([[fractional_gq(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def sympy_matrix(a):
+    return DomainMatrix([[qq_i(x) for x in row] for row in a], (len(a), len(a[0])), QQ_I)
+
+
+def test_mat_mul_matches_sympy():
+    rng = random.Random(613)
+    for _ in range(120):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        a, b = fractional_matrix(rng, n, k), fractional_matrix(rng, k, m)
+        product = linalg.mat_mul(a, b)
+        assert sympy_matrix(product) == sympy_matrix(a).matmul(sympy_matrix(b)), (a, b)
+
+
+def structured_matrices(rng):
+    """Square matrices whose minimal polynomial is often a proper divisor of
+    the characteristic one: P J P^-1 with J block diagonal and repeated
+    fractional eigenvalues, next to dense and zero-heavy random matrices."""
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        yield fractional_matrix(rng, n, n)
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        values = [non_integer_point(rng) for _ in range(rng.randint(1, 2))]
+        j = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            j[i][i] = values[rng.randrange(len(values))]
+            if i and j[i][i] == j[i - 1][i - 1] and rng.random() < 0.5:
+                j[i - 1][i] = ONE  # a Jordan block
+        p = fractional_matrix(rng, n, n)
+        if linalg.det(p).is_zero:
+            continue
+        yield linalg.mat_mul(linalg.mat_mul(p, linalg.mat(j)), linalg.inverse(p))
+
+
+def sympy_minimal_polynomial(a):
+    """charpoly(A) divided by the gcd of the (n-1)-minors of zI - A, the
+    last invariant factor of zI - A (its Smith normal form over QQ_I[z])."""
+    n = len(a)
+    ring = QQ_I[Z_SYM]
+    z = ring.gens[0]
+    zi_a = [[(z if i == j else ring.zero) - ring(qq_i(a[i][j])) for j in range(n)]
+            for i in range(n)]
+    char = DomainMatrix(zi_a, (n, n), ring).det()
+    if n == 1:
+        return char
+    g = ring.zero
+    for r in range(n):
+        for c in range(n):
+            minor = [[zi_a[i][j] for j in range(n) if j != c] for i in range(n) if i != r]
+            g = ring.gcd(g, DomainMatrix(minor, (n - 1, n - 1), ring).det())
+    return ring.exquo(char, g.monic())
+
+
+def test_charpoly_and_minimal_polynomial_match_sympy():
+    rng = random.Random(1301)
+    proper = 0
+    for a in structured_matrices(rng):
+        char = linalg.charpoly(a)
+        expected = [from_qq_i(c) for c in reversed(sympy_matrix(a).charpoly())]
+        assert char.coeffs == tuple(expected), a
+        minimal = linalg.minimal_polynomial(a)
+        ring_poly = sympy_minimal_polynomial(a)
+        assert sympy_poly(minimal) == Poly(ring_poly.as_expr(), Z_SYM, domain=QQ_I), a
+        proper += minimal.degree < char.degree
+    assert proper >= 10  # the Jordan-structured matrices reach the proper-divisor case
+
+
+# ---------------------------------------------------------------------------
+# canonical form of every kernel output
+
+denominator_13 = st.fractions(min_value=-20, max_value=20, max_denominator=13)
+gq_13 = st.one_of(st.just(ZERO), st.builds(GQ, denominator_13, denominator_13))
+poly_13 = st.lists(gq_13, max_size=7).map(UniPoly.of)
+
+
+def assert_canonical_poly(p):
+    assert type(p.coeffs) is tuple
+    for c in p.coeffs:
+        assert_canonical(c)
+    assert not p.coeffs or not p.coeffs[-1].is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_13, poly_13, gq_13, st.lists(gq_13, min_size=9, max_size=9))
+def test_kernel_outputs_are_canonical(f, g, z, entries):
+    assert_canonical_poly(f * g)
+    assert_canonical_poly(f * z)
+    assert_canonical_poly(f - g)
+    assert_canonical_poly(f.derivative())
+    assert_canonical_poly(f.monic())
+    assert_canonical(f(z))
+    if not g.is_zero:
+        for part in f.divmod(g):
+            assert_canonical_poly(part)
+    a = linalg.mat([entries[0:3], entries[3:6], entries[6:9]])
+    for row in linalg.mat_mul(a, linalg.mat([entries[6:9], entries[0:3], entries[3:6]])):
+        for x in row:
+            assert_canonical(x)

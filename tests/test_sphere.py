@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.polys.domains import QQ, QQ_I
 
 from chnoids.exactnum import GQ, ZERO
 from chnoids.sphere import PunctureSet, SphereError, make_log_form
@@ -67,3 +72,38 @@ def test_residues_sum_zero_and_match(points, data):
         # partial-fraction realization agrees with the stored residues
         assert form.residue_at(p) == omega.residue_at(p)
     assert total.is_zero
+
+
+Z_SYM = symbols("z")
+
+
+def qq_i(x):
+    return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+
+def fractional_gq(rng):
+    """A Gaussian rational with denominators 2..13 in both parts."""
+    return GQ(Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(2, 13)),
+              Fraction(rng.randint(-20, 20), rng.randint(2, 13)))
+
+
+def test_numerator_poly_matches_sympy_partial_fractions():
+    """numerator_poly is sum_i r_i prod_{j != i} (z - p_j), built here in sympy."""
+    rng = random.Random(977)
+    for _ in range(60):
+        points = list({fractional_gq(rng) for _ in range(rng.randint(2, 12))})
+        residues = [fractional_gq(rng) for _ in points[1:]]
+        last = -sum(residues, ZERO)
+        if last.is_zero:
+            continue
+        residues.append(last)
+        omega = make_log_form(PunctureSet.of(points), residues)
+        expected = Poly(0, Z_SYM, domain=QQ_I)
+        for i, r in enumerate(residues):
+            term = Poly(1, Z_SYM, domain=QQ_I).mul_ground(qq_i(r))
+            for j, p in enumerate(points):
+                if j != i:
+                    term = term * Poly.from_list([QQ_I(1, 0), -qq_i(p)], Z_SYM, domain=QQ_I)
+            expected = expected + term
+        got = omega.numerator_poly().coeffs
+        assert Poly.from_list([qq_i(c) for c in reversed(got)], Z_SYM, domain=QQ_I) == expected
