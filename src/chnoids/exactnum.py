@@ -2,9 +2,12 @@
 
 Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
-ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  Zero-locus
-queries never materialize algebraic numbers: everything goes through
-resultants, gcds and evaluation.
+ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  The
+polynomial kernels (product, division, evaluation) and ``dot`` write
+their operands as Gaussian integers over one common denominator,
+accumulate in Python ints, and reduce each output coefficient once.
+Zero-locus queries never materialize algebraic numbers: everything goes
+through resultants, gcds and evaluation.
 """
 
 from __future__ import annotations
@@ -78,10 +81,16 @@ class GaussianRational:
         return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
-        return self + (-_coerce(other))
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _canonical(a - c, b - e, d)
+        return _canonical(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
@@ -212,6 +221,39 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} to Q(i)")
 
 
+def _over_common(xs: Sequence[GaussianRational]) -> tuple[list[int], list[int], int]:
+    """xs as Gaussian integers u_k + i v_k over one denominator: x_k = (u_k + i v_k)/den.
+
+    den > 0 is the lcm of the denominators; returns (u, v, den).
+    """
+    den = _lcm(*[x._d for x in xs])
+    us, vs = [], []
+    for x in xs:
+        s = den // x._d
+        us.append(x._a * s)
+        vs.append(x._b * s)
+    return us, vs, den
+
+
+def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
+    """The polynomial with coefficients (u_k + i v_k)/den, each reduced once."""
+    n = len(us)
+    while n and not us[n - 1] and not vs[n - 1]:
+        n -= 1
+    return UniPoly(tuple(_canonical(us[k], vs[k], den) for k in range(n)))
+
+
+def dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
+    """sum_k xs[k] * ys[k], accumulated in integers and reduced once."""
+    xu, xv, xd = _over_common(xs)
+    yu, yv, yd = _over_common(ys)
+    re = im = 0
+    for a, b, c, e in zip(xu, xv, yu, yv):
+        re += a * c - b * e
+        im += a * e + b * c
+    return _canonical(re, im, xd * yd)
+
+
 GQ = GaussianRational.of
 ZERO = GQ(0)
 ONE = GQ(1)
@@ -277,7 +319,11 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [ZERO] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = out[i] - c
+        return UniPoly.of(out)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (GaussianRational, int, Fraction)):
@@ -287,32 +333,51 @@ class UniPoly:
             return UniPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+        au, av, ad = _over_common(self.coeffs)
+        bu, bv, bd = _over_common(other.coeffs)
+        ru = [0] * (len(au) + len(bu) - 1)
+        rv = ru[:]
+        for i, (a, b) in enumerate(zip(au, av)):
+            if not a and not b:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly.of(out)
+            for k, c, e in zip(range(i, i + len(bu)), bu, bv):
+                ru[k] += a * c - b * e
+                rv[k] += a * e + b * c
+        return _poly_over(ru, rv, ad * bd)
 
     __rmul__ = __mul__
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ExactArithmeticError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
+        dd, dv = len(self.coeffs) - 1, other.degree
         if dd < dv:
             return UniPoly.zero(), self
-        inv_lead = other.leading().inverse()
+        # Divide by the monic associate m = other / lead, held as M / e with
+        # Gaussian-integer M; the quotient by other is the one by m over lead.
+        # The remainder numerators ru + i rv sit over den * e^s after s steps,
+        # so each position is scaled up to that when it enters the window.
+        inv = other.leading().inverse()
+        ia, ib, idn = inv._a, inv._b, inv._d
+        ru, rv, den = _over_common(self.coeffs)
+        mu, mv, e = _over_common([c * inv for c in other.coeffs])
+        if e != 1:
+            s = 1
+            for i in range(dd - dv - 1, -1, -1):
+                s *= e
+                ru[i] *= s
+                rv[i] *= s
         quot = [ZERO] * (dd - dv + 1)
+        scale = den
         for k in range(dd - dv, -1, -1):
-            c = rem[dv + k] * inv_lead
-            quot[k] = c
-            if not c.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return UniPoly.of(quot), UniPoly.of(rem)
+            tu, tv = ru[k + dv], rv[k + dv]
+            quot[k] = _canonical(tu * ia - tv * ib, tu * ib + tv * ia, scale * idn)
+            if tu or tv or e != 1:
+                for i, c, f in zip(range(k, k + dv), mu, mv):
+                    ru[i] = ru[i] * e - tu * c + tv * f
+                    rv[i] = rv[i] * e - tu * f - tv * c
+            scale *= e
+        return UniPoly(tuple(quot)), _poly_over(ru[:dv], rv[:dv], scale)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[0]
@@ -321,10 +386,17 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def __call__(self, z: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        if self.is_zero:
+            return ZERO
+        # Horner homogenized in z = (u + iv)/e: after each step the sum sits
+        # over den * e^k, so each lower coefficient enters times e^k.
+        us, vs, den = _over_common(self.coeffs)
+        u, v, e = z._a, z._b, z._d
+        re, im, s = us[-1], vs[-1], 1
+        for k in range(len(us) - 2, -1, -1):
+            s *= e
+            re, im = re * u - im * v + us[k] * s, re * v + im * u + vs[k] * s
+        return _canonical(re, im, den * s)
 
     def derivative(self) -> "UniPoly":
         return UniPoly.of([c * k for k, c in enumerate(self.coeffs)][1:])

@@ -6,7 +6,7 @@ is pure and allocation-light; sizes never exceed a handful of rows.
 
 from __future__ import annotations
 
-from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly
+from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, dot
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
 Vector = tuple[GaussianRational, ...]
@@ -21,16 +21,12 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(inner)), ZERO) for j in range(cols))
-        for row in a
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in columns) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -144,7 +140,7 @@ def charpoly(a: Matrix) -> UniPoly:
         c = -(tr / GaussianRational.of(k))
         coeffs[n - k] = c
         m = tuple(
-            tuple(m[i][j] + (c if i == j else ZERO) for j in range(n)) for i in range(n)
+            tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)
         )
     return UniPoly.of(coeffs)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import ZERO, GaussianRational, RationalOneForm, UniPoly
+from .exactnum import ONE, ZERO, GaussianRational, RationalOneForm, UniPoly, dot
 
 
 class SphereError(ValueError):
@@ -63,17 +63,15 @@ class LogOneForm:
         return self.residues[self.punctures.index(p)]
 
     def numerator_poly(self) -> UniPoly:
-        """Numerator over the vanishing polynomial of the punctures.
+        """Numerator over the vanishing polynomial V of the punctures.
 
-        Never vanishes at a puncture: its value at p_i is r_i times the
-        product of (p_i - p_j), all nonzero.
+        sum_i r_i V/(z - p_i), one coefficient at a time.  Never vanishes at
+        a puncture: its value at p_i is r_i times the product of (p_i - p_j),
+        all nonzero.
         """
-        pts = self.punctures.points
-        num = UniPoly.zero()
-        for i, r in enumerate(self.residues):
-            others = [q for j, q in enumerate(pts) if j != i]
-            num = num + UniPoly.from_roots(others) * r
-        return num
+        vanishing = self.punctures.vanishing_poly()
+        cofactors = [(vanishing // UniPoly.of([-p, ONE])).coeffs for p in self.punctures]
+        return UniPoly.of(dot(self.residues, column) for column in zip(*cofactors))
 
     def as_rational_form(self) -> RationalOneForm:
         """Partial-fraction realization (num/den) dz in the affine chart."""
