@@ -244,14 +244,20 @@ def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
 
 
 def dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
-    """sum_k xs[k] * ys[k], accumulated in integers and reduced once."""
-    xu, xv, xd = _over_common(xs)
-    yu, yv, yd = _over_common(ys)
+    """sum_k xs[k] * ys[k], accumulated in integers over one denominator and reduced once."""
     re = im = 0
-    for a, b, c, e in zip(xu, xv, yu, yv):
-        re += a * c - b * e
-        im += a * e + b * c
-    return _canonical(re, im, xd * yd)
+    den = 1
+    for x, y in zip(xs, ys):
+        a, b, c, e = x._a, x._b, y._a, y._b
+        t = x._d * y._d
+        if t == den:
+            re += a * c - b * e
+            im += a * e + b * c
+        else:
+            re = re * t + (a * c - b * e) * den
+            im = im * t + (a * e + b * c) * den
+            den *= t
+    return _canonical(re, im, den)
 
 
 GQ = GaussianRational.of

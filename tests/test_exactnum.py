@@ -495,7 +495,7 @@ def assert_canonical_poly(p):
     assert not p.coeffs or not p.coeffs[-1].is_zero
 
 
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)
 @given(poly_13, poly_13, gq_13, st.lists(gq_13, min_size=9, max_size=9))
 def test_kernel_outputs_are_canonical(f, g, z, entries):
     assert_canonical_poly(f * g)
