@@ -26,8 +26,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check takes 3.4-3.6 s at n = 64 with random coefficients (about
-# 2.2 s of it the resultant of g1 and g2) and 0.7-0.8 s with g1 = z0^60,
+# host: nnoid check takes 2.5-2.6 s at n = 64 with random coefficients (about
+# 1.8 s of it the resultant of g1 and g2) and 0.7-0.8 s with g1 = z0^60,
 # g2 = z1^61, a stability region 0.30-0.34 s at n = 5, dmax = 140 (7.3 s
 # with 10^5 weighted punctures at dmax = 0, nearly all of it parsing and
 # echoing the weights), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
