@@ -376,8 +376,8 @@ def test_residue_double_pole_raises():
 # operands over a common denominator other than 1.
 
 
-def fractional_gq(rng, zeros=0.3):
-    if rng.random() < zeros:
+def fractional_gq(rng):
+    if rng.random() < 0.3:
         return ZERO
     re, im = (Fraction(rng.randint(-20, 20), rng.randint(1, 13)) for _ in range(2))
     return GQ(re, im)
@@ -429,7 +429,7 @@ def test_mat_mul_matches_sympy():
 def structured_matrices(rng):
     """Square matrices whose minimal polynomial is often a proper divisor of
     the characteristic one: P J P^-1 with J block diagonal and repeated
-    fractional eigenvalues, next to dense and zero-heavy random matrices."""
+    fractional eigenvalues, next to random matrices with about 30% zeros."""
     for _ in range(40):
         n = rng.randint(1, 4)
         yield fractional_matrix(rng, n, n)
