@@ -26,8 +26,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check takes 2.5-2.6 s at n = 64 with random coefficients (about
-# 1.8 s of it the resultant of g1 and g2) and 0.7-0.8 s with g1 = z0^60,
+# host: nnoid check takes 1.9-2.4 s at n = 64 with random coefficients (about
+# 1.6-1.9 s of it the resultant of g1 and g2) and 0.3-0.4 s with g1 = z0^60,
 # g2 = z1^61, a stability region 0.30-0.34 s at n = 5, dmax = 140 (7.3 s
 # with 10^5 weighted punctures at dmax = 0, nearly all of it parsing and
 # echoing the weights), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
@@ -182,15 +182,16 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
 
 
 MAX_REJECTIONS = 1000
+# candidate punctures a + bi, |a| <= 5, |b| <= 2; seeded draws depend on this order
+PUNCTURE_POOL = tuple(GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3))
 
 
 def random_nnoid_data(n: int, seed: int) -> NnoidData:
     """Seeded rejection sampler for valid n-noid data; small integer entries."""
     if n < 4:
         raise InputError("need n >= 4")
-    pool = [GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3)]
-    if n > len(pool):
-        raise InputError(f"nnoid random draws at most {len(pool)} punctures")
+    if n > len(PUNCTURE_POOL):
+        raise InputError(f"nnoid random draws at most {len(PUNCTURE_POOL)} punctures")
     rng = random.Random(seed)
 
     def gint(lo=-4, hi=4):
@@ -198,7 +199,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
 
     for _ in range(MAX_REJECTIONS):
         try:
-            punctures = PunctureSet.of(rng.sample(pool, n))
+            punctures = PunctureSet.of(rng.sample(PUNCTURE_POOL, n))
             residues = []
             for _ in range(n - 1):
                 r = gint()

@@ -497,22 +497,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den in the affine chart, reduced, monic denominator."""
+    """num/den in the affine chart; callers pass a monic den and at most simple poles."""
 
     num: UniPoly
     den: UniPoly
-
-    @staticmethod
-    def make(num: UniPoly, den: UniPoly) -> "RationalFunction":
-        if den.is_zero:
-            raise ExactArithmeticError("zero denominator")
-        if num.is_zero:
-            return RationalFunction(UniPoly.zero(), UniPoly.of([1]))
-        g = poly_gcd(num, den)
-        if not g.is_zero and g.degree > 0:
-            num, den = num // g, den // g
-        lead_inv = den.leading().inverse()
-        return RationalFunction(num * lead_inv, den.monic())
 
     @property
     def is_zero(self) -> bool:
@@ -535,13 +523,9 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class RationalOneForm:
-    """(num/den) dz in the affine chart; reduced, monic denominator."""
+    """(num/den) dz in the affine chart, with the invariant of ``RationalFunction``."""
 
     fn: RationalFunction
-
-    @staticmethod
-    def make(num: UniPoly, den: UniPoly) -> "RationalOneForm":
-        return RationalOneForm(RationalFunction.make(num, den))
 
     @property
     def num(self) -> UniPoly:
@@ -554,10 +538,6 @@ class RationalOneForm:
     @property
     def is_zero(self) -> bool:
         return self.fn.is_zero
-
-    def scale_by(self, other: UniPoly) -> "RationalOneForm":
-        """Multiply by a polynomial (still a 1-form)."""
-        return RationalOneForm(RationalFunction.make(self.num * other, self.den))
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         return self.fn.residue_at(p)

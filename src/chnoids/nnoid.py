@@ -1,31 +1,22 @@
 """The explicit off-diagonal Higgs field on the n-punctured sphere.
 
 The 3x3 logarithmic Higgs field is held in factored form Phi = omega * S:
-the logarithmic 1-form omega = (omega_num / V) dz, V the vanishing
-polynomial of the punctures, times the polynomial section matrix
+the logarithmic 1-form omega = (num / V) dz, V the vanishing polynomial
+of the punctures, times the polynomial section matrix
 S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].  Since omega != 0, the
 trace identities tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0
 are checked as the polynomial identities tr S = 0 and tr S^2 = 0.  The
-module also computes puncture residues two independent ways and
-classifies nilpotent types, canonical flags and end types.
+residue Res_p(omega) S(p) at a puncture is computed two independent ways,
+and the module classifies nilpotent types, canonical flags and end types.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
-from .exactnum import (
-    ONE,
-    BinaryForm,
-    GaussianRational,
-    RationalFunction,
-    RationalOneForm,
-    UniPoly,
-    resultant,
-)
+from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, resultant
 from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
 
 
@@ -98,52 +89,18 @@ class NnoidData:
         return data
 
 
-# block split of E = V + L: V spans coordinates 0, 1 and L coordinate 2.
-# Bundle-degree metadata: V = O(1) + O and L = O(-1), so deg E = 0.
-V_INDICES = (0, 1)
-L_INDEX = 2
-
-
 @dataclass(frozen=True)
 class HiggsField:
-    """Phi = omega * S, strictly off-diagonal in the 2+1 split.
+    """Phi = omega * S, strictly off-diagonal in the 2+1 split E = V + L.
 
-    ``omega_num`` is the numerator of omega over V, the vanishing
+    V = O(1) + O spans coordinates 0, 1 and L = O(-1) coordinate 2.
+    ``omega`` is the logarithmic 1-form (num / V) dz, V the vanishing
     polynomial of the punctures, and ``s`` the 3x3 polynomial matrix S.
     """
 
-    omega_num: UniPoly
+    omega: RationalOneForm
     s: tuple[tuple[UniPoly, ...], ...]
     data: NnoidData
-
-    @cached_property
-    def _entries(self) -> tuple[tuple[RationalOneForm, ...], ...]:
-        """Each entry (omega_num / V) * s_ij as a reduced 1-form, derived once.
-
-        V is squarefree with roots exactly the punctures and omega_num
-        never vanishes there (each residue is nonzero and the punctures
-        are distinct), so the only common factors are the linear factors
-        of V at punctures where s_ij vanishes; no generic gcd is needed.
-        """
-        vanishing = self.data.punctures.vanishing_poly()
-        rows = []
-        for row in self.s:
-            forms = []
-            for sij in row:
-                if sij.is_zero:
-                    forms.append(RationalOneForm.make(sij, vanishing))
-                    continue
-                num, den = self.omega_num * sij, vanishing
-                for p in self.data.punctures:
-                    if sij(p).is_zero:
-                        lin = UniPoly.of([-p, ONE])
-                        num, den = num // lin, den // lin
-                forms.append(RationalOneForm(RationalFunction(num, den)))
-            rows.append(tuple(forms))
-        return tuple(rows)
-
-    def entry(self, i: int, j: int) -> RationalOneForm:
-        return self._entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -180,7 +137,7 @@ def build_higgs(data: NnoidData) -> HiggsField:
         (zero, zero, q * g1),
         (g1, g2, zero),
     )
-    return HiggsField(data.omega.numerator_poly(), s, data)
+    return HiggsField(data.omega.as_rational_form(), s, data)
 
 
 def trace_phi(phi: HiggsField) -> UniPoly:
@@ -204,13 +161,16 @@ def trace_phi_squared(phi: HiggsField) -> UniPoly:
 
 
 def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
-    """Entrywise residue of Phi at a puncture (partial-fraction route)."""
+    """Residue of Phi at a puncture (partial-fraction route).
+
+    Only omega has poles and S is polynomial, so Res_p(omega S) =
+    Res_p(omega) S(p): one partial-fraction residue of omega (V divided by
+    z - p) times the products ``build_higgs`` built, evaluated at p.
+    """
     if p not in phi.data.punctures:
         raise SphereError(f"{p} is not a puncture")
-    m = linalg.mat(
-        [[phi.entry(i, j).residue_at(p) for j in range(3)] for i in range(3)]
-    )
-    return ResidueMatrix(p, m)
+    r = phi.omega.residue_at(p)
+    return ResidueMatrix(p, linalg.mat([[r * sij(p) for sij in row] for row in phi.s]))
 
 
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:

