@@ -3,7 +3,9 @@
 Signature-(2,1) Hermitian form, membership and distance, the isometry
 trichotomy and unipotent monodromy exponentials.  Dual numeric backing:
 exact Q(i) wherever the inputs are rational, binary64 where
-transcendentals enter.
+transcendentals enter.  numpy is imported by the float functions only, so
+the exact path (parsing, ``preserves_form``, the exact classifier) runs
+without it.
 """
 
 from __future__ import annotations
@@ -11,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
 from .exactnum import GaussianRational, poly_gcd
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TOL = 1e-9
 
-J_FLOAT = np.diag([1.0, 1.0, -1.0]).astype(complex)
 J_EXACT = linalg.mat(
     [
         [GaussianRational.of(1), GaussianRational.of(0), GaussianRational.of(0)],
@@ -101,6 +103,8 @@ def _unit_representatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moduli (hypot) and the division of each part round as the scalar path
     does, so the sign of <Z,Z> is decided on the same numbers.
     """
+    import numpy as np
+
     moduli = np.hypot(f.real, f.imag)
     scale = moduli.max(axis=-1)
     ok = (scale > 0.0) & np.isfinite(moduli).all(axis=-1)
@@ -119,6 +123,8 @@ def _herm_forms(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def points_in_ch2(f) -> np.ndarray:
     """Array form of ``in_ch2`` for float points along the last axis of f."""
+    import numpy as np
+
     z, ok = _unit_representatives(np.asarray(f, dtype=complex))
     return ok & (_herm_forms(z, z).real < 0)
 
@@ -126,6 +132,8 @@ def points_in_ch2(f) -> np.ndarray:
 def distances(z, w) -> np.ndarray:
     """Array form of ``distance`` between the points along the last axes of
     z and w, broadcast against each other; raises as ``distance`` does."""
+    import numpy as np
+
     z, z_ok = _unit_representatives(np.asarray(z, dtype=complex))
     w, w_ok = _unit_representatives(np.asarray(w, dtype=complex))
     if not (z_ok.all() and w_ok.all()):
@@ -145,7 +153,8 @@ def distances(z, w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Matrix21:
-    """A 3x3 complex matrix, exact (Q(i) rows) or floating (ndarray)."""
+    """A 3x3 complex matrix, exact (a ``linalg.Matrix``, a tuple of Q(i)
+    row tuples) or floating (a numpy ndarray)."""
 
     rows: object  # linalg.Matrix | np.ndarray
 
@@ -155,13 +164,17 @@ class Matrix21:
 
     @staticmethod
     def floating(rows) -> "Matrix21":
+        import numpy as np
+
         return Matrix21(np.asarray(rows, dtype=complex))
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self.rows, np.ndarray)
+        return isinstance(self.rows, tuple)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         if self.is_exact:
             return np.array([[complex(x) for x in row] for row in self.rows], dtype=complex)
         return self.rows
@@ -201,6 +214,8 @@ def _parse_complex(s: str) -> complex:
 def identity_matrix(exact: bool = True) -> Matrix21:
     if exact:
         return Matrix21(linalg.identity(3))
+    import numpy as np
+
     return Matrix21.floating(np.eye(3, dtype=complex))
 
 
@@ -220,10 +235,13 @@ def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
     if a.is_exact:
         lhs = linalg.mat_mul(linalg.mat_mul(linalg.conj_transpose(a.rows), J_EXACT), a.rows)
         return lhs == J_EXACT
+    import numpy as np
+
+    j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
     arr = a.as_array()
-    lhs = arr.conj().T @ J_FLOAT @ arr
+    lhs = arr.conj().T @ j_float @ arr
     scale = max(1.0, float(np.abs(arr).max()) ** 2)
-    return bool(np.abs(lhs - J_FLOAT).max() <= tol * scale)
+    return bool(np.abs(lhs - j_float).max() <= tol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +288,8 @@ def _classify_exact(rows: linalg.Matrix) -> str:
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:
+    import numpy as np
+
     eigvals = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(arr).max()))
     eps = np.finfo(float).eps
@@ -301,6 +321,8 @@ def _classify_float(arr: np.ndarray, tol: float) -> str:
 
 def unipotent_exponential(n_matrix, r, tol: float = DEFAULT_TOL) -> Matrix21:
     """exp(2 pi i r N) = I + aN + a^2 N^2 / 2 for nilpotent N, a = 2 pi i r."""
+    import numpy as np
+
     if isinstance(n_matrix, Matrix21):
         if n_matrix.is_exact:
             if not linalg.is_zero_matrix(linalg.mat_pow(n_matrix.rows, 3)):
@@ -323,6 +345,8 @@ def unipotent_exponential(n_matrix, r, tol: float = DEFAULT_TOL) -> Matrix21:
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring Taylor exponential; plenty for 3x3 inputs."""
+    import numpy as np
+
     norm = float(np.abs(x).max())
     k = max(0, int(math.ceil(math.log2(max(norm, 1e-16) / 0.25))))
     y = x / (2**k)
@@ -338,8 +362,11 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
 def random_form_preserving(rng, scale: float = 1.0) -> Matrix21:
     """Random element of U(2,1) via the exponential of a random u(2,1) element."""
+    import numpy as np
+
+    j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
     y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * scale
-    x = 0.5 * (y - J_FLOAT @ y.conj().T @ J_FLOAT)
+    x = 0.5 * (y - j_float @ y.conj().T @ j_float)
     return Matrix21.floating(_expm(x))
 
 

@@ -6,6 +6,13 @@ error.  All randomness is seeded and the seed is echoed in the output.
 Each subcommand is an entry of ``COMMANDS``; ``main`` is the one boundary
 around them that loads the JSON, maps input errors to exit 2, emits the
 output and the summary, and picks the exit code.
+
+``ch2`` and ``cusp`` are imported by the entries of the commands that use
+them, so the exact commands (``nnoid``, ``stability`` and an exact
+``ch2 classify``) never load numpy.  The input errors are therefore read at
+catch time (``input_errors``): the error classes of ``ch2`` and ``cusp``
+join them once those modules are loaded, since a class of a module that was
+never loaded cannot have been raised.
 """
 
 from __future__ import annotations
@@ -15,11 +22,15 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, ch2, cusp, nnoid, stability
+from . import __version__, nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData, NnoidDataError
 from .sphere import PunctureSet, SphereError, make_log_form
+
+if TYPE_CHECKING:
+    from . import ch2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -28,9 +39,9 @@ EXIT_INPUT = 2
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
 # host: nnoid check takes 1.9-2.4 s at n = 64 with random coefficients (about
 # 1.6-1.9 s of it the resultant of g1 and g2) and 0.3-0.4 s with g1 = z0^60,
-# g2 = z1^61, a stability region 0.30-0.34 s at n = 5, dmax = 140 (7.3 s
-# with 10^5 weighted punctures at dmax = 0, nearly all of it parsing and
-# echoing the weights), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
+# g2 = z1^61, a stability region 0.17 s at n = 5, dmax = 140 (4.4-4.8 s
+# with 10^5 weighted punctures at dmax = 0, most of it validating the
+# weights and echoing them), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
 # with 16 modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -44,10 +55,18 @@ class InputError(ValueError):
 
 # Malformed JSON shows up as any of these while it is turned into domain
 # objects; during the computation only the package's own input errors
-# (INPUT_ERRORS) are input errors, and anything else is a fault that surfaces.
+# (input_errors()) are input errors, and anything else is a fault that surfaces.
 PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError)
-INPUT_ERRORS = (InputError, NnoidDataError, SphereError, stability.StabilityError, ch2.CH2Error,
-                cusp.CuspGridError)
+INPUT_ERRORS = (InputError, NnoidDataError, SphereError, stability.StabilityError)
+# the input errors of the modules that only some commands import
+LAZY_INPUT_ERRORS = (("ch2", "CH2Error"), ("cusp", "CuspGridError"))
+
+
+def input_errors() -> tuple[type[Exception], ...]:
+    """INPUT_ERRORS plus the lazy modules' error classes, for those loaded."""
+    loaded = ((sys.modules.get(f"{__package__}.{module}"), name)
+              for module, name in LAZY_INPUT_ERRORS)
+    return INPUT_ERRORS + tuple(getattr(module, name) for module, name in loaded if module)
 
 
 def _load_json(path: str):
@@ -232,10 +251,6 @@ def cmd_nnoid_random(n: int, args) -> tuple[dict, bool]:
 # stability
 
 
-def _fraction(s) -> Fraction:
-    return Fraction(str(s))
-
-
 def _integer(value) -> int:
     """A JSON count or degree; a boolean or a number with a fractional part
     is an input error, not truncated."""
@@ -253,11 +268,19 @@ def _parse_stability(obj: dict, pairs: int):
         return surf, [stability.PunctureWeights.of(stability.WeightTriple.zero())] * surf.punctures
     if len(raw) != surf.punctures:
         raise InputError(f"need {surf.punctures} weight entries, got {len(raw)}")
+    parsed: dict[str, Fraction] = {}  # weights repeat, so parse each string once
+
+    def fraction(s) -> Fraction:
+        s = str(s)
+        if s not in parsed:
+            parsed[s] = Fraction(s)
+        return parsed[s]
+
     weights = []
     for entry in raw:
-        triple = stability.WeightTriple.of(*[_fraction(s) for s in entry["triple"]])
-        beta = _fraction(entry["beta"]) if "beta" in entry else None
-        gamma = _fraction(entry["gamma"]) if "gamma" in entry else None
+        triple = stability.WeightTriple.of(*[fraction(s) for s in entry["triple"]])
+        beta = fraction(entry["beta"]) if "beta" in entry else None
+        gamma = fraction(entry["gamma"]) if "gamma" in entry else None
         weights.append(stability.PunctureWeights.of(triple, beta, gamma))
     return surf, weights
 
@@ -312,6 +335,8 @@ def cmd_stability_region(inputs, args) -> tuple[dict, bool]:
 
 
 def _parse_ch2_classify(obj, args) -> ch2.Matrix21:
+    from . import ch2
+
     a = ch2.Matrix21.from_json(obj)
     if args.exact and not a.is_exact:
         raise InputError("--exact given but the matrix has floating entries")
@@ -319,6 +344,8 @@ def _parse_ch2_classify(obj, args) -> ch2.Matrix21:
 
 
 def cmd_ch2_classify(a: ch2.Matrix21, args) -> tuple[dict, bool]:
+    from . import ch2
+
     tol = ch2.DEFAULT_TOL if args.tol is None else args.tol
     label = ch2.classify_isometry(a, tol=tol)
     checks = [_check("classification", True, label)]
@@ -344,6 +371,8 @@ def _parse_ch2_distance(obj: dict, args):
 
 
 def cmd_ch2_distance(inputs, args) -> tuple[dict, bool]:
+    from . import ch2
+
     obj, z, w = inputs
     d = ch2.distance(z, w)
     checks = [_check("distance", True, f"d = {d:.12g}")]
@@ -355,6 +384,8 @@ def cmd_ch2_distance(inputs, args) -> tuple[dict, bool]:
 
 
 def _parse_cusp_verify(obj: dict, args):
+    from . import cusp
+
     grid = cusp.StripGrid.from_json(obj.get("grid", {"Nx": 256, "Ny": 256, "Y": 1.0, "Ymax": 20.0}))
     _over_limit("Nx * Ny", grid.nx * grid.ny, MAX_GRID_POINTS)
     if "spec" not in obj:
@@ -369,6 +400,8 @@ def _parse_cusp_verify(obj: dict, args):
 
 
 def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
+    from . import cusp
+
     grid, spec = inputs
     field = spec.sample(grid)
     tol = grid.default_tol() if args.tol is None else args.tol
@@ -443,13 +476,13 @@ def main(argv=None) -> int:
     try:
         try:
             inputs = parse(_load_json(args.config) if "config" in arguments else None, args)
-        except INPUT_ERRORS:
+        except input_errors():
             raise
         except PARSE_ERRORS as exc:
             raise InputError(f"malformed input: {type(exc).__name__}: {exc}") from exc
         output, passed = handler(inputs, args)
         _emit(output, args.out)
-    except INPUT_ERRORS as exc:
+    except input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _summary(args.command, output)

@@ -52,6 +52,8 @@ class GaussianRational:
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
+        if re.__class__ is int and im.__class__ is int:
+            return _new(re, im, 1)  # already canonical over d = 1
         re, im = _frac(re), _frac(im)
         d = _lcm(re.denominator, im.denominator)
         return _new(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)

@@ -638,13 +638,23 @@ def test_random_sampler_invariants():
 
 SRC = str(Path(chnoids.__file__).resolve().parents[1])
 
+# the boost at t = 1, a float loxodromic
+FLOAT_BOOST = {"matrix": [["1.5430806348152437", "0.0", "1.1752011936438014"],
+                          ["0.0", "1.0", "0.0"],
+                          ["1.1752011936438014", "0.0", "1.5430806348152437"]]}
+
+
+def run_python(args):
+    """``python args`` in a new interpreter that imports this checkout's chnoids."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
 
 def run_fresh(argv):
     """``python -m chnoids.cli argv`` in a new interpreter; (exit code, stdout)."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "chnoids.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_python(["-m", "chnoids.cli", *argv])
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, proc.stdout
 
@@ -661,6 +671,9 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
         ["stability", "check", write_json(tmp_path, "s.json", stable)],
         ["ch2", "classify", write_json(tmp_path, "m.json", parabolic)],
         ["cusp", "verify", write_json(tmp_path, "c.json", {"grid": SMALL_GRID}), "--seed", "3"],
+        ["stability", "region", write_json(tmp_path, "r.json", REGION_INPUT)],
+        ["ch2", "distance", write_json(tmp_path, "d.json", FUZZ_SEEDS["ch2 distance"])],
+        ["ch2", "classify", write_json(tmp_path, "f.json", FLOAT_BOOST)],
     ]
     for argv in cases:
         fresh = run_fresh(argv)
@@ -668,3 +681,68 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
             sampled.write_text(fresh[1])
         assert fresh == run(argv, capsys)[:2], argv
         assert fresh[0] == 0 and fresh[1], argv
+
+
+# ch2.CH2Error and cusp.CuspGridError come from modules that only some
+# commands import, raised both while parsing and during the computation; in
+# a new interpreter each must still exit 2 with the in-process error line.
+NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("ch2 classify", {"matrix": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+         NOT_PRESERVED),
+        ("ch2 classify", {"matrix": [["2.0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+         NOT_PRESERVED),
+        ("ch2 distance", {"z": ["1", "0", "0"], "w": ["0", "0", "1"]},
+         "distance arguments must lie in CH^2"),
+        ("cusp verify", {"grid": {"Nx": 4, "Ny": 8, "Y": 1.0, "Ymax": 5.0}},
+         "need at least 8 samples in each direction"),
+        ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0, 1e308]}},
+         "U must be finite everywhere"),
+    ],
+    ids=["ch2-classify-exact", "ch2-classify-float", "ch2-distance", "cusp-grid",
+         "cusp-overflow"],
+)
+def test_fresh_process_input_error_exits_2(command, obj, message, tmp_path, capsys):
+    argv = [*command.split(), write_json(tmp_path, "bad.json", obj)]
+    proc = run_python(["-m", "chnoids.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+# Runs main in a new interpreter and prints its exit code and whether numpy
+# was loaded; the certificate itself is discarded.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from chnoids.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+# The exact commands never load numpy, nor does the scalar ch2 distance; a
+# float ch2 classify does.
+@pytest.mark.parametrize(
+    "argv, obj, loads_numpy",
+    [
+        (["nnoid", "random", "6", "--seed", "3"], None, False),
+        (["nnoid", "check"], nnoid_json(6), False),
+        (["stability", "check"], {"genus": 0, "n": 5, "d1": 1, "d2": 2}, False),
+        (["stability", "region"], REGION_INPUT, False),
+        (["ch2", "classify"], FUZZ_SEEDS["ch2 classify"], False),
+        (["ch2", "distance"], FUZZ_SEEDS["ch2 distance"], False),
+        (["ch2", "classify"], FLOAT_BOOST, True),
+    ],
+    ids=["nnoid-random", "nnoid-check", "stability-check", "stability-region",
+         "ch2-classify-exact", "ch2-distance", "ch2-classify-float"],
+)
+def test_numpy_loads_only_for_float_work(argv, obj, loads_numpy, tmp_path):
+    if obj is not None:
+        argv = [*argv, write_json(tmp_path, "in.json", obj)]
+    proc = run_python(["-c", NUMPY_PROBE, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_numpy)]

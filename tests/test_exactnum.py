@@ -472,6 +472,48 @@ def test_charpoly_and_minimal_polynomial_match_sympy():
     assert proper >= 10  # the Jordan-structured matrices reach the proper-divisor case
 
 
+def kernel_test_matrices(rng):
+    """3x3 and rectangular matrices: random ones (about 30% zero entries,
+    usually of full rank), products of an n x r and an r x m factor with
+    0 < r < min(n, m), matrices with one row a multiple of another, and
+    zero matrices where neither fits the shape."""
+    for _ in range(120):
+        n, m = (3, 3) if rng.random() < 0.4 else (rng.randint(1, 4), rng.randint(1, 5))
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield fractional_matrix(rng, n, m)
+        elif kind == 1 and min(n, m) > 1:
+            r = rng.randint(1, min(n, m) - 1)
+            yield linalg.mat_mul(fractional_matrix(rng, n, r), fractional_matrix(rng, r, m))
+        elif kind == 2 and n > 1:
+            rows = [list(row) for row in fractional_matrix(rng, n, m)]
+            i, j = rng.sample(range(n), 2)
+            rows[j] = [non_integer_point(rng) * x for x in rows[i]]
+            yield linalg.mat(rows)
+        else:
+            yield linalg.mat([[ZERO] * m for _ in range(n)])
+
+
+def assert_same_span(ours, theirs):
+    assert len(ours) == len(theirs)
+    assert all(linalg.in_span(v, theirs) for v in ours)
+    assert all(linalg.in_span(v, ours) for v in theirs)
+
+
+def test_kernel_and_column_space_match_sympy():
+    rng = random.Random(2711)
+    deficient = 0
+    for a in kernel_test_matrices(rng):
+        sa = sympy_matrix(a)
+        kernel = [tuple(from_qq_i(x) for x in row) for row in sa.nullspace().to_list()]
+        columns = [tuple(from_qq_i(x) for x in col)
+                   for col in sa.columnspace().transpose().to_list()]
+        assert_same_span(linalg.kernel_basis(a), kernel)
+        assert_same_span(linalg.column_space_basis(a), columns)
+        deficient += sa.rank() < min(len(a), len(a[0]))
+    assert deficient >= 40
+
+
 # ---------------------------------------------------------------------------
 # canonical form of every kernel output
 
