@@ -7,3 +7,7 @@ classification (ch2), and the cusp-strip finite-difference harness (cusp).
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Input outside a command's domain: ``chnoids`` exits 2 on it and its subclasses."""

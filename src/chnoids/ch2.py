@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from . import linalg
+from . import InputError, linalg
 from .exactnum import GaussianRational, poly_gcd
 
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ J_EXACT = linalg.mat(
 )
 
 
-class CH2Error(ValueError):
+class CH2Error(InputError):
     pass
 
 

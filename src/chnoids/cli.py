@@ -4,30 +4,29 @@ Exit codes are a stable contract: 0 success, 1 negative verdict, 2 input
 error.  All randomness is seeded and the seed is echoed in the output.
 
 Each subcommand is an entry of ``COMMANDS``; ``main`` is the one boundary
-around them that loads the JSON, maps input errors to exit 2, emits the
-output and the summary, and picks the exit code.
+around them that loads the JSON, maps ``chnoids.InputError`` (the base of
+every module's error class) to exit 2, emits the output and the summary, and
+picks the exit code.
 
 ``ch2`` and ``cusp`` are imported by the entries of the commands that use
 them, so the exact commands (``nnoid``, ``stability`` and an exact
-``ch2 classify``) never load numpy.  The input errors are therefore read at
-catch time (``input_errors``): the error classes of ``ch2`` and ``cusp``
-join them once those modules are loaded, since a class of a module that was
-never loaded cannot have been raised.
+``ch2 classify``) never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import __version__, nnoid, stability
+from . import InputError, __version__, nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
-from .nnoid import NnoidData, NnoidDataError
-from .sphere import PunctureSet, SphereError, make_log_form
+from .nnoid import NnoidData
+from .sphere import PunctureSet, make_log_form
 
 if TYPE_CHECKING:
     from . import ch2
@@ -39,34 +38,21 @@ EXIT_INPUT = 2
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
 # host: nnoid check takes 1.9-2.4 s at n = 64 with random coefficients (about
 # 1.6-1.9 s of it the resultant of g1 and g2) and 0.3-0.4 s with g1 = z0^60,
-# g2 = z1^61, a stability region 0.17 s at n = 5, dmax = 140 (4.4-4.8 s
-# with 10^5 weighted punctures at dmax = 0, most of it validating the
-# weights and echoing them), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
-# with 16 modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
+# g2 = z1^61, a stability region 0.17 s at n = 5, dmax = 140, stability check
+# or a region at dmax = 0 0.16-0.17 s at n = 10^5 with zero weights and
+# 4.9-5.3 s weighted (most of it validating the weights and echoing them),
+# cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16 modes on 2^20
+# points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny
 MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
 
 
-class InputError(ValueError):
-    pass
-
-
 # Malformed JSON shows up as any of these while it is turned into domain
-# objects; during the computation only the package's own input errors
-# (input_errors()) are input errors, and anything else is a fault that surfaces.
+# objects; during the computation only an InputError is an input error, and
+# anything else is a fault that surfaces.
 PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError)
-INPUT_ERRORS = (InputError, NnoidDataError, SphereError, stability.StabilityError)
-# the input errors of the modules that only some commands import
-LAZY_INPUT_ERRORS = (("ch2", "CH2Error"), ("cusp", "CuspGridError"))
-
-
-def input_errors() -> tuple[type[Exception], ...]:
-    """INPUT_ERRORS plus the lazy modules' error classes, for those loaded."""
-    loaded = ((sys.modules.get(f"{__package__}.{module}"), name)
-              for module, name in LAZY_INPUT_ERRORS)
-    return INPUT_ERRORS + tuple(getattr(module, name) for module, name in loaded if module)
 
 
 def _load_json(path: str):
@@ -95,11 +81,11 @@ def _emit(obj: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _certificate(command: str, input_echo, checks: list[dict], status: str, **extra) -> dict:
+def _certificate(args, input_echo, checks: list[dict], status: str, **extra) -> dict:
     cert = {
         "tool": "chnoids",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "input": input_echo,
         "checks": checks,
         "status": status,
@@ -151,7 +137,7 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
         k = nnoid.nilpotency_profile(direct.matrix)
         jt = nnoid.JORDAN_TYPES.get(k)
         et = nnoid.END_TYPES[jt].value if jt else None
-        ok = agree and k == 3 and jt == (3,) and et == "II"
+        ok = agree and k == 3
         residues_ok = residues_ok and ok
         residue_detail.append(
             {"point": str(p), "agree": agree, "nilpotency": k, "jordan": jt, "end_type": et}
@@ -190,7 +176,7 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
     verdict = "strictly-semistable" if semi else cert_s.verdict
     status = verdict if all(c["passed"] for c in checks) else "failed"
     cert = _certificate(
-        "nnoid check",
+        args,
         data.to_json(),
         checks,
         status,
@@ -236,7 +222,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
             g2 = BinaryForm.of(n - 3, [gint() for _ in range(n - 2)])
             q = BinaryForm.of(3, [gint() for _ in range(4)])
             return NnoidData.make(punctures, omega, g1, g2, q)
-        except ValueError:
+        except InputError:
             continue
     raise InputError(f"rejection sampler exhausted {MAX_REJECTIONS} attempts")
 
@@ -265,7 +251,7 @@ def _parse_stability(obj: dict, pairs: int):
     _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
     raw = obj.get("weights")
     if not raw:
-        return surf, [stability.PunctureWeights.of(stability.WeightTriple.zero())] * surf.punctures
+        return surf, ()  # zero weights: every sum is zero
     if len(raw) != surf.punctures:
         raise InputError(f"need {surf.punctures} weight entries, got {len(raw)}")
     parsed: dict[str, Fraction] = {}  # weights repeat, so parse each string once
@@ -305,7 +291,7 @@ def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
             f"mu(W2) = {cert_s.slope_w2[0]} vs mu(E) = {cert_s.slope_w2[1]}",
         ),
     ]
-    cert = _certificate("stability check", obj, checks, cert_s.verdict, stability=cert_s.to_json())
+    cert = _certificate(args, obj, checks, cert_s.verdict, stability=cert_s.to_json())
     return cert, cert_s.verdict == "stable"
 
 
@@ -321,7 +307,7 @@ def cmd_stability_region(inputs, args) -> tuple[dict, bool]:
         _write(args.csv, "d1,d2\n" + "".join(f"{d1},{d2}\n" for d1, d2 in region))
     checks = [_check("region", True, f"{len(region)} stable pairs with d1, d2 <= {dmax}")]
     cert = _certificate(
-        "stability region",
+        args,
         obj,
         checks,
         "done",
@@ -350,7 +336,7 @@ def cmd_ch2_classify(a: ch2.Matrix21, args) -> tuple[dict, bool]:
     label = ch2.classify_isometry(a, tol=tol)
     checks = [_check("classification", True, label)]
     cert = _certificate(
-        "ch2 classify",
+        args,
         a.to_json(),
         checks,
         label,
@@ -376,7 +362,7 @@ def cmd_ch2_distance(inputs, args) -> tuple[dict, bool]:
     obj, z, w = inputs
     d = ch2.distance(z, w)
     checks = [_check("distance", True, f"d = {d:.12g}")]
-    return _certificate("ch2 distance", obj, checks, "done", distance=d), True
+    return _certificate(args, obj, checks, "done", distance=d), True
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +399,7 @@ def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
     ]
     status = "pass" if conv.passed and sup.passed else "failed"
     cert = _certificate(
-        "cusp verify",
+        args,
         {"grid": grid.to_json(), "spec": {"modes": [list(m) for m in spec.modes], "poly": list(spec.poly)}, "seed": args.seed},
         checks,
         status,
@@ -454,6 +440,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chnoids")
     parser.add_argument("--version", action="version", version=f"chnoids {__version__}")
@@ -476,13 +463,13 @@ def main(argv=None) -> int:
     try:
         try:
             inputs = parse(_load_json(args.config) if "config" in arguments else None, args)
-        except input_errors():
+        except InputError:
             raise
         except PARSE_ERRORS as exc:
             raise InputError(f"malformed input: {type(exc).__name__}: {exc}") from exc
         output, passed = handler(inputs, args)
         _emit(output, args.out)
-    except input_errors() as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _summary(args.command, output)

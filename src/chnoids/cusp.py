@@ -16,13 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import InputError
 from .ch2 import distance, distances, in_ch2, points_in_ch2
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL_FACTOR = 10.0
 
 
-class CuspGridError(ValueError):
+class CuspGridError(InputError):
     pass
 
 

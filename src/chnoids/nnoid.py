@@ -15,12 +15,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import linalg
+from . import InputError, linalg
 from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, resultant
 from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
 
 
-class NnoidDataError(ValueError):
+class NnoidDataError(InputError):
     pass
 
 

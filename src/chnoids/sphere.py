@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import InputError
 from .exactnum import ONE, ZERO, GaussianRational, RationalFunction, RationalOneForm, UniPoly, dot
 
 
-class SphereError(ValueError):
+class SphereError(InputError):
     pass
 
 

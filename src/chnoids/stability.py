@@ -12,8 +12,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import InputError
 
-class StabilityError(ValueError):
+
+class StabilityError(InputError):
     pass
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chnoids
-from chnoids import linalg
+from chnoids import cli, linalg, nnoid
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GQ, GaussianRational
@@ -574,6 +576,76 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# --version, --help and a refused flag leave through SystemExit from the
+# shared parser; a later command must not see anything they left behind
+def test_parser_exits_leave_later_certificates_unchanged(tmp_path, capsys):
+    argv = ["nnoid", "check", write_json(tmp_path, "nn.json", nnoid_json(6))]
+    before = run(argv, capsys)
+    for exiting in (["--version"], ["--help"], ["nnoid", "check", argv[2], "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            main(exiting)
+        capsys.readouterr()
+    assert run(argv, capsys) == before
+    assert before[0] == 0
+
+
+# Exceptions that mean a fault in chnoids, never an input error
+FAULTS = {"ExactArithmeticError", "InternalDisagreement"}
+
+
+def module_exceptions() -> list[type[BaseException]]:
+    """Every exception class defined in a chnoids module."""
+    modules = [chnoids] + [importlib.import_module(f"chnoids.{info.name}")
+                           for info in pkgutil.iter_modules(chnoids.__path__)]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__]
+
+
+def test_module_errors_are_input_errors():
+    found = module_exceptions()
+    faults = {cls.__name__ for cls in found if not issubclass(cls, chnoids.InputError)}
+    assert faults == FAULTS
+    assert cli.InputError is chnoids.InputError
+    assert {"CH2Error", "CuspGridError", "NnoidDataError", "SphereError",
+            "StabilityError"} <= {cls.__name__ for cls in found}
+
+
+def raise_from_build_higgs(monkeypatch, exc_type):
+    def build_higgs(data):
+        raise exc_type("raised by build_higgs")
+
+    monkeypatch.setattr(nnoid, "build_higgs", build_higgs)
+
+
+# a module's input error raised while a handler runs exits 2 with one line
+@pytest.mark.parametrize(
+    "exc_type", [cls for cls in module_exceptions() if issubclass(cls, chnoids.InputError)],
+    ids=lambda cls: cls.__name__,
+)
+def test_handler_input_error_exits_2(exc_type, tmp_path, capsys, monkeypatch):
+    argv = ["nnoid", "check", write_json(tmp_path, "nn.json", nnoid_json(5))]
+    raise_from_build_higgs(monkeypatch, exc_type)
+    assert run(argv, capsys) == (2, "", "error: raised by build_higgs\n")
+
+
+# while a handler runs, any other error is a fault and surfaces
+@pytest.mark.parametrize(
+    "exc_type",
+    [ValueError] + [cls for cls in module_exceptions() if cls.__name__ in FAULTS],
+    ids=lambda cls: cls.__name__,
+)
+def test_handler_fault_propagates(exc_type, tmp_path, capsys, monkeypatch):
+    argv = ["nnoid", "check", write_json(tmp_path, "nn.json", nnoid_json(5))]
+    raise_from_build_higgs(monkeypatch, exc_type)
+    with pytest.raises(exc_type, match="raised by build_higgs"):
+        main(argv)
+
+
 # one valid input per config-reading subcommand, mutated by the fuzz test
 FUZZ_SEEDS = {
     "nnoid check": nnoid_json(4),
@@ -683,9 +755,10 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
         assert fresh[0] == 0 and fresh[1], argv
 
 
-# ch2.CH2Error and cusp.CuspGridError come from modules that only some
-# commands import, raised both while parsing and during the computation; in
-# a new interpreter each must still exit 2 with the in-process error line.
+# ch2.CH2Error and cusp.CuspGridError, both chnoids.InputError subclasses, come
+# from modules that only some commands import; raised while parsing (cusp-grid)
+# or during the computation (the others), each must exit 2 in a new interpreter
+# with the in-process error line.
 NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
 
 
