@@ -293,6 +293,61 @@ def test_stability_region_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `stability check` stdout on the "fractional" weights of
+# PINNED_REGIONS at pairs inside, on the edge of and outside the region,
+# recorded at commit f71d165: (exit code, failing inequalities, sha256)
+PINNED_FRACTIONAL_CHECKS = {
+    (0, 0): (0, [], "141f9eee3bb8612fa329e5a03bccd6850ed818c6f7cad66239adf24ff196f080"),
+    (8, 0): (0, [], "df4120026cf775ff6093cda9e36fa88441568ffc3507fa8a0409c3dbfe8ff2b1"),
+    (9, 0): (1, ["W1"], "a64b236694c15ddf22c3add4533a98a95ff011b355a5d12854753a3bbb477a1d"),
+    (0, 8): (0, [], "36deff983dbb6a82b98aef9ecfd59b2a5ff7cfa95c54906809b4e21e4afdcdf5"),
+    (0, 9): (1, ["W2"], "1d729bdf78cb29c1febb53a92dfe4f5caa44dc82453b50a33726f193ab9ae8e9"),
+    (7, 3): (1, ["W1"], "f48fc7d8cd69e2fa8dd3542a24e1f69badd93f5b897a5cf6bac5252c11f00e7d"),
+    (25, 25): (1, ["W1", "W2"], "6e53f16fc3ab234fecae976203ccece0759a779a92adba198c2eecccd4df9167"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_FRACTIONAL_CHECKS), ids=str)
+def test_stability_check_fractional_pinned(pair, tmp_path, capsys):
+    config = dict(PINNED_REGIONS["fractional"][0], d1=pair[0], d2=pair[1])
+    expect_code, failing, digest = PINNED_FRACTIONAL_CHECKS[pair]
+    code, out, _ = run(["stability", "check", write_json(tmp_path, "in.json", config)], capsys)
+    assert code == expect_code
+    assert json.loads(out)["stability"]["failing"] == failing
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def seeded_weights(n: int, seed: int) -> list[dict]:
+    """n weight entries with denominators 1..13, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(n):
+        q = rng.randint(1, 13)
+        triple = sorted(Fraction(rng.randrange(q), q) for _ in range(3))
+        entries.append({"triple": [str(a) for a in triple], "beta": str(rng.choice(triple)),
+                        "gamma": str(rng.choice(triple))})
+    return entries
+
+
+# sha256 of stdout for 5,000 seeded weighted punctures, recorded at commit
+# f71d165; the region's dmax = 3 keeps (dmax + 1)^2 * n under MAX_STABILITY_WORK
+PINNED_SEEDED = {
+    "stability check": ({"genus": 2, "n": 5000, "d1": 4, "d2": 9}, 0,
+        "8b99adf5bc30e5685727e57c29898690c46821f4f35fcdf8f831115daf26c10f"),
+    "stability region": ({"genus": 2, "n": 5000, "dmax": 3}, 0,
+        "ecacde70aa573fbf5437156c874683da45a08349c39952623d63764e270ce488"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SEEDED))
+def test_seeded_weighted_pinned(command, tmp_path, capsys):
+    config, expect_code, digest = PINNED_SEEDED[command]
+    config = dict(config, weights=seeded_weights(config["n"], 2602))
+    code, out, _ = run([*command.split(), write_json(tmp_path, "in.json", config)], capsys)
+    assert code == expect_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_stability_region_csv_pinned(tmp_path, capsys):
     csv = tmp_path / "region.csv"
     path = write_json(tmp_path, "r.json", REGION_INPUT)

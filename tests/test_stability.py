@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chnoids import stability
@@ -171,24 +171,71 @@ def brute_force_region(s, weights, dmax):
     ]
 
 
+def expanded_oracle_region(s, weights, dmax):
+    """The region from the two expanded strict inequalities, pair by pair in
+    Fractions, with no stability code between the weights and the verdict:
+    2 d1 + d2 < 3k + sum(omega - 3 beta) and
+    d1 + 2 d2 < 3k + sum(2 omega - 3 (beta + gamma)), k = 2g - 2 + n."""
+    k = 2 * s.genus - 2 + s.punctures
+    rhs1 = rhs2 = Fraction(3 * k)
+    for pw in weights:
+        omega = pw.weights.a1 + pw.weights.a2 + pw.weights.a3
+        rhs1 += omega - 3 * pw.beta
+        rhs2 += 2 * omega - 3 * (pw.beta + pw.gamma)
+    return [
+        (d1, d2)
+        for d1 in range(dmax + 1)
+        for d2 in range(dmax + 1)
+        if 2 * d1 + d2 < rhs1 and d1 + 2 * d2 < rhs2
+    ]
+
+
+# each weight has its own denominator, so the common denominator of the sums
+# runs up to lcm(1..13) and beyond; a large genus pushes the bounds past dmax
+# and heavy beta and gamma weights push them below zero
+weight_strategy = st.integers(1, 13).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda a: Fraction(a, q))
+)
+
+
 @st.composite
 def region_data(draw):
-    genus = draw(st.integers(0, 2))
+    genus = draw(st.integers(0, 30))
     n = draw(st.integers(max(1, 3 - 2 * genus), 8))
     pws = []
     for _ in range(n):
-        vals = sorted(draw(st.tuples(frac_strategy, frac_strategy, frac_strategy)))
+        vals = sorted(draw(st.tuples(weight_strategy, weight_strategy, weight_strategy)))
         beta = draw(st.sampled_from(vals))
         gamma = draw(st.sampled_from(vals))
         pws.append(PunctureWeights.of(WeightTriple.of(*vals), beta, gamma))
-    return SurfaceData(genus, n), pws, draw(st.integers(0, 15))
+    return SurfaceData(genus, n), pws, draw(st.integers(0, 60))
 
 
 @settings(max_examples=100, deadline=None)
 @given(region_data())
 def test_stability_region_matches_pairwise_checks(args):
     s, weights, dmax = args
+    # one full check per pair is slow, so the pairwise comparison keeps to a
+    # corner of the window; the oracle below covers all of it
+    dmax = min(dmax, 15)
     assert stability_region(s, weights, dmax) == brute_force_region(s, weights, dmax)
+
+
+HEAVY = PunctureWeights.of(WeightTriple.of(0, 0, "12/13"), "12/13", "12/13")
+SPREAD = [
+    PunctureWeights.of(WeightTriple.of("1/11", "5/12", "12/13"), "5/12", "12/13"),
+    PunctureWeights.of(WeightTriple.of("2/7", "4/9", "3/5"), "2/7", "3/5"),
+    PunctureWeights.of(WeightTriple.of(0, "1/8", "10/11"), "10/11", "1/8"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_data())
+@example((SurfaceData(0, 3), [HEAVY] * 3, 5))  # both bounds negative at d1 = 0
+@example((SurfaceData(0, 3), SPREAD, 20))  # denominators 5, 7, 8, 9, 11, 12, 13
+def test_stability_region_matches_expanded_oracle(args):
+    s, weights, dmax = args
+    assert stability_region(s, weights, dmax) == expanded_oracle_region(s, weights, dmax)
 
 
 def test_stability_region_boundary_pairs_excluded():
@@ -202,6 +249,7 @@ def test_stability_region_boundary_pairs_excluded():
     region = stability_region(s, weights, 8)
     assert region == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert region == brute_force_region(s, weights, 8)
+    assert region == expanded_oracle_region(s, weights, 8)
     for edge in ((1, 2), (3, 0)):
         cert = check_mixed_stability(MixedDegreeData.of(*edge, weights), s)
         assert cert.verdict == "strictly-semistable"
