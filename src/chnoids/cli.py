@@ -39,12 +39,15 @@ EXIT_INPUT = 2
 # host: nnoid check takes 1.9-2.4 s at n = 64 with random coefficients (about
 # 1.6-1.9 s of it the resultant of g1 and g2) and 0.3-0.4 s with g1 = z0^60,
 # g2 = z1^61, a stability region 0.17 s at n = 5, dmax = 140, stability check
-# or a region at dmax = 0 0.16-0.17 s at n = 10^5 with zero weights and
-# 4.9-5.3 s weighted (most of it validating the weights and echoing them),
-# cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16 modes on 2^20
+# or a region at dmax = 0 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s
+# weighted (most of it echoing the weights into the certificate), stability
+# check 0.18 s at the digit limit (715 distinct prime denominators), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16 modes on 2^20
 # points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
+# digits of each numerator and denominator a stability check prints: the
+# interpreter's default int-to-str limit, past which printing them would fail
+MAX_CERTIFICATE_DIGITS = 4300
 MAX_GRID_POINTS = 2**20  # Nx * Ny
 MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
 
@@ -152,9 +155,7 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
 
     d1, d2 = stability.nnoid_degrees(data.n)
     surf = stability.SurfaceData(0, data.n)
-    cert_s = stability.check_mixed_stability(
-        stability.MixedDegreeData.weight_free(d1, d2, data.n), surf
-    )
+    cert_s = stability.check_mixed_stability(stability.MixedDegreeData.of(d1, d2, ()), surf)
     checks.append(
         _check(
             "stability",
@@ -254,20 +255,32 @@ def _parse_stability(obj: dict, pairs: int):
         return surf, ()  # zero weights: every sum is zero
     if len(raw) != surf.punctures:
         raise InputError(f"need {surf.punctures} weight entries, got {len(raw)}")
-    parsed: dict[str, Fraction] = {}  # weights repeat, so parse each string once
+    # weights repeat, so each distinct string is parsed once and each distinct
+    # entry validated once; a repeated entry is then one shared object, which
+    # stability.MixedDegreeData.of counts instead of adding again
+    parsed: dict[str, Fraction] = {}
+    built: dict[tuple, stability.PunctureWeights] = {}
 
-    def fraction(s) -> Fraction:
-        s = str(s)
+    def fraction(s: str) -> Fraction:
         if s not in parsed:
             parsed[s] = Fraction(s)
         return parsed[s]
 
     weights = []
     for entry in raw:
-        triple = stability.WeightTriple.of(*[fraction(s) for s in entry["triple"]])
-        beta = fraction(entry["beta"]) if "beta" in entry else None
-        gamma = fraction(entry["gamma"]) if "gamma" in entry else None
-        weights.append(stability.PunctureWeights.of(triple, beta, gamma))
+        key = (
+            tuple(map(str, entry["triple"])),
+            str(entry["beta"]) if "beta" in entry else None,
+            str(entry["gamma"]) if "gamma" in entry else None,
+        )
+        if key not in built:
+            triple, beta, gamma = key
+            built[key] = stability.PunctureWeights.of(
+                stability.WeightTriple.of(*map(fraction, triple)),
+                None if beta is None else fraction(beta),
+                None if gamma is None else fraction(gamma),
+            )
+        weights.append(built[key])
     return surf, weights
 
 
@@ -279,6 +292,12 @@ def _parse_stability_check(obj: dict, args):
 def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
     obj, surf, data = inputs
     cert_s = stability.check_mixed_stability(data, surf)
+    bound = 10**MAX_CERTIFICATE_DIGITS
+    for pair in (cert_s.slope_w1, cert_s.slope_w2, cert_s.expanded_1, cert_s.expanded_2):
+        if any(abs(x.numerator) >= bound or x.denominator >= bound for x in pair):
+            raise InputError(
+                f"the certificate's numbers are over the limit of {MAX_CERTIFICATE_DIGITS} digits"
+            )
     checks = [
         _check(
             "W1-slope",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,6 +93,11 @@ class StripField:
             if not points_in_ch2(self.f).all():
                 raise CuspGridError("every F sample must lie in CH^2")
 
+    @cached_property
+    def min_laplacian(self) -> float:
+        """Smallest five-point Laplacian value, computed once per field."""
+        return float(discrete_laplacian(self).min())
+
 
 def mean_function(s: StripField) -> np.ndarray:
     """Row means m(y); periodic trapezoid quadrature (spectrally accurate)."""
@@ -146,7 +152,7 @@ def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> Str
     itself verified and reported, never silently assumed.
     """
     tol = s.grid.default_tol() if tol is None else tol
-    lap_worst = float(discrete_laplacian(s).min())
+    lap_worst = s.min_laplacian
     pre_ok = lap_worst >= -tol
     worst = float(slack.min())
     return StripReport(

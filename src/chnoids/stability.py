@@ -3,14 +3,27 @@
 All weights and degrees are exact rationals, so every verdict is exact.
 Both the slope-form and the expanded-form inequalities are evaluated and
 must agree; a disagreement signals an implementation bug and aborts.
+
+The weights are rationals with small denominators, so the arithmetic runs
+on Python ints, and ``Fraction`` is kept for the values a certificate
+prints: the three weight sums of ``MixedDegreeData`` and what
+``check_mixed_stability`` derives from them.  The sums add integer
+numerators per denominator, each distinct entry once times its count, so
+only one term per distinct denominator is a Fraction.  ``stability_region``
+clears the three sums to integer numerators over their common denominator
+L once.  Every parabolic degree is then an integer over L, and each d1's
+largest stable d2 is an integer floor division, taken from the slope form
+and from the expanded form separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from . import InputError
 
@@ -114,19 +127,28 @@ class MixedDegreeData:
     def of(d1: int, d2: int, puncture_weights: Iterable[PunctureWeights]) -> "MixedDegreeData":
         if d1 < 0 or d2 < 0:
             raise StabilityError("d1 and d2 must be nonnegative")
-        pws = tuple(puncture_weights)
-        return MixedDegreeData(
-            d1,
-            d2,
-            sum((pw.omega for pw in pws), Fraction(0)),
-            sum((pw.beta for pw in pws), Fraction(0)),
-            sum((pw.gamma for pw in pws), Fraction(0)),
-        )
+        return MixedDegreeData(d1, d2, *_weight_sums(tuple(puncture_weights)))
 
-    @staticmethod
-    def weight_free(d1: int, d2: int, n: int) -> "MixedDegreeData":
-        """Zero weights at each of the n punctures, so every sum is zero."""
-        return MixedDegreeData.of(d1, d2, ())
+
+def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fraction]:
+    """Sum of omega_p, of beta_p and of gamma_p.
+
+    An entry repeated as one object (the CLI builds each distinct entry
+    once) is taken once, times its count; counting ids runs in C and hashes
+    no Fraction.  Numerators are added as ints per denominator, so only the
+    distinct denominators are added as Fractions.
+    """
+    distinct = dict(zip(map(id, pws), pws))
+    by_den: tuple[dict[int, int], ...] = ({}, {}, {})  # omega, beta, gamma
+    for key, count in Counter(map(id, pws)).items():
+        pw = distinct[key]
+        for acc, values in zip(by_den, (pw.weights.values, (pw.beta,), (pw.gamma,))):
+            for v in values:
+                acc[v.denominator] = acc.get(v.denominator, 0) + count * v.numerator
+    omega, beta, gamma = (
+        sum((Fraction(num, den) for den, num in acc.items()), Fraction(0)) for acc in by_den
+    )
+    return omega, beta, gamma
 
 
 def par_deg_E(d: MixedDegreeData) -> Fraction:
@@ -256,9 +278,26 @@ def twist_invariance_check(d: MixedDegreeData, s: SurfaceData, m: int) -> bool:
     return base == twisted
 
 
-def _largest_below(bound: Fraction) -> int:
-    """The largest integer strictly less than bound."""
-    return math.ceil(bound) - 1
+class _ClearedSums(NamedTuple):
+    """Sum of omega, beta and gamma as integer numerators over den, their
+    common denominator."""
+
+    den: int
+    omega: int
+    beta: int
+    gamma: int
+
+    @staticmethod
+    def of(d: MixedDegreeData) -> "_ClearedSums":
+        sums = (d.sum_omega, d.sum_beta, d.sum_gamma)
+        den = math.lcm(*(x.denominator for x in sums))
+        return _ClearedSums(den, *(x.numerator * (den // x.denominator) for x in sums))
+
+
+def _cleared_degrees(d1: int, kappa: int, w: _ClearedSums) -> tuple[int, int, int]:
+    """den times (par_deg_E, par_deg_W1, par_deg_W2) at (d1, 0)."""
+    deg_w1 = w.den * (d1 - kappa) + w.beta
+    return w.den * d1 + w.omega, deg_w1, deg_w1 + w.gamma
 
 
 def stability_region(
@@ -268,33 +307,27 @@ def stability_region(
 
     Both strict inequalities are linear in (d1, d2), so each d1 has a
     largest stable d2, found in closed form twice: from the slope gaps
-    mu(W) - mu(E) at (d1, 0) with their d2 coefficient, and from the
-    expanded form.  The two must agree.
+    mu(W) - mu(E), and from the expanded form.  The two must agree.
     """
     if dmax < 0:
         raise StabilityError("dmax must be nonnegative")
-    base = MixedDegreeData.of(0, 0, weights)
-
-    def at(d1: int, d2: int) -> MixedDegreeData:
-        return replace(base, d1=d1, d2=d2)
-
-    def slope_gaps(d: MixedDegreeData) -> tuple[Fraction, Fraction]:
-        mu_e = par_deg_E(d) / 3
-        return par_deg_W1(d, s) - mu_e, par_deg_W2(d, s) / 2 - mu_e
-
-    # d2 coefficients of the two gaps; stable means both gaps are negative
-    coeffs = [g1 - g0 for g1, g0 in zip(slope_gaps(at(0, 1)), slope_gaps(base))]
-    rhs1, rhs2 = _expanded_rhs(base, s)
-    out = []
+    w = _ClearedSums.of(MixedDegreeData.of(0, 0, weights))
+    den, kappa = w.den, s.kappa
+    # den times the right-hand sides of 2 d1 + d2 < rhs1 and d1 + 2 d2 < rhs2
+    rhs1 = 3 * kappa * den + w.omega - 3 * w.beta
+    rhs2 = 3 * kappa * den + 2 * w.omega - 3 * (w.beta + w.gamma)
+    out: list[tuple[int, int]] = []
     for d1 in range(dmax + 1):
-        by_slope = min(
-            _largest_below(-gap / c) for gap, c in zip(slope_gaps(at(d1, 0)), coeffs)
-        )
-        by_expanded = min(_largest_below(rhs1 - 2 * d1), _largest_below((rhs2 - d1) / 2))
+        # at (d1, d2), 3 den (mu(W1) - mu(E)) = 3 deg W1 - deg E + den d2 and
+        # 6 den (mu(W2) - mu(E)) = 3 deg W2 - 2 deg E + 2 den d2, with the
+        # cleared degrees at (d1, 0); stable means both gaps are negative
+        deg_e, deg_w1, deg_w2 = _cleared_degrees(d1, kappa, w)
+        by_slope = min((deg_e - 3 * deg_w1 - 1) // den, (2 * deg_e - 3 * deg_w2 - 1) // (2 * den))
+        by_expanded = min((rhs1 - 2 * d1 * den - 1) // den, (rhs2 - d1 * den - 1) // (2 * den))
         if by_slope != by_expanded:
             raise InternalDisagreement(
                 f"at d1 = {d1} the slope form bounds d2 by {by_slope}, "
                 f"the expanded form by {by_expanded}"
             )
-        out.extend((d1, d2) for d2 in range(min(by_slope, dmax) + 1))
+        out.extend(zip(repeat(d1), range(min(by_slope, dmax) + 1)))
     return out

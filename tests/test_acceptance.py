@@ -104,7 +104,7 @@ def test_criterion_2_degree_margins(exact_suite, report):
         ok = ok and 2 * d1 + d2 == 3 * n - 11 < 3 * n - 6
         ok = ok and d1 + 2 * d2 == 3 * n - 10 < 3 * n - 6
         cert = stability.check_mixed_stability(
-            stability.MixedDegreeData.weight_free(d1, d2, n), stability.SurfaceData(0, n)
+            stability.MixedDegreeData.of(d1, d2, ()), stability.SurfaceData(0, n)
         )
         ok = ok and cert.verdict == "stable"
     report(2, ok, "degrees (n-4, n-3), exact margin identities, all verdicts stable")

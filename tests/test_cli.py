@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import random
@@ -346,6 +347,47 @@ def test_seeded_weighted_pinned(command, tmp_path, capsys):
     code, out, _ = run([*command.split(), write_json(tmp_path, "in.json", config)], capsys)
     assert code == expect_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def primes_above(lo: int, count: int) -> list[int]:
+    """The first count primes above lo, by trial division."""
+    primes, k = [], lo
+    while len(primes) < count:
+        k += 1
+        if all(k % p for p in range(2, math.isqrt(k) + 1)):
+            primes.append(k)
+    return primes
+
+
+PRIMES = primes_above(10**6, 800)
+
+
+def prime_weights(n: int) -> dict:
+    """A stability check whose n weights have distinct prime denominators above
+    10^6, so each puncture adds about 6 digits to the certificate's numbers."""
+    return {"genus": 0, "n": n, "d1": 0, "d2": 0, "weights": [
+        {"triple": ["0", "0", f"1/{p}"], "beta": f"1/{p}", "gamma": "0"} for p in PRIMES[:n]]}
+
+
+DIGITS_ERROR = "the certificate's numbers are over the limit of 4300 digits"
+
+
+# n = 715 is the largest n whose certificate the interpreter could print before
+# the limit; from n = 716 on printing failed with a ValueError traceback.  The
+# digest was recorded at commit f71d165.
+@pytest.mark.parametrize("n, digest", [
+    (715, "aa038979a003579f1b7997301bbc9680fcf172fc66b7c2c62d548e04e4a61cf5"),
+    (716, None),
+    (800, None),
+])
+def test_stability_check_digit_limit(n, digest, tmp_path, capsys):
+    code, out, err = run(["stability", "check", write_json(tmp_path, "p.json", prime_weights(n))],
+                         capsys)
+    if digest is None:
+        assert (code, out, err) == (2, "", f"error: {DIGITS_ERROR}\n")
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_stability_region_csv_pinned(tmp_path, capsys):
@@ -813,7 +855,8 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
 # ch2.CH2Error and cusp.CuspGridError, both chnoids.InputError subclasses, come
 # from modules that only some commands import; raised while parsing (cusp-grid)
 # or during the computation (the others), each must exit 2 in a new interpreter
-# with the in-process error line.
+# with the in-process error line.  So must a stability certificate too large to
+# print (stability-digits), which used to end in a ValueError traceback.
 NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
 
 
@@ -830,9 +873,10 @@ NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
          "need at least 8 samples in each direction"),
         ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0, 1e308]}},
          "U must be finite everywhere"),
+        ("stability check", prime_weights(800), DIGITS_ERROR),
     ],
     ids=["ch2-classify-exact", "ch2-classify-float", "ch2-distance", "cusp-grid",
-         "cusp-overflow"],
+         "cusp-overflow", "stability-digits"],
 )
 def test_fresh_process_input_error_exits_2(command, obj, message, tmp_path, capsys):
     argv = [*command.split(), write_json(tmp_path, "bad.json", obj)]

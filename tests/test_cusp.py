@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chnoids import cusp
 from chnoids.ch2 import distance, geodesic_point
 from chnoids.cusp import (
     CuspGridError,
@@ -123,6 +124,17 @@ def test_generated_fields_pass():
         assert check_sup_bound(field).passed
         lap = discrete_laplacian(field)
         assert lap.min() >= -GRID.default_tol()
+
+
+def test_laplacian_computed_once_per_field(monkeypatch):
+    calls = []
+    original = cusp.discrete_laplacian
+    monkeypatch.setattr(cusp, "discrete_laplacian", lambda s: calls.append(s) or original(s))
+    field = random_subharmonic_spec(random.Random(7)).sample(GRID)
+    conv, sup = check_mean_convexity(field), check_sup_bound(field)
+    assert len(calls) == 1
+    assert conv.precondition_ok and sup.precondition_ok
+    assert field.min_laplacian == float(original(field).min())
 
 
 def test_subharmonic_spec_validation():

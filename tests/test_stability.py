@@ -49,11 +49,11 @@ def test_puncture_weights_membership():
 
 def test_par_degrees():
     s = SurfaceData(0, 5)
-    d = MixedDegreeData.weight_free(1, 2, 5)
+    d = MixedDegreeData.of(1, 2, ())
     assert par_deg_E(d) == -1
     assert par_deg_W1(d, s) == -2
     assert par_deg_W2(d, s) == -2
-    d0 = MixedDegreeData.weight_free(3, 3, 5)
+    d0 = MixedDegreeData.of(3, 3, ())
     assert par_deg_E(d0) == 0
     # 3 punctures of total weight 1 each
     w = WeightTriple.of(0, "1/2", "1/2")
@@ -70,22 +70,22 @@ def test_par_degrees():
 
 def test_check_mixed_stability_examples():
     s = SurfaceData(0, 5)
-    cert = check_mixed_stability(MixedDegreeData.weight_free(1, 2, 5), s)
+    cert = check_mixed_stability(MixedDegreeData.of(1, 2, ()), s)
     assert cert.verdict == "stable"
     assert cert.expanded_1 == (Fraction(4), Fraction(9))
     assert cert.expanded_2 == (Fraction(5), Fraction(9))
 
-    boundary = check_mixed_stability(MixedDegreeData.weight_free(1, 1, 1), SurfaceData(1, 1))
+    boundary = check_mixed_stability(MixedDegreeData.of(1, 1, ()), SurfaceData(1, 1))
     assert boundary.verdict == "strictly-semistable"
 
-    bad = check_mixed_stability(MixedDegreeData.weight_free(5, 5, 5), s)
+    bad = check_mixed_stability(MixedDegreeData.of(5, 5, ()), s)
     assert bad.verdict == "unstable"
     assert "W1" in bad.failing
 
 
 def test_certificate_json():
     s = SurfaceData(0, 5)
-    cert = check_mixed_stability(MixedDegreeData.weight_free(1, 2, 5), s)
+    cert = check_mixed_stability(MixedDegreeData.of(1, 2, ()), s)
     obj = cert.to_json()
     assert obj["verdict"] == "stable"
     assert obj["expanded_1"] == {"lhs": "4", "rhs": "9"}
@@ -258,10 +258,13 @@ def test_stability_region_boundary_pairs_excluded():
 def test_stability_region_forms_must_agree(monkeypatch):
     s = SurfaceData(0, 5)
     weights = [PunctureWeights.of(WeightTriple.zero())] * 5
-    original = stability.par_deg_W1
-    # a slope form that drifts from the expanded form from d1 = 2 on
-    monkeypatch.setattr(
-        stability, "par_deg_W1", lambda d, s: original(d, s) + (1 if d.d1 >= 2 else 0)
-    )
+    original = stability._cleared_degrees
+
+    # a slope form whose deg W1 drifts by one from the expanded form from d1 = 2 on
+    def drifted(d1, kappa, w):
+        deg_e, deg_w1, deg_w2 = original(d1, kappa, w)
+        return deg_e, deg_w1 + (w.den if d1 >= 2 else 0), deg_w2
+
+    monkeypatch.setattr(stability, "_cleared_degrees", drifted)
     with pytest.raises(InternalDisagreement, match="at d1 = 2"):
         stability_region(s, weights, 4)
