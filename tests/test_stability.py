@@ -191,7 +191,7 @@ def expanded_oracle_region(s, weights, dmax):
 
 
 # each weight has its own denominator, so the common denominator of the sums
-# runs up to lcm(1..13) and beyond; a large genus pushes the bounds past dmax
+# runs up to lcm(1..13) = 360360; a large genus pushes the bounds past dmax
 # and heavy beta and gamma weights push them below zero
 weight_strategy = st.integers(1, 13).flatmap(
     lambda q: st.integers(0, q - 1).map(lambda a: Fraction(a, q))
