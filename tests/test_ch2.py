@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from chnoids.ch2 import (
     random_form_preserving,
     unipotent_exponential,
 )
-from chnoids.exactnum import GQ
+from chnoids.exactnum import GQ, poly_gcd
 
 E1 = (1.0, 0.0, 0.0)
 E3 = (0.0, 0.0, 1.0)
@@ -139,6 +140,149 @@ def test_classify_exact_edge_cases():
     ch, sh = GQ((t + 1 / t) / 2), GQ((t - 1 / t) / 2)
     near = Matrix21.exact([[ch, zero, sh], [zero, GQ(1), zero], [sh, zero, ch]])
     assert classify_isometry(near) == "loxodromic"
+
+
+# ---------------------------------------------------------------------------
+# exact classification at Goldman's f = 0, against the minimal-polynomial route
+
+J = linalg.mat([[GQ(1), GQ(0), GQ(0)], [GQ(0), GQ(1), GQ(0)], [GQ(0), GQ(0), GQ(-1)]])
+
+
+def diag(*d):
+    return linalg.mat([[d[i] if i == j else GQ(0) for j in range(3)] for i in range(3)])
+
+
+def unit(a, b):
+    return GQ(a, b) / GQ(a, -b)
+
+
+def scaled(lam, rows):
+    return linalg.mat([[lam * x for x in row] for row in rows])
+
+
+def jordan_3_unipotent():
+    """C U C^-1 for U = [[1, 1, 1/2], [0, 1, 1], [0, 0, 1]], which preserves
+    H = [[0, 0, -1], [0, 1, 0], [-1, 0, 0]]; C* J C = H, so C U C^-1 preserves J."""
+    half = GQ(Fraction(1, 2))
+    zero, one = GQ(0), GQ(1)
+    c = linalg.mat([[one, zero, -half], [zero, one, zero], [one, zero, half]])
+    u = linalg.mat([[one, one, half], [zero, one, one], [zero, zero, one]])
+    return linalg.mat_mul(linalg.mat_mul(c, u), linalg.inverse(c))
+
+
+def f0_shapes():
+    """Every shape of a repeated eigenvalue: name, rows, label."""
+    u, v = unit(3, 4), unit(1, 2)
+    p = parabolic_seed().rows
+    return [
+        ("scalar", diag(GQ(1), GQ(1), GQ(1)), "elliptic"),
+        ("double-diagonal", diag(u, u, v), "elliptic"),
+        ("rank-1-unipotent", p, "parabolic"),
+        ("jordan-3-unipotent", jordan_3_unipotent(), "parabolic"),
+        ("ellipto-parabolic", linalg.mat_mul(diag(GQ(1), u, GQ(1)), p), "parabolic"),
+    ]
+
+
+LAMBDA = GQ(5, 12) / 13
+
+
+def f0_fixtures():
+    """The f = 0 shapes, each as it is and times the unit (5 + 12i)/13."""
+    out = []
+    for name, rows, label in f0_shapes():
+        out.append((name, rows, label))
+        out.append((f"{name}-times-unit", scaled(LAMBDA, rows), label))
+    return out
+
+
+def goldman_f(rows):
+    a0, _, a2, _ = linalg.charpoly(rows).coeffs
+    tau, det = -a2, -a0
+    t2 = tau.abs_sq()
+    return t2 * t2 - 8 * (tau**3 / det).re + 18 * t2 - 27
+
+
+def minimal_polynomial_label(rows):
+    """The exact classifier's earlier route, kept as an oracle: Goldman's f
+    from ``linalg.charpoly``, and at f = 0 whether ``linalg.minimal_polynomial``
+    is squarefree, by ``poly_gcd``."""
+    f = goldman_f(rows)
+    if f > 0:
+        return "loxodromic"
+    if f < 0:
+        return "elliptic"
+    m = linalg.minimal_polynomial(rows)
+    return "elliptic" if poly_gcd(m, m.derivative()).degree == 0 else "parabolic"
+
+
+@pytest.mark.parametrize("name, rows, label", f0_fixtures(), ids=[f[0] for f in f0_fixtures()])
+def test_classify_f0_fixtures(name, rows, label):
+    a = Matrix21(rows)
+    assert preserves_form(a)
+    assert goldman_f(rows) == 0
+    char = linalg.charpoly(rows)
+    assert poly_gcd(char, char.derivative()).degree >= 1  # a repeated eigenvalue
+    assert minimal_polynomial_label(rows) == label
+    assert classify_isometry(a) == label
+
+
+def workload_seed(kind, rng):
+    """The exact seed kinds of the isometry-classify benchmark, with the
+    benchmark's draw of distinct units."""
+    units = []
+    while len(units) < 3:
+        z = unit(rng.randrange(1, 6), rng.randrange(0, 6))
+        if z not in units:
+            units.append(z)
+    u, v, w = units
+    if kind == "regular-elliptic":
+        return diag(u, v, w), "elliptic"
+    if kind == "repeated-elliptic":
+        return diag(*rng.choice([(u, u, v), (u, v, u), (v, u, u)])), "elliptic"
+    if kind == "parabolic":
+        return parabolic_seed().rows, "parabolic"
+    ch, sh = GQ(Fraction(5, 4)), GQ(Fraction(3, 4))
+    return linalg.mat([[ch, GQ(0), sh], [GQ(0), GQ(1), GQ(0)], [sh, GQ(0), ch]]), "loxodromic"
+
+
+# the five exact operations of one benchmark round
+WORKLOAD_ROUND = ("regular-elliptic", "repeated-elliptic", "repeated-elliptic", "parabolic",
+                  "loxodromic")
+
+
+def conjugate(g, s):
+    """g S g^-1, with g^-1 = J g* J since g* J g = J."""
+    g_inv = linalg.mat_mul(linalg.mat_mul(J, linalg.conj_transpose(g)), J)
+    return linalg.mat_mul(linalg.mat_mul(g, s), g_inv)
+
+
+def test_classify_matches_minimal_polynomial_route():
+    rng = random.Random(1409)
+    seeds = [workload_seed(WORKLOAD_ROUND[k % 5], rng) for k in range(600)]
+    seeds += [(rows, label) for _, rows, label in f0_fixtures() for _ in range(20)]
+    for s, label in seeds:
+        g = random_exact_form_preserving(random.Random(rng.randrange(2**31))).rows
+        conj = conjugate(g, s)
+        assert minimal_polynomial_label(conj) == label, conj
+        assert classify_isometry(Matrix21(conj)) == label, conj
+
+
+PERTURBATIONS = (GQ(Fraction(1, 10**30)), GQ(0, Fraction(1, 10**30)), GQ(1))
+
+
+def test_exact_preserves_form_rejects_one_perturbed_entry():
+    rng = random.Random(77)
+    shapes = [rows for _, rows, _ in f0_shapes()] + [workload_seed("loxodromic", rng)[0]]
+    for s in shapes:
+        g = random_exact_form_preserving(random.Random(rng.randrange(2**31))).rows
+        conj = conjugate(g, s)
+        assert preserves_form(Matrix21(conj))
+        for i, j, eps in itertools.product(range(3), range(3), PERTURBATIONS):
+            rows = [list(row) for row in conj]
+            rows[i][j] = rows[i][j] + eps
+            assert not preserves_form(Matrix21(linalg.mat(rows))), (i, j, eps)
+            with pytest.raises(CH2Error):
+                classify_isometry(Matrix21(linalg.mat(rows)))
 
 
 def test_classify_rejects_non_form_preserving():

@@ -20,6 +20,7 @@ from chnoids.exactnum import (
     ExactArithmeticError,
     GaussianRational,
     RationalFunction,
+    RationalOneForm,
     UniPoly,
     poly_gcd,
     resultant,
@@ -512,6 +513,32 @@ def test_kernel_and_column_space_match_sympy():
         assert_same_span(linalg.column_space_basis(a), columns)
         deficient += sa.rank() < min(len(a), len(a[0]))
     assert deficient >= 40
+
+
+def test_one_form_residue_matches_sympy():
+    """Res_p (num/den) dz at every root p of a squarefree monic den is
+    num(p)/den'(p), evaluated by sympy over QQ_I; off the poles it is 0."""
+    rng = random.Random(3907)
+    checked = 0
+    for _ in range(150):
+        roots = []
+        while len(roots) < rng.randint(1, 5):
+            p = non_integer_point(rng)
+            if p not in roots:
+                roots.append(p)
+        num = fractional_poly(rng, 6)
+        den = UniPoly.from_roots(roots)
+        form = RationalOneForm(RationalFunction(num, den))
+        s_num, s_den = sympy_poly(num), sympy_poly(den)
+        for p in roots:
+            at = QQ_I.to_sympy(qq_i(p))
+            expected = QQ_I.from_sympy(s_num.eval(at)) / QQ_I.from_sympy(s_den.diff().eval(at))
+            assert form.residue_at(p) == from_qq_i(expected), (num, roots, p)
+            checked += not num(p).is_zero
+        off = non_integer_point(rng)
+        if off not in roots:
+            assert form.residue_at(off) == ZERO
+    assert checked >= 300
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -268,3 +270,33 @@ def test_stability_region_forms_must_agree(monkeypatch):
     monkeypatch.setattr(stability, "_cleared_degrees", drifted)
     with pytest.raises(InternalDisagreement, match="at d1 = 2"):
         stability_region(s, weights, 4)
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def random_weights(rng):
+    """Weight entries with small, equal or distinct prime denominators, some
+    repeated as one object, as the CLI passes repeated entries."""
+    out = []
+    for _ in range(rng.randint(0, 60)):
+        if out and rng.random() < 0.3:
+            out.append(rng.choice(out))
+            continue
+        q = rng.choice((rng.randint(1, 13), rng.choice(PRIMES)))
+        vals = sorted(Fraction(rng.randrange(q), q) for _ in range(3))
+        out.append(PunctureWeights.of(WeightTriple.of(*vals), rng.choice(vals),
+                                      rng.choice(vals)))
+    return out
+
+
+def test_weight_sums_match_plain_fraction_sum():
+    rng = random.Random(4517)
+    for _ in range(300):
+        pws = random_weights(rng)
+        expected = (
+            sum((pw.omega for pw in pws), Fraction(0)),
+            sum((pw.beta for pw in pws), Fraction(0)),
+            sum((pw.gamma for pw in pws), Fraction(0)),
+        )
+        assert stability._weight_sums(pws) == expected
