@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import InputError, linalg
-from .exactnum import GaussianRational, poly_gcd
+from .exactnum import ONE, ZERO, GaussianRational, UniPoly, poly_gcd
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,8 +33,30 @@ J_EXACT = linalg.mat(
 )
 
 
+_J_SIGNS = (1, 1, -1)  # the diagonal of J_EXACT
+
+
 class CH2Error(InputError):
     pass
+
+
+GaussInt = tuple[int, int]  # (re, im), Python ints
+
+
+def _gmul(x: GaussInt, y: GaussInt) -> GaussInt:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gsub(x: GaussInt, y: GaussInt) -> GaussInt:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _gsum(xs: Iterable[GaussInt]) -> GaussInt:
+    re = im = 0
+    for x, y in xs:
+        re += x
+        im += y
+    return re, im
 
 
 def _is_exact_vector(z: Sequence) -> bool:
@@ -172,6 +195,14 @@ class Matrix21:
     def is_exact(self) -> bool:
         return isinstance(self.rows, tuple)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[GaussInt, ...], ...], int]:
+        """Exact backing as (M, d) with A = M/d: M has Gaussian-integer
+        entries and d > 0 is the lcm of the nine denominators."""
+        parts = [[x.parts for x in row] for row in self.rows]
+        d = math.lcm(*(e for row in parts for _, _, e in row))
+        return tuple(tuple((a * (d // e), b * (d // e)) for a, b, e in row) for row in parts), d
+
     def as_array(self) -> np.ndarray:
         import numpy as np
 
@@ -231,10 +262,24 @@ def geodesic_point(t: float) -> tuple[complex, complex, complex]:
 
 
 def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
-    """A* J A = J, exactly for exact backing, entrywise within tol otherwise."""
+    """A* J A = J, exactly for exact backing, entrywise within tol otherwise.
+
+    Exact backing tests M* J M = d^2 J in Python ints, for A = M/d; the
+    Gram matrix is Hermitian, so its upper triangle decides.
+    """
     if a.is_exact:
-        lhs = linalg.mat_mul(linalg.mat_mul(linalg.conj_transpose(a.rows), J_EXACT), a.rows)
-        return lhs == J_EXACT
+        m, d = a.scaled
+        for j in range(3):
+            for k in range(j, 3):
+                re = im = 0
+                for i, sign in enumerate(_J_SIGNS):
+                    (p, q), (u, v) = m[i][j], m[i][k]
+                    # conj(p + qi) (u + vi) = (pu + qv) + (pv - qu) i
+                    re += sign * (p * u + q * v)
+                    im += sign * (p * v - q * u)
+                if im or re != (_J_SIGNS[j] * d * d if j == k else 0):
+                    return False
+        return True
     import numpy as np
 
     j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -263,28 +308,66 @@ def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     Geometry, 1999, Thm 6.2.4): with tau = tr A and |det A| = 1,
     f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is positive iff A
     is loxodromic and negative iff A is regular elliptic.  At f = 0 an
-    eigenvalue repeats, and A is elliptic iff its minimal polynomial is
-    squarefree.  Float backing compares eigenvalues within ``tol``.
+    eigenvalue lambda repeats; it lies in Q(i), as the root of
+    gcd(chi, chi') for the characteristic polynomial chi.  A double lambda
+    is elliptic iff rank(A - lambda I) = 1, a triple one iff A = lambda I.
+    Float backing compares eigenvalues within ``tol``.
     """
     if not preserves_form(a, tol):
         raise CH2Error("matrix does not preserve the signature-(2,1) form")
     if a.is_exact:
-        return _classify_exact(a.rows)
+        return _classify_exact(a)
     return _classify_float(a.as_array(), tol)
 
 
-def _classify_exact(rows: linalg.Matrix) -> str:
-    a0, _, a2, _ = linalg.charpoly(rows).coeffs  # z^3 + a2 z^2 + a1 z + a0
-    tau, det = -a2, -a0
-    t2 = tau.abs_sq()
-    f = t2 * t2 - 8 * (tau**3 / det).re + 18 * t2 - 27
+def _classify_exact(a: Matrix21) -> str:
+    """The exact trichotomy, on A = M/d with M over the Gaussian integers.
+
+    M's characteristic polynomial is chi_M(w) = w^3 - T w^2 + E w - D, for
+    T = tr M, E the sum of its principal 2x2 minors and D = det M, and A's
+    is chi_M(d z) / d^3: tau = T/d and det A = D/d^3.  Goldman's f times
+    d^4 |D|^2 > 0 is an integer, so its sign is exact.  At f = 0 the
+    repeated root of chi_M is mu = d lambda, read off gcd(chi_M, chi_M'),
+    and rank(A - lambda I) = rank(M - mu I).
+    """
+    m, d = a.scaled
+    t = _gsum(m[i][i] for i in range(3))
+    e = _gsum(
+        _gsub(_gmul(m[i][i], m[j][j]), _gmul(m[i][j], m[j][i]))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    det = _gsum(
+        _gmul(m[0][c], _gsub(_gmul(m[1][c1], m[2][c2]), _gmul(m[1][c2], m[2][c1])))
+        for c, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    t_abs2 = t[0] * t[0] + t[1] * t[1]
+    det_abs2 = det[0] * det[0] + det[1] * det[1]
+    # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
+    re_t3_conj_det = _gmul(_gmul(_gmul(t, t), t), (det[0], -det[1]))[0]
+    d2 = d * d
+    f = (t_abs2 * t_abs2 + (18 * t_abs2 - 27 * d2) * d2) * det_abs2 - 8 * d2 * d2 * re_t3_conj_det
     if f > 0:
         return IsometryClass.LOXODROMIC
     if f < 0:
         return IsometryClass.ELLIPTIC
-    m = linalg.minimal_polynomial(rows)
-    sqfree = poly_gcd(m, m.derivative())
-    return IsometryClass.ELLIPTIC if sqfree.degree == 0 else IsometryClass.PARABOLIC
+    gq = GaussianRational.of
+    chi = UniPoly.of([gq(-det[0], -det[1]), gq(*e), gq(-t[0], -t[1]), ONE])
+    g = poly_gcd(chi, chi.derivative())
+    if g.degree == 2:  # (w - mu)^2: a triple root, elliptic iff M = mu I
+        mu = -g.coeffs[1] / 2
+        scalar = all(
+            gq(*x) == (mu if i == j else ZERO) for i, row in enumerate(m) for j, x in enumerate(row)
+        )
+        return IsometryClass.ELLIPTIC if scalar else IsometryClass.PARABOLIC
+    # w - mu: a double root, elliptic iff rank(M - mu I) = 1; for mu = (u + vi)/q
+    # that is the rank of the Gaussian-integer matrix q M - (u + vi) I
+    u, v, q = (-g.coeffs[0]).parts
+    shifted = [
+        [gq(q * x - u * (i == j), q * y - v * (i == j)) for j, (x, y) in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+    rank = len(linalg._echelon(shifted)[1])
+    return IsometryClass.ELLIPTIC if rank == 1 else IsometryClass.PARABOLIC
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:

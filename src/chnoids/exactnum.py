@@ -66,6 +66,11 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    @property
+    def parts(self) -> tuple[int, int, int]:
+        """The canonical triple (a, b, d) of (a + bi)/d."""
+        return self._a, self._b, self._d
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":

@@ -9,13 +9,17 @@ fails here, in the repository's own test run.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from chnoids import ch2, cusp, exactnum, nnoid
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -43,3 +47,14 @@ def test_rebound_names_are_the_originals():
     assert cusp.distance is ch2.distance
     assert nnoid.resultant is exactnum.resultant
     assert ch2.poly_gcd is exactnum.poly_gcd
+
+
+def test_traced_isometry_benchmark_is_wired():
+    """The traced isometry-classify run finds every layer it requires
+    (linalg among them) entered, at the benchmark's tiny size."""
+    cmd = [sys.executable, "bench/run.py", "--workload", "isometry-classify", "--seed", "3",
+           "--seconds", "0.5", "--trace", "1", "--size", "tiny"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0

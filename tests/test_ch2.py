@@ -226,6 +226,16 @@ def test_classify_f0_fixtures(name, rows, label):
     assert classify_isometry(a) == label
 
 
+@pytest.mark.parametrize("name, rows, label", f0_fixtures(), ids=[f[0] for f in f0_fixtures()])
+def test_classify_f0_avoids_generic_linalg(name, rows, label, monkeypatch):
+    def refused(*args):
+        raise AssertionError("exact classification reached generic linear algebra")
+
+    for attr in ("minimal_polynomial", "charpoly", "mat_mul"):
+        monkeypatch.setattr(linalg, attr, refused)
+    assert classify_isometry(Matrix21(rows)) == label
+
+
 def workload_seed(kind, rng):
     """The exact seed kinds of the isometry-classify benchmark, with the
     benchmark's draw of distinct units."""

@@ -215,6 +215,24 @@ def test_ch2_classify_certificate_pinned(kind, seed, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"exact ch2 classify called linalg.{name}")
+
+    return refused
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_CLASSIFY))
+def test_exact_classify_avoids_generic_linalg(kind, seed, tmp_path, capsys, monkeypatch):
+    # the inputs are built with mat_mul before it is refused
+    path = write_json(tmp_path, "m.json", classify_input(kind, seed))
+    for name in ("minimal_polynomial", "charpoly", "mat_mul"):
+        monkeypatch.setattr(linalg, name, _refuse(name))
+    code, out, _ = run(["ch2", "classify", path], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLASSIFY[kind, seed][1]
+
+
 REGION_WEIGHTS = [
     {"triple": ["1/4", "1/2", "3/4"], "beta": "1/2", "gamma": "1/4"},
     {"triple": ["0", "0", "2/3"], "beta": "2/3", "gamma": "0"},
