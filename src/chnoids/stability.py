@@ -146,9 +146,24 @@ def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fr
             for v in values:
                 acc[v.denominator] = acc.get(v.denominator, 0) + count * v.numerator
     omega, beta, gamma = (
-        sum((Fraction(num, den) for den, num in acc.items()), Fraction(0)) for acc in by_den
+        _pairwise_sum([Fraction(num, den) for den, num in acc.items()]) for acc in by_den
     )
     return omega, beta, gamma
+
+
+def _pairwise_sum(terms: list[Fraction]) -> Fraction:
+    """Sum in rounds of pairwise additions.
+
+    Each addition then meets operands of about equal size, so with many
+    coprime denominators the cost stays near-linear in the digits of the
+    sum; adding them one by one to a growing total is quadratic.
+    """
+    if not terms:
+        return Fraction(0)
+    while len(terms) > 1:
+        pairs = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
 
 
 def par_deg_E(d: MixedDegreeData) -> Fraction:
