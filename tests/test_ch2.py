@@ -295,6 +295,16 @@ def test_exact_preserves_form_rejects_one_perturbed_entry():
                 classify_isometry(Matrix21(linalg.mat(rows)))
 
 
+def test_exact_preserves_form_reads_imaginary_parts():
+    # A* J A = [[1, 3i/5, 0], [-3i/5, 1, 0], [0, 0, -1]]: the diagonal and the
+    # real parts of the off-diagonal entries agree with J
+    zero = GQ(0)
+    a = Matrix21.exact([[GQ(1), GQ(0, Fraction(3, 5)), zero],
+                        [zero, GQ(Fraction(4, 5)), zero],
+                        [zero, zero, GQ(1)]])
+    assert not preserves_form(a)
+
+
 def test_classify_rejects_non_form_preserving():
     with pytest.raises(CH2Error):
         classify_isometry(Matrix21.floating(np.diag([1.0, 1.0, 2.0])))
