@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import InputError, linalg
-from .exactnum import ONE, ZERO, GaussianRational, UniPoly, poly_gcd
+from .exactnum import ONE, GaussianRational, UniPoly, poly_gcd
 
 if TYPE_CHECKING:
     import numpy as np
@@ -352,22 +352,16 @@ def _classify_exact(a: Matrix21) -> str:
         return IsometryClass.ELLIPTIC
     gq = GaussianRational.of
     chi = UniPoly.of([gq(-det[0], -det[1]), gq(*e), gq(-t[0], -t[1]), ONE])
-    g = poly_gcd(chi, chi.derivative())
-    if g.degree == 2:  # (w - mu)^2: a triple root, elliptic iff M = mu I
-        mu = -g.coeffs[1] / 2
-        scalar = all(
-            gq(*x) == (mu if i == j else ZERO) for i, row in enumerate(m) for j, x in enumerate(row)
-        )
-        return IsometryClass.ELLIPTIC if scalar else IsometryClass.PARABOLIC
-    # w - mu: a double root, elliptic iff rank(M - mu I) = 1; for mu = (u + vi)/q
-    # that is the rank of the Gaussian-integer matrix q M - (u + vi) I
-    u, v, q = (-g.coeffs[0]).parts
+    g = poly_gcd(chi, chi.derivative())  # (w - mu)^k, for mu of multiplicity k + 1
+    u, v, q = (-g.coeffs[-2] / g.degree).parts
+    # q M - (u + vi) I = q (M - mu I) over the Gaussian integers; A is
+    # diagonalizable iff its kernel has dimension k + 1, i.e. rank 2 - k
     shifted = [
         [gq(q * x - u * (i == j), q * y - v * (i == j)) for j, (x, y) in enumerate(row)]
         for i, row in enumerate(m)
     ]
     rank = len(linalg._echelon(shifted)[1])
-    return IsometryClass.ELLIPTIC if rank == 1 else IsometryClass.PARABOLIC
+    return IsometryClass.ELLIPTIC if rank == 2 - g.degree else IsometryClass.PARABOLIC
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:
