@@ -9,11 +9,12 @@ on Python ints, and ``Fraction`` is kept for the values a certificate
 prints: the three weight sums of ``MixedDegreeData`` and what
 ``check_mixed_stability`` derives from them.  The sums add integer
 numerators per denominator, each distinct entry once times its count, so
-only one term per distinct denominator is a Fraction.  ``stability_region``
-clears the three sums to integer numerators over their common denominator
-L once.  Every parabolic degree is then an integer over L, and each d1's
-largest stable d2 is an integer floor division, taken from the slope form
-and from the expanded form separately.
+only one term per distinct denominator is a Fraction, and those terms are
+added in pairwise rounds.  ``stability_region`` clears the three sums to
+integer numerators over their common denominator L once.  Every parabolic
+degree is then an integer over L, and each d1's largest stable d2 is an
+integer floor division, taken from the slope form and from the expanded
+form separately.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fr
     An entry repeated as one object (the CLI builds each distinct entry
     once) is taken once, times its count; counting ids runs in C and hashes
     no Fraction.  Numerators are added as ints per denominator, so only the
-    distinct denominators are added as Fractions.
+    distinct denominators are added as Fractions, by ``_pairwise_sum``.
     """
     distinct = dict(zip(map(id, pws), pws))
     by_den: tuple[dict[int, int], ...] = ({}, {}, {})  # omega, beta, gamma

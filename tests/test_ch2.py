@@ -8,6 +8,7 @@ import pytest
 
 from chnoids import linalg
 from chnoids.ch2 import (
+    J_EXACT,
     CH2Error,
     Matrix21,
     boost,
@@ -145,9 +146,6 @@ def test_classify_exact_edge_cases():
 # ---------------------------------------------------------------------------
 # exact classification at Goldman's f = 0, against the minimal-polynomial route
 
-J = linalg.mat([[GQ(1), GQ(0), GQ(0)], [GQ(0), GQ(1), GQ(0)], [GQ(0), GQ(0), GQ(-1)]])
-
-
 def diag(*d):
     return linalg.mat([[d[i] if i == j else GQ(0) for j in range(3)] for i in range(3)])
 
@@ -237,8 +235,8 @@ def test_classify_f0_avoids_generic_linalg(name, rows, label, monkeypatch):
 
 
 def workload_seed(kind, rng):
-    """The exact seed kinds of the isometry-classify benchmark, with the
-    benchmark's draw of distinct units."""
+    """The exact seed kinds of the isometry-classify benchmark, with
+    distinct random units z / conj(z)."""
     units = []
     while len(units) < 3:
         z = unit(rng.randrange(1, 6), rng.randrange(0, 6))
@@ -262,7 +260,7 @@ WORKLOAD_ROUND = ("regular-elliptic", "repeated-elliptic", "repeated-elliptic", 
 
 def conjugate(g, s):
     """g S g^-1, with g^-1 = J g* J since g* J g = J."""
-    g_inv = linalg.mat_mul(linalg.mat_mul(J, linalg.conj_transpose(g)), J)
+    g_inv = linalg.mat_mul(linalg.mat_mul(J_EXACT, linalg.conj_transpose(g)), J_EXACT)
     return linalg.mat_mul(linalg.mat_mul(g, s), g_inv)
 
 
