@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -572,3 +573,95 @@ def test_kernel_outputs_are_canonical(f, g, z, entries):
     for row in linalg.mat_mul(a, linalg.mat([entries[6:9], entries[0:3], entries[3:6]])):
         for x in row:
             assert_canonical(x)
+
+
+# ---------------------------------------------------------------------------
+# literals: the integer route against the Fraction route
+
+
+def split_literal(s):
+    """The real and imaginary literal parts, split as GaussianRational.parse does."""
+    s = s.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty")
+    if not s.endswith("i"):
+        return s, "0"
+    body = s[:-1]
+    m = re.match(r"^([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)$", body)
+    re_part, im_part = (m.group(1), m.group(2)) if m else ("0", body)
+    return re_part, {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
+
+
+def parse_by_fractions(s):
+    """(re, im) as Fractions of the split parts; ValueError where either does not parse."""
+    try:
+        return tuple(Fraction(part) for part in split_literal(s))
+    except ZeroDivisionError as exc:
+        raise ValueError(s) from exc
+
+
+BIG = "9" * 5000  # past the interpreter's int-to-str limit of 4300 digits
+LITERAL_CORPUS = [
+    "0", "-0", "+0", "00", "007", "7", "-7", "+7", "1_0", "0_1", "1__0", "_1", "1_",
+    "١", "١٢i", "٣/٤", "１", "²", "1e3", "1e3i", "1.5",
+    ".5i", "-2.5+1i", "0x10", "0x10i", "+-1", "+-1i", "--1", " 7 - i", "7-i", "i", "-i",
+    "+i", "2i", "-1i", "3/4", "-3/4i", "1/2+3i", "3+1/2i", "-2+5i", "1_0+2_0i", "1/0",
+    "2+1/0i", "0/0", "", "   ", "1+", "i+1", "1+2i3", "ii", "nan", "inf", "1 0",
+    "9" * 4300, "-" + "9" * 4300 + "i", BIG, BIG + "i", "1+" + BIG + "i", BIG + "/7",
+    "12345678901234567890-98765432109876543210i",
+]
+
+
+@pytest.mark.parametrize("literal", LITERAL_CORPUS)
+def test_parse_matches_fraction_route(literal):
+    try:
+        expected = parse_by_fractions(literal)
+    except ValueError:
+        with pytest.raises(ValueError):
+            GaussianRational.parse(literal)
+        return
+    z = GaussianRational.parse(literal)
+    assert (z.re, z.im) == expected
+    assert_canonical(z)
+
+
+def str_by_fractions(a, b):
+    """The literal of a + bi, formatted through Fraction."""
+    x, y = Fraction(a), Fraction(b)
+    if y == 0:
+        return str(x)
+    if x == 0:
+        return f"{y}i"
+    return f"{x}{'+' if y > 0 else '-'}{abs(y)}i"
+
+
+big_int = st.integers(min_value=-(10**60), max_value=10**60)
+
+
+@given(st.one_of(st.integers(-3, 3), big_int), st.one_of(st.integers(-3, 3), big_int))
+def test_integer_str_matches_fraction_route(a, b):
+    z = GQ(a, b)
+    assert str(z) == str_by_fractions(a, b)
+    assert GaussianRational.parse(str(z)) == z
+
+
+# ---------------------------------------------------------------------------
+# vanishing polynomials
+
+
+def test_from_roots_matches_sympy():
+    rng = random.Random(5309)
+    for trial in range(200):
+        k = rng.randint(0, 10)
+        if trial % 3 == 0:  # Gaussian integers, as the sampler draws them
+            roots = [GQ(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(k)]
+        else:
+            roots = [fractional_gq(rng) for _ in range(k)]
+        if k > 1 and trial % 5 == 0:
+            roots.append(roots[0])  # a repeated root
+        expected = Poly(1, Z_SYM, domain=QQ_I)
+        for r in roots:
+            expected = expected * Poly.from_list([QQ_I(1, 0), -qq_i(r)], Z_SYM, domain=QQ_I)
+        got = UniPoly.from_roots(roots)
+        assert sympy_poly(got) == expected, roots
+        assert_canonical_poly(got)

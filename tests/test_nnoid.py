@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from chnoids import linalg, nnoid
@@ -148,6 +151,54 @@ def test_nilpotency_profile():
     phi = build_higgs(data)
     for p in data.punctures:
         assert nilpotency_profile(residue_matrix(phi, p).matrix) == 3
+
+
+def profile_by_mat_mul(m):
+    """Smallest k in {1, 2, 3} with m^k = 0, powers taken with linalg.mat_mul."""
+    power = m
+    for k in range(1, 4):
+        if linalg.is_zero_matrix(power):
+            return k
+        power = linalg.mat_mul(power, m)
+    return None
+
+
+def random_gq(rng):
+    if rng.random() < 0.3:
+        return GQ(0)
+    return GQ(*(Fraction(rng.randint(-20, 20), rng.randint(1, 13)) for _ in range(2)))
+
+
+def random_matrix(rng):
+    return linalg.mat([[random_gq(rng) for _ in range(3)] for _ in range(3)])
+
+
+def conjugated(rng, block):
+    """c * P block P^-1 for a random invertible P and a random nonzero c."""
+    while True:
+        p = random_matrix(rng)
+        if not linalg.det(p).is_zero:
+            break
+    c = GQ(0)
+    while c.is_zero:
+        c = random_gq(rng)
+    m = linalg.mat_mul(linalg.mat_mul(p, block), linalg.inverse(p))
+    return linalg.mat([[c * x for x in row] for row in m])
+
+
+def test_nilpotency_profile_matches_mat_mul_route():
+    rng = random.Random(8117)
+    cases = [linalg.mat([[GQ(0)] * 3] * 3), linalg.identity(3), e13(), full_jordan()]
+    for _ in range(150):
+        cases.append(random_matrix(rng))
+        cases.append(conjugated(rng, full_jordan()))
+        cases.append(conjugated(rng, e13()))
+    seen = set()
+    for m in cases:
+        expected = profile_by_mat_mul(m)
+        assert nilpotency_profile(m) == expected, m
+        seen.add(expected)
+    assert seen == {1, 2, 3, None}
 
 
 def e13():
