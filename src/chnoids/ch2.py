@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import InputError, linalg
 from .exactnum import ONE, GaussianRational, UniPoly, poly_gcd
+from .linalg import GaussInt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,9 +39,6 @@ _J_SIGNS = (1, 1, -1)  # the diagonal of J_EXACT
 
 class CH2Error(InputError):
     pass
-
-
-GaussInt = tuple[int, int]  # (re, im), Python ints
 
 
 def _gmul(x: GaussInt, y: GaussInt) -> GaussInt:
@@ -196,12 +194,9 @@ class Matrix21:
         return isinstance(self.rows, tuple)
 
     @cached_property
-    def scaled(self) -> tuple[tuple[tuple[GaussInt, ...], ...], int]:
-        """Exact backing as (M, d) with A = M/d: M has Gaussian-integer
-        entries and d > 0 is the lcm of the nine denominators."""
-        parts = [[x.parts for x in row] for row in self.rows]
-        d = math.lcm(*(e for row in parts for _, _, e in row))
-        return tuple(tuple((a * (d // e), b * (d // e)) for a, b, e in row) for row in parts), d
+    def scaled(self) -> tuple[linalg.GaussMatrix, int]:
+        """Exact backing as (M, d) with A = M/d (``linalg.scaled``)."""
+        return linalg.scaled(self.rows)
 
     def as_array(self) -> np.ndarray:
         import numpy as np

@@ -2,12 +2,16 @@
 
 Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
-ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  The
-polynomial kernels (product, division, evaluation) and ``dot`` write
+ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0; an integer
+literal is read and written through ``int``, any other through
+``Fraction``.  The polynomial kernels (product, division, evaluation,
+``from_roots``, ``RationalFunction.partial_fractions``) and ``dot`` write
 their operands as Gaussian integers over one common denominator,
-accumulate in Python ints, and reduce each output coefficient once.
-Zero-locus queries never materialize algebraic numbers: everything goes
-through resultants, gcds and evaluation.
+accumulate in Python ints, and reduce each output coefficient once; a
+polynomial packs its coefficients that way once and keeps the packing.
+A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
+never materialize algebraic numbers: everything goes through resultants,
+gcds and evaluation.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
@@ -160,7 +165,10 @@ class GaussianRational:
     # -- serialization ("a/b+c/di") ---------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
+        if self._d == 1:  # a Gaussian integer formats as its ints, as Fraction does
+            re, im = self._a, self._b
+        else:
+            re, im = self.re, self.im
         if im == 0:
             return str(re)
         if re == 0:
@@ -189,6 +197,11 @@ class GaussianRational:
                 im_part = "1"
             elif im_part == "-":
                 im_part = "-1"
+        if "/" not in s:
+            try:  # int reads the integer literals Fraction reads, and no others
+                return _new(int(re_part), int(im_part), 1)
+            except ValueError:
+                pass  # a decimal or exponent literal, or an invalid one
         try:
             return GaussianRational.of(re_part, im_part)
         except ZeroDivisionError as exc:
@@ -240,6 +253,21 @@ def _over_common(xs: Sequence[GaussianRational]) -> tuple[list[int], list[int], 
         us.append(x._a * s)
         vs.append(x._b * s)
     return us, vs, den
+
+
+def _root_product(wu: list[int], wv: list[int], e: int) -> tuple[list[int], list[int]]:
+    """prod_k (e z - w_k), w_k = wu[k] + i wv[k], as Gaussian-integer coefficients (re, im)."""
+    pu, pv = [1], [0]
+    for a, b in zip(wu, wv):
+        # times (e z - w): coefficient k becomes e p_(k-1) - w p_k
+        qu, qv = [0] * (len(pu) + 1), [0] * (len(pu) + 1)
+        for k, (x, y) in enumerate(zip(pu, pv)):
+            qu[k + 1] += e * x
+            qv[k + 1] += e * y
+            qu[k] -= a * x - b * y
+            qv[k] -= a * y + b * x
+        pu, pv = qu, qv
+    return pu, pv
 
 
 def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
@@ -301,10 +329,15 @@ class UniPoly:
 
     @staticmethod
     def from_roots(roots: Sequence[GaussianRational]) -> "UniPoly":
-        p = UniPoly.of([1])
-        for r in roots:
-            p = p * UniPoly.of([-r, ONE])
-        return p
+        """prod_k (z - roots[k]), monic."""
+        wu, wv, e = _over_common(roots)
+        pu, pv = _root_product(wu, wv, e)
+        return _poly_over(pu, pv, e ** len(roots))
+
+    @cached_property
+    def _packed(self) -> tuple[list[int], list[int], int]:
+        """The coefficients over one denominator, as ``_over_common`` writes them."""
+        return _over_common(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -346,8 +379,8 @@ class UniPoly:
             return UniPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        au, av, ad = _over_common(self.coeffs)
-        bu, bv, bd = _over_common(other.coeffs)
+        au, av, ad = self._packed
+        bu, bv, bd = other._packed
         ru = [0] * (len(au) + len(bu) - 1)
         rv = ru[:]
         for i, (a, b) in enumerate(zip(au, av)):
@@ -392,24 +425,25 @@ class UniPoly:
             scale *= e
         return UniPoly(tuple(quot)), _poly_over(ru[:dv], rv[:dv], scale)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
     def __call__(self, z: GaussianRational) -> GaussianRational:
+        return _canonical(*self._parts_at(z))
+
+    def _parts_at(self, z: GaussianRational) -> tuple[int, int, int]:
+        """self(z) as ints (re, im, den), den > 0, not reduced: self(z) = (re + i im)/den."""
         if self.is_zero:
-            return ZERO
+            return 0, 0, 1
         # Horner homogenized in z = (u + iv)/e: after each step the sum sits
         # over den * e^k, so each lower coefficient enters times e^k.
-        us, vs, den = _over_common(self.coeffs)
+        us, vs, den = self._packed
         u, v, e = z._a, z._b, z._d
         re, im, s = us[-1], vs[-1], 1
         for k in range(len(us) - 2, -1, -1):
             s *= e
             re, im = re * u - im * v + us[k] * s, re * v + im * u + vs[k] * s
-        return _canonical(re, im, den * s)
+        return re, im, den * s
 
     def derivative(self) -> "UniPoly":
         return UniPoly.of([c * k for k, c in enumerate(self.coeffs)][1:])
@@ -509,23 +543,57 @@ class RationalFunction:
     num: UniPoly
     den: UniPoly
 
+    @staticmethod
+    def partial_fractions(
+        poles: Sequence[GaussianRational], residues: Sequence[GaussianRational]
+    ) -> "RationalFunction":
+        """sum_k residues[k]/(z - poles[k]) as num/V: V = prod_k (z - poles[k]) and
+        num = sum_k residues[k] V/(z - poles[k]).
+
+        With the poles written w_k/e over one denominator, P = prod_k (e z - w_k)
+        has Gaussian-integer coefficients and V = P/e^n.  Each cofactor is
+        V/(z - poles[k]) = Q_k/e^(n-1), where Q_k = P/(e z - w_k) comes from
+        synthetic division, exact in Z[i]; num accumulates sum_k residues[k] Q_k
+        in ints and each of its coefficients is reduced once.
+        """
+        wu, wv, e = _over_common(poles)
+        pu, pv = _root_product(wu, wv, e)
+        ru, rv, f = _over_common(residues)
+        n = len(wu)
+        nu, nv = [0] * n, [0] * n
+        for a, b, c, g in zip(wu, wv, ru, rv):
+            x = y = 0  # Q_k, from Q_n = 0 down: Q_(k-1) = (P_k + w Q_k)/e
+            for k in range(n, 0, -1):
+                x, y = (pu[k] + a * x - b * y) // e, (pv[k] + a * y + b * x) // e
+                nu[k - 1] += c * x - g * y
+                nv[k - 1] += c * y + g * x
+        return RationalFunction(_poly_over(nu, nv, f * e ** (n - 1)), _poly_over(pu, pv, e**n))
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @cached_property
+    def _den_prime(self) -> UniPoly:
+        return self.den.derivative()
+
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         """Residue of (self) dz at z = p, where p is at most a simple pole.
 
-        A pole of higher order raises: every denominator here divides the
-        squarefree vanishing polynomial of the punctures.
+        It is num(p)/den'(p) at a root of den: there den = (z - p) h with
+        h(p) = den'(p).  Off the roots of den it is zero.  A pole of higher
+        order (den'(p) = 0 as well) raises: every denominator here divides
+        the squarefree vanishing polynomial of the punctures.
         """
-        h, rem = self.den.divmod(UniPoly.of([-p, ONE]))
-        if not rem.is_zero:  # rem = den(p) != 0: no pole at p
+        re, im, _ = self.den._parts_at(p)
+        if re or im:  # den(p) != 0: no pole at p
             return ZERO
-        h_p = h(p)
-        if h_p.is_zero:
+        a, b, e = self._den_prime._parts_at(p)
+        if not a and not b:
             raise ExactArithmeticError(f"pole of order at least 2 at {p}")
-        return self.num(p) * h_p.inverse()
+        c, f, g = self.num._parts_at(p)
+        # ((c + fi)/g) / ((a + bi)/e) = e (c + fi)(a - bi) / (g (a^2 + b^2))
+        return _canonical(e * (c * a + f * b), e * (f * a - c * b), g * (a * a + b * b))
 
 
 @dataclass(frozen=True)

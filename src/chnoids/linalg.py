@@ -2,14 +2,20 @@
 
 Matrices are tuples of row tuples of GaussianRational.  Everything here
 is pure and allocation-light; sizes never exceed a handful of rows.
+``scaled`` writes a matrix as M/d with M over the Gaussian integers, for
+callers that decide a question on M in Python ints.
 """
 
 from __future__ import annotations
+
+import math
 
 from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, dot
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
 Vector = tuple[GaussianRational, ...]
+GaussInt = tuple[int, int]  # (re, im), Python ints
+GaussMatrix = tuple[tuple[GaussInt, ...], ...]
 
 
 def mat(rows) -> Matrix:
@@ -23,6 +29,30 @@ def identity(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     columns = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in columns) for row in a)
+
+
+def scaled(a: Matrix) -> tuple[GaussMatrix, int]:
+    """A as (M, d) with A = M/d: M has Gaussian-integer entries and d > 0 is
+    the lcm of the entries' denominators."""
+    parts = [[x.parts for x in row] for row in a]
+    d = math.lcm(*(e for row in parts for _, _, e in row))
+    return tuple(tuple((u * (d // e), v * (d // e)) for u, v, e in row) for row in parts), d
+
+
+def gauss_mat_mul(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
+    """The product of two matrices over the Gaussian integers."""
+    columns = tuple(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in columns:
+            re = im = 0
+            for (p, q), (u, v) in zip(row, col):
+                re += p * u - q * v
+                im += p * v + q * u
+            out_row.append((re, im))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import InputError, linalg
 from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, resultant
@@ -61,11 +62,17 @@ class NnoidData:
             raise NnoidDataError("g1 and g2 must be nonzero")
         if resultant(g1, g2).is_zero:
             raise NnoidDataError("g1 and g2 share a projective zero")
-        q_affine = q.dehomogenize()
+        data = NnoidData(n, punctures, omega, g1, g2, q)
+        q_affine = data.affine[2]
         for p in punctures:
             if q_affine(p).is_zero:
                 raise NnoidDataError(f"q vanishes at the puncture {p}")
-        return NnoidData(n, punctures, omega, g1, g2, q)
+        return data
+
+    @cached_property
+    def affine(self) -> tuple[UniPoly, UniPoly, UniPoly]:
+        """g1, g2 and q in the affine chart, dehomogenized once."""
+        return self.g1.dehomogenize(), self.g2.dehomogenize(), self.q.dehomogenize()
 
     def to_json(self) -> dict:
         out = {"n": self.n}
@@ -128,9 +135,7 @@ def build_higgs(data: NnoidData) -> HiggsField:
     The lower-left block of S is (g1, g2), the upper-right block is
     (-q g2, q g1)^t; the diagonal blocks vanish identically.
     """
-    g1 = data.g1.dehomogenize()
-    g2 = data.g2.dehomogenize()
-    q = data.q.dehomogenize()
+    g1, g2, q = data.affine
     zero = UniPoly.zero()
     s = (
         (zero, zero, -(q * g2)),
@@ -176,9 +181,7 @@ def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
     """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
     r = data.omega.residue_at(p)
-    g1 = data.g1.dehomogenize()(p)
-    g2 = data.g2.dehomogenize()(p)
-    q = data.q.dehomogenize()(p)
+    g1, g2, q = (f(p) for f in data.affine)
     zero = GaussianRational.of(0)
     rows = [
         [zero, zero, r * (-(q * g2))],
@@ -189,12 +192,16 @@ def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueM
 
 
 def nilpotency_profile(m: linalg.Matrix) -> int | None:
-    """Smallest k in {1, 2, 3} with M^k = 0, or None if M^3 != 0."""
-    power = m
+    """Smallest k in {1, 2, 3} with M^k = 0, or None if M^3 != 0.
+
+    Decided on the Gaussian-integer numerator of M = N/d: M^k = 0 iff N^k = 0.
+    """
+    n, _ = linalg.scaled(m)
+    power = n
     for k in range(1, 4):
-        if linalg.is_zero_matrix(power):
+        if not any(re or im for row in power for re, im in row):
             return k
-        power = linalg.mat_mul(power, m)
+        power = linalg.gauss_mat_mul(power, n)
     return None
 
 

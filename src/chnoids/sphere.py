@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import InputError
-from .exactnum import ONE, ZERO, GaussianRational, RationalFunction, RationalOneForm, UniPoly, dot
+from .exactnum import ZERO, GaussianRational, RationalFunction, RationalOneForm, UniPoly
 
 
 class SphereError(InputError):
@@ -70,14 +70,11 @@ class LogOneForm:
     def as_rational_form(self) -> RationalOneForm:
         """omega = (num/V) dz in the affine chart, num = sum_i r_i V/(z - p_i).
 
-        Built one coefficient at a time.  The form is already reduced: V is
-        monic and squarefree, and num(p_i) = r_i prod_{j != i} (p_i - p_j)
-        is nonzero.
+        The form is already reduced: V is monic and squarefree, and
+        num(p_i) = r_i prod_{j != i} (p_i - p_j) is nonzero.
         """
-        vanishing = self.punctures.vanishing_poly()
-        cofactors = [(vanishing // UniPoly.of([-p, ONE])).coeffs for p in self.punctures]
-        num = UniPoly.of(dot(self.residues, column) for column in zip(*cofactors))
-        return RationalOneForm(RationalFunction(num, vanishing))
+        fn = RationalFunction.partial_fractions(self.punctures.points, self.residues)
+        return RationalOneForm(fn)
 
     def to_json(self) -> dict:
         return {

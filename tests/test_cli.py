@@ -21,7 +21,7 @@ import chnoids
 from chnoids import cli, linalg, nnoid
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
-from chnoids.exactnum import GQ, GaussianRational
+from chnoids.exactnum import GQ, GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
 
 
@@ -160,6 +160,30 @@ def test_nnoid_check_fractional_certificate_pinned(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["status"] == "stable"
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FRACTIONAL
+
+
+def _refused(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"nnoid check called {what}")
+
+    return refused
+
+
+@pytest.mark.parametrize("n", [*sorted(PINNED_CERTIFICATES), "fractional"])
+def test_nnoid_check_avoids_mat_mul_and_divmod(n, monkeypatch):
+    """The pinned nnoid check certificates come out with linalg.mat_mul and
+    UniPoly.divmod refused, so no second residue or nilpotency path is left."""
+    obj = FRACTIONAL_NNOID if n == "fractional" else random_nnoid_data(n, 2602).to_json()
+    args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
+    # parsing runs the resultant of g1 and g2, which divides; refuse after it
+    data = cli._parse_nnoid_check(json.loads(json.dumps(obj)), args)
+    monkeypatch.setattr(linalg, "mat_mul", _refused("linalg.mat_mul"))
+    monkeypatch.setattr(UniPoly, "divmod", _refused("UniPoly.divmod"))
+    cert, passed = cli.cmd_nnoid_check(data, args)
+    assert passed
+    out = json.dumps(cert, indent=2) + "\n"
+    pinned = PINNED_FRACTIONAL if n == "fractional" else PINNED_CERTIFICATES[n]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
 def _classify_seed(kind: str):

@@ -353,6 +353,14 @@ def test_residue_simple_pole():
     assert r.residue_at(GQ(5)).is_zero
 
 
+def test_residue_off_the_poles_is_zero():
+    # 1/(z - i); den(0) = -i has a zero real part, yet 0 is no pole
+    r = RationalFunction(UniPoly.of([1]), UniPoly.from_roots([GQ(0, 1)]))
+    assert r.residue_at(GQ(0, 1)) == ONE
+    for p in (GQ(0), GQ(1), GQ(2, 1), GQ(1, 1)):
+        assert r.residue_at(p).is_zero, p
+
+
 def test_residue_double_pole_raises():
     # (z + 1)/(z - 1)^2 has a double pole at 1; only simple poles are handled
     num = UniPoly.of([1, 1])
