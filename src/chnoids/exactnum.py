@@ -198,7 +198,7 @@ class GaussianRational:
             elif im_part == "-":
                 im_part = "-1"
         if "/" not in s:
-            try:  # int reads the integer literals Fraction reads, and no others
+            try:  # int reads an integer literal as Fraction does
                 return _new(int(re_part), int(im_part), 1)
             except ValueError:
                 pass  # a decimal or exponent literal, or an invalid one
@@ -335,9 +335,10 @@ class UniPoly:
         return _poly_over(pu, pv, e ** len(roots))
 
     @cached_property
-    def _packed(self) -> tuple[list[int], list[int], int]:
+    def _packed(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The coefficients over one denominator, as ``_over_common`` writes them."""
-        return _over_common(self.coeffs)
+        us, vs, den = _over_common(self.coeffs)
+        return tuple(us), tuple(vs), den
 
     @property
     def is_zero(self) -> bool:

@@ -169,8 +169,9 @@ def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
     """Residue of Phi at a puncture (partial-fraction route).
 
     Only omega has poles and S is polynomial, so Res_p(omega S) =
-    Res_p(omega) S(p): one partial-fraction residue of omega (V divided by
-    z - p) times the products ``build_higgs`` built, evaluated at p.
+    Res_p(omega) S(p): the residue num(p)/V'(p) of the reduced form
+    omega = (num/V) dz times the products ``build_higgs`` built, evaluated
+    at p.
     """
     if p not in phi.data.punctures:
         raise SphereError(f"{p} is not a puncture")
