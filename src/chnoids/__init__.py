@@ -4,10 +4,55 @@ Subpackages: exact Gaussian-rational arithmetic (exactnum), the punctured
 sphere (sphere), the explicit Higgs field and its residues (nnoid),
 parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
+The input boundary they share sits here: ``InputError`` and ``rational``,
+the reader of every exact rational literal.
 """
 
+import re as _re
+from fractions import Fraction
+
 __version__ = "0.1.0"
+
+# digits allowed in a numerator or denominator that an exact literal gives or
+# a certificate prints: the interpreter's default int-to-str limit, past which
+# printing them would fail
+MAX_CERTIFICATE_DIGITS = 4300
 
 
 class InputError(ValueError):
     """Input outside a command's domain: ``chnoids`` exits 2 on it and its subclasses."""
+
+
+# a decimal literal with an exponent, in Fraction's syntax: integer digits,
+# fraction digits, exponent sign and exponent digits; compiled on first use
+_DIGITS = r"(\d*|\d+(?:_\d+)*)"
+_EXPONENT_LITERAL = rf"\s*[+-]?(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?[eE]([+-]?)(\d+(?:_\d+)*)\s*"
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction, from a Fraction, an int or a literal that Fraction reads.
+
+    Fraction builds 10^|e| in full for an exponent e, so a literal with an
+    exponent is refused with an ``InputError``, before it is built, when the
+    numerator or the denominator that Fraction would build from its mantissa
+    and exponent has more than MAX_CERTIFICATE_DIGITS digits.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    m = ("e" in x or "E" in x) and _re.fullmatch(_EXPONENT_LITERAL, x)
+    if m:
+        whole, frac, sign, exp = (g.replace("_", "") for g in m.groups(""))
+        limit = MAX_CERTIFICATE_DIGITS
+        exp = exp.lstrip("0")
+        e = int(exp or 0) if len(exp) <= len(str(limit)) else limit + 1  # longer is over anyway
+        num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
+        den = len(frac) + 1 + (e if sign == "-" else 0)
+        if max(num, den) > limit:
+            import reprlib
+
+            raise InputError(f"exact literal {reprlib.repr(x)} is over the limit of {limit} digits")
+    return Fraction(x)

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import InputError, linalg
-from .exactnum import ONE, GaussianRational, UniPoly, poly_gcd
+from .exactnum import GaussianRational, poly_gcd  # ch2.poly_gcd: read by bench/selftest.py
 from .linalg import GaussInt
 
 if TYPE_CHECKING:
@@ -35,6 +35,7 @@ J_EXACT = linalg.mat(
 
 
 _J_SIGNS = (1, 1, -1)  # the diagonal of J_EXACT
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the row or column pairs of a 2x2 minor
 
 
 class CH2Error(InputError):
@@ -55,6 +56,10 @@ def _gsum(xs: Iterable[GaussInt]) -> GaussInt:
         re += x
         im += y
     return re, im
+
+
+def _minor(m: linalg.GaussMatrix, i: int, j: int, k: int, l: int) -> GaussInt:
+    return _gsub(_gmul(m[i][k], m[j][l]), _gmul(m[i][l], m[j][k]))
 
 
 def _is_exact_vector(z: Sequence) -> bool:
@@ -303,9 +308,10 @@ def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     Geometry, 1999, Thm 6.2.4): with tau = tr A and |det A| = 1,
     f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is positive iff A
     is loxodromic and negative iff A is regular elliptic.  At f = 0 an
-    eigenvalue lambda repeats; it lies in Q(i), as the root of
-    gcd(chi, chi') for the characteristic polynomial chi.  A double lambda
-    is elliptic iff rank(A - lambda I) = 1, a triple one iff A = lambda I.
+    eigenvalue lambda repeats; with e the sum of A's principal 2x2 minors,
+    it is tau/3, triple, if tau^2 = 3e, and else (tau e - 9 det A) /
+    (2 (tau^2 - 3e)), double.  A double lambda is elliptic iff
+    rank(A - lambda I) = 1, a triple one iff A = lambda I.
     Float backing compares eigenvalues within ``tol``.
     """
     if not preserves_form(a, tol):
@@ -321,19 +327,16 @@ def _classify_exact(a: Matrix21) -> str:
     M's characteristic polynomial is chi_M(w) = w^3 - T w^2 + E w - D, for
     T = tr M, E the sum of its principal 2x2 minors and D = det M, and A's
     is chi_M(d z) / d^3: tau = T/d and det A = D/d^3.  Goldman's f times
-    d^4 |D|^2 > 0 is an integer, so its sign is exact.  At f = 0 the
-    repeated root of chi_M is mu = d lambda, read off gcd(chi_M, chi_M'),
-    and rank(A - lambda I) = rank(M - mu I).
+    d^4 |D|^2 > 0 is an integer, so its sign is exact.  At f = 0 chi_M has
+    roots mu = d lambda, mu, nu: P = T^2 - 3E = (mu - nu)^2, TE - 9D = 2 mu P.
+    So mu = T/3 is triple if P = 0, else (TE - 9D)/(2P) is double, and
+    rank(A - lambda I) = rank(N) for N = 3M - T I or 2P M - (TE - 9D) I.
     """
     m, d = a.scaled
     t = _gsum(m[i][i] for i in range(3))
-    e = _gsum(
-        _gsub(_gmul(m[i][i], m[j][j]), _gmul(m[i][j], m[j][i]))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    )
+    e = _gsum(_minor(m, i, j, i, j) for i, j in _PAIRS)
     det = _gsum(
-        _gmul(m[0][c], _gsub(_gmul(m[1][c1], m[2][c2]), _gmul(m[1][c2], m[2][c1])))
-        for c, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        _gmul(m[0][c], _minor(m, 1, 2, k, l)) for c, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     )
     t_abs2 = t[0] * t[0] + t[1] * t[1]
     det_abs2 = det[0] * det[0] + det[1] * det[1]
@@ -345,18 +348,15 @@ def _classify_exact(a: Matrix21) -> str:
         return IsometryClass.LOXODROMIC
     if f < 0:
         return IsometryClass.ELLIPTIC
-    gq = GaussianRational.of
-    chi = UniPoly.of([gq(-det[0], -det[1]), gq(*e), gq(-t[0], -t[1]), ONE])
-    g = poly_gcd(chi, chi.derivative())  # (w - mu)^k, for mu of multiplicity k + 1
-    u, v, q = (-g.coeffs[-2] / g.degree).parts
-    # q M - (u + vi) I = q (M - mu I) over the Gaussian integers; A is
-    # diagonalizable iff its kernel has dimension k + 1, i.e. rank 2 - k
-    shifted = [
-        [gq(q * x - u * (i == j), q * y - v * (i == j)) for j, (x, y) in enumerate(row)]
-        for i, row in enumerate(m)
-    ]
-    rank = len(linalg._echelon(shifted)[1])
-    return IsometryClass.ELLIPTIC if rank == 2 - g.degree else IsometryClass.PARABOLIC
+    p = _gsub(_gmul(t, t), _gmul((3, 0), e))
+    triple = p == (0, 0)
+    # N = q (M - mu I) for mu = r/q; A is elliptic iff rank N is 0 (triple mu) or 1 (double)
+    q, r = ((3, 0), t) if triple else (_gmul((2, 0), p), _gsub(_gmul(t, e), _gmul((9, 0), det)))
+    n = [[_gsub(_gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
+         for i, row in enumerate(m)]
+    minors = (_minor(n, *rows, *cols) for rows in _PAIRS for cols in _PAIRS)
+    vanish = (x for row in n for x in row) if triple else minors
+    return IsometryClass.PARABOLIC if any(map(any, vanish)) else IsometryClass.ELLIPTIC
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import InputError, __version__, nnoid, stability
+from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, nnoid, rational, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData
 from .sphere import PunctureSet, make_log_form
@@ -45,9 +45,6 @@ EXIT_INPUT = 2
 # points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
-# digits of each numerator and denominator a stability check prints: the
-# interpreter's default int-to-str limit, past which printing them would fail
-MAX_CERTIFICATE_DIGITS = 4300
 MAX_GRID_POINTS = 2**20  # Nx * Ny
 MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
 
@@ -263,7 +260,7 @@ def _parse_stability(obj: dict, pairs: int):
 
     def fraction(s: str) -> Fraction:
         if s not in parsed:
-            parsed[s] = Fraction(s)
+            parsed[s] = rational(s)
         return parsed[s]
 
     weights = []

@@ -4,7 +4,7 @@ Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
 ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0; an integer
 literal is read and written through ``int``, any other through
-``Fraction``.  The polynomial kernels (product, division, evaluation,
+``rational``.  The polynomial kernels (product, division, evaluation,
 ``from_roots``, ``RationalFunction.partial_fractions``) and ``dot`` write
 their operands as Gaussian integers over one common denominator,
 accumulate in Python ints, and reduce each output coefficient once; a
@@ -24,19 +24,11 @@ from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
 
+from . import rational
+
 
 class ExactArithmeticError(ArithmeticError):
     pass
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
 class GaussianRational:
@@ -59,7 +51,7 @@ class GaussianRational:
     def of(re=0, im=0) -> "GaussianRational":
         if re.__class__ is int and im.__class__ is int:
             return _new(re, im, 1)  # already canonical over d = 1
-        re, im = _frac(re), _frac(im)
+        re, im = rational(re), rational(im)
         d = _lcm(re.denominator, im.denominator)
         return _new(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 

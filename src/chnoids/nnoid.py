@@ -151,18 +151,16 @@ def trace_phi(phi: HiggsField) -> UniPoly:
 
 
 def trace_phi_squared(phi: HiggsField) -> UniPoly:
-    """tr S^2 = sum of S_ij S_ji; tr Phi^2 is this polynomial times omega^2.
+    """tr S^2 = sum of S_ii^2 + 2 sum_{i<j} S_ij S_ji, each distinct product
+    formed once; tr Phi^2 is this polynomial times omega^2.
 
     omega != 0, so tr Phi^2 vanishes identically iff this polynomial is
     zero; a sign tamper in either block leaves a nonzero multiple of
     q g1 g2.
     """
     s = phi.s
-    acc = UniPoly.zero()
-    for i in range(3):
-        for j in range(3):
-            acc = acc + s[i][j] * s[j][i]
-    return acc
+    off = s[0][1] * s[1][0] + s[0][2] * s[2][0] + s[1][2] * s[2][1]
+    return s[0][0] * s[0][0] + s[1][1] * s[1][1] + s[2][2] * s[2][2] + off + off
 
 
 def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:

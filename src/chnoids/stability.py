@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from . import InputError
+from . import InputError, rational
 
 
 class StabilityError(InputError):
@@ -35,10 +35,6 @@ class StabilityError(InputError):
 
 class InternalDisagreement(AssertionError):
     """Slope-form and expanded-form evaluations disagreed; abort."""
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class WeightTriple:
 
     @staticmethod
     def of(a1, a2, a3) -> "WeightTriple":
-        w = WeightTriple(_fr(a1), _fr(a2), _fr(a3))
+        w = WeightTriple(rational(a1), rational(a2), rational(a3))
         if not (0 <= w.a1 <= w.a2 <= w.a3 < 1):
             raise StabilityError("weights must satisfy 0 <= a1 <= a2 <= a3 < 1")
         return w
@@ -103,8 +99,8 @@ class PunctureWeights:
 
     @staticmethod
     def of(weights: WeightTriple, beta=None, gamma=None) -> "PunctureWeights":
-        b = weights.a1 if beta is None else _fr(beta)
-        g = weights.a1 if gamma is None else _fr(gamma)
+        b = weights.a1 if beta is None else rational(beta)
+        g = weights.a1 if gamma is None else rational(gamma)
         if b not in weights.values or g not in weights.values:
             raise StabilityError("beta and gamma must be values of the weight triple")
         return PunctureWeights(weights, b, g)

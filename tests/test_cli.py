@@ -8,6 +8,7 @@ import math
 import os
 import pkgutil
 import random
+import reprlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chnoids
-from chnoids import cli, linalg, nnoid
+from chnoids import ch2, cli, linalg, nnoid
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GQ, GaussianRational, UniPoly
@@ -239,19 +240,24 @@ def test_ch2_classify_certificate_pinned(kind, seed, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _refuse(name):
+def _refuse(owner, name):
     def refused(*args, **kwargs):
-        raise AssertionError(f"exact ch2 classify called linalg.{name}")
+        raise AssertionError(f"exact ch2 classify called {owner.__name__}.{name}")
 
     return refused
+
+
+# generic linear algebra, and the polynomial gcd over Q(i) with its remainders
+CLASSIFY_REFUSED = [(linalg, "minimal_polynomial"), (linalg, "charpoly"), (linalg, "mat_mul"),
+                    (linalg, "_echelon"), (UniPoly, "divmod"), (ch2, "poly_gcd")]
 
 
 @pytest.mark.parametrize("kind, seed", sorted(PINNED_CLASSIFY))
 def test_exact_classify_avoids_generic_linalg(kind, seed, tmp_path, capsys, monkeypatch):
     # the inputs are built with mat_mul before it is refused
     path = write_json(tmp_path, "m.json", classify_input(kind, seed))
-    for name in ("minimal_polynomial", "charpoly", "mat_mul"):
-        monkeypatch.setattr(linalg, name, _refuse(name))
+    for owner, name in CLASSIFY_REFUSED:
+        monkeypatch.setattr(owner, name, _refuse(owner, name))
     code, out, _ = run(["ch2", "classify", path], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLASSIFY[kind, seed][1]
@@ -796,8 +802,10 @@ FUZZ_SEEDS = {
 }
 DROP, WRAP, INF = object(), object(), "<1e400>"
 # replacement values: every JSON type, a zero denominator, an overflowing
-# float literal and integers too large for a float or a machine word
-REPLACEMENTS = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, INF, 10**30, -(2**64), 10**400]
+# float literal, integers too large for a float or a machine word, and small
+# exponent literals
+REPLACEMENTS = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, INF, 10**30, -(2**64), 10**400,
+                "1e3", "2.5e-3"]
 
 
 def _paths(obj, prefix=()):
@@ -925,6 +933,35 @@ def test_fresh_process_input_error_exits_2(command, obj, message, tmp_path, caps
     proc = run_python(["-m", "chnoids.cli", *argv])
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+def over_digit_limit(literal):
+    return f"error: exact literal {reprlib.repr(literal)} is over the limit of 4300 digits\n"
+
+
+NNOID_5 = random_nnoid_data(5, 0).to_json()
+STABILITY_ZERO_WEIGHTS = {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                          "weights": [{"triple": ["0", "0", "0"]}] * 5}
+
+
+# An exponent literal is refused before Fraction builds 10^e in full: a
+# puncture or g1 coefficient of 1e5000 used to end in an int-to-str traceback
+# when the certificate echoed it, and a weight of 1e-100000000 ran for minutes.
+# In a new interpreter with a timeout, so a hang fails instead of stalling.
+@pytest.mark.parametrize(
+    "command, obj, path, literal",
+    [
+        ("nnoid check", NNOID_5, ("punctures", 0), "1e5000"),
+        ("nnoid check", NNOID_5, ("g1", "coeffs", 0), "1e5000"),
+        ("stability check", STABILITY_ZERO_WEIGHTS, ("weights", 4, "triple", 2), "1e-100000000"),
+        ("nnoid check", NNOID_5, ("punctures", 0), "1e" + "9" * 5000),
+    ],
+    ids=["nnoid-puncture", "nnoid-g1", "stability-weight", "exponent-5000-nines"],
+)
+def test_fresh_process_refuses_huge_exponent_literal(command, obj, path, literal, tmp_path):
+    argv = [*command.split(), write_json(tmp_path, "in.json", _mutate(obj, path, literal))]
+    proc = run_python(["-m", "chnoids.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", over_digit_limit(literal))
 
 
 # Runs main in a new interpreter and prints its exit code and whether numpy

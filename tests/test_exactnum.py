@@ -12,7 +12,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from chnoids import linalg
+from chnoids import InputError, linalg, rational
 from chnoids.exactnum import (
     GQ,
     ONE,
@@ -631,6 +631,29 @@ def test_parse_matches_fraction_route(literal):
     z = GaussianRational.parse(literal)
     assert (z.re, z.im) == expected
     assert_canonical(z)
+
+
+# an exponent literal may give its numerator or denominator at most 4300
+# digits; the count is made before Fraction builds 10^e
+@pytest.mark.parametrize(
+    "literal, value",
+    [("1e4299", Fraction(10**4299)), ("1e-4299", Fraction(1, 10**4299)), ("2.5e-3", Fraction(1, 400)),
+     ("-1_0.5E+1_0", Fraction(-105 * 10**9)), (" 0.00e0 ", Fraction(0))],
+)
+def test_exponent_literal_within_digit_limit(literal, value):
+    assert rational(literal) == value
+    assert GaussianRational.parse(literal) == GQ(value)
+    assert GaussianRational.parse(literal + "i") == GQ(0, value)
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e4300", "1e-4300", "1.5e-4299", "0e5000", "9" * 4300 + "e1", "1e" + "9" * 5000]
+)
+def test_exponent_literal_over_digit_limit(literal):
+    for refused in (lambda: rational(literal), lambda: GaussianRational.parse(literal),
+                    lambda: GaussianRational.parse(literal + "i")):
+        with pytest.raises(InputError, match="over the limit of 4300 digits"):
+            refused()
 
 
 def str_by_fractions(a, b):
