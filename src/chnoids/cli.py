@@ -36,13 +36,16 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check takes 1.6-2.2 s at n = 64 with random coefficients (1.4-2.0 s
-# of it the resultant of g1 and g2) and 0.14-0.19 s with g1 = z0^60, g2 = z1^61,
-# a stability region 0.17 s at n = 5, dmax = 140, stability check
-# or a region at dmax = 0 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s
-# weighted (most of it echoing the weights into the certificate), stability
-# check 0.18 s at the digit limit (715 distinct prime denominators), cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16 modes on 2^20
-# points and 6.5 s with 2^18 modes on 8 x 8.
+# host: nnoid check takes 0.17-0.23 s at n = 64 with 1-, 4- or 12-digit
+# coefficients (under 1 ms of it proving Res(g1, g2) != 0 modulo a prime; the
+# exact resultant, run only when every prime divides Res, took 3-4 s at 1 digit
+# and 26-27 s at 4) and 0.17-0.21 s with g1 = z0^60, g2 = z1^61; a stability
+# region 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
+# 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted (most of it
+# echoing the weights into the certificate); stability check 0.18 s at the
+# digit limit (715 distinct prime denominators); cusp verify 0.1-0.8 s on the
+# grid alone, 0.5-1.4 s with 16 modes on 2^20 points and 6.5 s with 2^18 modes
+# on 8 x 8.
 MAX_NNOID_N = 64
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny

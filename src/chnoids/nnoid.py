@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import InputError, linalg
-from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, resultant
+from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly
+from .exactnum import resultant, resultant_nonzero_mod_p
 from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
 
 
@@ -60,7 +61,7 @@ class NnoidData:
             )
         if g1.is_zero or g2.is_zero:
             raise NnoidDataError("g1 and g2 must be nonzero")
-        if resultant(g1, g2).is_zero:
+        if not resultant_nonzero_mod_p(g1, g2) and resultant(g1, g2).is_zero:
             raise NnoidDataError("g1 and g2 share a projective zero")
         data = NnoidData(n, punctures, omega, g1, g2, q)
         q_affine = data.affine[2]

@@ -11,6 +11,7 @@ import random
 import reprlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chnoids
-from chnoids import ch2, cli, linalg, nnoid
+from chnoids import ch2, cli, exactnum, linalg, nnoid
 from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GQ, GaussianRational, UniPoly
@@ -173,18 +174,39 @@ def _refused(what):
 @pytest.mark.parametrize("n", [*sorted(PINNED_CERTIFICATES), "fractional"])
 def test_nnoid_check_avoids_mat_mul_and_divmod(n, monkeypatch):
     """The pinned nnoid check certificates come out with linalg.mat_mul and
-    UniPoly.divmod refused, so no second residue or nilpotency path is left."""
+    UniPoly.divmod refused, so no second residue or nilpotency path is left,
+    and parsing decides "g1 and g2 share no zero" without the Q(i) resultant."""
     obj = FRACTIONAL_NNOID if n == "fractional" else random_nnoid_data(n, 2602).to_json()
     args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
-    # parsing runs the resultant of g1 and g2, which divides; refuse after it
+    monkeypatch.setattr(UniPoly, "divmod", _refused("UniPoly.divmod"))
     data = cli._parse_nnoid_check(json.loads(json.dumps(obj)), args)
     monkeypatch.setattr(linalg, "mat_mul", _refused("linalg.mat_mul"))
-    monkeypatch.setattr(UniPoly, "divmod", _refused("UniPoly.divmod"))
     cert, passed = cli.cmd_nnoid_check(data, args)
     assert passed
     out = json.dumps(cert, indent=2) + "\n"
     pinned = PINNED_FRACTIONAL if n == "fractional" else PINNED_CERTIFICATES[n]
     assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+
+def shared_factor_input(a: int) -> dict:
+    """n = 5 data with g1 = z0 - a z1 and g2 = z0 (z0 - (a - 1) z1), so that
+    Res(g1, g2) = a (a - (a - 1)) = a up to sign."""
+    obj = nnoid_json(5)
+    obj["g1"] = {"degree": 1, "coeffs": ["1", str(-a)]}
+    obj["g2"] = {"degree": 2, "coeffs": ["1", str(1 - a), "0"]}
+    return obj
+
+
+# Res = P1 vanishes mod the first prime only, and Res = P1 P2 P3 mod all of
+# them, so the exact resultant decides; both exit 0.
+@pytest.mark.parametrize("primes, exact_calls", [(1, 0), (3, 1)])
+def test_nnoid_check_resultant_fallback(primes, exact_calls, tmp_path, capsys, monkeypatch):
+    a = math.prod(p for p, _ in exactnum.RESULTANT_PRIMES[:primes])
+    calls = []
+    monkeypatch.setattr(nnoid, "resultant", lambda f, g: calls.append(1) or exactnum.resultant(f, g))
+    path = write_json(tmp_path, "nn.json", shared_factor_input(a))
+    code, out, _ = run(["nnoid", "check", path], capsys)
+    assert (code, json.loads(out)["status"], len(calls)) == (0, "stable", exact_calls)
 
 
 def _classify_seed(kind: str):
@@ -575,6 +597,12 @@ def nnoid_json(n: int) -> dict:
     }
 
 
+def with_degree(n: int, form: str, degree) -> dict:
+    obj = nnoid_json(n)
+    obj[form]["degree"] = degree
+    return obj
+
+
 def weights_json(triple, **flags) -> list[dict]:
     return [{"triple": triple, **flags}] * 5
 
@@ -623,6 +651,13 @@ def weights_json(triple, **flags) -> list[dict]:
         ("stability check", {"genus": True, "n": 5, "d1": 1, "d2": 2}),
         ("cusp verify", {"grid": {"Nx": 8.7, "Ny": 8, "Y": 1.0, "Ymax": 5.0}}),
         ("cusp verify", {"grid": {"Nx": 8, "Ny": True, "Y": 1.0, "Ymax": 5.0}}),
+        # so is a form's, even 1.0, which the certificate would echo as given
+        ("nnoid check", with_degree(5, "g1", 1.0)),
+        ("nnoid check", with_degree(5, "g1", True)),
+        ("nnoid check", with_degree(4, "g2", 1.0)),
+        ("nnoid check", with_degree(4, "g2", True)),
+        ("nnoid check", with_degree(5, "q", 3.0)),
+        ("nnoid check", with_degree(5, "q", True)),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
@@ -863,12 +898,12 @@ FLOAT_BOOST = {"matrix": [["1.5430806348152437", "0.0", "1.1752011936438014"],
                           ["1.1752011936438014", "0.0", "1.5430806348152437"]]}
 
 
-def run_python(args):
+def run_python(args, timeout=60):
     """``python args`` in a new interpreter that imports this checkout's chnoids."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+                          timeout=timeout)
 
 
 def run_fresh(argv):
@@ -962,6 +997,35 @@ def test_fresh_process_refuses_huge_exponent_literal(command, obj, path, literal
     argv = [*command.split(), write_json(tmp_path, "in.json", _mutate(obj, path, literal))]
     proc = run_python(["-m", "chnoids.cli", *argv])
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", over_digit_limit(literal))
+
+
+def tall_nnoid(n: int, digits: int, seed: int) -> dict:
+    """nnoid_json(n) with seeded g1, g2 whose coefficient parts have ``digits`` digits."""
+    rng = random.Random(seed)
+    obj = nnoid_json(n)
+    for form in ("g1", "g2"):
+        size = obj[form]["degree"] + 1
+        parts = [rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
+                 for _ in range(2 * size)]
+        obj[form]["coeffs"] = [str(GQ(x, y)) for x, y in zip(parts[::2], parts[1::2])]
+    return obj
+
+
+# At the size limit the cost of deciding "g1 and g2 share no zero" must not
+# grow with coefficient height: with 4- and 12-digit coefficients the Q(i)
+# resultant took 26 s and over 150 s.  About 0.2 s each on a 2-CPU host.
+NNOID_64_BUDGET_S = 5
+
+
+@pytest.mark.parametrize("digits", [4, 12])
+def test_fresh_process_nnoid_check_at_limit_with_tall_coefficients(digits, tmp_path):
+    path = write_json(tmp_path, "nn.json", tall_nnoid(cli.MAX_NNOID_N, digits, 6400 + digits))
+    start = time.perf_counter()
+    proc = run_python(["-m", "chnoids.cli", "nnoid", "check", path], timeout=NNOID_64_BUDGET_S)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "stable"
+    assert elapsed < NNOID_64_BUDGET_S
 
 
 # Runs main in a new interpreter and prints its exit code and whether numpy

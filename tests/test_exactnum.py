@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, symbols
+from sympy import Poly, isprime, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -21,10 +21,13 @@ from chnoids.exactnum import (
     ExactArithmeticError,
     GaussianRational,
     RationalFunction,
+    RESULTANT_PRIMES,
     RationalOneForm,
     UniPoly,
+    _resultant_mod,
     poly_gcd,
     resultant,
+    resultant_nonzero_mod_p,
 )
 
 
@@ -208,6 +211,12 @@ def test_resultant_examples():
     assert not resultant(f, g).is_zero
 
 
+@pytest.mark.parametrize("degree", [1.0, True, "1"])
+def test_form_degree_must_be_an_int(degree):
+    with pytest.raises(InputError, match="degree must be an integer"):
+        BinaryForm.from_json({"degree": degree, "coeffs": ["1", "0"]})
+
+
 def test_resultant_zero_input():
     with pytest.raises(ExactArithmeticError):
         resultant(BinaryForm.of(2, [0, 0, 0]), Z0)
@@ -340,6 +349,132 @@ def test_resultant_iff_gcd(f, g):
     shares_root = resultant(f, g).is_zero
     gcd_deg = sympy_form(f).gcd(sympy_form(g)).total_degree()
     assert shares_root == (gcd_deg >= 1)
+
+
+def test_resultant_primes():
+    for p, s in RESULTANT_PRIMES:
+        assert isprime(p) and p % 4 == 1 and p < 2**30  # one CPython int digit
+        assert s * s % p == p - 1
+
+
+P1, S1 = RESULTANT_PRIMES[0]
+
+
+def image_mod(x, p, s):
+    """x under the ring map i -> s onto F_p; p must not divide x's denominator."""
+    a, b, d = x.parts
+    return (a + b * s) * pow(d, -1, p) % p
+
+
+def modular_gq(rng):
+    """random_gq, now and then one that vanishes mod P1 or has P1 in its denominator."""
+    r = rng.random()
+    if r < 0.06:
+        return GQ(P1 * rng.randint(1, 3))
+    if r < 0.12:  # s - i maps to 0 mod P1 without being a multiple of P1
+        return GQ(S1, -1) * GQ(rng.randint(1, 3), rng.randint(-2, 2))
+    if r < 0.15:
+        return GQ(Fraction(rng.randint(1, 5), P1))
+    return random_gq(rng)
+
+
+def times_linear(f, c):
+    """f (z0 - c z1), at declared degree deg f + 1."""
+    cs = (ZERO, *f.coeffs, ZERO)
+    return BinaryForm.of(f.degree + 1, [cs[k + 1] - c * cs[k] for k in range(f.degree + 2)])
+
+
+def modular_pair(rng):
+    """Forms of degree 0..9 with fractional coefficients and zeros; declared
+    leads that vanish in Q(i) or only mod P1, on either side or both; and
+    now and then a planted common root."""
+    shared = rng.random() < 0.2
+    m, n = (rng.randint(0, 8 if shared else 9) for _ in range(2))
+    f, g = (BinaryForm.of(d, [modular_gq(rng) for _ in range(d + 1)]) for d in (m, n))
+    if shared:
+        c = modular_gq(rng)
+        f, g = times_linear(f, c), times_linear(g, c)
+    vanishing = (ZERO, GQ(P1), GQ(S1, -1))
+    if rng.random() < 0.3:
+        f = BinaryForm.of(f.degree, (rng.choice(vanishing), *f.coeffs[1:]))
+    if rng.random() < 0.3:
+        g = BinaryForm.of(g.degree, (rng.choice(vanishing), *g.coeffs[1:]))
+    return f, g
+
+
+def test_resultant_mod_p_is_the_image_of_resultant():
+    rng = random.Random(1707)
+    seen = dict.fromkeys(["skipped", "zero", "nonzero", "f lead", "g lead", "both leads",
+                          "a lead zero mod P1 only"], 0)
+    for _ in range(700):
+        f, g = modular_pair(rng)
+        if f.is_zero or g.is_zero:
+            continue
+        exact = resultant(f, g)
+        for p, s in RESULTANT_PRIMES:
+            got = _resultant_mod(f, g, p, s)
+            if any(not c.parts[2] % p for c in f.coeffs + g.coeffs):
+                assert got is None, (f, g, p)
+                seen["skipped"] += 1
+                continue
+            assert got == image_mod(exact, p, s), (f, g, p)
+            seen["nonzero" if got else "zero"] += 1
+            if p != P1:
+                continue
+            f_lead, g_lead = (image_mod(h.coeffs[0], p, s) for h in (f, g))
+            if not f_lead and not g_lead:
+                seen["both leads"] += 1
+            elif got and not (f_lead and g_lead):  # one side: the swap and its sign
+                seen["f lead" if not f_lead else "g lead"] += 1
+                if not (f if not f_lead else g).coeffs[0].is_zero:
+                    seen["a lead zero mod P1 only"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def z0_minus(a):
+    return BinaryForm.of(1, [1, -a])
+
+
+def test_resultant_mod_p_examples():
+    # Res_{1,1}(z0 - a z1, z0) = a; a = P1 is zero mod P1 only
+    assert resultant(z0_minus(P1), Z0) == GQ(P1)
+    assert _resultant_mod(z0_minus(P1), Z0, P1, S1) == 0
+    assert resultant_nonzero_mod_p(z0_minus(P1), Z0)
+    # a = P1 P2 P3 is zero mod every prime: nothing is decided, resultant decides
+    a = math.prod(p for p, _ in RESULTANT_PRIMES)
+    assert not resultant_nonzero_mod_p(z0_minus(a), Z0)
+    assert resultant(z0_minus(a), Z0) == GQ(a)
+    # constants at declared degree 0: the empty Sylvester matrix, Res = 1
+    c = BinaryForm.of(0, [P1])
+    assert resultant(c, c) == ONE and _resultant_mod(c, c, P1, S1) == 1
+    # a lead that vanishes mod P1 only, on g at odd m n: the swap's sign
+    f, g = BinaryForm.of(1, [1, 2]), BinaryForm.of(1, [P1, 3])
+    assert image_mod(resultant(f, g), P1, S1) == _resultant_mod(f, g, P1, S1) == 3
+    # P1 in a denominator: P1 is skipped
+    assert _resultant_mod(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0, P1, S1) is None
+    assert resultant_nonzero_mod_p(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0)
+    with pytest.raises(ExactArithmeticError):
+        resultant_nonzero_mod_p(BinaryForm.of(2, [0, 0, 0]), Z0)
+
+
+def test_mod_p_decision_matches_resultant_and_sympy_gcd():
+    rng = random.Random(4099)
+    decided = shared = 0
+    for _ in range(300):
+        f, g = modular_pair(rng)
+        if f.is_zero or g.is_zero:
+            continue
+        proved = resultant_nonzero_mod_p(f, g)
+        shares_root = not proved and resultant(f, g).is_zero
+        decided += proved
+        shared += shares_root
+        assert shares_root == resultant(f, g).is_zero, (f, g)
+        # a common zero is [1:0], where both leads vanish, or a common root in
+        # the chart; sympy's univariate gcd is far quicker than its bivariate one
+        at_infinity = f.coeffs[0].is_zero and g.coeffs[0].is_zero
+        chart_gcd = sympy_poly(f.dehomogenize()).gcd(sympy_poly(g.dehomogenize()))
+        assert shares_root == (at_infinity or chart_gcd.degree() >= 1), (f, g)
+    assert decided >= 100 and shared >= 20, (decided, shared)
 
 
 # ---------------------------------------------------------------------------
