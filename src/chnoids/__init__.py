@@ -4,11 +4,13 @@ Subpackages: exact Gaussian-rational arithmetic (exactnum), the punctured
 sphere (sphere), the explicit Higgs field and its residues (nnoid),
 parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
-The input boundary they share sits here: ``InputError`` and ``rational``,
-the reader of every exact rational literal.
+The input boundary they share sits here: ``InputError``, ``rational``, the
+reader of every exact rational literal, and ``integer``, the reader of every
+JSON count and degree.
 """
 
 import re as _re
+import reprlib
 from fractions import Fraction
 
 __version__ = "0.1.0"
@@ -52,7 +54,16 @@ def rational(x) -> Fraction:
         num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
         den = len(frac) + 1 + (e if sign == "-" else 0)
         if max(num, den) > limit:
-            import reprlib
-
             raise InputError(f"exact literal {reprlib.repr(x)} is over the limit of {limit} digits")
     return Fraction(x)
+
+
+def integer(x, what: str) -> int:
+    """x as a JSON count or degree: only a Python int that is not a bool.
+
+    Anything else is an ``InputError``, 1.0 and "1" among them, so that it is
+    neither truncated nor echoed into a certificate as given.
+    """
+    if x.__class__ is not int:
+        raise InputError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    return x

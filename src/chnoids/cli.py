@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, nnoid, rational, stability
+from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, integer, nnoid, rational, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData
 from .sphere import PunctureSet, make_log_form
@@ -36,10 +36,11 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check takes 0.17-0.23 s at n = 64 with 1-, 4- or 12-digit
-# coefficients (under 1 ms of it proving Res(g1, g2) != 0 modulo a prime; the
-# exact resultant, run only when every prime divides Res, took 3-4 s at 1 digit
-# and 26-27 s at 4) and 0.17-0.21 s with g1 = z0^60, g2 = z1^61; a stability
+# host: nnoid check takes 0.15-0.20 s at n = 64 with 1-, 4- or 12-digit
+# coefficients (under 1 ms of it proving g1, g2 coprime modulo a prime) and
+# 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i,
+# the Q(i) gcd refuses the input in 0.24-0.28 s at 1 digit, 0.71-0.84 s at 4
+# and 3.6-4.3 s at 12, and still grows with height (19 s at 30); a stability
 # region 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
 # 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted (most of it
 # echoing the weights into the certificate); stability check 0.18 s at the
@@ -238,17 +239,9 @@ def cmd_nnoid_random(n: int, args) -> tuple[dict, bool]:
 # stability
 
 
-def _integer(value) -> int:
-    """A JSON count or degree; a boolean or a number with a fractional part
-    is an input error, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
 def _parse_stability(obj: dict, pairs: int):
     """Surface and per-puncture weights for a query over ``pairs`` (d1, d2) pairs."""
-    surf = stability.SurfaceData(_integer(obj["genus"]), _integer(obj["n"]))
+    surf = stability.SurfaceData(integer(obj["genus"], "genus"), integer(obj["n"], "n"))
     _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
     raw = obj.get("weights")
     if not raw:
@@ -286,7 +279,8 @@ def _parse_stability(obj: dict, pairs: int):
 
 def _parse_stability_check(obj: dict, args):
     surf, weights = _parse_stability(obj, 1)
-    return obj, surf, stability.MixedDegreeData.of(_integer(obj["d1"]), _integer(obj["d2"]), weights)
+    d1, d2 = integer(obj["d1"], "d1"), integer(obj["d2"], "d2")
+    return obj, surf, stability.MixedDegreeData.of(d1, d2, weights)
 
 
 def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
@@ -315,7 +309,7 @@ def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
 
 
 def _parse_stability_region(obj: dict, args):
-    dmax = _integer(obj.get("dmax", 6))
+    dmax = integer(obj.get("dmax", 6), "dmax")
     return (obj, dmax, *_parse_stability(obj, (dmax + 1) ** 2))
 
 
@@ -366,9 +360,11 @@ def cmd_ch2_classify(a: ch2.Matrix21, args) -> tuple[dict, bool]:
 
 
 def _vector(raw) -> list:
+    from . import ch2
+
     if len(raw) != 3:
         raise InputError("CH^2 points are 3-vectors")
-    return [complex(str(x).replace("i", "j")) for x in raw]
+    return [ch2._parse_complex(str(x)) for x in raw]
 
 
 def _parse_ch2_distance(obj: dict, args):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import InputError
+from . import InputError, integer
 from .ch2 import distance, distances, in_ch2, points_in_ch2
 
 TWO_PI = 2.0 * math.pi
@@ -67,11 +67,10 @@ class StripGrid:
 
     @staticmethod
     def from_json(obj: dict) -> "StripGrid":
-        counts = obj["Nx"], obj["Ny"]
-        # a boolean or fractional count is refused rather than truncated
-        if any(isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()) for c in counts):
-            raise CuspGridError("Nx and Ny must be integers")
-        return StripGrid(int(counts[0]), int(counts[1]), float(obj["Y"]), float(obj["Ymax"]))
+        y, y_max = obj["Y"], obj["Ymax"]
+        if isinstance(y, bool) or isinstance(y_max, bool):  # float(true) would read 1.0
+            raise CuspGridError("Y and Ymax must be numbers")
+        return StripGrid(integer(obj["Nx"], "Nx"), integer(obj["Ny"], "Ny"), float(y), float(y_max))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ their operands as Gaussian integers over one common denominator,
 accumulate in Python ints, and reduce each output coefficient once; a
 polynomial packs its coefficients that way once and keeps the packing.
 A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
-never materialize algebraic numbers: everything goes through resultants,
-gcds and evaluation.
+never materialize algebraic numbers: everything goes through gcds and
+evaluation.
 """
 
 from __future__ import annotations
 
 import re as _re
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +24,7 @@ from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
 
-from . import InputError, rational
+from . import integer, rational
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -492,9 +491,7 @@ class BinaryForm:
 
     @staticmethod
     def from_json(obj: dict) -> "BinaryForm":
-        degree = obj["degree"]
-        if degree.__class__ is not int:  # 3.0 or true would be echoed as given
-            raise InputError(f"a form's degree must be an integer, got {reprlib.repr(degree)}")
+        degree = integer(obj["degree"], "a form's degree")
         return BinaryForm.of(degree, [GaussianRational.parse(c) for c in obj["coeffs"]])
 
 
@@ -504,10 +501,8 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
     Euclidean remainder sequence in the chart z = z0/z1 (Cohen, A Course in
     Computational Algebraic Number Theory, 3.3): with lead(b) != 0 and
     k = deg(a mod b), Res_{m,n}(a, b) = (-1)^(mn) lead(b)^(m-k) Res_{n,k}(b, a mod b),
-    ending at Res_{m,0}(a, c) = c^m.  Where only Res != 0 matters,
-    ``resultant_nonzero_mod_p`` runs the same sequence in F_P first and
-    proves it in a few word-size operations; this exact value is the
-    fallback when every prime gives zero.
+    ending at Res_{m,0}(a, c) = c^m.  No command calls it: ``coprime`` answers
+    whether Res != 0, and this exact value is the tests' oracle for that rule.
     """
     if f.is_zero or g.is_zero:
         raise ExactArithmeticError("resultant of a zero form")
@@ -532,11 +527,32 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
     return out * b.leading() ** m
 
 
+def coprime(f: BinaryForm, g: BinaryForm) -> bool:
+    """Whether f and g share no projective zero over C, that is Res_{m,n}(f, g) != 0.
+
+    Over a field that holds exactly when the declared leads (the z0^d
+    coefficients) do not both vanish, so [1:0] is no common zero, and the gcd
+    in the chart z = z0/z1 is constant.  The rule runs first on the images in
+    F_P, P in RESULTANT_PRIMES: the image of Res is the Res of the images, so
+    a constant gcd mod P proves Res != 0 at any coefficient height.  Only when
+    no prime proves it does the rule run over Q(i), on the monic ``poly_gcd``,
+    whose remainders grow far more slowly than ``resultant``'s
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).
+    """
+    if f.is_zero or g.is_zero:
+        raise ExactArithmeticError("coprimality of a zero form")
+    if any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES):
+        return True
+    if f.coeffs[0].is_zero and g.coeffs[0].is_zero:
+        return False
+    return poly_gcd(f.dehomogenize(), g.dehomogenize()).degree == 0
+
+
 # Primes P = 1 (mod 4), each with s, s^2 = -1 (mod P), so that
 # (a + bi)/d -> (a + b s)/d mod P is a ring map from the Gaussian rationals
 # whose denominators P does not divide onto F_P (Collins, JACM 1971).  Below
-# 2^30 a residue is one CPython int digit, and the remainder sequence runs
-# about twice as fast as with primes near 2^62.
+# 2^30 a residue is one CPython int digit, and Euclid runs about twice as
+# fast as with primes near 2^62.
 RESULTANT_PRIMES = (
     (2**30 - 35, 140687844),
     (2**30 - 83, 289525921),
@@ -575,48 +591,20 @@ def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return r[k:]
 
 
-def _resultant_mod(f: BinaryForm, g: BinaryForm, p: int, s: int) -> int | None:
-    """Res_{m,n}(f, g) mapped to F_p, by the remainder sequence of ``resultant``.
+def _coprime_mod(f: BinaryForm, g: BinaryForm, p: int, s: int) -> bool:
+    """The rule of ``coprime`` on the images of f and g in F_p.
 
-    A declared lead may vanish mod p where it does not in Q(i), so every
-    branch reads the images.  None when p divides a denominator of f or g.
+    False when p divides a denominator or both declared leads vanish mod p;
+    at declared degrees 0 and 0 the latter proves nothing, as Res = 1 there.
     """
-    fp, gp = _image_mod(f, p, s), _image_mod(g, p, s)
-    if fp is None or gp is None:
-        return None
-    m, n = f.degree, g.degree
-    out = 1
-    if not gp[0]:  # g vanishes at [1:0] mod p
-        if not fp[0]:  # so does f: the Sylvester matrix's first column is zero
-            return 0 if m + n else 1
-        fp, gp, m, n = gp, fp, n, m
-        if m * n % 2:
-            out = -1
-    a, b = fp, gp  # a may lead with zeros: they enter the quotient as zeros
-    while n:
-        r = _rem_mod(a, b, p)
-        if not r:
-            return 0
-        k = len(r) - 1
-        out = out * pow(b[0], m - k, p) % p
-        if m * n % 2:
-            out = -out
-        a, b, m, n = b, r, n, k
-    return out * pow(b[0], m, p) % p
-
-
-def resultant_nonzero_mod_p(f: BinaryForm, g: BinaryForm) -> bool:
-    """True when Res_{m,n}(f, g) has a nonzero image in F_P for some P in
-    RESULTANT_PRIMES, which proves that f and g share no projective root.
-
-    The image of the Sylvester determinant is the determinant of the images,
-    so a nonzero residue proves Res != 0 at any coefficient height.  False
-    decides nothing: Res may be zero, or every P may divide it or a
-    denominator; ``resultant`` then decides.
-    """
-    if f.is_zero or g.is_zero:
-        raise ExactArithmeticError("resultant of a zero form")
-    return any(_resultant_mod(f, g, p, s) for p, s in RESULTANT_PRIMES)
+    a, b = _image_mod(f, p, s), _image_mod(g, p, s)
+    if a is None or b is None or not (a[0] or b[0]):
+        return False
+    if not b[0]:
+        a, b = b, a  # b leads; a may lead with zeros, which _rem_mod reads as zeros
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import InputError, linalg
-from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly
-from .exactnum import resultant, resultant_nonzero_mod_p
+from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, coprime
+from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
 
 
@@ -61,7 +61,7 @@ class NnoidData:
             )
         if g1.is_zero or g2.is_zero:
             raise NnoidDataError("g1 and g2 must be nonzero")
-        if not resultant_nonzero_mod_p(g1, g2) and resultant(g1, g2).is_zero:
+        if not coprime(g1, g2):
             raise NnoidDataError("g1 and g2 share a projective zero")
         data = NnoidData(n, punctures, omega, g1, g2, q)
         q_affine = data.affine[2]

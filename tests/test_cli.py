@@ -197,16 +197,42 @@ def shared_factor_input(a: int) -> dict:
     return obj
 
 
+def fallback_input(primes: int) -> dict:
+    """shared_factor_input whose Res is the product of the first ``primes`` primes."""
+    return shared_factor_input(math.prod(p for p, _ in exactnum.RESULTANT_PRIMES[:primes]))
+
+
 # Res = P1 vanishes mod the first prime only, and Res = P1 P2 P3 mod all of
-# them, so the exact resultant decides; both exit 0.
+# them, so no prime proves g1, g2 coprime and the Q(i) gcd decides; both exit 0.
 @pytest.mark.parametrize("primes, exact_calls", [(1, 0), (3, 1)])
 def test_nnoid_check_resultant_fallback(primes, exact_calls, tmp_path, capsys, monkeypatch):
-    a = math.prod(p for p, _ in exactnum.RESULTANT_PRIMES[:primes])
     calls = []
-    monkeypatch.setattr(nnoid, "resultant", lambda f, g: calls.append(1) or exactnum.resultant(f, g))
-    path = write_json(tmp_path, "nn.json", shared_factor_input(a))
+    monkeypatch.setattr(exactnum, "poly_gcd",
+                        lambda a, b, gcd=exactnum.poly_gcd: calls.append(1) or gcd(a, b))
+    path = write_json(tmp_path, "nn.json", fallback_input(primes))
     code, out, _ = run(["nnoid", "check", path], capsys)
     assert (code, json.loads(out)["status"], len(calls)) == (0, "stable", exact_calls)
+
+
+# No command reaches the exact resultant: the pinned certificates and both
+# fallback inputs come out the same with it refused under either name.
+@pytest.mark.parametrize("name", [*map(str, sorted(PINNED_CERTIFICATES)), "fractional",
+                                  "fallback-1", "fallback-3"])
+def test_nnoid_check_never_calls_resultant(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(exactnum, "resultant", _refused("exactnum.resultant"))
+    monkeypatch.setattr(nnoid, "resultant", _refused("nnoid.resultant"))
+    if name == "fractional":
+        obj, pinned = FRACTIONAL_NNOID, PINNED_FRACTIONAL
+    elif name.startswith("fallback-"):
+        obj, pinned = fallback_input(int(name[-1])), None
+    else:
+        obj, pinned = random_nnoid_data(int(name), 2602).to_json(), PINNED_CERTIFICATES[int(name)]
+    code, out, _ = run(["nnoid", "check", write_json(tmp_path, "nn.json", obj)], capsys)
+    assert code == 0
+    if pinned:
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+    else:
+        assert json.loads(out)["status"] == "stable"
 
 
 def _classify_seed(kind: str):
@@ -582,6 +608,16 @@ def test_ch2_distance(tmp_path, capsys):
     assert abs(json.loads(out)["distance"] - 2.0) < 1e-9
 
 
+# a coordinate is read as ch2 classify reads a float entry, spaces around the
+# sign included; "0.1 + 0.2i" used to exit 2
+@pytest.mark.parametrize("literal", ["0.1 + 0.2i", "0.1+0.2i", " 0.1 +0.2 i"])
+def test_ch2_distance_reads_complex_literals_as_classify_does(literal, tmp_path, capsys):
+    path = write_json(tmp_path, "d.json", {"z": [literal, "0", "1"], "w": ["0", "0", "1"]})
+    code, out, _ = run(["ch2", "distance", path], capsys)
+    assert code == 0
+    assert json.loads(out)["distance"] == ch2.distance([0.1 + 0.2j, 0, 1], [0, 0, 1])
+
+
 SMALL_GRID = {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 5.0}
 
 
@@ -658,6 +694,18 @@ def weights_json(triple, **flags) -> list[dict]:
         ("nnoid check", with_degree(4, "g2", True)),
         ("nnoid check", with_degree(5, "q", 3.0)),
         ("nnoid check", with_degree(5, "q", True)),
+        # and a count or degree given as a float or a string, which the
+        # certificate would echo as given; a boolean Y or Ymax would read 1.0
+        ("stability check", {"genus": 0.0, "n": 5, "d1": 1, "d2": 2}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1.0, "d2": 2}),
+        ("stability check", {"genus": 0, "n": 5, "d1": "1", "d2": 2}),
+        ("stability check", {"genus": 0, "n": "5", "d1": 1, "d2": 2}),
+        ("stability region", {"genus": 0, "n": 5.0, "dmax": 3}),
+        ("stability region", {"genus": 0, "n": 5, "dmax": "3"}),
+        ("cusp verify", {"grid": {"Nx": 8.0, "Ny": 8, "Y": 1.0, "Ymax": 5.0}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": "8", "Y": 1.0, "Ymax": 5.0}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": True, "Ymax": 5.0}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 0.5, "Ymax": True}}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
@@ -1013,7 +1061,8 @@ def tall_nnoid(n: int, digits: int, seed: int) -> dict:
 
 # At the size limit the cost of deciding "g1 and g2 share no zero" must not
 # grow with coefficient height: with 4- and 12-digit coefficients the Q(i)
-# resultant took 26 s and over 150 s.  About 0.2 s each on a 2-CPU host.
+# resultant took 26 s and over 150 s.  About 0.2 s each on a 2-CPU host, and
+# 0.8 s for the shared-zero input below.
 NNOID_64_BUDGET_S = 5
 
 
@@ -1025,6 +1074,29 @@ def test_fresh_process_nnoid_check_at_limit_with_tall_coefficients(digits, tmp_p
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     assert json.loads(proc.stdout)["status"] == "stable"
+    assert elapsed < NNOID_64_BUDGET_S
+
+
+def shared_zero_nnoid(n: int, digits: int, seed: int) -> dict:
+    """nnoid_json(n) with g1 = (z0 - (3 + i) z1) h1 and g2 = (z0 - (3 + i) z1) h2,
+    where h1, h2 are the seeded g1, g2 of tall_nnoid(n - 1, digits, seed)."""
+    obj, tall, c = nnoid_json(n), tall_nnoid(n - 1, digits, seed), GQ(3, 1)
+    for form in ("g1", "g2"):
+        h = [GQ(0), *map(GaussianRational.parse, tall[form]["coeffs"]), GQ(0)]
+        obj[form] = {"degree": tall[form]["degree"] + 1,
+                     "coeffs": [str(h[k + 1] - c * h[k]) for k in range(len(h) - 1)]}
+    return obj
+
+
+# g1 and g2 that share a zero reach the Q(i) gcd, which must stay within the
+# same budget at 4 digits: the Q(i) resultant took 26 s on this input.
+def test_fresh_process_nnoid_check_shared_zero_at_limit(tmp_path):
+    path = write_json(tmp_path, "nn.json", shared_zero_nnoid(cli.MAX_NNOID_N, 4, 6404))
+    start = time.perf_counter()
+    proc = run_python(["-m", "chnoids.cli", "nnoid", "check", path], timeout=NNOID_64_BUDGET_S)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "error: g1 and g2 share a projective zero\n"
     assert elapsed < NNOID_64_BUDGET_S
 
 

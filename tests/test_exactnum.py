@@ -12,7 +12,7 @@ from sympy import Poly, isprime, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from chnoids import InputError, linalg, rational
+from chnoids import InputError, integer, linalg, rational
 from chnoids.exactnum import (
     GQ,
     ONE,
@@ -24,10 +24,10 @@ from chnoids.exactnum import (
     RESULTANT_PRIMES,
     RationalOneForm,
     UniPoly,
-    _resultant_mod,
+    _coprime_mod,
+    coprime,
     poly_gcd,
     resultant,
-    resultant_nonzero_mod_p,
 )
 
 
@@ -217,6 +217,13 @@ def test_form_degree_must_be_an_int(degree):
         BinaryForm.from_json({"degree": degree, "coeffs": ["1", "0"]})
 
 
+@pytest.mark.parametrize("value", [1.0, True, False, "1", None, [1]])
+def test_integer_reads_only_an_int(value):
+    assert integer(10**30, "n") == 10**30 and integer(-1, "n") == -1
+    with pytest.raises(InputError, match="^n must be an integer, got "):
+        integer(value, "n")
+
+
 def test_resultant_zero_input():
     with pytest.raises(ExactArithmeticError):
         resultant(BinaryForm.of(2, [0, 0, 0]), Z0)
@@ -402,7 +409,9 @@ def modular_pair(rng):
     return f, g
 
 
-def test_resultant_mod_p_is_the_image_of_resultant():
+def test_coprime_mod_p_is_true_iff_the_image_of_resultant_is_nonzero():
+    """The F_P rule of ``coprime`` against the image of Res in F_P; at declared
+    degrees 0 and 0 with both images zero Res = 1, and the rule proves nothing."""
     rng = random.Random(1707)
     seen = dict.fromkeys(["skipped", "zero", "nonzero", "f lead", "g lead", "both leads",
                           "a lead zero mod P1 only"], 0)
@@ -412,19 +421,22 @@ def test_resultant_mod_p_is_the_image_of_resultant():
             continue
         exact = resultant(f, g)
         for p, s in RESULTANT_PRIMES:
-            got = _resultant_mod(f, g, p, s)
+            got = _coprime_mod(f, g, p, s)
             if any(not c.parts[2] % p for c in f.coeffs + g.coeffs):
-                assert got is None, (f, g, p)
+                assert not got, (f, g, p)
                 seen["skipped"] += 1
                 continue
-            assert got == image_mod(exact, p, s), (f, g, p)
+            f_lead, g_lead = (image_mod(h.coeffs[0], p, s) for h in (f, g))
+            if f.degree == g.degree == 0 and not f_lead and not g_lead:
+                assert not got and exact == ONE, (f, g, p)
+                continue
+            assert got == bool(image_mod(exact, p, s)), (f, g, p)
             seen["nonzero" if got else "zero"] += 1
             if p != P1:
                 continue
-            f_lead, g_lead = (image_mod(h.coeffs[0], p, s) for h in (f, g))
             if not f_lead and not g_lead:
                 seen["both leads"] += 1
-            elif got and not (f_lead and g_lead):  # one side: the swap and its sign
+            elif got and not (f_lead and g_lead):  # one side: the other's image leads
                 seen["f lead" if not f_lead else "g lead"] += 1
                 if not (f if not f_lead else g).coeffs[0].is_zero:
                     seen["a lead zero mod P1 only"] += 1
@@ -435,38 +447,46 @@ def z0_minus(a):
     return BinaryForm.of(1, [1, -a])
 
 
-def test_resultant_mod_p_examples():
+def test_coprime_examples():
     # Res_{1,1}(z0 - a z1, z0) = a; a = P1 is zero mod P1 only
     assert resultant(z0_minus(P1), Z0) == GQ(P1)
-    assert _resultant_mod(z0_minus(P1), Z0, P1, S1) == 0
-    assert resultant_nonzero_mod_p(z0_minus(P1), Z0)
-    # a = P1 P2 P3 is zero mod every prime: nothing is decided, resultant decides
+    assert not _coprime_mod(z0_minus(P1), Z0, P1, S1)
+    assert coprime(z0_minus(P1), Z0)
+    # a = P1 P2 P3 is zero mod every prime: no prime proves it, the Q(i) gcd does
     a = math.prod(p for p, _ in RESULTANT_PRIMES)
-    assert not resultant_nonzero_mod_p(z0_minus(a), Z0)
-    assert resultant(z0_minus(a), Z0) == GQ(a)
-    # constants at declared degree 0: the empty Sylvester matrix, Res = 1
+    assert not any(_coprime_mod(z0_minus(a), Z0, p, s) for p, s in RESULTANT_PRIMES)
+    assert coprime(z0_minus(a), Z0) and resultant(z0_minus(a), Z0) == GQ(a)
+    # constants at declared degree 0: the empty Sylvester matrix, Res = 1, which
+    # the rule proves nowhere both images are zero
     c = BinaryForm.of(0, [P1])
-    assert resultant(c, c) == ONE and _resultant_mod(c, c, P1, S1) == 1
-    # a lead that vanishes mod P1 only, on g at odd m n: the swap's sign
+    assert resultant(c, c) == ONE and not _coprime_mod(c, c, P1, S1) and coprime(c, c)
+    # a lead that vanishes mod P1 only, on g: f's image leads the remainders
     f, g = BinaryForm.of(1, [1, 2]), BinaryForm.of(1, [P1, 3])
-    assert image_mod(resultant(f, g), P1, S1) == _resultant_mod(f, g, P1, S1) == 3
+    assert image_mod(resultant(f, g), P1, S1) == 3 and _coprime_mod(f, g, P1, S1)
+    # both leads zero: the common zero [1:0], although the chart gcd is 1
+    f, g = BinaryForm.of(1, [0, 1]), BinaryForm.of(2, [0, 1, 1])
+    assert resultant(f, g) == ZERO and not coprime(f, g)
+    # the common zero 3 + i in the chart, and in F_P: a nonconstant gcd is no proof
+    f, g = times_linear(Z1, GQ(3, 1)), times_linear(z0_minus(2), GQ(3, 1))
+    assert not any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES)
+    assert resultant(f, g) == ZERO and not coprime(f, g)
     # P1 in a denominator: P1 is skipped
-    assert _resultant_mod(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0, P1, S1) is None
-    assert resultant_nonzero_mod_p(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0)
+    assert not _coprime_mod(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0, P1, S1)
+    assert coprime(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0)
     with pytest.raises(ExactArithmeticError):
-        resultant_nonzero_mod_p(BinaryForm.of(2, [0, 0, 0]), Z0)
+        coprime(BinaryForm.of(2, [0, 0, 0]), Z0)
 
 
 def test_mod_p_decision_matches_resultant_and_sympy_gcd():
     rng = random.Random(4099)
-    decided = shared = 0
-    for _ in range(300):
+    pairs = decided = shared = 0
+    while pairs < 2000:
         f, g = modular_pair(rng)
         if f.is_zero or g.is_zero:
             continue
-        proved = resultant_nonzero_mod_p(f, g)
-        shares_root = not proved and resultant(f, g).is_zero
-        decided += proved
+        pairs += 1
+        decided += any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES)
+        shares_root = not coprime(f, g)
         shared += shares_root
         assert shares_root == resultant(f, g).is_zero, (f, g)
         # a common zero is [1:0], where both leads vanish, or a common root in
@@ -474,7 +494,7 @@ def test_mod_p_decision_matches_resultant_and_sympy_gcd():
         at_infinity = f.coeffs[0].is_zero and g.coeffs[0].is_zero
         chart_gcd = sympy_poly(f.dehomogenize()).gcd(sympy_poly(g.dehomogenize()))
         assert shares_root == (at_infinity or chart_gcd.degree() >= 1), (f, g)
-    assert decided >= 100 and shared >= 20, (decided, shared)
+    assert decided >= 1000 and shared >= 200, (decided, shared)
 
 
 # ---------------------------------------------------------------------------
