@@ -5,8 +5,8 @@ sphere (sphere), the explicit Higgs field and its residues (nnoid),
 parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
 The input boundary they share sits here: ``InputError``, ``rational``, the
-reader of every exact rational literal, and ``integer``, the reader of every
-JSON count and degree.
+reader of every exact rational literal, ``integer``, the reader of every
+JSON count and degree, and ``array``, the reader of every JSON list.
 """
 
 import re as _re
@@ -25,19 +25,20 @@ class InputError(ValueError):
     """Input outside a command's domain: ``chnoids`` exits 2 on it and its subclasses."""
 
 
-# a decimal literal with an exponent, in Fraction's syntax: integer digits,
-# fraction digits, exponent sign and exponent digits; compiled on first use
+# a decimal literal, in Fraction's syntax: integer digits, fraction digits and
+# an optional exponent sign and exponent digits; compiled on first use
 _DIGITS = r"(\d*|\d+(?:_\d+)*)"
-_EXPONENT_LITERAL = rf"\s*[+-]?(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?[eE]([+-]?)(\d+(?:_\d+)*)\s*"
+_EXPONENT_LITERAL = rf"\s*[+-]?(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?(?:[eE]([+-]?)(\d+(?:_\d+)*))?\s*"
 
 
 def rational(x) -> Fraction:
     """x as a Fraction, from a Fraction, an int or a literal that Fraction reads.
 
-    Fraction builds 10^|e| in full for an exponent e, so a literal with an
-    exponent is refused with an ``InputError``, before it is built, when the
-    numerator or the denominator that Fraction would build from its mantissa
-    and exponent has more than MAX_CERTIFICATE_DIGITS digits.
+    Fraction builds 10^|e| in full for an exponent e, and 10^k for k fraction
+    digits, so a literal with a decimal point or an exponent is refused with
+    an ``InputError``, before it is built, when the numerator or the
+    denominator that Fraction would build from its mantissa and exponent has
+    more than MAX_CERTIFICATE_DIGITS digits.
     """
     if isinstance(x, Fraction):
         return x
@@ -45,7 +46,7 @@ def rational(x) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise TypeError(f"cannot coerce {x!r} to an exact rational")
-    m = ("e" in x or "E" in x) and _re.fullmatch(_EXPONENT_LITERAL, x)
+    m = ("." in x or "e" in x or "E" in x) and _re.fullmatch(_EXPONENT_LITERAL, x)
     if m:
         whole, frac, sign, exp = (g.replace("_", "") for g in m.groups(""))
         limit = MAX_CERTIFICATE_DIGITS
@@ -66,4 +67,15 @@ def integer(x, what: str) -> int:
     """
     if x.__class__ is not int:
         raise InputError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    return x
+
+
+def array(x, what: str) -> list:
+    """x as a JSON list: only a Python list.
+
+    Anything else is an ``InputError``, a string or an object among them, so
+    that it is not read item by item.
+    """
+    if x.__class__ is not list:
+        raise InputError(f"{what} must be a list, got {reprlib.repr(x)}")
     return x

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import InputError, linalg
+from . import InputError, array, linalg
 from .exactnum import GaussianRational, poly_gcd  # ch2.poly_gcd: read by bench/selftest.py
 from .linalg import GaussInt
 
@@ -219,8 +219,8 @@ class Matrix21:
 
     @staticmethod
     def from_json(obj) -> "Matrix21":
-        entries = obj["matrix"] if isinstance(obj, dict) else obj
-        if len(entries) != 3 or any(len(r) != 3 for r in entries):
+        entries = array(obj["matrix"] if isinstance(obj, dict) else obj, "the matrix")
+        if len(entries) != 3 or any(len(array(r, "a matrix row")) != 3 for r in entries):
             raise CH2Error("expected a 3x3 matrix")
         flat = [str(x) for row in entries for x in row]
         if any(("." in s) or ("e" in s.lower() and "/" not in s) for s in flat):
@@ -391,7 +391,7 @@ def _classify_float(arr: np.ndarray, tol: float) -> str:
 # exponentials
 
 
-def unipotent_exponential(n_matrix, r, tol: float = DEFAULT_TOL) -> Matrix21:
+def unipotent_exponential(n_matrix, r) -> Matrix21:
     """exp(2 pi i r N) = I + aN + a^2 N^2 / 2 for nilpotent N, a = 2 pi i r."""
     import numpy as np
 
@@ -404,7 +404,7 @@ def unipotent_exponential(n_matrix, r, tol: float = DEFAULT_TOL) -> Matrix21:
         arr = np.asarray(n_matrix, dtype=complex)
     n3 = arr @ arr @ arr
     scale = max(1.0, float(np.abs(arr).max()) ** 3)
-    if np.abs(n3).max() > max(tol, 1e-12) * scale:
+    if np.abs(n3).max() > DEFAULT_TOL * scale:
         raise CH2Error("matrix is not nilpotent")
     a = 2j * math.pi * complex(r)
     out = np.eye(3, dtype=complex) + a * arr + (a * a / 2.0) * (arr @ arr)
@@ -445,16 +445,16 @@ def random_form_preserving(rng, scale: float = 1.0) -> Matrix21:
 _NULL_TRIPLES = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17))
 
 
-def random_exact_form_preserving(rng, steps: int = 3) -> Matrix21:
-    """Random exact U(2,1) element: products of unit-diagonal, rational
-    boost, and null-vector unipotent generators (all exactly form-preserving)."""
+def random_exact_form_preserving(rng) -> Matrix21:
+    """Random exact U(2,1) element: a product of three unit-diagonal, rational
+    boost, or null-vector unipotent generators (all exactly form-preserving)."""
 
     def unit(a: int, b: int) -> GaussianRational:
         z = GaussianRational.of(a, b)
         return z / z.conjugate()
 
     out = linalg.identity(3)
-    for _ in range(steps):
+    for _ in range(3):
         kind = rng.randrange(3)
         if kind == 0:
             d = [unit(rng.randrange(1, 5), rng.randrange(0, 5)) for _ in range(3)]

@@ -23,7 +23,8 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, integer, nnoid, rational, stability
+from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, array, integer, rational
+from . import nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData
 from .sphere import PunctureSet, make_log_form
@@ -39,8 +40,8 @@ EXIT_INPUT = 2
 # host: nnoid check takes 0.15-0.20 s at n = 64 with 1-, 4- or 12-digit
 # coefficients (under 1 ms of it proving g1, g2 coprime modulo a prime) and
 # 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i,
-# the Q(i) gcd refuses the input in 0.24-0.28 s at 1 digit, 0.71-0.84 s at 4
-# and 3.6-4.3 s at 12, and still grows with height (19 s at 30); a stability
+# the Q(i) gcd refuses the input in 0.23-0.24 s at 1 digit, 0.65 s at 4,
+# 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing with height; a stability
 # region 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
 # 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted (most of it
 # echoing the weights into the certificate); stability check 0.18 s at the
@@ -119,7 +120,7 @@ def _over_limit(what: str, value: int, limit: int) -> None:
 
 
 def _parse_nnoid_check(obj: dict, args) -> NnoidData:
-    _over_limit("n", len(obj["punctures"]), MAX_NNOID_N)
+    _over_limit("n", len(array(obj["punctures"], "punctures")), MAX_NNOID_N)
     return NnoidData.from_json(obj)
 
 
@@ -243,7 +244,7 @@ def _parse_stability(obj: dict, pairs: int):
     """Surface and per-puncture weights for a query over ``pairs`` (d1, d2) pairs."""
     surf = stability.SurfaceData(integer(obj["genus"], "genus"), integer(obj["n"], "n"))
     _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
-    raw = obj.get("weights")
+    raw = array(obj.get("weights", []), "weights")
     if not raw:
         return surf, ()  # zero weights: every sum is zero
     if len(raw) != surf.punctures:
@@ -262,7 +263,7 @@ def _parse_stability(obj: dict, pairs: int):
     weights = []
     for entry in raw:
         key = (
-            tuple(map(str, entry["triple"])),
+            tuple(map(str, array(entry["triple"], "a weight triple"))),
             str(entry["beta"]) if "beta" in entry else None,
             str(entry["gamma"]) if "gamma" in entry else None,
         )
@@ -362,7 +363,7 @@ def cmd_ch2_classify(a: ch2.Matrix21, args) -> tuple[dict, bool]:
 def _vector(raw) -> list:
     from . import ch2
 
-    if len(raw) != 3:
+    if len(array(raw, "a CH^2 point")) != 3:
         raise InputError("CH^2 points are 3-vectors")
     return [ch2._parse_complex(str(x)) for x in raw]
 

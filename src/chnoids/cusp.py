@@ -59,8 +59,8 @@ class StripGrid:
     def ys(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    def default_tol(self, factor: float = DEFAULT_TOL_FACTOR) -> float:
-        return factor * max(self.hx, self.hy) ** 2
+    def default_tol(self) -> float:
+        return DEFAULT_TOL_FACTOR * max(self.hx, self.hy) ** 2
 
     def to_json(self) -> dict:
         return {"Nx": self.nx, "Ny": self.ny, "Y": self.y_min, "Ymax": self.y_max}
@@ -240,8 +240,8 @@ class SubharmonicSpec:
         return StripField(grid, u)
 
 
-def random_subharmonic_spec(rng, max_modes: int = 4) -> SubharmonicSpec:
-    n_modes = rng.randrange(0, max_modes + 1)
+def random_subharmonic_spec(rng) -> SubharmonicSpec:
+    n_modes = rng.randrange(0, 5)  # 0 to 4 modes
     modes = tuple(
         (rng.randrange(1, 6), rng.uniform(-2.0, 2.0), rng.uniform(0.0, TWO_PI))
         for _ in range(n_modes)

@@ -7,8 +7,8 @@ literal is read and written through ``int``, any other through
 ``rational``.  The polynomial kernels (product, division, evaluation,
 ``from_roots``, ``RationalFunction.partial_fractions``) and ``dot`` write
 their operands as Gaussian integers over one common denominator,
-accumulate in Python ints, and reduce each output coefficient once; a
-polynomial packs its coefficients that way once and keeps the packing.
+accumulate in Python ints, and reduce each output by one gcd; a
+polynomial is held that way.
 A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
 never materialize algebraic numbers: everything goes through gcds and
 evaluation.
@@ -24,7 +24,7 @@ from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
 
-from . import integer, rational
+from . import array, integer, rational
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -263,11 +263,15 @@ def _root_product(wu: list[int], wv: list[int], e: int) -> tuple[list[int], list
 
 
 def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
-    """The polynomial with coefficients (u_k + i v_k)/den, each reduced once."""
+    """The polynomial with coefficients (u_k + i v_k)/den, den > 0, reduced by one gcd."""
     n = len(us)
     while n and not us[n - 1] and not vs[n - 1]:
         n -= 1
-    return UniPoly(tuple(_canonical(us[k], vs[k], den) for k in range(n)))
+    us, vs = us[:n], vs[:n]
+    g = _gcd(den, *us, *vs)
+    if g != 1:
+        us, vs, den = [u // g for u in us], [v // g for v in vs], den // g
+    return UniPoly(tuple(us), tuple(vs), den)
 
 
 def dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
@@ -299,81 +303,69 @@ I = GQ(0, 1)
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Polynomial in one affine variable z, ascending coefficients.
+    """Polynomial in one affine variable z: coefficient k is (re[k] + i im[k])/den.
 
-    The coefficient tuple carries no trailing zeros; the zero polynomial
-    is the empty tuple (never degree -1 arithmetic: ``degree`` raises on
-    the zero polynomial).
+    The triple is canonical: den > 0, gcd(re, im, den) = 1 and no trailing
+    zero, so equal polynomials have equal triples.  The zero polynomial is
+    ((), (), 1) (never degree -1 arithmetic: ``degree`` raises on it).
     """
 
-    coeffs: tuple[GaussianRational, ...]
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+    den: int
 
     @staticmethod
     def of(coeffs: Iterable) -> "UniPoly":
-        cs = [c if isinstance(c, GaussianRational) else _coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return UniPoly(tuple(cs))
+        return _poly_over(*_over_common([_coerce(c) for c in coeffs]))
 
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(())
+        return UniPoly((), (), 1)
 
     @staticmethod
     def from_roots(roots: Sequence[GaussianRational]) -> "UniPoly":
         """prod_k (z - roots[k]), monic."""
         wu, wv, e = _over_common(roots)
-        pu, pv = _root_product(wu, wv, e)
-        return _poly_over(pu, pv, e ** len(roots))
+        return _poly_over(*_root_product(wu, wv, e), e ** len(roots))
 
     @cached_property
-    def _packed(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """The coefficients over one denominator, as ``_over_common`` writes them."""
-        us, vs, den = _over_common(self.coeffs)
-        return tuple(us), tuple(vs), den
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients as canonical scalars, ascending."""
+        return tuple(_canonical(u, v, self.den) for u, v in zip(self.re, self.im))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     @property
     def degree(self) -> int:
         if self.is_zero:
             raise ExactArithmeticError("degree of the zero polynomial")
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def leading(self) -> GaussianRational:
-        return self.coeffs[-1]
+        return _canonical(self.re[-1], self.im[-1], self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly.of(out)
+        a, b = (self, other) if len(self.re) >= len(other.re) else (other, self)
+        den = _lcm(a.den, b.den)
+        s, t = den // a.den, den // b.den
+        us, vs = [u * s for u in a.re], [v * s for v in a.im]
+        for k, (u, v) in enumerate(zip(b.re, b.im)):
+            us[k] += u * t
+            vs[k] += v * t
+        return _poly_over(us, vs, den)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly(tuple(-u for u in self.re), tuple(-v for v in self.im), self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [ZERO] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return UniPoly.of(out)
+        return self + -other
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            other = _coerce(other)
-            if other.is_zero:
-                return UniPoly.zero()
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        au, av, ad = self._packed
-        bu, bv, bd = other._packed
+        if other.__class__ is not UniPoly:
+            other = UniPoly.of([other])  # a scalar is a constant polynomial
+        au, av, bu, bv = self.re, self.im, other.re, other.im
         ru = [0] * (len(au) + len(bu) - 1)
         rv = ru[:]
         for i, (a, b) in enumerate(zip(au, av)):
@@ -382,41 +374,36 @@ class UniPoly:
             for k, c, e in zip(range(i, i + len(bu)), bu, bv):
                 ru[k] += a * c - b * e
                 rv[k] += a * e + b * c
-        return _poly_over(ru, rv, ad * bd)
+        return _poly_over(ru, rv, self.den * other.den)
 
     __rmul__ = __mul__
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ExactArithmeticError("polynomial division by zero")
-        dd, dv = len(self.coeffs) - 1, other.degree
+        dd, dv = len(self.re) - 1, other.degree
         if dd < dv:
             return UniPoly.zero(), self
-        # Divide by the monic associate m = other / lead, held as M / e with
-        # Gaussian-integer M; the quotient by other is the one by m over lead.
-        # The remainder numerators ru + i rv sit over den * e^s after s steps,
-        # so each position is scaled up to that when it enters the window.
-        inv = other.leading().inverse()
-        ia, ib, idn = inv._a, inv._b, inv._d
-        ru, rv, den = _over_common(self.coeffs)
-        mu, mv, e = _over_common([c * inv for c in other.coeffs])
-        if e != 1:
-            s = 1
-            for i in range(dd - dv - 1, -1, -1):
-                s *= e
-                ru[i] *= s
-                rv[i] *= s
-        quot = [ZERO] * (dd - dv + 1)
-        scale = den
+        # Pseudo-division by the monic associate m = M/e, with Gaussian-integer
+        # M: for self = N/den, e^(dd - dv + 1) N = Q M + R in Z[i][z], and each
+        # quotient step divides by e exactly.  Q/(den e^(dd - dv)) is the
+        # quotient by m, and the one by other is that over other's lead.
+        m = other.monic()
+        mu, mv, e = m.re, m.im, m.den
+        s = e ** (dd - dv + 1)
+        ru, rv = [u * s for u in self.re], [v * s for v in self.im]
         for k in range(dd - dv, -1, -1):
-            tu, tv = ru[k + dv], rv[k + dv]
-            quot[k] = _canonical(tu * ia - tv * ib, tu * ib + tv * ia, scale * idn)
-            if tu or tv or e != 1:
+            tu, tv = ru[k + dv] // e, rv[k + dv] // e
+            ru[k + dv], rv[k + dv] = tu, tv  # Q's coefficient k
+            if tu or tv:
                 for i, c, f in zip(range(k, k + dv), mu, mv):
-                    ru[i] = ru[i] * e - tu * c + tv * f
-                    rv[i] = rv[i] * e - tu * f - tv * c
-            scale *= e
-        return UniPoly(tuple(quot)), _poly_over(ru[:dv], rv[:dv], scale)
+                    ru[i] -= tu * c - tv * f
+                    rv[i] -= tu * f + tv * c
+        a, b, d = other.re[-1], other.im[-1], other.den  # other's lead is (a + bi)/d
+        qu = [d * (u * a + v * b) for u, v in zip(ru[dv:], rv[dv:])]
+        qv = [d * (v * a - u * b) for u, v in zip(ru[dv:], rv[dv:])]
+        top = self.den * e ** (dd - dv)
+        return _poly_over(qu, qv, top * (a * a + b * b)), _poly_over(ru[:dv], rv[:dv], top * e)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -430,16 +417,17 @@ class UniPoly:
             return 0, 0, 1
         # Horner homogenized in z = (u + iv)/e: after each step the sum sits
         # over den * e^k, so each lower coefficient enters times e^k.
-        us, vs, den = self._packed
+        us, vs = self.re, self.im
         u, v, e = z._a, z._b, z._d
         re, im, s = us[-1], vs[-1], 1
         for k in range(len(us) - 2, -1, -1):
             s *= e
             re, im = re * u - im * v + us[k] * s, re * v + im * u + vs[k] * s
-        return re, im, den * s
+        return re, im, self.den * s
 
     def derivative(self) -> "UniPoly":
-        return UniPoly.of([c * k for k, c in enumerate(self.coeffs)][1:])
+        return _poly_over([k * u for k, u in enumerate(self.re)][1:],
+                          [k * v for k, v in enumerate(self.im)][1:], self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -484,7 +472,7 @@ class BinaryForm:
     def dehomogenize(self) -> UniPoly:
         """f(z, 1) as a polynomial in the affine coordinate z = z0/z1."""
         # coefficient of z^j is coeffs[d-j]
-        return UniPoly.of(list(reversed(self.coeffs)))
+        return UniPoly.of(reversed(self.coeffs))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
@@ -492,7 +480,8 @@ class BinaryForm:
     @staticmethod
     def from_json(obj: dict) -> "BinaryForm":
         degree = integer(obj["degree"], "a form's degree")
-        return BinaryForm.of(degree, [GaussianRational.parse(c) for c in obj["coeffs"]])
+        coeffs = array(obj["coeffs"], "a form's coeffs")
+        return BinaryForm.of(degree, [GaussianRational.parse(c) for c in coeffs])
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:

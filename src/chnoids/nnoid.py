@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import InputError, linalg
+from . import InputError, array, linalg
 from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
@@ -85,8 +85,9 @@ class NnoidData:
 
     @staticmethod
     def from_json(obj: dict) -> "NnoidData":
-        punctures = PunctureSet.of([GaussianRational.parse(s) for s in obj["punctures"]])
-        residues = [GaussianRational.parse(s) for s in obj["residues"]]
+        points = array(obj["punctures"], "punctures")
+        punctures = PunctureSet.of([GaussianRational.parse(s) for s in points])
+        residues = [GaussianRational.parse(s) for s in array(obj["residues"], "residues")]
         omega = make_log_form(punctures, residues)
         g1 = BinaryForm.from_json(obj["g1"])
         g2 = BinaryForm.from_json(obj["g2"])

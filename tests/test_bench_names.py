@@ -49,10 +49,11 @@ def test_rebound_names_are_the_originals():
     assert ch2.poly_gcd is exactnum.poly_gcd
 
 
-def test_traced_isometry_benchmark_is_wired():
-    """The traced isometry-classify run finds every layer it requires
-    (linalg among them) entered, at the benchmark's tiny size."""
-    cmd = [sys.executable, "bench/run.py", "--workload", "isometry-classify", "--seed", "3",
+@pytest.mark.parametrize("workload", ["nnoid-certify", "isometry-classify", "region-strip"])
+def test_traced_benchmark_is_wired(workload):
+    """Each traced workload finds every layer it requires entered (linalg
+    among them on isometry-classify), at the benchmark's tiny size."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
            "--seconds", "0.5", "--trace", "1", "--size", "tiny"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -706,6 +706,13 @@ def weights_json(triple, **flags) -> list[dict]:
         ("cusp verify", {"grid": {"Nx": 8, "Ny": "8", "Y": 1.0, "Ymax": 5.0}}),
         ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": True, "Ymax": 5.0}}),
         ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 0.5, "Ymax": True}}),
+        # a string where a list belongs is refused, not read character by character
+        ("nnoid check", {**nnoid_json(5), "punctures": "01234"}),
+        ("nnoid check", {**nnoid_json(5), "g1": {"degree": 1, "coeffs": "12"}}),
+        ("ch2 classify", {"matrix": ["100", "010", "001"]}),
+        ("ch2 distance", {"z": "001", "w": ["0", "0", "1"]}),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                             "weights": weights_json("000")}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
@@ -1030,7 +1037,11 @@ STABILITY_ZERO_WEIGHTS = {"genus": 0, "n": 5, "d1": 1, "d2": 2,
 # An exponent literal is refused before Fraction builds 10^e in full: a
 # puncture or g1 coefficient of 1e5000 used to end in an int-to-str traceback
 # when the certificate echoed it, and a weight of 1e-100000000 ran for minutes.
-# In a new interpreter with a timeout, so a hang fails instead of stalling.
+# So is a plain decimal with 4,300 fraction digits, whose denominator 10^4300
+# has 4,301.  In a new interpreter with a timeout, so a hang fails instead of
+# stalling.
+TALL_DECIMAL = "0." + "0" * 4299 + "1"
+
 @pytest.mark.parametrize(
     "command, obj, path, literal",
     [
@@ -1038,8 +1049,11 @@ STABILITY_ZERO_WEIGHTS = {"genus": 0, "n": 5, "d1": 1, "d2": 2,
         ("nnoid check", NNOID_5, ("g1", "coeffs", 0), "1e5000"),
         ("stability check", STABILITY_ZERO_WEIGHTS, ("weights", 4, "triple", 2), "1e-100000000"),
         ("nnoid check", NNOID_5, ("punctures", 0), "1e" + "9" * 5000),
+        ("nnoid check", NNOID_5, ("punctures", 0), TALL_DECIMAL),
+        ("nnoid check", NNOID_5, ("g1", "coeffs", 0), TALL_DECIMAL),
     ],
-    ids=["nnoid-puncture", "nnoid-g1", "stability-weight", "exponent-5000-nines"],
+    ids=["nnoid-puncture", "nnoid-g1", "stability-weight", "exponent-5000-nines",
+         "nnoid-puncture-decimal", "nnoid-g1-decimal"],
 )
 def test_fresh_process_refuses_huge_exponent_literal(command, obj, path, literal, tmp_path):
     argv = [*command.split(), write_json(tmp_path, "in.json", _mutate(obj, path, literal))]

@@ -718,6 +718,12 @@ def assert_canonical_poly(p):
     for c in p.coeffs:
         assert_canonical(c)
     assert not p.coeffs or not p.coeffs[-1].is_zero
+    # the stored triple: Gaussian-integer numerators over one denominator
+    assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
+    assert all(type(x) is int for x in (*p.re, *p.im, p.den))
+    assert p.den > 0 and math.gcd(*p.re, *p.im, p.den) == 1
+    assert not p.re or p.re[-1] or p.im[-1]
+    assert UniPoly.of(p.coeffs) == p
 
 
 @settings(deadline=None)
