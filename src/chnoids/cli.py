@@ -27,7 +27,7 @@ from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, array, integer, r
 from . import nnoid, stability
 from .exactnum import BinaryForm, GaussianRational
 from .nnoid import NnoidData
-from .sphere import PunctureSet, make_log_form
+from .sphere import make_log_form
 
 if TYPE_CHECKING:
     from . import ch2
@@ -207,7 +207,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
 
     for _ in range(MAX_REJECTIONS):
         try:
-            punctures = PunctureSet.of(rng.sample(PUNCTURE_POOL, n))
+            punctures = rng.sample(PUNCTURE_POOL, n)
             residues = []
             for _ in range(n - 1):
                 r = gint()
@@ -224,7 +224,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
             g1 = BinaryForm.of(n - 4, [gint() for _ in range(n - 3)])
             g2 = BinaryForm.of(n - 3, [gint() for _ in range(n - 2)])
             q = BinaryForm.of(3, [gint() for _ in range(4)])
-            return NnoidData.make(punctures, omega, g1, g2, q)
+            return NnoidData.make(omega, g1, g2, q)
         except InputError:
             continue
     raise InputError(f"rejection sampler exhausted {MAX_REJECTIONS} attempts")
@@ -429,12 +429,20 @@ def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
 # wiring
 
 
+def tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0, so that no certificate prints NaN or Infinity."""
+    tol = float(text)  # argparse reports a ValueError as an invalid tolerance value
+    if not 0 <= tol <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return tol
+
+
 ARGUMENTS = {
     "config": dict(help="JSON input file, or - for stdin"),
     "n": dict(type=int, help="number of punctures"),
     "--out": dict(metavar="PATH", help="write the output to PATH instead of stdout"),
     "--seed": dict(type=int, default=0, help="seed of the random generator (default 0)"),
-    "--tol": dict(type=float, help="tolerance of the floating-point checks"),
+    "--tol": dict(type=tolerance, help="tolerance of the floating-point checks"),
     "--exact": dict(action="store_true", help="refuse a matrix with floating entries"),
     "--csv": dict(metavar="PATH", help="also write the stable pairs as CSV to PATH"),
 }

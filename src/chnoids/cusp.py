@@ -93,6 +93,7 @@ class StripField:
                 raise CuspGridError("every F sample must lie in CH^2")
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # _strip_report refuses a non-finite value
     def min_laplacian(self) -> float:
         """Smallest five-point Laplacian value, computed once per field."""
         return float(discrete_laplacian(self).min())
@@ -148,10 +149,13 @@ def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> Str
     """Report on a per-row slack that must be >= -tol.
 
     The subharmonicity precondition (five-point Laplacian >= -tol) is
-    itself verified and reported, never silently assumed.
+    itself verified and reported, never silently assumed.  A slack or a
+    Laplacian that overflowed is an input error: no verdict can be read from it.
     """
     tol = s.grid.default_tol() if tol is None else tol
     lap_worst = s.min_laplacian
+    if not (np.isfinite(slack).all() and math.isfinite(lap_worst)):
+        raise CuspGridError("the field is too large: a slack or the Laplacian is not finite")
     pre_ok = lap_worst >= -tol
     worst = float(slack.min())
     return StripReport(
@@ -164,12 +168,14 @@ def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> Str
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_mean_convexity(s: StripField, tol: Optional[float] = None) -> StripReport:
     """Discrete second differences of the row mean must be >= -tol."""
     m = mean_function(s)
     return _strip_report(s, tol, (m[2:] - 2 * m[1:-1] + m[:-2]) / s.grid.hy**2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_sup_bound(s: StripField, tol: Optional[float] = None) -> StripReport:
     """U(0, y) <= sup_t m(t) + sqrt(2 pi) A(y) with slack tol, every row."""
     m_sup = float(mean_function(s).max())
@@ -220,7 +226,8 @@ class SubharmonicSpec:
         if len(self.poly) != 3 or any(len(m) != 3 for m in self.modes):
             raise CuspGridError("modes are (k, amplitude, phase); the profile has 3 coefficients")
         coeffs = (*self.poly, *(x for m in self.modes for x in m))
-        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in coeffs):
+        # a bool is no number here, although Python counts it as an int
+        if not all(x.__class__ in (int, float) and abs(x) <= sys.float_info.max for x in coeffs):
             raise CuspGridError("mode and profile coefficients must be finite numbers")
         if self.poly[2] < 0:
             raise CuspGridError("quadratic profile coefficient must be >= 0")

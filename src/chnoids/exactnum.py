@@ -72,7 +72,10 @@ class GaussianRational:
 
     def __add__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = _coerce(other)
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented  # so that other's reflected method runs
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if d == f:
@@ -86,7 +89,10 @@ class GaussianRational:
 
     def __sub__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = _coerce(other)
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented  # so that other's reflected method runs
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if d == f:
@@ -98,7 +104,10 @@ class GaussianRational:
 
     def __mul__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = _coerce(other)
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented  # so that other's reflected method runs
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         return _canonical(a * c - b * e, a * e + b * c, d * f)
@@ -449,30 +458,37 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form of declared degree d in z0, z1.
+    """Homogeneous form f(z0, z1) of declared degree d, held as its chart polynomial.
 
-    coeffs[k] is the coefficient of z0^(d-k) z1^k; exactly d+1 entries.
-    The zero form (all coefficients zero) is flagged via ``is_zero``.
+    ``chart`` is f(z, 1) in the affine coordinate z = z0/z1, of degree at most
+    d; its degree is below d exactly when f vanishes at [1:0].  The zero form
+    is flagged via ``is_zero``.
     """
 
     degree: int
-    coeffs: tuple[GaussianRational, ...]
+    chart: UniPoly
 
     @staticmethod
     def of(degree: int, coeffs: Iterable) -> "BinaryForm":
-        cs = tuple(c if isinstance(c, GaussianRational) else _coerce(c) for c in coeffs)
+        cs = [_coerce(c) for c in coeffs]
         if degree < 0 or len(cs) != degree + 1:
             raise ValueError("a degree-d binary form needs exactly d+1 coefficients")
-        return BinaryForm(degree, cs)
+        return BinaryForm(degree, UniPoly.of(reversed(cs)))  # coefficient of z^j is cs[d-j]
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """coeffs[k] is the coefficient of z0^(d-k) z1^k; exactly d+1 entries."""
+        cs = self.chart.coeffs
+        return (ZERO,) * (self.degree + 1 - len(cs)) + cs[::-1]
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return self.chart.is_zero
 
-    def dehomogenize(self) -> UniPoly:
-        """f(z, 1) as a polynomial in the affine coordinate z = z0/z1."""
-        # coefficient of z^j is coeffs[d-j]
-        return UniPoly.of(reversed(self.coeffs))
+    @property
+    def zero_at_infinity(self) -> bool:
+        """Whether f vanishes at [1:0], that is its z0^d coefficient is zero."""
+        return len(self.chart.re) <= self.degree
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
@@ -497,13 +513,13 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
         raise ExactArithmeticError("resultant of a zero form")
     m, n = f.degree, g.degree
     out = ONE
-    if g.coeffs[0].is_zero:  # g vanishes at [1:0], so its chart degree drops
-        if f.coeffs[0].is_zero:
+    if g.zero_at_infinity:  # g's chart degree drops
+        if f.zero_at_infinity:
             return ZERO
         f, g, m, n = g, f, n, m
         if m * n % 2:
             out = -out
-    a, b = f.dehomogenize(), g.dehomogenize()
+    a, b = f.chart, g.chart
     while n:
         r = a % b
         if r.is_zero:
@@ -519,29 +535,30 @@ def resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
 def coprime(f: BinaryForm, g: BinaryForm) -> bool:
     """Whether f and g share no projective zero over C, that is Res_{m,n}(f, g) != 0.
 
-    Over a field that holds exactly when the declared leads (the z0^d
-    coefficients) do not both vanish, so [1:0] is no common zero, and the gcd
-    in the chart z = z0/z1 is constant.  The rule runs first on the images in
-    F_P, P in RESULTANT_PRIMES: the image of Res is the Res of the images, so
-    a constant gcd mod P proves Res != 0 at any coefficient height.  Only when
-    no prime proves it does the rule run over Q(i), on the monic ``poly_gcd``,
-    whose remainders grow far more slowly than ``resultant``'s
-    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).
+    Over a field that holds exactly when f and g do not both vanish at
+    [1:0], and the gcd of their charts is constant.  The rule runs first in
+    F_P, P in RESULTANT_PRIMES, on the forms scaled to Gaussian-integer
+    coefficients: scaling f by c != 0 scales Res by c^n, and the image of Res
+    is the Res of the images, so a constant gcd mod P proves Res != 0 at any
+    coefficient height.  Only when no prime proves it does the rule run over
+    Q(i), on the monic ``poly_gcd``, whose remainders grow far more slowly
+    than ``resultant``'s (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 6).
     """
     if f.is_zero or g.is_zero:
         raise ExactArithmeticError("coprimality of a zero form")
     if any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES):
         return True
-    if f.coeffs[0].is_zero and g.coeffs[0].is_zero:
+    if f.zero_at_infinity and g.zero_at_infinity:
         return False
-    return poly_gcd(f.dehomogenize(), g.dehomogenize()).degree == 0
+    return poly_gcd(f.chart, g.chart).degree == 0
 
 
-# Primes P = 1 (mod 4), each with s, s^2 = -1 (mod P), so that
-# (a + bi)/d -> (a + b s)/d mod P is a ring map from the Gaussian rationals
-# whose denominators P does not divide onto F_P (Collins, JACM 1971).  Below
-# 2^30 a residue is one CPython int digit, and Euclid runs about twice as
-# fast as with primes near 2^62.
+# Primes P = 1 (mod 4), each with s, s^2 = -1 (mod P), so that a + bi -> a + bs
+# mod P is a ring map from the Gaussian integers onto F_P (Collins, JACM 1971),
+# defined on a chart's numerators whatever its denominator.  Below 2^30 a
+# residue is one CPython int digit, and Euclid runs about twice as fast as
+# with primes near 2^62.
 RESULTANT_PRIMES = (
     (2**30 - 35, 140687844),
     (2**30 - 83, 289525921),
@@ -549,48 +566,40 @@ RESULTANT_PRIMES = (
 )
 
 
-def _image_mod(form: BinaryForm, p: int, s: int) -> list[int] | None:
-    """The coefficients of form mapped to F_p by i -> s; None when p divides a denominator."""
-    out = []
-    for c in form.coeffs:
-        x = c._a + c._b * s
-        if c._d != 1:
-            if not c._d % p:
-                return None
-            x *= pow(c._d, -1, p)
-        out.append(x % p)
+def _image_mod(form: BinaryForm, p: int, s: int) -> list[int]:
+    """The chart's numerators mapped to F_p by i -> s, ascending, with no trailing zero."""
+    out = [(u + v * s) % p for u, v in zip(form.chart.re, form.chart.im)]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
 def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b in F_p[z], coefficients descending, b[0] != 0; no leading zeros."""
+    """a mod b in F_p[z], coefficients ascending, b[-1] != 0; no trailing zeros."""
     a = a[:]
-    inv = pow(b[0], -1, p)
-    tail = [c * inv % p for c in b[1:]]
-    top = len(a) - len(b) + 1  # the quotient's length
-    for i in range(top):
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = [c * inv % p for c in b[:-1]]
+    for i in range(len(a) - 1, n - 1, -1):
         t = a[i]
         if t:
-            for j, c in enumerate(tail, i + 1):
+            for j, c in enumerate(low, i - n):
                 a[j] = (a[j] - t * c) % p
-    r = a[max(top, 0):]
-    k = 0
-    while k < len(r) and not r[k]:
-        k += 1
-    return r[k:]
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _coprime_mod(f: BinaryForm, g: BinaryForm, p: int, s: int) -> bool:
-    """The rule of ``coprime`` on the images of f and g in F_p.
+    """The rule of ``coprime`` on the images in F_p of f and g scaled to Gaussian integers.
 
-    False when p divides a denominator or both declared leads vanish mod p;
-    at declared degrees 0 and 0 the latter proves nothing, as Res = 1 there.
+    False when both images vanish at [1:0], their chart degrees below the
+    declared ones; at declared degrees 0 and 0 that proves nothing, as Res = 1.
     """
     a, b = _image_mod(f, p, s), _image_mod(g, p, s)
-    if a is None or b is None or not (a[0] or b[0]):
+    if len(a) <= f.degree and len(b) <= g.degree:
         return False
-    if not b[0]:
-        a, b = b, a  # b leads; a may lead with zeros, which _rem_mod reads as zeros
     while b:
         a, b = b, _rem_mod(a, b, p)
     return len(a) == 1

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import InputError, array, linalg
 from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
-from .sphere import LogOneForm, PunctureSet, SphereError, make_log_form
+from .sphere import LogOneForm, SphereError, make_log_form
 
 
 class NnoidDataError(InputError):
@@ -28,33 +27,32 @@ class NnoidDataError(InputError):
 
 @dataclass(frozen=True)
 class NnoidData:
-    """Input data: punctures, residues, and sections g1, g2, q.
+    """Input data: the logarithmic 1-form omega, with the punctures and
+    residues, and the sections g1, g2, q.
 
     Degrees are n-4, n-3 and 3; g1, g2 share no projective zero and q is
     nonvanishing at every puncture.  n = 4 is allowed (g1 constant); the
     stability verdict for that boundary case is strictly-semistable.
     """
 
-    n: int
-    punctures: PunctureSet
     omega: LogOneForm
     g1: BinaryForm
     g2: BinaryForm
     q: BinaryForm
 
+    @property
+    def punctures(self) -> tuple[GaussianRational, ...]:
+        return self.omega.punctures
+
+    @property
+    def n(self) -> int:
+        return len(self.omega.punctures)
+
     @staticmethod
-    def make(
-        punctures: PunctureSet,
-        omega: LogOneForm,
-        g1: BinaryForm,
-        g2: BinaryForm,
-        q: BinaryForm,
-    ) -> "NnoidData":
-        n = len(punctures)
+    def make(omega: LogOneForm, g1: BinaryForm, g2: BinaryForm, q: BinaryForm) -> "NnoidData":
+        n = len(omega.punctures)
         if n < 4:
             raise NnoidDataError("need at least 4 punctures")
-        if omega.punctures != punctures:
-            raise NnoidDataError("omega must have poles exactly at the punctures")
         if g1.degree != n - 4 or g2.degree != n - 3 or q.degree != 3:
             raise NnoidDataError(
                 f"degree mismatch: need deg g1 = {n - 4}, deg g2 = {n - 3}, deg q = 3"
@@ -63,17 +61,10 @@ class NnoidData:
             raise NnoidDataError("g1 and g2 must be nonzero")
         if not coprime(g1, g2):
             raise NnoidDataError("g1 and g2 share a projective zero")
-        data = NnoidData(n, punctures, omega, g1, g2, q)
-        q_affine = data.affine[2]
-        for p in punctures:
-            if q_affine(p).is_zero:
+        for p in omega.punctures:
+            if q.chart(p).is_zero:
                 raise NnoidDataError(f"q vanishes at the puncture {p}")
-        return data
-
-    @cached_property
-    def affine(self) -> tuple[UniPoly, UniPoly, UniPoly]:
-        """g1, g2 and q in the affine chart, dehomogenized once."""
-        return self.g1.dehomogenize(), self.g2.dehomogenize(), self.q.dehomogenize()
+        return NnoidData(omega, g1, g2, q)
 
     def to_json(self) -> dict:
         out = {"n": self.n}
@@ -85,14 +76,13 @@ class NnoidData:
 
     @staticmethod
     def from_json(obj: dict) -> "NnoidData":
-        points = array(obj["punctures"], "punctures")
-        punctures = PunctureSet.of([GaussianRational.parse(s) for s in points])
+        punctures = [GaussianRational.parse(s) for s in array(obj["punctures"], "punctures")]
         residues = [GaussianRational.parse(s) for s in array(obj["residues"], "residues")]
         omega = make_log_form(punctures, residues)
         g1 = BinaryForm.from_json(obj["g1"])
         g2 = BinaryForm.from_json(obj["g2"])
         q = BinaryForm.from_json(obj["q"])
-        data = NnoidData.make(punctures, omega, g1, g2, q)
+        data = NnoidData.make(omega, g1, g2, q)
         if "n" in obj and obj["n"] != data.n:
             raise NnoidDataError("declared n disagrees with the puncture count")
         return data
@@ -137,7 +127,7 @@ def build_higgs(data: NnoidData) -> HiggsField:
     The lower-left block of S is (g1, g2), the upper-right block is
     (-q g2, q g1)^t; the diagonal blocks vanish identically.
     """
-    g1, g2, q = data.affine
+    g1, g2, q = data.g1.chart, data.g2.chart, data.q.chart
     zero = UniPoly.zero()
     s = (
         (zero, zero, -(q * g2)),
@@ -182,7 +172,7 @@ def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
     """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
     r = data.omega.residue_at(p)
-    g1, g2, q = (f(p) for f in data.affine)
+    g1, g2, q = (f.chart(p) for f in (data.g1, data.g2, data.q))
     zero = GaussianRational.of(0)
     rows = [
         [zero, zero, r * (-(q * g2))],

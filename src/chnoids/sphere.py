@@ -1,4 +1,4 @@
-"""Puncture sets and logarithmic 1-forms on the punctured sphere.
+"""Logarithmic 1-forms on the punctured sphere.
 
 Everything lives in a single affine chart: a puncture is a Gaussian
 rational, so an input with a puncture at infinity does not parse.
@@ -18,44 +18,14 @@ class SphereError(InputError):
 
 
 @dataclass(frozen=True)
-class PunctureSet:
-    """n >= 1 pairwise distinct points of the affine chart."""
-
-    points: tuple[GaussianRational, ...]
-
-    @staticmethod
-    def of(points: Sequence[GaussianRational]) -> "PunctureSet":
-        pts = tuple(points)
-        if not pts:
-            raise SphereError("need at least one puncture")
-        if len(set(pts)) != len(pts):
-            raise SphereError("punctures must be pairwise distinct")
-        return PunctureSet(pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, p: GaussianRational) -> bool:
-        return p in self.points
-
-    def index(self, p: GaussianRational) -> int:
-        return self.points.index(p)
-
-    def vanishing_poly(self) -> UniPoly:
-        return UniPoly.from_roots(self.points)
-
-
-@dataclass(frozen=True)
 class LogOneForm:
     """omega = sum_i r_i dz/(z - p_i) with simple poles exactly at P.
 
-    The residues sum to zero exactly and none of them vanishes.
+    P is n >= 1 pairwise distinct points of the affine chart; the residues
+    sum to zero exactly and none of them vanishes.
     """
 
-    punctures: PunctureSet
+    punctures: tuple[GaussianRational, ...]
     residues: tuple[GaussianRational, ...]
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
@@ -73,7 +43,7 @@ class LogOneForm:
         The form is already reduced: V is monic and squarefree, and
         num(p_i) = r_i prod_{j != i} (p_i - p_j) is nonzero.
         """
-        fn = RationalFunction.partial_fractions(self.punctures.points, self.residues)
+        fn = RationalFunction.partial_fractions(self.punctures, self.residues)
         return RationalOneForm(fn)
 
     def to_json(self) -> dict:
@@ -83,9 +53,15 @@ class LogOneForm:
         }
 
 
-def make_log_form(punctures: PunctureSet, residues: Sequence[GaussianRational]) -> LogOneForm:
-    rs = tuple(residues)
-    if len(rs) != len(punctures):
+def make_log_form(
+    punctures: Sequence[GaussianRational], residues: Sequence[GaussianRational]
+) -> LogOneForm:
+    pts, rs = tuple(punctures), tuple(residues)
+    if not pts:
+        raise SphereError("need at least one puncture")
+    if len(set(pts)) != len(pts):
+        raise SphereError("punctures must be pairwise distinct")
+    if len(rs) != len(pts):
         raise SphereError("need one residue per puncture")
     if any(r.is_zero for r in rs):
         raise SphereError("zero residue: poles must be simple precisely at P")
@@ -94,4 +70,4 @@ def make_log_form(punctures: PunctureSet, residues: Sequence[GaussianRational]) 
         total = total + r
     if not total.is_zero:
         raise SphereError(f"residues must sum to zero (got {total})")
-    return LogOneForm(punctures, rs)
+    return LogOneForm(pts, rs)

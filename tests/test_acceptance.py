@@ -81,7 +81,7 @@ def test_criterion_1_nnoid_exact_suite(exact_suite, report):
             ok = ok and nnoid.jordan_type(m) == (3,)
             ok = ok and nnoid.end_type(m) == nnoid.EndType.TYPE_II
         # partial-fraction residue Res_p(omega) S(p) cross-checked against the closed form
-        p0 = data.punctures.points[0]
+        p0 = data.punctures[0]
         ok = ok and nnoid.residue_matrix(phi, p0).matrix == residues[0]
     elapsed = build_time + (time.time() - t0)
     in_time = elapsed < 120.0

@@ -713,6 +713,14 @@ def weights_json(triple, **flags) -> list[dict]:
         ("ch2 distance", {"z": "001", "w": ["0", "0", "1"]}),
         ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
                              "weights": weights_json("000")}),
+        # a field whose slacks overflow, which the certificate would print as Infinity
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 2.0},
+                         "spec": {"modes": [[1, 1e300, 0]], "poly": [0, 0, 0]}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 2.0},
+                         "spec": {"modes": [[1, 1e250, 0]], "poly": [0, 0, 0]}}),
+        # a boolean spec number, which the certificate would echo as given
+        ("cusp verify", {"grid": SMALL_GRID,
+                         "spec": {"modes": [[True, 1, False]], "poly": [0, False, True]}}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):
@@ -936,6 +944,12 @@ def test_mutated_json_never_crashes(command, data, tmp_path_factory):
         code = main([*command.split(), str(src)])
     assert code in (0, 1, 2), text
     assert "Traceback" not in err.getvalue()
+    if code != 2:  # a certificate is strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a certificate")
 
 
 def test_random_sampler_invariants():
@@ -951,6 +965,26 @@ SRC = str(Path(chnoids.__file__).resolve().parents[1])
 FLOAT_BOOST = {"matrix": [["1.5430806348152437", "0.0", "1.1752011936438014"],
                           ["0.0", "1.0", "0.0"],
                           ["1.1752011936438014", "0.0", "1.5430806348152437"]]}
+
+
+IDENTITY = {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+# a tolerance that is not a finite number >= 0 would print NaN or Infinity into
+# the certificate, or pass or fail every field
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e400"])
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [("ch2 classify", IDENTITY, ["--exact"]), ("ch2 classify", FLOAT_BOOST, []),
+     ("cusp verify", {"grid": SMALL_GRID}, [])],
+    ids=["exact", "float", "cusp"],
+)
+def test_non_finite_or_negative_tol_exits_2(command, config, flags, tol, tmp_path, capsys):
+    path = write_json(tmp_path, "in.json", config)
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), path, *flags, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "argument --tol: need a finite number >= 0" in capsys.readouterr().err
 
 
 def run_python(args, timeout=60):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -160,6 +161,17 @@ def test_scalar_canonical_zero_and_immutable():
         GaussianRational(1, 2)
 
 
+def test_scalar_defers_to_a_polynomial_operand():
+    p = UniPoly.of([1, 2])
+    assert GQ(2) * p == p * GQ(2) == UniPoly.of([2, 4])
+    assert GQ(2) * p + GQ(1) * p == UniPoly.of([3, 6])
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(GQ(1), 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, GQ(1))
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -207,7 +219,7 @@ def test_resultant_examples():
     # f = z0^2 - z1^2, g = z0 - 2 z1: no common root, g's root [2:1] gives f = 3
     f = BinaryForm.of(2, [1, 0, -1])
     g = BinaryForm.of(1, [1, -2])
-    assert f.dehomogenize()(GQ(2)) == GQ(3)
+    assert f.chart(GQ(2)) == GQ(3)
     assert not resultant(f, g).is_zero
 
 
@@ -329,10 +341,10 @@ def test_poly_gcd_and_divmod_match_sympy():
 def test_eval_form_examples():
     cube = BinaryForm.of(3, [0, 0, 0, 1])  # z1^3
     for p in [0, 7, -3]:
-        assert cube.dehomogenize()(GQ(p)) == ONE
-    assert Z0.dehomogenize()(GQ(0)).is_zero
+        assert cube.chart(GQ(p)) == ONE
+    assert Z0.chart(GQ(0)).is_zero
     f = BinaryForm.of(2, [1, 0, -1])
-    assert f.dehomogenize()(GQ(2)) == GQ(3)
+    assert f.chart(GQ(2)) == GQ(3)
 
 
 form_strategy = st.integers(min_value=0, max_value=6).flatmap(
@@ -409,26 +421,35 @@ def modular_pair(rng):
     return f, g
 
 
+def numerators(f):
+    """f times its chart's denominator: Gaussian-integer coefficients."""
+    return BinaryForm.of(f.degree, [c * f.chart.den for c in f.coeffs])
+
+
 def test_coprime_mod_p_is_true_iff_the_image_of_resultant_is_nonzero():
-    """The F_P rule of ``coprime`` against the image of Res in F_P; at declared
-    degrees 0 and 0 with both images zero Res = 1, and the rule proves nothing."""
+    """The F_P rule of ``coprime`` against the image in F_P of Res of f and g
+    scaled to Gaussian integers, and of Res(f, g) where P divides no
+    denominator; at declared degrees 0 and 0 with both images zero Res = 1,
+    and the rule proves nothing."""
     rng = random.Random(1707)
-    seen = dict.fromkeys(["skipped", "zero", "nonzero", "f lead", "g lead", "both leads",
-                          "a lead zero mod P1 only"], 0)
+    seen = dict.fromkeys(["P in a denominator", "zero", "nonzero", "f lead", "g lead",
+                          "both leads", "a lead zero mod P1 only"], 0)
     for _ in range(700):
         f, g = modular_pair(rng)
         if f.is_zero or g.is_zero:
             continue
         exact = resultant(f, g)
+        fn, gn = numerators(f), numerators(g)
+        scaled = resultant(fn, gn)
         for p, s in RESULTANT_PRIMES:
             got = _coprime_mod(f, g, p, s)
-            if any(not c.parts[2] % p for c in f.coeffs + g.coeffs):
-                assert not got, (f, g, p)
-                seen["skipped"] += 1
-                continue
-            f_lead, g_lead = (image_mod(h.coeffs[0], p, s) for h in (f, g))
+            f_lead, g_lead = (image_mod(h.coeffs[0], p, s) for h in (fn, gn))
             if f.degree == g.degree == 0 and not f_lead and not g_lead:
                 assert not got and exact == ONE, (f, g, p)
+                continue
+            assert got == bool(image_mod(scaled, p, s)), (f, g, p)
+            if any(not c.parts[2] % p for c in f.coeffs + g.coeffs):
+                seen["P in a denominator"] += 1
                 continue
             assert got == bool(image_mod(exact, p, s)), (f, g, p)
             seen["nonzero" if got else "zero"] += 1
@@ -470,11 +491,21 @@ def test_coprime_examples():
     f, g = times_linear(Z1, GQ(3, 1)), times_linear(z0_minus(2), GQ(3, 1))
     assert not any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES)
     assert resultant(f, g) == ZERO and not coprime(f, g)
-    # P1 in a denominator: P1 is skipped
+    # P1 in a denominator: Res(z0 + P1 z1, z0) = -P1 of the numerators is zero mod P1
     assert not _coprime_mod(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0, P1, S1)
     assert coprime(BinaryForm.of(1, [Fraction(1, P1), 1]), Z0)
     with pytest.raises(ExactArithmeticError):
         coprime(BinaryForm.of(2, [0, 0, 0]), Z0)
+
+
+def test_coprime_falls_back_with_one_declared_lead_zero():
+    # Res_{1,1}(z1, a z0 + z1) = -a; a = P1 P2 P3 is zero mod every prime, and
+    # only z1 vanishes at [1:0], so the Q(i) gcd of the charts decides
+    a = math.prod(p for p, _ in RESULTANT_PRIMES)
+    f, g = Z1, BinaryForm.of(1, [a, 1])
+    assert f.zero_at_infinity and not g.zero_at_infinity
+    assert not any(_coprime_mod(f, g, p, s) for p, s in RESULTANT_PRIMES)
+    assert resultant(f, g) == GQ(-a) and coprime(f, g) and coprime(g, f)
 
 
 def test_mod_p_decision_matches_resultant_and_sympy_gcd():
@@ -492,7 +523,7 @@ def test_mod_p_decision_matches_resultant_and_sympy_gcd():
         # a common zero is [1:0], where both leads vanish, or a common root in
         # the chart; sympy's univariate gcd is far quicker than its bivariate one
         at_infinity = f.coeffs[0].is_zero and g.coeffs[0].is_zero
-        chart_gcd = sympy_poly(f.dehomogenize()).gcd(sympy_poly(g.dehomogenize()))
+        chart_gcd = sympy_poly(f.chart).gcd(sympy_poly(g.chart))
         assert shares_root == (at_infinity or chart_gcd.degree() >= 1), (f, g)
     assert decided >= 1000 and shared >= 200, (decided, shared)
 

@@ -20,32 +20,32 @@ from chnoids.nnoid import (
     trace_phi,
     trace_phi_squared,
 )
-from chnoids.sphere import PunctureSet, SphereError, make_log_form
+from chnoids.sphere import SphereError, make_log_form
 
 
 def reference_data():
     """n=5, P={0..4}, r={1,1,1,1,-4}, g1=z0, g2=z0^2+z1^2, q=z1^3."""
-    P = PunctureSet.of([GQ(k) for k in range(5)])
+    P = [GQ(k) for k in range(5)]
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
     g1 = BinaryForm.of(1, [1, 0])
     g2 = BinaryForm.of(2, [1, 0, 1])
     q = BinaryForm.of(3, [0, 0, 0, 1])
-    return NnoidData.make(P, omega, g1, g2, q)
+    return NnoidData.make(omega, g1, g2, q)
 
 
 def test_make_validates():
-    P = PunctureSet.of([GQ(k) for k in range(5)])
+    P = [GQ(k) for k in range(5)]
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
     g1 = BinaryForm.of(1, [1, 0])
     with pytest.raises(NnoidDataError):
         # q = z0^3 vanishes at puncture 0
-        NnoidData.make(P, omega, g1, BinaryForm.of(2, [1, 0, 1]), BinaryForm.of(3, [1, 0, 0, 0]))
+        NnoidData.make(omega, g1, BinaryForm.of(2, [1, 0, 1]), BinaryForm.of(3, [1, 0, 0, 0]))
     with pytest.raises(NnoidDataError):
         # g1 = z0, g2 = z0 z1 share the root [0:1]
-        NnoidData.make(P, omega, g1, BinaryForm.of(2, [0, 1, 0]), BinaryForm.of(3, [0, 0, 0, 1]))
+        NnoidData.make(omega, g1, BinaryForm.of(2, [0, 1, 0]), BinaryForm.of(3, [0, 0, 0, 1]))
     with pytest.raises(NnoidDataError):
         # wrong degree for g2
-        NnoidData.make(P, omega, g1, BinaryForm.of(3, [1, 0, 0, 1]), BinaryForm.of(3, [0, 0, 0, 1]))
+        NnoidData.make(omega, g1, BinaryForm.of(3, [1, 0, 0, 1]), BinaryForm.of(3, [0, 0, 0, 1]))
 
 
 def test_json_roundtrip():
@@ -62,7 +62,7 @@ def test_build_higgs_structure():
     data = reference_data()
     phi = build_higgs(data)
     assert phi.omega == data.omega.as_rational_form()
-    g1, g2, q = (f.dehomogenize() for f in (data.g1, data.g2, data.q))
+    g1, g2, q = (f.chart for f in (data.g1, data.g2, data.q))
     # S[2][0] = g1, S[0][2] = -q g2; the diagonal blocks vanish
     assert phi.s[2][0] == g1
     assert phi.s[0][2] == -(q * g2)
@@ -96,7 +96,7 @@ def test_trace_phi_squared_detects_tamper():
         ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]),
         data,
     )
-    g1, g2, q = (f.dehomogenize() for f in (data.g1, data.g2, data.q))
+    g1, g2, q = (f.chart for f in (data.g1, data.g2, data.q))
     assert trace_phi_squared(tampered) == q * g1 * g2 * 4
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from sympy import Poly, symbols
 from sympy.polys.domains import QQ, QQ_I
 
-from chnoids.exactnum import GQ, ZERO
-from chnoids.sphere import PunctureSet, SphereError, make_log_form
+from chnoids.exactnum import GQ, ZERO, UniPoly
+from chnoids.sphere import SphereError, make_log_form
 
 
 def punctures(*zs):
-    return PunctureSet.of([GQ(z) for z in zs])
+    return [GQ(z) for z in zs]
 
 
 def test_make_log_form_valid():
@@ -31,7 +31,7 @@ def test_make_log_form_rejects():
     with pytest.raises(SphereError):
         make_log_form(punctures(0, 1, 2), [GQ(1), GQ(0), GQ(-1)])  # zero residue
     with pytest.raises(SphereError):
-        PunctureSet.of([GQ(0)] * 2)  # duplicates
+        make_log_form([GQ(0)] * 2, [GQ(1), GQ(-1)])  # duplicates
 
 
 def test_log_form_rational_realization():
@@ -69,7 +69,7 @@ def test_residues_sum_zero_and_match(points, data):
     form = omega.as_rational_form()
     # the invariant residue_at relies on: den is the monic squarefree V and
     # num vanishes at no puncture, so the form is reduced with simple poles
-    assert form.den == P.vanishing_poly()
+    assert form.den == UniPoly.from_roots(P)
     for p in P:
         assert not form.num(p).is_zero
         total = total + omega.residue_at(p)
@@ -101,7 +101,7 @@ def test_numerator_poly_matches_sympy_partial_fractions():
         if last.is_zero:
             continue
         residues.append(last)
-        omega = make_log_form(PunctureSet.of(points), residues)
+        omega = make_log_form(points, residues)
         expected = Poly(0, Z_SYM, domain=QQ_I)
         for i, r in enumerate(residues):
             term = Poly(1, Z_SYM, domain=QQ_I).mul_ground(qq_i(r))
