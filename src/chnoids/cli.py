@@ -41,14 +41,21 @@ EXIT_INPUT = 2
 # coefficients (under 1 ms of it proving g1, g2 coprime modulo a prime) and
 # 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i,
 # the Q(i) gcd refuses the input in 0.23-0.24 s at 1 digit, 0.65 s at 4,
-# 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing with height; a stability
-# region 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
-# 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted (most of it
-# echoing the weights into the certificate); stability check 0.18 s at the
-# digit limit (715 distinct prime denominators); cusp verify 0.1-0.8 s on the
-# grid alone, 0.5-1.4 s with 16 modes on 2^20 points and 6.5 s with 2^18 modes
-# on 8 x 8.
+# 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing with height.  The
+# per-puncture pass grows with n times the punctures' summed height, the bit
+# lengths of a, b and d over the punctures (a + bi)/d: at n = 64 nnoid check
+# takes 0.4 s with 10-digit puncture denominators (534,016 bits) and 1.4-2.5 s
+# with one tall puncture at the cap; n = 16 and n = 5 at the cap take 1.7 s
+# and 0.5-0.6 s.  4,300-digit g1, g2 coefficients cost 6.3-7.3 s at n = 64 with
+# integer punctures and 15.4 s with a puncture at the cap; that height is not
+# bounded here.  A stability region takes 0.17 s at n = 5, dmax = 140;
+# stability check or a region at dmax = 0 0.15 s at n = 10^5 with zero
+# weights and 1.6-1.8 s weighted (most of it echoing the weights into the
+# certificate); stability check 0.18 s at the digit limit (715 distinct prime
+# denominators); cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16
+# modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
+MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
 MAX_GRID_POINTS = 2**20  # Nx * Ny
 MAX_MODE_WORK = 2**24  # spec modes times Nx * Ny
@@ -120,7 +127,11 @@ def _over_limit(what: str, value: int, limit: int) -> None:
 
 
 def _parse_nnoid_check(obj: dict, args) -> NnoidData:
-    _over_limit("n", len(array(obj["punctures"], "punctures")), MAX_NNOID_N)
+    literals = array(obj["punctures"], "punctures")
+    n = len(literals)
+    _over_limit("n", n, MAX_NNOID_N)
+    height = sum(x.bit_length() for s in literals for x in GaussianRational.parse(s).parts)
+    _over_limit("n times the punctures' summed height in bits", n * height, MAX_NNOID_HEIGHT_WORK)
     return NnoidData.from_json(obj)
 
 

@@ -4,11 +4,10 @@ Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
 ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0; an integer
 literal is read and written through ``int``, any other through
-``rational``.  The polynomial kernels (product, division, evaluation,
-``from_roots``, ``RationalFunction.partial_fractions``) and ``dot`` write
-their operands as Gaussian integers over one common denominator,
-accumulate in Python ints, and reduce each output by one gcd; a
-polynomial is held that way.
+``rational``.  The polynomial kernels (product, division, evaluation) and
+``dot`` write their operands as Gaussian integers over one common
+denominator, accumulate in Python ints, and reduce each output by one gcd;
+a polynomial is held that way.
 A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
 never materialize algebraic numbers: everything goes through gcds and
 evaluation.
@@ -256,21 +255,6 @@ def _over_common(xs: Sequence[GaussianRational]) -> tuple[list[int], list[int], 
     return us, vs, den
 
 
-def _root_product(wu: list[int], wv: list[int], e: int) -> tuple[list[int], list[int]]:
-    """prod_k (e z - w_k), w_k = wu[k] + i wv[k], as Gaussian-integer coefficients (re, im)."""
-    pu, pv = [1], [0]
-    for a, b in zip(wu, wv):
-        # times (e z - w): coefficient k becomes e p_(k-1) - w p_k
-        qu, qv = [0] * (len(pu) + 1), [0] * (len(pu) + 1)
-        for k, (x, y) in enumerate(zip(pu, pv)):
-            qu[k + 1] += e * x
-            qv[k + 1] += e * y
-            qu[k] -= a * x - b * y
-            qv[k] -= a * y + b * x
-        pu, pv = qu, qv
-    return pu, pv
-
-
 def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
     """The polynomial with coefficients (u_k + i v_k)/den, den > 0, reduced by one gcd."""
     n = len(us)
@@ -330,12 +314,6 @@ class UniPoly:
     @staticmethod
     def zero() -> "UniPoly":
         return UniPoly((), (), 1)
-
-    @staticmethod
-    def from_roots(roots: Sequence[GaussianRational]) -> "UniPoly":
-        """prod_k (z - roots[k]), monic."""
-        wu, wv, e = _over_common(roots)
-        return _poly_over(*_root_product(wu, wv, e), e ** len(roots))
 
     @cached_property
     def coeffs(self) -> tuple[GaussianRational, ...]:
@@ -615,32 +593,6 @@ class RationalFunction:
 
     num: UniPoly
     den: UniPoly
-
-    @staticmethod
-    def partial_fractions(
-        poles: Sequence[GaussianRational], residues: Sequence[GaussianRational]
-    ) -> "RationalFunction":
-        """sum_k residues[k]/(z - poles[k]) as num/V: V = prod_k (z - poles[k]) and
-        num = sum_k residues[k] V/(z - poles[k]).
-
-        With the poles written w_k/e over one denominator, P = prod_k (e z - w_k)
-        has Gaussian-integer coefficients and V = P/e^n.  Each cofactor is
-        V/(z - poles[k]) = Q_k/e^(n-1), where Q_k = P/(e z - w_k) comes from
-        synthetic division, exact in Z[i]; num accumulates sum_k residues[k] Q_k
-        in ints and each of its coefficients is reduced once.
-        """
-        wu, wv, e = _over_common(poles)
-        pu, pv = _root_product(wu, wv, e)
-        ru, rv, f = _over_common(residues)
-        n = len(wu)
-        nu, nv = [0] * n, [0] * n
-        for a, b, c, g in zip(wu, wv, ru, rv):
-            x = y = 0  # Q_k, from Q_n = 0 down: Q_(k-1) = (P_k + w Q_k)/e
-            for k in range(n, 0, -1):
-                x, y = (pu[k] + a * x - b * y) // e, (pv[k] + a * y + b * x) // e
-                nu[k - 1] += c * x - g * y
-                nv[k - 1] += c * y + g * x
-        return RationalFunction(_poly_over(nu, nv, f * e ** (n - 1)), _poly_over(pu, pv, e**n))
 
     @property
     def is_zero(self) -> bool:

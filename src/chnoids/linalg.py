@@ -55,10 +55,6 @@ def gauss_mat_mul(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in a)
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     out = identity(len(a))
     for _ in range(k):
@@ -107,39 +103,6 @@ def _echelon(
         if r == n_rows:
             break
     return rows, pivots, product
-
-
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Basis of the right null space."""
-    n_cols = len(a[0])
-    rows, pivots, _ = _echelon([list(row) for row in a])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def column_space_basis(a: Matrix) -> list[Vector]:
-    """Basis of the column space (as column vectors)."""
-    n = len(a)
-    transposed = [[a[i][j] for i in range(n)] for j in range(len(a[0]))]
-    rows, pivots, _ = _echelon([list(r) for r in transposed])
-    return [tuple(rows[i]) for i in range(len(pivots))]
-
-
-def in_span(v: Vector, basis: list[Vector]) -> bool:
-    if not basis:
-        return all(x.is_zero for x in v)
-    rows = [list(b) for b in basis]
-    pivots_before = _echelon([r[:] for r in rows])[1]
-    rows.append(list(v))
-    pivots_after = _echelon(rows)[1]
-    return len(pivots_after) == len(pivots_before)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -1,13 +1,13 @@
 """The explicit off-diagonal Higgs field on the n-punctured sphere.
 
 The 3x3 logarithmic Higgs field is held in factored form Phi = omega * S:
-the logarithmic 1-form omega = (num / V) dz, V the vanishing polynomial
-of the punctures, times the polynomial section matrix
-S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].  Since omega != 0, the
-trace identities tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0
-are checked as the polynomial identities tr S = 0 and tr S^2 = 0.  The
-residue Res_p(omega) S(p) at a puncture is computed two independent ways,
-and the module classifies nilpotent types, canonical flags and end types.
+the input's logarithmic 1-form omega = sum_i r_i dz/(z - p_i) times the
+polynomial section matrix S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].
+Since omega != 0, the trace identities tr Phi = omega tr S = 0 and
+tr Phi^2 = omega^2 tr S^2 = 0 are checked as the polynomial identities
+tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a puncture is computed
+two independent ways, and the module classifies nilpotent types and end
+types.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import enum
 from dataclasses import dataclass
 
 from . import InputError, array, linalg
-from .exactnum import BinaryForm, GaussianRational, RationalOneForm, UniPoly, coprime
+from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
-from .sphere import LogOneForm, SphereError, make_log_form
+from .sphere import LogOneForm, make_log_form
 
 
 class NnoidDataError(InputError):
@@ -93,11 +93,11 @@ class HiggsField:
     """Phi = omega * S, strictly off-diagonal in the 2+1 split E = V + L.
 
     V = O(1) + O spans coordinates 0, 1 and L = O(-1) coordinate 2.
-    ``omega`` is the logarithmic 1-form (num / V) dz, V the vanishing
-    polynomial of the punctures, and ``s`` the 3x3 polynomial matrix S.
+    ``omega`` is the input's logarithmic 1-form and ``s`` the 3x3
+    polynomial matrix S.
     """
 
-    omega: RationalOneForm
+    omega: LogOneForm
     s: tuple[tuple[UniPoly, ...], ...]
     data: NnoidData
 
@@ -113,14 +113,6 @@ class EndType(enum.Enum):
     TYPE_II = "II"
 
 
-@dataclass(frozen=True)
-class CanonicalFlag:
-    """Flag 0 < L < V < C^3 with N(V) inside L and N(L) = 0."""
-
-    line: linalg.Vector
-    plane: tuple[linalg.Vector, linalg.Vector]
-
-
 def build_higgs(data: NnoidData) -> HiggsField:
     """Assemble Phi = omega * S in the affine chart.
 
@@ -134,7 +126,7 @@ def build_higgs(data: NnoidData) -> HiggsField:
         (zero, zero, q * g1),
         (g1, g2, zero),
     )
-    return HiggsField(data.omega.as_rational_form(), s, data)
+    return HiggsField(data.omega, s, data)
 
 
 def trace_phi(phi: HiggsField) -> UniPoly:
@@ -156,15 +148,13 @@ def trace_phi_squared(phi: HiggsField) -> UniPoly:
 
 
 def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
-    """Residue of Phi at a puncture (partial-fraction route).
+    """Residue of Phi at a puncture, from the factored field.
 
     Only omega has poles and S is polynomial, so Res_p(omega S) =
-    Res_p(omega) S(p): the residue num(p)/V'(p) of the reduced form
-    omega = (num/V) dz times the products ``build_higgs`` built, evaluated
-    at p.
+    Res_p(omega) S(p): the residue r_p that omega holds times the products
+    ``build_higgs`` built, evaluated at p.  A point that is not a puncture
+    raises ``SphereError``.
     """
-    if p not in phi.data.punctures:
-        raise SphereError(f"{p} is not a puncture")
     r = phi.omega.residue_at(p)
     return ResidueMatrix(p, linalg.mat([[r * sij(p) for sij in row] for row in phi.s]))
 
@@ -213,32 +203,3 @@ def jordan_type(m: linalg.Matrix) -> tuple[int, ...]:
 
 def end_type(m: linalg.Matrix) -> EndType:
     return END_TYPES[jordan_type(m)]
-
-
-def canonical_flag(m: linalg.Matrix) -> CanonicalFlag:
-    """Canonical two-step flag from a nonzero nilpotent 3x3 matrix.
-
-    Type (2,1): line = image, plane = kernel.  Type (3): line = kernel,
-    plane = kernel of the square (which equals the image).
-    """
-    jt = jordan_type(m)
-    if jt == (2, 1):
-        line_basis = linalg.column_space_basis(m)
-        plane_basis = linalg.kernel_basis(m)
-    else:
-        line_basis = linalg.kernel_basis(m)
-        plane_basis = linalg.kernel_basis(linalg.mat_mul(m, m))
-    if len(line_basis) != 1 or len(plane_basis) != 2:
-        raise AssertionError("flag dimensions off; matrix not a rank-3 nilpotent")
-    flag = CanonicalFlag(line_basis[0], (plane_basis[0], plane_basis[1]))
-    _assert_strictly_lowering(m, flag)
-    return flag
-
-
-def _assert_strictly_lowering(m: linalg.Matrix, flag: CanonicalFlag) -> None:
-    if not all(x.is_zero for x in linalg.mat_vec(m, flag.line)):
-        raise AssertionError("N does not kill the flag line")
-    line_span = [flag.line]
-    for v in flag.plane:
-        if not linalg.in_span(linalg.mat_vec(m, v), line_span):
-            raise AssertionError("N does not lower the flag plane into the line")

@@ -1,7 +1,9 @@
 """Logarithmic 1-forms on the punctured sphere.
 
 Everything lives in a single affine chart: a puncture is a Gaussian
-rational, so an input with a puncture at infinity does not parse.
+rational, so an input with a puncture at infinity does not parse.  A form
+is held as its punctures and residues, omega = sum_i r_i dz/(z - p_i), so
+its residue at p_i is r_i by definition.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import InputError
-from .exactnum import ZERO, GaussianRational, RationalFunction, RationalOneForm, UniPoly
+from .exactnum import ZERO, GaussianRational
 
 
 class SphereError(InputError):
@@ -29,22 +31,10 @@ class LogOneForm:
     residues: tuple[GaussianRational, ...]
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
-        if p not in self.punctures:
-            raise SphereError(f"{p} is not a puncture of this form")
-        return self.residues[self.punctures.index(p)]
-
-    def numerator_poly(self) -> UniPoly:
-        """Numerator of omega over the vanishing polynomial V of the punctures."""
-        return self.as_rational_form().num
-
-    def as_rational_form(self) -> RationalOneForm:
-        """omega = (num/V) dz in the affine chart, num = sum_i r_i V/(z - p_i).
-
-        The form is already reduced: V is monic and squarefree, and
-        num(p_i) = r_i prod_{j != i} (p_i - p_j) is nonzero.
-        """
-        fn = RationalFunction.partial_fractions(self.punctures, self.residues)
-        return RationalOneForm(fn)
+        try:
+            return self.residues[self.punctures.index(p)]
+        except ValueError:
+            raise SphereError(f"{p} is not a puncture of this form") from None
 
     def to_json(self) -> dict:
         return {

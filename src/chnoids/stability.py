@@ -71,10 +71,6 @@ class WeightTriple:
             raise StabilityError("weights must satisfy 0 <= a1 <= a2 <= a3 < 1")
         return w
 
-    @staticmethod
-    def zero() -> "WeightTriple":
-        return WeightTriple(Fraction(0), Fraction(0), Fraction(0))
-
     @property
     def values(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3)

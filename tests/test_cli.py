@@ -1148,6 +1148,63 @@ def test_fresh_process_nnoid_check_shared_zero_at_limit(tmp_path):
     assert elapsed < NNOID_64_BUDGET_S
 
 
+def tall_punctures_nnoid(n: int, digits: int, seed: int) -> dict:
+    """nnoid_json(n) with punctures k/d_k + (1/d'_k)i, k = 1..n, for seeded ``digits``-digit
+    d_k and d'_k, and residues k/r_k with seeded 60-digit r_k, the last one making the sum zero."""
+    rng = random.Random(seed)
+
+    def draw(m):
+        return rng.randrange(10 ** (m - 1), 10**m)
+
+    obj = nnoid_json(n)
+    obj["punctures"] = [str(GQ(Fraction(k, draw(digits)), Fraction(1, draw(digits))))
+                        for k in range(1, n + 1)]
+    residues = [Fraction(k, draw(60)) for k in range(1, n)]
+    obj["residues"] = [str(GQ(r)) for r in [*residues, -sum(residues)]]
+    return obj
+
+
+# 10-digit puncture denominators at the size limit: building omega as num/V
+# over the lcm of all n denominators took 50 s on this input.
+def test_fresh_process_nnoid_check_tall_punctures_at_limit(tmp_path):
+    path = write_json(tmp_path, "nn.json", tall_punctures_nnoid(cli.MAX_NNOID_N, 10, 55))
+    start = time.perf_counter()
+    proc = run_python(["-m", "chnoids.cli", "nnoid", "check", path], timeout=NNOID_64_BUDGET_S)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "stable"
+    assert elapsed < NNOID_64_BUDGET_S
+
+
+def puncture_height_nnoid(n: int, height: int) -> dict:
+    """nnoid_json(n) with its last puncture moved to 1/2^h, h chosen so that the punctures'
+    summed height (the bit lengths of a, b and d over the punctures (a + bi)/d) is ``height``."""
+    obj = nnoid_json(n)
+    rest = sum(k.bit_length() + 1 for k in range(n - 1))
+    obj["punctures"][-1] = f"1/{2 ** (height - rest - 2)}"
+    return obj
+
+
+# n times the summed puncture height at the cap is checked; one step past it
+# is refused before any arithmetic.
+@pytest.mark.parametrize("past", [0, 1], ids=["at-cap", "past-cap"])
+def test_fresh_process_nnoid_check_puncture_height_cap(past, tmp_path):
+    n, cap = cli.MAX_NNOID_N, cli.MAX_NNOID_HEIGHT_WORK
+    height = cap // n + past
+    path = write_json(tmp_path, "nn.json", puncture_height_nnoid(n, height))
+    start = time.perf_counter()
+    proc = run_python(["-m", "chnoids.cli", "nnoid", "check", path], timeout=NNOID_64_BUDGET_S)
+    elapsed = time.perf_counter() - start
+    if past:
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == (f"error: n times the punctures' summed height in bits = "
+                               f"{n * height} is over the limit of {cap}\n")
+    else:
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "stable"
+    assert elapsed < NNOID_64_BUDGET_S
+
+
 # Runs main in a new interpreter and prints its exit code and whether numpy
 # was loaded; the certificate itself is discarded.
 NUMPY_PROBE = """

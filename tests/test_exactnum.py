@@ -199,10 +199,18 @@ def test_divmod_identity(f, g):
     assert r.is_zero or r.degree < g.degree
 
 
+def poly_from_roots(roots):
+    """prod_k (z - roots[k]), multiplied out one linear factor at a time."""
+    out = UniPoly.of([1])
+    for r in roots:
+        out = out * UniPoly.of([-r, 1])
+    return out
+
+
 def test_poly_gcd():
-    f = UniPoly.from_roots([GQ(1), GQ(2)])
-    g = UniPoly.from_roots([GQ(2), GQ(3)])
-    assert poly_gcd(f, g) == UniPoly.from_roots([GQ(2)])
+    f = poly_from_roots([GQ(1), GQ(2)])
+    g = poly_from_roots([GQ(2), GQ(3)])
+    assert poly_gcd(f, g) == poly_from_roots([GQ(2)])
     assert poly_gcd(f, UniPoly.zero()) == f.monic()
 
 
@@ -534,14 +542,14 @@ def test_mod_p_decision_matches_resultant_and_sympy_gcd():
 
 def test_residue_simple_pole():
     # 1/(z - 2): residue 1 at 2
-    r = RationalFunction(UniPoly.of([1]), UniPoly.from_roots([GQ(2)]))
+    r = RationalFunction(UniPoly.of([1]), poly_from_roots([GQ(2)]))
     assert r.residue_at(GQ(2)) == ONE
     assert r.residue_at(GQ(5)).is_zero
 
 
 def test_residue_off_the_poles_is_zero():
     # 1/(z - i); den(0) = -i has a zero real part, yet 0 is no pole
-    r = RationalFunction(UniPoly.of([1]), UniPoly.from_roots([GQ(0, 1)]))
+    r = RationalFunction(UniPoly.of([1]), poly_from_roots([GQ(0, 1)]))
     assert r.residue_at(GQ(0, 1)) == ONE
     for p in (GQ(0), GQ(1), GQ(2, 1), GQ(1, 1)):
         assert r.residue_at(p).is_zero, p
@@ -550,7 +558,7 @@ def test_residue_off_the_poles_is_zero():
 def test_residue_double_pole_raises():
     # (z + 1)/(z - 1)^2 has a double pole at 1; only simple poles are handled
     num = UniPoly.of([1, 1])
-    den = UniPoly.from_roots([GQ(1), GQ(1)])
+    den = poly_from_roots([GQ(1), GQ(1)])
     r = RationalFunction(num, den)
     with pytest.raises(ExactArithmeticError):
         r.residue_at(GQ(1))
@@ -668,48 +676,6 @@ def test_charpoly_and_minimal_polynomial_match_sympy():
     assert proper >= 10  # the Jordan-structured matrices reach the proper-divisor case
 
 
-def kernel_test_matrices(rng):
-    """3x3 and rectangular matrices: random ones (about 30% zero entries,
-    usually of full rank), products of an n x r and an r x m factor with
-    0 < r < min(n, m), matrices with one row a multiple of another, and
-    zero matrices where neither fits the shape."""
-    for _ in range(120):
-        n, m = (3, 3) if rng.random() < 0.4 else (rng.randint(1, 4), rng.randint(1, 5))
-        kind = rng.randrange(3)
-        if kind == 0:
-            yield fractional_matrix(rng, n, m)
-        elif kind == 1 and min(n, m) > 1:
-            r = rng.randint(1, min(n, m) - 1)
-            yield linalg.mat_mul(fractional_matrix(rng, n, r), fractional_matrix(rng, r, m))
-        elif kind == 2 and n > 1:
-            rows = [list(row) for row in fractional_matrix(rng, n, m)]
-            i, j = rng.sample(range(n), 2)
-            rows[j] = [non_integer_point(rng) * x for x in rows[i]]
-            yield linalg.mat(rows)
-        else:
-            yield linalg.mat([[ZERO] * m for _ in range(n)])
-
-
-def assert_same_span(ours, theirs):
-    assert len(ours) == len(theirs)
-    assert all(linalg.in_span(v, theirs) for v in ours)
-    assert all(linalg.in_span(v, ours) for v in theirs)
-
-
-def test_kernel_and_column_space_match_sympy():
-    rng = random.Random(2711)
-    deficient = 0
-    for a in kernel_test_matrices(rng):
-        sa = sympy_matrix(a)
-        kernel = [tuple(from_qq_i(x) for x in row) for row in sa.nullspace().to_list()]
-        columns = [tuple(from_qq_i(x) for x in col)
-                   for col in sa.columnspace().transpose().to_list()]
-        assert_same_span(linalg.kernel_basis(a), kernel)
-        assert_same_span(linalg.column_space_basis(a), columns)
-        deficient += sa.rank() < min(len(a), len(a[0]))
-    assert deficient >= 40
-
-
 def test_one_form_residue_matches_sympy():
     """Res_p (num/den) dz at every root p of a squarefree monic den is
     num(p)/den'(p), evaluated by sympy over QQ_I; off the poles it is 0."""
@@ -722,7 +688,7 @@ def test_one_form_residue_matches_sympy():
             if p not in roots:
                 roots.append(p)
         num = fractional_poly(rng, 6)
-        den = UniPoly.from_roots(roots)
+        den = poly_from_roots(roots)
         form = RationalOneForm(RationalFunction(num, den))
         s_num, s_den = sympy_poly(num), sympy_poly(den)
         for p in roots:
@@ -866,25 +832,3 @@ def test_integer_str_matches_fraction_route(a, b):
     z = GQ(a, b)
     assert str(z) == str_by_fractions(a, b)
     assert GaussianRational.parse(str(z)) == z
-
-
-# ---------------------------------------------------------------------------
-# vanishing polynomials
-
-
-def test_from_roots_matches_sympy():
-    rng = random.Random(5309)
-    for trial in range(200):
-        k = rng.randint(0, 10)
-        if trial % 3 == 0:  # Gaussian integers, as the sampler draws them
-            roots = [GQ(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(k)]
-        else:
-            roots = [fractional_gq(rng) for _ in range(k)]
-        if k > 1 and trial % 5 == 0:
-            roots.append(roots[0])  # a repeated root
-        expected = Poly(1, Z_SYM, domain=QQ_I)
-        for r in roots:
-            expected = expected * Poly.from_list([QQ_I(1, 0), -qq_i(r)], Z_SYM, domain=QQ_I)
-        got = UniPoly.from_roots(roots)
-        assert sympy_poly(got) == expected, roots
-        assert_canonical_poly(got)

@@ -11,7 +11,6 @@ from chnoids.nnoid import (
     NnoidData,
     NnoidDataError,
     build_higgs,
-    canonical_flag,
     end_type,
     jordan_type,
     nilpotency_profile,
@@ -61,7 +60,7 @@ def test_json_roundtrip():
 def test_build_higgs_structure():
     data = reference_data()
     phi = build_higgs(data)
-    assert phi.omega == data.omega.as_rational_form()
+    assert phi.omega is data.omega
     g1, g2, q = (f.chart for f in (data.g1, data.g2, data.q))
     # S[2][0] = g1, S[0][2] = -q g2; the diagonal blocks vanish
     assert phi.s[2][0] == g1
@@ -117,14 +116,14 @@ def test_residue_routes_disagree_on_tampered_field():
     """The two residue routes are independent, so a tampered field shows.
 
     Negating S[0][2], or building omega from a rotated residue vector, must
-    make the partial-fraction residue differ from the closed form.
+    make the factored-field residue differ from the closed form.
     """
     data = random_nnoid_data(7, 1)
     phi = build_higgs(data)
     s = phi.s
     negated = nnoid.HiggsField(phi.omega, ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]), data)
     rs = data.omega.residues
-    rotated_omega = make_log_form(data.punctures, rs[1:] + rs[:1]).as_rational_form()
+    rotated_omega = make_log_form(data.punctures, rs[1:] + rs[:1])
     rotated = nnoid.HiggsField(rotated_omega, s, data)
     for tampered in (negated, rotated):
         assert any(
@@ -223,32 +222,6 @@ def test_jordan_and_end_type():
         jordan_type(linalg.identity(3))
     with pytest.raises(NnoidDataError):
         jordan_type(linalg.mat([[GQ(0)] * 3] * 3))
-
-
-def span_equal(basis_a, basis_b):
-    return all(linalg.in_span(v, list(basis_a)) for v in basis_b) and all(
-        linalg.in_span(v, list(basis_b)) for v in basis_a
-    )
-
-
-def test_canonical_flag_examples():
-    e1 = (GQ(1), GQ(0), GQ(0))
-    e2 = (GQ(0), GQ(1), GQ(0))
-    flag = canonical_flag(e13())
-    assert span_equal([flag.line], [e1])
-    assert span_equal(list(flag.plane), [e1, e2])
-    flag = canonical_flag(full_jordan())
-    assert span_equal([flag.line], [e1])
-    assert span_equal(list(flag.plane), [e1, e2])
-
-
-def test_canonical_flag_on_residues():
-    data = random_nnoid_data(6, 11)
-    phi = build_higgs(data)
-    for p in data.punctures:
-        m = residue_matrix(phi, p).matrix
-        flag = canonical_flag(m)  # internal strict-lowering assertions
-        assert all(x.is_zero for x in linalg.mat_vec(m, flag.line))
 
 
 def test_random_instances_full_pipeline():

@@ -109,7 +109,7 @@ def test_prop94_degrees():
 
 def test_stability_region_brute_force():
     s = SurfaceData(0, 5)
-    weights = [PunctureWeights.of(WeightTriple.zero())] * 5
+    weights = [PunctureWeights.of(WeightTriple.of(0, 0, 0))] * 5
     region = stability_region(s, weights, 3)
     expected = [
         (d1, d2)
@@ -259,7 +259,7 @@ def test_stability_region_boundary_pairs_excluded():
 
 def test_stability_region_forms_must_agree(monkeypatch):
     s = SurfaceData(0, 5)
-    weights = [PunctureWeights.of(WeightTriple.zero())] * 5
+    weights = [PunctureWeights.of(WeightTriple.of(0, 0, 0))] * 5
     original = stability._cleared_degrees
 
     # a slope form whose deg W1 drifts by one from the expanded form from d1 = 2 on
