@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import InputError, array, linalg
 from .exactnum import GaussianRational, poly_gcd  # ch2.poly_gcd: read by bench/selftest.py
-from .linalg import GaussInt
+from .linalg import gmul, gsub
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,31 +35,10 @@ J_EXACT = linalg.mat(
 
 
 _J_SIGNS = (1, 1, -1)  # the diagonal of J_EXACT
-_PAIRS = ((0, 1), (0, 2), (1, 2))  # the row or column pairs of a 2x2 minor
 
 
 class CH2Error(InputError):
     pass
-
-
-def _gmul(x: GaussInt, y: GaussInt) -> GaussInt:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _gsub(x: GaussInt, y: GaussInt) -> GaussInt:
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _gsum(xs: Iterable[GaussInt]) -> GaussInt:
-    re = im = 0
-    for x, y in xs:
-        re += x
-        im += y
-    return re, im
-
-
-def _minor(m: linalg.GaussMatrix, i: int, j: int, k: int, l: int) -> GaussInt:
-    return _gsub(_gmul(m[i][k], m[j][l]), _gmul(m[i][l], m[j][k]))
 
 
 def _is_exact_vector(z: Sequence) -> bool:
@@ -333,29 +312,24 @@ def _classify_exact(a: Matrix21) -> str:
     rank(A - lambda I) = rank(N) for N = 3M - T I or 2P M - (TE - 9D) I.
     """
     m, d = a.scaled
-    t = _gsum(m[i][i] for i in range(3))
-    e = _gsum(_minor(m, i, j, i, j) for i, j in _PAIRS)
-    det = _gsum(
-        _gmul(m[0][c], _minor(m, 1, 2, k, l)) for c, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    )
+    t, e, det = linalg.char_coefficients(m)
     t_abs2 = t[0] * t[0] + t[1] * t[1]
     det_abs2 = det[0] * det[0] + det[1] * det[1]
     # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
-    re_t3_conj_det = _gmul(_gmul(_gmul(t, t), t), (det[0], -det[1]))[0]
+    re_t3_conj_det = gmul(gmul(gmul(t, t), t), (det[0], -det[1]))[0]
     d2 = d * d
     f = (t_abs2 * t_abs2 + (18 * t_abs2 - 27 * d2) * d2) * det_abs2 - 8 * d2 * d2 * re_t3_conj_det
     if f > 0:
         return IsometryClass.LOXODROMIC
     if f < 0:
         return IsometryClass.ELLIPTIC
-    p = _gsub(_gmul(t, t), _gmul((3, 0), e))
+    p = gsub(gmul(t, t), gmul((3, 0), e))
     triple = p == (0, 0)
     # N = q (M - mu I) for mu = r/q; A is elliptic iff rank N is 0 (triple mu) or 1 (double)
-    q, r = ((3, 0), t) if triple else (_gmul((2, 0), p), _gsub(_gmul(t, e), _gmul((9, 0), det)))
-    n = [[_gsub(_gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
+    q, r = ((3, 0), t) if triple else (gmul((2, 0), p), gsub(gmul(t, e), gmul((9, 0), det)))
+    n = [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
          for i, row in enumerate(m)]
-    minors = (_minor(n, *rows, *cols) for rows in _PAIRS for cols in _PAIRS)
-    vanish = (x for row in n for x in row) if triple else minors
+    vanish = (x for row in n for x in row) if triple else linalg.minors(n)
     return IsometryClass.PARABOLIC if any(map(any, vanish)) else IsometryClass.ELLIPTIC
 
 

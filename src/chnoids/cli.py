@@ -38,22 +38,18 @@ EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, on a 2-CPU
 # host: nnoid check takes 0.15-0.20 s at n = 64 with 1-, 4- or 12-digit
-# coefficients (under 1 ms of it proving g1, g2 coprime modulo a prime) and
-# 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i,
-# the Q(i) gcd refuses the input in 0.23-0.24 s at 1 digit, 0.65 s at 4,
-# 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing with height.  The
-# per-puncture pass grows with n times the punctures' summed height, the bit
-# lengths of a, b and d over the punctures (a + bi)/d: at n = 64 nnoid check
-# takes 0.4 s with 10-digit puncture denominators (534,016 bits) and 1.4-2.5 s
-# with one tall puncture at the cap; n = 16 and n = 5 at the cap take 1.7 s
-# and 0.5-0.6 s.  4,300-digit g1, g2 coefficients cost 6.3-7.3 s at n = 64 with
-# integer punctures and 15.4 s with a puncture at the cap; that height is not
-# bounded here.  A stability region takes 0.17 s at n = 5, dmax = 140;
-# stability check or a region at dmax = 0 0.15 s at n = 10^5 with zero
-# weights and 1.6-1.8 s weighted (most of it echoing the weights into the
-# certificate); stability check 0.18 s at the digit limit (715 distinct prime
-# denominators); cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s with 16
-# modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
+# coefficients and 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share
+# the zero 3 + i, the Q(i) gcd refuses it in 0.23-0.24 s at 1 digit, 0.65 s at
+# 4, 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing.  The per-puncture
+# pass grows with n times the punctures' summed height (the bit lengths of a, b
+# and d over the punctures (a + bi)/d); at that cap it takes 0.7-0.9 s at n = 64
+# with one tall puncture, 0.9-1.1 s at n = 16 and 0.3-0.4 s at n = 5.
+# 4,300-digit g1, g2 coefficients cost 5-6 s at n = 64 and 9-10 s with a
+# puncture at the cap; their height is not bounded here.  A stability region
+# takes 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
+# 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted; stability check
+# 0.18 s at the digit limit; cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
+# with 16 modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -128,11 +124,11 @@ def _over_limit(what: str, value: int, limit: int) -> None:
 
 def _parse_nnoid_check(obj: dict, args) -> NnoidData:
     literals = array(obj["punctures"], "punctures")
-    n = len(literals)
-    _over_limit("n", n, MAX_NNOID_N)
-    height = sum(x.bit_length() for s in literals for x in GaussianRational.parse(s).parts)
-    _over_limit("n times the punctures' summed height in bits", n * height, MAX_NNOID_HEIGHT_WORK)
-    return NnoidData.from_json(obj)
+    _over_limit("n", len(literals), MAX_NNOID_N)
+    punctures = [GaussianRational.parse(s) for s in literals]
+    work = len(punctures) * sum(x.bit_length() for p in punctures for x in p.parts)
+    _over_limit("n times the punctures' summed height in bits", work, MAX_NNOID_HEIGHT_WORK)
+    return NnoidData.from_json(obj, punctures)
 
 
 def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
@@ -148,9 +144,8 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
     residues_ok = True
     for p in data.punctures:
         direct = nnoid.residue_matrix(phi, p)
-        closed = nnoid.residue_matrix_closed_form(data, p)
-        agree = direct.matrix == closed.matrix
-        k = nnoid.nilpotency_profile(direct.matrix)
+        agree = direct == nnoid.residue_matrix_closed_form(data, p)
+        k = nnoid.nilpotency_profile(direct.num)
         jt = nnoid.JORDAN_TYPES.get(k)
         et = nnoid.END_TYPES[jt].value if jt else None
         ok = agree and k == 3

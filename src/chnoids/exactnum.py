@@ -396,9 +396,9 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def __call__(self, z: GaussianRational) -> GaussianRational:
-        return _canonical(*self._parts_at(z))
+        return _canonical(*self.parts_at(z))
 
-    def _parts_at(self, z: GaussianRational) -> tuple[int, int, int]:
+    def parts_at(self, z: GaussianRational) -> tuple[int, int, int]:
         """self(z) as ints (re, im, den), den > 0, not reduced: self(z) = (re + i im)/den."""
         if self.is_zero:
             return 0, 0, 1
@@ -610,13 +610,13 @@ class RationalFunction:
         order (den'(p) = 0 as well) raises: every denominator here divides
         the squarefree vanishing polynomial of the punctures.
         """
-        re, im, _ = self.den._parts_at(p)
+        re, im, _ = self.den.parts_at(p)
         if re or im:  # den(p) != 0: no pole at p
             return ZERO
-        a, b, e = self._den_prime._parts_at(p)
+        a, b, e = self._den_prime.parts_at(p)
         if not a and not b:
             raise ExactArithmeticError(f"pole of order at least 2 at {p}")
-        c, f, g = self.num._parts_at(p)
+        c, f, g = self.num.parts_at(p)
         # ((c + fi)/g) / ((a + bi)/e) = e (c + fi)(a - bi) / (g (a^2 + b^2))
         return _canonical(e * (c * a + f * b), e * (f * a - c * b), g * (a * a + b * b))
 

@@ -2,13 +2,14 @@
 
 Matrices are tuples of row tuples of GaussianRational.  Everything here
 is pure and allocation-light; sizes never exceed a handful of rows.
-``scaled`` writes a matrix as M/d with M over the Gaussian integers, for
-callers that decide a question on M in Python ints.
+``scaled`` writes a matrix as M/d with M over the Gaussian integers, and
+``char_coefficients`` and ``minors`` decide 3x3 questions on M in Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, dot
 
@@ -39,20 +40,41 @@ def scaled(a: Matrix) -> tuple[GaussMatrix, int]:
     return tuple(tuple((u * (d // e), v * (d // e)) for u, v, e in row) for row in parts), d
 
 
-def gauss_mat_mul(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """The product of two matrices over the Gaussian integers."""
-    columns = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in columns:
-            re = im = 0
-            for (p, q), (u, v) in zip(row, col):
-                re += p * u - q * v
-                im += p * v + q * u
-            out_row.append((re, im))
-        out.append(tuple(out_row))
-    return tuple(out)
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the row or column pairs of a 2x2 minor
+
+
+def gmul(x: GaussInt, y: GaussInt) -> GaussInt:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gsub(x: GaussInt, y: GaussInt) -> GaussInt:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def gsum(xs: Iterable[GaussInt]) -> GaussInt:
+    re = im = 0
+    for x, y in xs:
+        re += x
+        im += y
+    return re, im
+
+
+def minor(m: GaussMatrix, i: int, j: int, k: int, l: int) -> GaussInt:  # rows i, j; columns k, l
+    return gsub(gmul(m[i][k], m[j][l]), gmul(m[i][l], m[j][k]))
+
+
+def minors(m: GaussMatrix) -> Iterator[GaussInt]:
+    """Every 2x2 minor of a 3x3 matrix, each only when asked for."""
+    return (minor(m, *rows, *cols) for rows in _PAIRS for cols in _PAIRS)
+
+
+def char_coefficients(m: GaussMatrix) -> Iterator[GaussInt]:
+    """T, E and D of m's characteristic polynomial w^3 - T w^2 + E w - D, each
+    only when asked for: tr m, the sum of its principal 2x2 minors, and det m."""
+    yield gsum(m[i][i] for i in range(3))
+    yield gsum(minor(m, i, j, i, j) for i, j in _PAIRS)
+    yield gsum(gmul(m[0][c], minor(m, 1, 2, k, l))  # along row 0, skipping its zeros
+               for c, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) if any(m[0][c]))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:

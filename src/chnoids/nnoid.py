@@ -6,16 +6,17 @@ polynomial section matrix S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].
 Since omega != 0, the trace identities tr Phi = omega tr S = 0 and
 tr Phi^2 = omega^2 tr S^2 = 0 are checked as the polynomial identities
 tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a puncture is computed
-two independent ways, and the module classifies nilpotent types and end
-types.
+two independent ways, as a Gaussian-integer matrix over one denominator, and
+its nilpotent and end types are read from that numerator's 3x3 invariants.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from . import InputError, array, linalg
+from . import InputError, array, integer, linalg
 from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, make_log_form
@@ -75,15 +76,16 @@ class NnoidData:
         return out
 
     @staticmethod
-    def from_json(obj: dict) -> "NnoidData":
-        punctures = [GaussianRational.parse(s) for s in array(obj["punctures"], "punctures")]
+    def from_json(obj: dict, punctures: list[GaussianRational] | None = None) -> "NnoidData":
+        if punctures is None:
+            punctures = [GaussianRational.parse(s) for s in array(obj["punctures"], "punctures")]
         residues = [GaussianRational.parse(s) for s in array(obj["residues"], "residues")]
         omega = make_log_form(punctures, residues)
         g1 = BinaryForm.from_json(obj["g1"])
         g2 = BinaryForm.from_json(obj["g2"])
         q = BinaryForm.from_json(obj["q"])
         data = NnoidData.make(omega, g1, g2, q)
-        if "n" in obj and obj["n"] != data.n:
+        if "n" in obj and integer(obj["n"], "n") != data.n:
             raise NnoidDataError("declared n disagrees with the puncture count")
         return data
 
@@ -104,8 +106,11 @@ class HiggsField:
 
 @dataclass(frozen=True)
 class ResidueMatrix:
+    """The residue at ``point`` as num/den, lowest terms: den > 0, gcd(den, num's parts) = 1."""
+
     point: GaussianRational
-    matrix: linalg.Matrix
+    num: linalg.GaussMatrix
+    den: int
 
 
 class EndType(enum.Enum):
@@ -147,6 +152,17 @@ def trace_phi_squared(phi: HiggsField) -> UniPoly:
     return s[0][0] * s[0][0] + s[1][1] * s[1][1] + s[2][2] * s[2][2] + off + off
 
 
+def _residue(p: GaussianRational, r: GaussianRational, triples) -> ResidueMatrix:
+    """r times the 3x3 matrix of unreduced triples (re, im, den), row by row, reduced by one
+    lcm and one gcd, each fed smallest first so a tall puncture meets a small gcd."""
+    a, b, d = r.parts
+    den = math.lcm(*sorted([e for _, _, e in triples], key=int.bit_length))
+    parts = [((a * u - b * v) * (k := den // e), (a * v + b * u) * k) for u, v, e in triples]
+    g = math.gcd(*sorted([den * d, *(x for pair in parts for x in pair)], key=int.bit_length))
+    num = [(u // g, v // g) for u, v in parts]
+    return ResidueMatrix(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den * d // g)
+
+
 def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
     """Residue of Phi at a puncture, from the factored field.
 
@@ -156,34 +172,27 @@ def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
     raises ``SphereError``.
     """
     r = phi.omega.residue_at(p)
-    return ResidueMatrix(p, linalg.mat([[r * sij(p) for sij in row] for row in phi.s]))
+    return _residue(p, r, [sij.parts_at(p) for row in phi.s for sij in row])
 
 
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
     """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
     r = data.omega.residue_at(p)
-    g1, g2, q = (f.chart(p) for f in (data.g1, data.g2, data.q))
-    zero = GaussianRational.of(0)
-    rows = [
-        [zero, zero, r * (-(q * g2))],
-        [zero, zero, r * (q * g1)],
-        [r * g1, r * g2, zero],
-    ]
-    return ResidueMatrix(p, linalg.mat(rows))
+    g1, g2, q = (f.chart.parts_at(p) for f in (data.g1, data.g2, data.q))
+    (u, v), qg1 = linalg.gmul(q[:2], g2[:2]), (*linalg.gmul(q[:2], g1[:2]), q[2] * g1[2])
+    zero = (0, 0, 1)
+    return _residue(p, r, [zero, zero, (-u, -v, q[2] * g2[2]), zero, zero, qg1, g1, g2, zero])
 
 
-def nilpotency_profile(m: linalg.Matrix) -> int | None:
-    """Smallest k in {1, 2, 3} with M^k = 0, or None if M^3 != 0.
-
-    Decided on the Gaussian-integer numerator of M = N/d: M^k = 0 iff N^k = 0.
-    """
-    n, _ = linalg.scaled(m)
-    power = n
-    for k in range(1, 4):
-        if not any(re or im for row in power for re, im in row):
-            return k
-        power = linalg.gauss_mat_mul(power, n)
-    return None
+def nilpotency_profile(n: linalg.GaussMatrix) -> int | None:
+    """Smallest k in {1, 2, 3} with N^k = 0, or None if N^3 != 0; M = N/d has N's profile:
+    N is nilpotent iff T, E and D (``linalg.char_coefficients``) vanish, and then N^2 = 0
+    iff rank N = 1, iff every 2x2 minor vanishes."""
+    if not any(re or im for row in n for re, im in row):
+        return 1
+    if any(map(any, linalg.char_coefficients(n))):
+        return None
+    return 3 if any(map(any, linalg.minors(n))) else 2
 
 
 # Jordan type of a nonzero nilpotent 3x3 matrix by its nilpotency profile,
@@ -192,8 +201,8 @@ JORDAN_TYPES = {2: (2, 1), 3: (3,)}
 END_TYPES = {(2, 1): EndType.TYPE_I, (3,): EndType.TYPE_II}
 
 
-def jordan_type(m: linalg.Matrix) -> tuple[int, ...]:
-    k = nilpotency_profile(m)
+def jordan_type(n: linalg.GaussMatrix) -> tuple[int, ...]:
+    k = nilpotency_profile(n)
     if k is None:
         raise NnoidDataError("matrix is not nilpotent")
     if k == 1:
@@ -201,5 +210,5 @@ def jordan_type(m: linalg.Matrix) -> tuple[int, ...]:
     return JORDAN_TYPES[k]
 
 
-def end_type(m: linalg.Matrix) -> EndType:
-    return END_TYPES[jordan_type(m)]
+def end_type(n: linalg.GaussMatrix) -> EndType:
+    return END_TYPES[jordan_type(n)]

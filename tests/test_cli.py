@@ -188,6 +188,15 @@ def test_nnoid_check_avoids_mat_mul_and_divmod(n, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
+@pytest.mark.parametrize("declared", [7.0, "7", True], ids=["float", "string", "bool"])
+def test_nnoid_check_declared_n_must_be_an_integer(declared, tmp_path, capsys):
+    """The declared n is read as a JSON count: 7.0, "7" and true are refused
+    as such, though the data has 7 punctures."""
+    path = write_json(tmp_path, "n.json", dict(FRACTIONAL_NNOID, n=declared))
+    assert run(["nnoid", "check", path], capsys) == (
+        2, "", f"error: n must be an integer, got {reprlib.repr(declared)}\n")
+
+
 def shared_factor_input(a: int) -> dict:
     """n = 5 data with g1 = z0 - a z1 and g2 = z0 (z0 - (a - 1) z1), so that
     Res(g1, g2) = a (a - (a - 1)) = a up to sign."""

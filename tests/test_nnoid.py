@@ -1,9 +1,10 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from chnoids import linalg, nnoid
+from chnoids import cli, linalg, nnoid
 from chnoids.cli import random_nnoid_data
 from chnoids.exactnum import GQ, BinaryForm
 from chnoids.nnoid import (
@@ -20,6 +21,7 @@ from chnoids.nnoid import (
     trace_phi_squared,
 )
 from chnoids.sphere import SphereError, make_log_form
+from test_cli import FRACTIONAL_NNOID, tall_punctures_nnoid
 
 
 def reference_data():
@@ -75,7 +77,7 @@ def test_entry_residue_vanishing_section():
     # residue of entry (3,1) at p=0 is r * g1(0) = 0 since g1 = z0 vanishes there
     data = reference_data()
     phi = build_higgs(data)
-    assert residue_matrix(phi, GQ(0)).matrix[2][0].is_zero
+    assert residue_matrix(phi, GQ(0)).num[2][0] == (0, 0)
 
 
 def test_trace_identities():
@@ -105,11 +107,10 @@ def test_residue_two_ways_and_kernel_relation():
     for p in data.punctures:
         direct = residue_matrix(phi, p)
         closed = residue_matrix_closed_form(data, p)
-        assert direct.matrix == closed.matrix
+        assert direct == closed
         # C(p) B(p) = g1(-q g2) + g2(q g1) = 0: lower-left row times upper-right col
-        m = direct.matrix
-        cb = m[2][0] * m[0][2] + m[2][1] * m[1][2]
-        assert cb.is_zero
+        m = direct.num
+        assert linalg.gsum([linalg.gmul(m[2][0], m[0][2]), linalg.gmul(m[2][1], m[1][2])]) == (0, 0)
 
 
 def test_residue_routes_disagree_on_tampered_field():
@@ -127,13 +128,53 @@ def test_residue_routes_disagree_on_tampered_field():
     rotated = nnoid.HiggsField(rotated_omega, s, data)
     for tampered in (negated, rotated):
         assert any(
-            residue_matrix(tampered, p).matrix != residue_matrix_closed_form(data, p).matrix
+            residue_matrix(tampered, p) != residue_matrix_closed_form(data, p)
             for p in data.punctures
         )
     assert all(
-        residue_matrix(phi, p).matrix == residue_matrix_closed_form(data, p).matrix
-        for p in data.punctures
+        residue_matrix(phi, p) == residue_matrix_closed_form(data, p) for p in data.punctures
     )
+
+
+ORACLE_INSTANCES = [
+    ("fractional", lambda: NnoidData.from_json(FRACTIONAL_NNOID)),
+    *((f"random-{n}", lambda n=n: random_nnoid_data(n, 40 + n)) for n in range(4, 17)),
+    ("tall-punctures", lambda: NnoidData.from_json(tall_punctures_nnoid(cli.MAX_NNOID_N, 10, 55))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_INSTANCES],
+                         ids=[name for name, _ in ORACLE_INSTANCES])
+def test_residue_routes_match_q_i_oracle(make):
+    """Each route's residue is (p, *linalg.scaled(M)) for M = r_p s(p), taken
+    entry by entry in Q(i); both are canonical, so they are equal objects."""
+    data = make()
+    phi = build_higgs(data)
+    for p in data.punctures:
+        r = data.omega.residue_at(p)
+        expected = nnoid.ResidueMatrix(p, *linalg.scaled([[r * sij(p) for sij in row]
+                                                          for row in phi.s]))
+        assert residue_matrix(phi, p) == expected
+        assert residue_matrix_closed_form(data, p) == expected
+
+
+def test_doubled_omega_never_agrees(monkeypatch):
+    """A field whose omega has every residue doubled disagrees with the
+    closed form at every puncture, though at p = 1 the residue 1/2 S(1) has
+    an even denominator and the doubled one the same numerator."""
+    ref = reference_data()
+    residues = [GQ(Fraction(1, 2))] * 4 + [GQ(-2)]
+    data = NnoidData.make(make_log_form(ref.punctures, residues), ref.g1, ref.g2, ref.q)
+    phi = build_higgs(data)
+    doubled = nnoid.HiggsField(make_log_form(data.punctures, [r * 2 for r in residues]),
+                               phi.s, data)
+    monkeypatch.setattr(nnoid, "build_higgs", lambda _: doubled)
+    args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
+    cert, passed = cli.cmd_nnoid_check(data, args)
+    assert not passed
+    assert [r["agree"] for r in cert["residues"]] == [False] * 5
+    assert any(residue_matrix(doubled, p).num == residue_matrix_closed_form(data, p).num
+               for p in data.punctures)
 
 
 def test_residue_matrix_rejects_non_puncture():
@@ -142,14 +183,19 @@ def test_residue_matrix_rejects_non_puncture():
         residue_matrix(phi, GQ(7))
 
 
+def numerator(m):
+    """The Gaussian-integer numerator N of m = N/d (``linalg.scaled``)."""
+    return linalg.scaled(m)[0]
+
+
 def test_nilpotency_profile():
     zero = linalg.mat([[GQ(0)] * 3] * 3)
-    assert nilpotency_profile(zero) == 1
-    assert nilpotency_profile(linalg.identity(3)) is None
+    assert nilpotency_profile(numerator(zero)) == 1
+    assert nilpotency_profile(numerator(linalg.identity(3))) is None
     data = reference_data()
     phi = build_higgs(data)
     for p in data.punctures:
-        assert nilpotency_profile(residue_matrix(phi, p).matrix) == 3
+        assert nilpotency_profile(residue_matrix(phi, p).num) == 3
 
 
 def profile_by_mat_mul(m):
@@ -185,19 +231,47 @@ def conjugated(rng, block):
     return linalg.mat([[c * x for x in row] for row in m])
 
 
+def gq_matrix(rows):
+    return linalg.mat([[GQ(x) for x in row] for row in rows])
+
+
+def first_nonzero_invariant(m):
+    """Which of tr m, the sum of m's principal 2x2 minors and det m is the
+    first that does not vanish, by Q(i) arithmetic on m itself; None if all do."""
+    t = m[0][0] + m[1][1] + m[2][2]
+    e = sum((m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))), GQ(0))
+    for name, x in (("T", t), ("E", e), ("D", linalg.det(m))):
+        if not x.is_zero:
+            return name
+    return None
+
+
 def test_nilpotency_profile_matches_mat_mul_route():
+    """nilpotency_profile of the numerator against the powers of m, with each
+    of its returns counted: m = 0, T != 0, T = 0 and E != 0, T = E = 0 and
+    D != 0, and nilpotents of rank 1 and of rank 2."""
     rng = random.Random(8117)
-    cases = [linalg.mat([[GQ(0)] * 3] * 3), linalg.identity(3), e13(), full_jordan()]
+    cases = [
+        linalg.mat([[GQ(0)] * 3] * 3),
+        linalg.identity(3),
+        gq_matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),  # T = 0, E = -1
+        gq_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),  # companion of z^3 - 1: D = 1
+        gq_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),  # rank 1
+        e13(),
+        full_jordan(),
+    ]
     for _ in range(150):
         cases.append(random_matrix(rng))
         cases.append(conjugated(rng, full_jordan()))
         cases.append(conjugated(rng, e13()))
-    seen = set()
+    branches = collections.Counter()
     for m in cases:
         expected = profile_by_mat_mul(m)
-        assert nilpotency_profile(m) == expected, m
-        seen.add(expected)
-    assert seen == {1, 2, 3, None}
+        assert nilpotency_profile(numerator(m)) == expected, m
+        branch = first_nonzero_invariant(m)
+        assert (branch is None) == (expected is not None), m
+        branches[branch or f"profile {expected}"] += 1
+    assert set(branches) == {"profile 1", "T", "E", "D", "profile 2", "profile 3"}, branches
 
 
 def e13():
@@ -214,14 +288,14 @@ def full_jordan():
 
 
 def test_jordan_and_end_type():
-    assert jordan_type(e13()) == (2, 1)
-    assert jordan_type(full_jordan()) == (3,)
-    assert end_type(e13()) == EndType.TYPE_I
-    assert end_type(full_jordan()) == EndType.TYPE_II
+    assert jordan_type(numerator(e13())) == (2, 1)
+    assert jordan_type(numerator(full_jordan())) == (3,)
+    assert end_type(numerator(e13())) == EndType.TYPE_I
+    assert end_type(numerator(full_jordan())) == EndType.TYPE_II
     with pytest.raises(NnoidDataError):
-        jordan_type(linalg.identity(3))
+        jordan_type(numerator(linalg.identity(3)))
     with pytest.raises(NnoidDataError):
-        jordan_type(linalg.mat([[GQ(0)] * 3] * 3))
+        jordan_type(numerator(linalg.mat([[GQ(0)] * 3] * 3)))
 
 
 def test_random_instances_full_pipeline():
@@ -231,6 +305,6 @@ def test_random_instances_full_pipeline():
         assert trace_phi(phi).is_zero
         assert trace_phi_squared(phi).is_zero
         for p in data.punctures:
-            m = residue_matrix(phi, p).matrix
+            m = residue_matrix(phi, p).num
             assert jordan_type(m) == (3,)
             assert end_type(m) == EndType.TYPE_II
