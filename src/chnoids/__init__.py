@@ -6,11 +6,13 @@ parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
 The input boundary they share sits here: ``InputError``, ``rational``, the
 reader of every exact rational literal, ``integer``, the reader of every
-JSON count and degree, and ``array``, the reader of every JSON list.
+JSON count and degree, ``number``, the reader of every JSON real, and
+``array``, the reader of every JSON list.
 """
 
 import re as _re
 import reprlib
+import sys
 from fractions import Fraction
 
 __version__ = "0.1.0"
@@ -67,6 +69,18 @@ def integer(x, what: str) -> int:
     """
     if x.__class__ is not int:
         raise InputError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    return x
+
+
+def number(x, what: str):
+    """x as a JSON real: only a Python int or float, not a bool, with |x| <= the largest float.
+
+    Anything else is an ``InputError``, "1.0", true and a non-finite float
+    among them, so that a string is not read as a number.  x is returned as
+    given, so an integer stays an int.
+    """
+    if x.__class__ not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise InputError(f"{what} must be a finite number, got {reprlib.repr(x)}")
     return x
 
 

@@ -1,11 +1,11 @@
 """The projective model of the complex hyperbolic plane.
 
 Signature-(2,1) Hermitian form, membership and distance, the isometry
-trichotomy and unipotent monodromy exponentials.  Dual numeric backing:
-exact Q(i) wherever the inputs are rational, binary64 where
-transcendentals enter.  numpy is imported by the float functions only, so
-the exact path (parsing, ``preserves_form``, the exact classifier) runs
-without it.
+trichotomy and unipotent monodromy exponentials.  Points are binary64;
+matrices have dual numeric backing, exact Q(i) wherever the entries are
+rational and binary64 where transcendentals enter.  numpy is imported by
+the float functions only, so the exact path (parsing, ``preserves_form``,
+the exact classifier) runs without it.
 """
 
 from __future__ import annotations
@@ -41,28 +41,17 @@ class CH2Error(InputError):
     pass
 
 
-def _is_exact_vector(z: Sequence) -> bool:
-    return all(isinstance(x, GaussianRational) for x in z)
-
-
-def herm_form(z: Sequence, w: Sequence):
-    """Z1 conj(W1) + Z2 conj(W2) - Z3 conj(W3); exact when both inputs are."""
-    if _is_exact_vector(z) and _is_exact_vector(w):
-        return z[0] * w[0].conjugate() + z[1] * w[1].conjugate() - z[2] * w[2].conjugate()
-    zc = [complex(x) for x in z]
-    wc = [complex(x) for x in w]
-    return zc[0] * wc[0].conjugate() + zc[1] * wc[1].conjugate() - zc[2] * wc[2].conjugate()
+def herm_form(z: Sequence[complex], w: Sequence[complex]) -> complex:
+    """Z1 conj(W1) + Z2 conj(W2) - Z3 conj(W3), for float or complex coordinates."""
+    return z[0] * w[0].conjugate() + z[1] * w[1].conjugate() - z[2] * w[2].conjugate()
 
 
 def in_ch2(z: Sequence) -> bool:
     """Whether [Z] is a negative line for the form.
 
-    Float input is tested on its representative of largest coordinate
-    modulus 1, so no scale underflows; a zero or non-finite vector is not
-    in CH^2.
+    It is tested on the representative of largest coordinate modulus 1, so
+    no scale underflows; a zero or non-finite vector is not in CH^2.
     """
-    if _is_exact_vector(z):
-        return herm_form(z, z).re < 0
     try:
         z = _unit_representative(z)
     except CH2Error:
@@ -366,16 +355,10 @@ def _classify_float(arr: np.ndarray, tol: float) -> str:
 
 
 def unipotent_exponential(n_matrix, r) -> Matrix21:
-    """exp(2 pi i r N) = I + aN + a^2 N^2 / 2 for nilpotent N, a = 2 pi i r."""
+    """exp(2 pi i r N) = I + aN + a^2 N^2 / 2 for a nilpotent array N, a = 2 pi i r."""
     import numpy as np
 
-    if isinstance(n_matrix, Matrix21):
-        if n_matrix.is_exact:
-            if not linalg.is_zero_matrix(linalg.mat_pow(n_matrix.rows, 3)):
-                raise CH2Error("matrix is not nilpotent")
-        arr = n_matrix.as_array()
-    else:
-        arr = np.asarray(n_matrix, dtype=complex)
+    arr = np.asarray(n_matrix, dtype=complex)
     n3 = arr @ arr @ arr
     scale = max(1.0, float(np.abs(arr).max()) ** 3)
     if np.abs(n3).max() > DEFAULT_TOL * scale:

@@ -133,17 +133,17 @@ def _parse_nnoid_check(obj: dict, args) -> NnoidData:
 
 def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
     checks = []
-    phi = nnoid.build_higgs(data)
+    s = nnoid.build_higgs(data)
     checks.append(
-        _check("trace-phi-zero", nnoid.trace_phi(phi).is_zero, "tr Phi vanishes identically")
+        _check("trace-phi-zero", nnoid.trace_phi(s).is_zero, "tr Phi vanishes identically")
     )
-    tr2 = nnoid.trace_phi_squared(phi)
+    tr2 = nnoid.trace_phi_squared(s)
     checks.append(_check("trace-phi2-zero", tr2.is_zero, "tr Phi^2 vanishes identically"))
 
     residue_detail = []
     residues_ok = True
     for p in data.punctures:
-        direct = nnoid.residue_matrix(phi, p)
+        direct = nnoid.residue_matrix(data.omega, s, p)
         agree = direct == nnoid.residue_matrix_closed_form(data, p)
         k = nnoid.nilpotency_profile(direct.num)
         jt = nnoid.JORDAN_TYPES.get(k)
@@ -412,12 +412,11 @@ def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
 
     grid, spec = inputs
     field = spec.sample(grid)
-    tol = grid.default_tol() if args.tol is None else args.tol
-    conv = cusp.check_mean_convexity(field, tol=tol)
-    sup = cusp.check_sup_bound(field, tol=tol)
+    conv = cusp.check_mean_convexity(field, tol=args.tol)
+    sup = cusp.check_sup_bound(field, tol=args.tol)
     checks = [
-        _check("mean-convexity", conv.passed, f"worst slack {conv.worst_slack:.3e}, tol {tol:.3e}"),
-        _check("sup-bound", sup.passed, f"worst slack {sup.worst_slack:.3e}, tol {tol:.3e}"),
+        _check("mean-convexity", conv.passed, f"worst slack {conv.worst_slack:.3e}, tol {conv.tol:.3e}"),
+        _check("sup-bound", sup.passed, f"worst slack {sup.worst_slack:.3e}, tol {sup.tol:.3e}"),
     ]
     status = "pass" if conv.passed and sup.passed else "failed"
     cert = _certificate(

@@ -10,14 +10,13 @@ claims the asymptotic statements themselves.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import InputError, integer
+from . import InputError, integer, number
 from .ch2 import distance, distances, in_ch2, points_in_ch2
 
 TWO_PI = 2.0 * math.pi
@@ -67,9 +66,7 @@ class StripGrid:
 
     @staticmethod
     def from_json(obj: dict) -> "StripGrid":
-        y, y_max = obj["Y"], obj["Ymax"]
-        if isinstance(y, bool) or isinstance(y_max, bool):  # float(true) would read 1.0
-            raise CuspGridError("Y and Ymax must be numbers")
+        y, y_max = number(obj["Y"], "Y"), number(obj["Ymax"], "Ymax")
         return StripGrid(integer(obj["Nx"], "Nx"), integer(obj["Ny"], "Ny"), float(y), float(y_max))
 
 
@@ -130,9 +127,6 @@ class StripReport:
     precondition_ok: bool = True
     per_row_slack: tuple[float, ...] = field(default=(), repr=False)
     note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def to_json(self) -> dict:
         return {
@@ -225,10 +219,11 @@ class SubharmonicSpec:
     def __post_init__(self):
         if len(self.poly) != 3 or any(len(m) != 3 for m in self.modes):
             raise CuspGridError("modes are (k, amplitude, phase); the profile has 3 coefficients")
-        coeffs = (*self.poly, *(x for m in self.modes for x in m))
-        # a bool is no number here, although Python counts it as an int
-        if not all(x.__class__ in (int, float) and abs(x) <= sys.float_info.max for x in coeffs):
-            raise CuspGridError("mode and profile coefficients must be finite numbers")
+        try:
+            for x in (*self.poly, *(x for m in self.modes for x in m)):
+                number(x, "a mode or profile coefficient")
+        except InputError as exc:
+            raise CuspGridError(str(exc)) from None
         if self.poly[2] < 0:
             raise CuspGridError("quadratic profile coefficient must be >= 0")
         # an integer frequency keeps the field 2 pi-periodic in x

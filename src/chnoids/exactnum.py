@@ -140,10 +140,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _new(self._a, -self._b, self._d)
 
-    def abs_sq(self) -> Fraction:
-        """|z|^2, an exact rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     @property
     def is_zero(self) -> bool:
         return not self._a and not self._b
@@ -594,10 +590,6 @@ class RationalFunction:
     num: UniPoly
     den: UniPoly
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     @cached_property
     def _den_prime(self) -> UniPoly:
         return self.den.derivative()
@@ -626,18 +618,6 @@ class RationalOneForm:
     """(num/den) dz in the affine chart, with the invariant of ``RationalFunction``."""
 
     fn: RationalFunction
-
-    @property
-    def num(self) -> UniPoly:
-        return self.fn.num
-
-    @property
-    def den(self) -> UniPoly:
-        return self.fn.den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.fn.is_zero
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         return self.fn.residue_at(p)

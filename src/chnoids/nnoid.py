@@ -1,13 +1,14 @@
 """The explicit off-diagonal Higgs field on the n-punctured sphere.
 
-The 3x3 logarithmic Higgs field is held in factored form Phi = omega * S:
-the input's logarithmic 1-form omega = sum_i r_i dz/(z - p_i) times the
-polynomial section matrix S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]].
-Since omega != 0, the trace identities tr Phi = omega tr S = 0 and
-tr Phi^2 = omega^2 tr S^2 = 0 are checked as the polynomial identities
-tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a puncture is computed
-two independent ways, as a Gaussian-integer matrix over one denominator, and
-its nilpotent and end types are read from that numerator's 3x3 invariants.
+The 3x3 logarithmic Higgs field is Phi = omega * S: the input's logarithmic
+1-form omega = sum_i r_i dz/(z - p_i), held by ``NnoidData``, times the
+polynomial section matrix S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]],
+which ``build_higgs`` returns.  Since omega != 0, the trace identities
+tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0 are checked as the
+polynomial identities tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a
+puncture is computed two independent ways, as a Gaussian-integer matrix over
+one denominator, and its nilpotent and end types are read from that
+numerator's 3x3 invariants.
 """
 
 from __future__ import annotations
@@ -90,18 +91,8 @@ class NnoidData:
         return data
 
 
-@dataclass(frozen=True)
-class HiggsField:
-    """Phi = omega * S, strictly off-diagonal in the 2+1 split E = V + L.
-
-    V = O(1) + O spans coordinates 0, 1 and L = O(-1) coordinate 2.
-    ``omega`` is the input's logarithmic 1-form and ``s`` the 3x3
-    polynomial matrix S.
-    """
-
-    omega: LogOneForm
-    s: tuple[tuple[UniPoly, ...], ...]
-    data: NnoidData
+# the 3x3 polynomial matrix S, row by row
+Section = tuple[tuple[UniPoly, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -118,28 +109,28 @@ class EndType(enum.Enum):
     TYPE_II = "II"
 
 
-def build_higgs(data: NnoidData) -> HiggsField:
-    """Assemble Phi = omega * S in the affine chart.
+def build_higgs(data: NnoidData) -> Section:
+    """S in the affine chart, strictly off-diagonal in the 2+1 split E = V + L.
 
-    The lower-left block of S is (g1, g2), the upper-right block is
+    V = O(1) + O spans coordinates 0, 1 and L = O(-1) coordinate 2.  The
+    lower-left block of S is (g1, g2), the upper-right block is
     (-q g2, q g1)^t; the diagonal blocks vanish identically.
     """
     g1, g2, q = data.g1.chart, data.g2.chart, data.q.chart
     zero = UniPoly.zero()
-    s = (
+    return (
         (zero, zero, -(q * g2)),
         (zero, zero, q * g1),
         (g1, g2, zero),
     )
-    return HiggsField(data.omega, s, data)
 
 
-def trace_phi(phi: HiggsField) -> UniPoly:
+def trace_phi(s: Section) -> UniPoly:
     """tr S; tr Phi is this polynomial times omega, and omega != 0."""
-    return phi.s[0][0] + phi.s[1][1] + phi.s[2][2]
+    return s[0][0] + s[1][1] + s[2][2]
 
 
-def trace_phi_squared(phi: HiggsField) -> UniPoly:
+def trace_phi_squared(s: Section) -> UniPoly:
     """tr S^2 = sum of S_ii^2 + 2 sum_{i<j} S_ij S_ji, each distinct product
     formed once; tr Phi^2 is this polynomial times omega^2.
 
@@ -147,7 +138,6 @@ def trace_phi_squared(phi: HiggsField) -> UniPoly:
     zero; a sign tamper in either block leaves a nonzero multiple of
     q g1 g2.
     """
-    s = phi.s
     off = s[0][1] * s[1][0] + s[0][2] * s[2][0] + s[1][2] * s[2][1]
     return s[0][0] * s[0][0] + s[1][1] * s[1][1] + s[2][2] * s[2][2] + off + off
 
@@ -163,16 +153,15 @@ def _residue(p: GaussianRational, r: GaussianRational, triples) -> ResidueMatrix
     return ResidueMatrix(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den * d // g)
 
 
-def residue_matrix(phi: HiggsField, p: GaussianRational) -> ResidueMatrix:
-    """Residue of Phi at a puncture, from the factored field.
+def residue_matrix(omega: LogOneForm, s: Section, p: GaussianRational) -> ResidueMatrix:
+    """Residue of Phi = omega S at a puncture, from its two factors.
 
     Only omega has poles and S is polynomial, so Res_p(omega S) =
     Res_p(omega) S(p): the residue r_p that omega holds times the products
     ``build_higgs`` built, evaluated at p.  A point that is not a puncture
     raises ``SphereError``.
     """
-    r = phi.omega.residue_at(p)
-    return _residue(p, r, [sij.parts_at(p) for row in phi.s for sij in row])
+    return _residue(p, omega.residue_at(p), [sij.parts_at(p) for row in s for sij in row])
 
 
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:

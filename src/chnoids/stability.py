@@ -75,10 +75,6 @@ class WeightTriple:
     def values(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3)
 
-    @property
-    def total(self) -> Fraction:
-        return self.a1 + self.a2 + self.a3
-
 
 @dataclass(frozen=True)
 class PunctureWeights:
@@ -100,10 +96,6 @@ class PunctureWeights:
         if b not in weights.values or g not in weights.values:
             raise StabilityError("beta and gamma must be values of the weight triple")
         return PunctureWeights(weights, b, g)
-
-    @property
-    def omega(self) -> Fraction:
-        return self.weights.total
 
 
 @dataclass(frozen=True)

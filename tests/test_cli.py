@@ -730,6 +730,9 @@ def weights_json(triple, **flags) -> list[dict]:
         # a boolean spec number, which the certificate would echo as given
         ("cusp verify", {"grid": SMALL_GRID,
                          "spec": {"modes": [[True, 1, False]], "poly": [0, False, True]}}),
+        # a string Y or Ymax, which float() would read
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": "1.0", "Ymax": 5.0}}),
+        ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": "5"}}),
     ],
 )
 def test_malformed_json_exits_2(command, obj, tmp_path, capsys):

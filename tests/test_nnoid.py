@@ -61,51 +61,43 @@ def test_json_roundtrip():
 
 def test_build_higgs_structure():
     data = reference_data()
-    phi = build_higgs(data)
-    assert phi.omega is data.omega
+    s = build_higgs(data)
     g1, g2, q = (f.chart for f in (data.g1, data.g2, data.q))
     # S[2][0] = g1, S[0][2] = -q g2; the diagonal blocks vanish
-    assert phi.s[2][0] == g1
-    assert phi.s[0][2] == -(q * g2)
+    assert s[2][0] == g1
+    assert s[0][2] == -(q * g2)
     for i in range(2):
         for j in range(2):
-            assert phi.s[i][j].is_zero
-    assert phi.s[2][2].is_zero
+            assert s[i][j].is_zero
+    assert s[2][2].is_zero
 
 
 def test_entry_residue_vanishing_section():
     # residue of entry (3,1) at p=0 is r * g1(0) = 0 since g1 = z0 vanishes there
     data = reference_data()
-    phi = build_higgs(data)
-    assert residue_matrix(phi, GQ(0)).num[2][0] == (0, 0)
+    assert residue_matrix(data.omega, build_higgs(data), GQ(0)).num[2][0] == (0, 0)
 
 
 def test_trace_identities():
-    data = reference_data()
-    phi = build_higgs(data)
-    assert trace_phi(phi).is_zero
-    assert trace_phi_squared(phi).is_zero
+    s = build_higgs(reference_data())
+    assert trace_phi(s).is_zero
+    assert trace_phi_squared(s).is_zero
 
 
 def test_trace_phi_squared_detects_tamper():
     # flipping the sign of S[0][2] = -q g2 makes tr S^2 = 4 q g1 g2 != 0
     data = reference_data()
-    phi = build_higgs(data)
-    s = phi.s
-    tampered = nnoid.HiggsField(
-        phi.omega,
-        ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]),
-        data,
-    )
+    s = build_higgs(data)
+    tampered = ((s[0][0], s[0][1], -s[0][2]), s[1], s[2])
     g1, g2, q = (f.chart for f in (data.g1, data.g2, data.q))
     assert trace_phi_squared(tampered) == q * g1 * g2 * 4
 
 
 def test_residue_two_ways_and_kernel_relation():
     data = reference_data()
-    phi = build_higgs(data)
+    s = build_higgs(data)
     for p in data.punctures:
-        direct = residue_matrix(phi, p)
+        direct = residue_matrix(data.omega, s, p)
         closed = residue_matrix_closed_form(data, p)
         assert direct == closed
         # C(p) B(p) = g1(-q g2) + g2(q g1) = 0: lower-left row times upper-right col
@@ -120,19 +112,18 @@ def test_residue_routes_disagree_on_tampered_field():
     make the factored-field residue differ from the closed form.
     """
     data = random_nnoid_data(7, 1)
-    phi = build_higgs(data)
-    s = phi.s
-    negated = nnoid.HiggsField(phi.omega, ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]), data)
+    s = build_higgs(data)
+    negated = (data.omega, ((s[0][0], s[0][1], -s[0][2]), s[1], s[2]))
     rs = data.omega.residues
-    rotated_omega = make_log_form(data.punctures, rs[1:] + rs[:1])
-    rotated = nnoid.HiggsField(rotated_omega, s, data)
+    rotated = (make_log_form(data.punctures, rs[1:] + rs[:1]), s)
     for tampered in (negated, rotated):
         assert any(
-            residue_matrix(tampered, p) != residue_matrix_closed_form(data, p)
+            residue_matrix(*tampered, p) != residue_matrix_closed_form(data, p)
             for p in data.punctures
         )
     assert all(
-        residue_matrix(phi, p) == residue_matrix_closed_form(data, p) for p in data.punctures
+        residue_matrix(data.omega, s, p) == residue_matrix_closed_form(data, p)
+        for p in data.punctures
     )
 
 
@@ -149,12 +140,12 @@ def test_residue_routes_match_q_i_oracle(make):
     """Each route's residue is (p, *linalg.scaled(M)) for M = r_p s(p), taken
     entry by entry in Q(i); both are canonical, so they are equal objects."""
     data = make()
-    phi = build_higgs(data)
+    s = build_higgs(data)
     for p in data.punctures:
         r = data.omega.residue_at(p)
         expected = nnoid.ResidueMatrix(p, *linalg.scaled([[r * sij(p) for sij in row]
-                                                          for row in phi.s]))
-        assert residue_matrix(phi, p) == expected
+                                                          for row in s]))
+        assert residue_matrix(data.omega, s, p) == expected
         assert residue_matrix_closed_form(data, p) == expected
 
 
@@ -165,22 +156,21 @@ def test_doubled_omega_never_agrees(monkeypatch):
     ref = reference_data()
     residues = [GQ(Fraction(1, 2))] * 4 + [GQ(-2)]
     data = NnoidData.make(make_log_form(ref.punctures, residues), ref.g1, ref.g2, ref.q)
-    phi = build_higgs(data)
-    doubled = nnoid.HiggsField(make_log_form(data.punctures, [r * 2 for r in residues]),
-                               phi.s, data)
-    monkeypatch.setattr(nnoid, "build_higgs", lambda _: doubled)
+    doubled = make_log_form(data.punctures, [r * 2 for r in residues])
+    monkeypatch.setattr(nnoid, "residue_matrix", lambda _, s, p: residue_matrix(doubled, s, p))
     args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
     cert, passed = cli.cmd_nnoid_check(data, args)
     assert not passed
     assert [r["agree"] for r in cert["residues"]] == [False] * 5
-    assert any(residue_matrix(doubled, p).num == residue_matrix_closed_form(data, p).num
+    s = build_higgs(data)
+    assert any(residue_matrix(doubled, s, p).num == residue_matrix_closed_form(data, p).num
                for p in data.punctures)
 
 
 def test_residue_matrix_rejects_non_puncture():
-    phi = build_higgs(reference_data())
+    data = reference_data()
     with pytest.raises(SphereError):
-        residue_matrix(phi, GQ(7))
+        residue_matrix(data.omega, build_higgs(data), GQ(7))
 
 
 def numerator(m):
@@ -193,9 +183,9 @@ def test_nilpotency_profile():
     assert nilpotency_profile(numerator(zero)) == 1
     assert nilpotency_profile(numerator(linalg.identity(3))) is None
     data = reference_data()
-    phi = build_higgs(data)
+    s = build_higgs(data)
     for p in data.punctures:
-        assert nilpotency_profile(residue_matrix(phi, p).num) == 3
+        assert nilpotency_profile(residue_matrix(data.omega, s, p).num) == 3
 
 
 def profile_by_mat_mul(m):
@@ -301,10 +291,10 @@ def test_jordan_and_end_type():
 def test_random_instances_full_pipeline():
     for seed in range(3):
         data = random_nnoid_data(7, seed)
-        phi = build_higgs(data)
-        assert trace_phi(phi).is_zero
-        assert trace_phi_squared(phi).is_zero
+        s = build_higgs(data)
+        assert trace_phi(s).is_zero
+        assert trace_phi_squared(s).is_zero
         for p in data.punctures:
-            m = residue_matrix(phi, p).num
+            m = residue_matrix(data.omega, s, p).num
             assert jordan_type(m) == (3,)
             assert end_type(m) == EndType.TYPE_II

@@ -44,7 +44,7 @@ def test_weight_triple():
 def test_puncture_weights_membership():
     w = WeightTriple.of(0, "1/3", "2/3")
     pw = PunctureWeights.of(w, beta="1/3", gamma=0)
-    assert pw.omega == 1
+    assert sum(pw.weights.values) == 1
     with pytest.raises(StabilityError):
         PunctureWeights.of(w, beta="1/2")
 
@@ -295,7 +295,7 @@ def test_weight_sums_match_plain_fraction_sum():
     for _ in range(300):
         pws = random_weights(rng)
         expected = (
-            sum((pw.omega for pw in pws), Fraction(0)),
+            sum((sum(pw.weights.values) for pw in pws), Fraction(0)),
             sum((pw.beta for pw in pws), Fraction(0)),
             sum((pw.gamma for pw in pws), Fraction(0)),
         )
