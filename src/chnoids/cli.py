@@ -268,8 +268,11 @@ def _parse_stability(obj: dict, pairs: int):
 
     weights = []
     for entry in raw:
+        values = array(entry["triple"], "a weight triple")
+        if len(values) != 3:
+            raise InputError(f"a weight triple has 3 entries, got {len(values)}")
         key = (
-            tuple(map(str, array(entry["triple"], "a weight triple"))),
+            tuple(map(str, values)),
             str(entry["beta"]) if "beta" in entry else None,
             str(entry["gamma"]) if "gamma" in entry else None,
         )
@@ -317,7 +320,7 @@ def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
 
 def _parse_stability_region(obj: dict, args):
     dmax = integer(obj.get("dmax", 6), "dmax")
-    return (obj, dmax, *_parse_stability(obj, (dmax + 1) ** 2))
+    return (obj, dmax, *_parse_stability(obj, max(dmax + 1, 0) ** 2))
 
 
 def cmd_stability_region(inputs, args) -> tuple[dict, bool]:

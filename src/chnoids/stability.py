@@ -5,26 +5,26 @@ Both the slope-form and the expanded-form inequalities are evaluated and
 must agree; a disagreement signals an implementation bug and aborts.
 
 The weights are rationals with small denominators, so the arithmetic runs
-on Python ints, and ``Fraction`` is kept for the values a certificate
-prints: the three weight sums of ``MixedDegreeData`` and what
-``check_mixed_stability`` derives from them.  The sums add integer
-numerators per denominator, each distinct entry once times its count, so
-only one term per distinct denominator is a Fraction, and those terms are
-added in pairwise rounds.  ``stability_region`` clears the three sums to
-integer numerators over their common denominator L once.  Every parabolic
-degree is then an integer over L, and each d1's largest stable d2 is an
-integer floor division, taken from the slope form and from the expanded
-form separately.
+on Python ints.  The weight sums add integer numerators per denominator,
+each distinct entry once times its count, then the one Fraction term per
+distinct denominator in pairwise rounds.  ``MixedDegreeData`` clears the
+three sums once, to integer numerators over their common denominator den,
+and each formula is written once, in integers over den: ``_degrees`` for
+the parabolic degrees of E, W1 and W2, ``_expanded`` for both sides of each
+expanded inequality.  ``check_mixed_stability`` and ``stability_region``
+both read them; ``Fraction`` is built only for the numbers a certificate
+prints, and each d1's largest stable d2 in the region is an integer floor
+division, taken from the slope form and from the expanded form separately.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import InputError, rational
 
@@ -100,19 +100,23 @@ class PunctureWeights:
 
 @dataclass(frozen=True)
 class MixedDegreeData:
-    """(d1, d2) plus the sums over the punctures of omega_p, beta_p and gamma_p."""
+    """(d1, d2) plus the sums over the punctures of omega_p, beta_p and
+    gamma_p, as integer numerators over their common denominator den."""
 
     d1: int
     d2: int
-    sum_omega: Fraction
-    sum_beta: Fraction
-    sum_gamma: Fraction
+    den: int
+    omega: int
+    beta: int
+    gamma: int
 
     @staticmethod
     def of(d1: int, d2: int, puncture_weights: Iterable[PunctureWeights]) -> "MixedDegreeData":
         if d1 < 0 or d2 < 0:
             raise StabilityError("d1 and d2 must be nonnegative")
-        return MixedDegreeData(d1, d2, *_weight_sums(tuple(puncture_weights)))
+        sums = _weight_sums(tuple(puncture_weights))
+        den = math.lcm(*(x.denominator for x in sums))
+        return MixedDegreeData(d1, d2, den, *(x.numerator * (den // x.denominator) for x in sums))
 
 
 def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fraction]:
@@ -151,21 +155,6 @@ def _pairwise_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-def par_deg_E(d: MixedDegreeData) -> Fraction:
-    """(d1 - d2) + sum of omega_p."""
-    return Fraction(d.d1 - d.d2) + d.sum_omega
-
-
-def par_deg_W1(d: MixedDegreeData, s: SurfaceData) -> Fraction:
-    """(-kappa + d1) + sum of beta_p."""
-    return Fraction(-s.kappa + d.d1) + d.sum_beta
-
-
-def par_deg_W2(d: MixedDegreeData, s: SurfaceData) -> Fraction:
-    """(-kappa + d1) + sum of (beta_p + gamma_p)."""
-    return Fraction(-s.kappa + d.d1) + d.sum_beta + d.sum_gamma
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Both sides of every inequality, in slope and expanded form, plus verdict."""
@@ -175,7 +164,7 @@ class StabilityCertificate:
     slope_w2: tuple[Fraction, Fraction]  # (mu(W2), mu(E))
     expanded_1: tuple[Fraction, Fraction]  # 2d1+d2 vs 3k + sum(omega - 3 beta)
     expanded_2: tuple[Fraction, Fraction]  # d1+2d2 vs 3k + sum(2 omega - 3(beta+gamma))
-    failing: tuple[str, ...] = field(default=())
+    failing: tuple[str, ...]
 
     def to_json(self) -> dict:
         def pair(t):
@@ -209,13 +198,20 @@ def _verdict(lhs1, rhs1, lhs2, rhs2) -> tuple[str, tuple[str, ...]]:
     return "stable", ()
 
 
-def _expanded_rhs(d: MixedDegreeData, s: SurfaceData) -> tuple[Fraction, Fraction]:
-    """Right-hand sides of 2 d1 + d2 < rhs1 and d1 + 2 d2 < rhs2."""
-    k3 = 3 * s.kappa
-    return (
-        k3 + d.sum_omega - 3 * d.sum_beta,
-        k3 + 2 * d.sum_omega - 3 * (d.sum_beta + d.sum_gamma),
-    )
+def _degrees(d1: int, d2: int, kappa: int, w: MixedDegreeData) -> tuple[int, int, int]:
+    """den times the parabolic degrees of E, W1 and W2 at (d1, d2):
+    (d1 - d2) + sum omega, (d1 - kappa) + sum beta and
+    (d1 - kappa) + sum (beta + gamma)."""
+    deg_w1 = w.den * (d1 - kappa) + w.beta
+    return w.den * (d1 - d2) + w.omega, deg_w1, deg_w1 + w.gamma
+
+
+def _expanded(d1: int, d2: int, kappa: int, w: MixedDegreeData) -> tuple[int, int, int, int]:
+    """den times both sides of 2 d1 + d2 < 3 kappa + sum (omega - 3 beta) and
+    of d1 + 2 d2 < 3 kappa + sum (2 omega - 3 (beta + gamma))."""
+    k3 = 3 * kappa * w.den
+    return (w.den * (2 * d1 + d2), k3 + w.omega - 3 * w.beta,
+            w.den * (d1 + 2 * d2), k3 + 2 * w.omega - 3 * (w.beta + w.gamma))
 
 
 def check_mixed_stability(d: MixedDegreeData, s: SurfaceData) -> StabilityCertificate:
@@ -224,26 +220,22 @@ def check_mixed_stability(d: MixedDegreeData, s: SurfaceData) -> StabilityCertif
     Verdict: stable if both strict, strictly-semistable if some equality
     and no strict violation, unstable otherwise.
     """
-    deg_e = par_deg_E(d)
-    deg_w1 = par_deg_W1(d, s)
-    deg_w2 = par_deg_W2(d, s)
-    mu_e = deg_e / 3
-
-    slope_w1 = (deg_w1 / 1, mu_e)
-    slope_w2 = (deg_w2 / 2, mu_e)
-    verdict_slope, failing_slope = _verdict(*slope_w1, *slope_w2)
-
-    rhs1, rhs2 = _expanded_rhs(d, s)
-    exp1 = (Fraction(2 * d.d1 + d.d2), rhs1)
-    exp2 = (Fraction(d.d1 + 2 * d.d2), rhs2)
-    verdict_exp, failing_exp = _verdict(*exp1, *exp2)
-
+    deg_e, deg_w1, deg_w2 = _degrees(d.d1, d.d2, s.kappa, d)
+    # mu(W1) < mu(E) is 3 deg W1 < deg E, and mu(W2) < mu(E) is 3 deg W2 < 2 deg E
+    verdict_slope, failing_slope = _verdict(3 * deg_w1, deg_e, 3 * deg_w2, 2 * deg_e)
+    lhs1, rhs1, lhs2, rhs2 = _expanded(d.d1, d.d2, s.kappa, d)
+    verdict_exp, failing_exp = _verdict(lhs1, rhs1, lhs2, rhs2)
     if verdict_slope != verdict_exp or failing_slope != failing_exp:
         raise InternalDisagreement(
             f"slope form said {verdict_slope}/{failing_slope}, "
             f"expanded form said {verdict_exp}/{failing_exp}"
         )
-    return StabilityCertificate(verdict_slope, slope_w1, slope_w2, exp1, exp2, failing_slope)
+    den, mu_e = d.den, Fraction(deg_e, 3 * d.den)
+    return StabilityCertificate(
+        verdict_slope, (Fraction(deg_w1, den), mu_e), (Fraction(deg_w2, 2 * den), mu_e),
+        (Fraction(lhs1, den), Fraction(rhs1, den)), (Fraction(lhs2, den), Fraction(rhs2, den)),
+        failing_slope,
+    )
 
 
 def nnoid_degrees(n: int) -> tuple[int, int]:
@@ -264,42 +256,6 @@ def prop94_degrees(n: int) -> tuple[int, int, bool]:
     return 4 - n, 3 - n, n == 4
 
 
-def _verdict_from_degrees(deg_e: Fraction, deg_w1: Fraction, deg_w2: Fraction) -> str:
-    return _verdict(deg_w1, deg_e / 3, deg_w2 / 2, deg_e / 3)[0]
-
-
-def twist_invariance_check(d: MixedDegreeData, s: SurfaceData, m: int) -> bool:
-    """Verdict is unchanged by deg W1 += m, deg W2 += 2m, deg E += 3m."""
-    deg_e = par_deg_E(d)
-    deg_w1 = par_deg_W1(d, s)
-    deg_w2 = par_deg_W2(d, s)
-    base = _verdict_from_degrees(deg_e, deg_w1, deg_w2)
-    twisted = _verdict_from_degrees(deg_e + 3 * m, deg_w1 + m, deg_w2 + 2 * m)
-    return base == twisted
-
-
-class _ClearedSums(NamedTuple):
-    """Sum of omega, beta and gamma as integer numerators over den, their
-    common denominator."""
-
-    den: int
-    omega: int
-    beta: int
-    gamma: int
-
-    @staticmethod
-    def of(d: MixedDegreeData) -> "_ClearedSums":
-        sums = (d.sum_omega, d.sum_beta, d.sum_gamma)
-        den = math.lcm(*(x.denominator for x in sums))
-        return _ClearedSums(den, *(x.numerator * (den // x.denominator) for x in sums))
-
-
-def _cleared_degrees(d1: int, kappa: int, w: _ClearedSums) -> tuple[int, int, int]:
-    """den times (par_deg_E, par_deg_W1, par_deg_W2) at (d1, 0)."""
-    deg_w1 = w.den * (d1 - kappa) + w.beta
-    return w.den * d1 + w.omega, deg_w1, deg_w1 + w.gamma
-
-
 def stability_region(
     s: SurfaceData, weights: Sequence[PunctureWeights], dmax: int
 ) -> list[tuple[int, int]]:
@@ -311,17 +267,15 @@ def stability_region(
     """
     if dmax < 0:
         raise StabilityError("dmax must be nonnegative")
-    w = _ClearedSums.of(MixedDegreeData.of(0, 0, weights))
+    w = MixedDegreeData.of(0, 0, weights)
     den, kappa = w.den, s.kappa
-    # den times the right-hand sides of 2 d1 + d2 < rhs1 and d1 + 2 d2 < rhs2
-    rhs1 = 3 * kappa * den + w.omega - 3 * w.beta
-    rhs2 = 3 * kappa * den + 2 * w.omega - 3 * (w.beta + w.gamma)
+    _, rhs1, _, rhs2 = _expanded(0, 0, kappa, w)
     out: list[tuple[int, int]] = []
     for d1 in range(dmax + 1):
         # at (d1, d2), 3 den (mu(W1) - mu(E)) = 3 deg W1 - deg E + den d2 and
-        # 6 den (mu(W2) - mu(E)) = 3 deg W2 - 2 deg E + 2 den d2, with the
-        # cleared degrees at (d1, 0); stable means both gaps are negative
-        deg_e, deg_w1, deg_w2 = _cleared_degrees(d1, kappa, w)
+        # 6 den (mu(W2) - mu(E)) = 3 deg W2 - 2 deg E + 2 den d2, with den
+        # times the degrees at (d1, 0); stable means both gaps are negative
+        deg_e, deg_w1, deg_w2 = _degrees(d1, 0, kappa, w)
         by_slope = min((deg_e - 3 * deg_w1 - 1) // den, (2 * deg_e - 3 * deg_w2 - 1) // (2 * den))
         by_expanded = min((rhs1 - 2 * d1 * den - 1) // den, (rhs2 - d1 * den - 1) // (2 * den))
         if by_slope != by_expanded:

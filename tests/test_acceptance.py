@@ -152,7 +152,15 @@ def test_criterion_4_form_agreement_twists(report):
         instances.append((d, s))
     for _ in range(10**3):
         d, s = rng.choice(instances)
-        ok = ok and stability.twist_invariance_check(d, s, rng.randrange(-5, 6))
+        # deg W1 += m, deg W2 += 2m and deg E += 3m keep the verdict; the
+        # degrees are den times the parabolic degrees
+        t = rng.randrange(-5, 6) * d.den
+        deg_e, deg_w1, deg_w2 = stability._degrees(d.d1, d.d2, s.kappa, d)
+        base, twisted = (
+            stability._verdict(3 * w1, e, 3 * w2, 2 * e)[0]
+            for e, w1, w2 in ((deg_e, deg_w1, deg_w2), (deg_e + 3 * t, deg_w1 + t, deg_w2 + 2 * t))
+        )
+        ok = ok and base == twisted
     report(4, ok, "10^4 instances slope/expanded agree, 10^3 twists verdict-invariant")
     assert ok
 

@@ -1042,7 +1042,9 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
 # from modules that only some commands import; raised while parsing (cusp-grid)
 # or during the computation (the others), each must exit 2 in a new interpreter
 # with the in-process error line.  So must a stability certificate too large to
-# print (stability-digits), which used to end in a ValueError traceback.
+# print (stability-digits), which used to end in a ValueError traceback, a
+# negative dmax, whose pair count used to trip the work limit first, and a
+# weight triple of 2 or 4 entries, which used to end in a TypeError message.
 NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
 
 
@@ -1060,9 +1062,17 @@ NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
         ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0, 1e308]}},
          "U must be finite everywhere"),
         ("stability check", prime_weights(800), DIGITS_ERROR),
+        ("stability region", {"genus": 0, "n": 5, "dmax": -500}, "dmax must be nonnegative"),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                             "weights": weights_json(["0", "0"])},
+         "a weight triple has 3 entries, got 2"),
+        ("stability check", {"genus": 0, "n": 5, "d1": 1, "d2": 2,
+                             "weights": weights_json(["0", "0", "0", "1/2"])},
+         "a weight triple has 3 entries, got 4"),
     ],
     ids=["ch2-classify-exact", "ch2-classify-float", "ch2-distance", "cusp-grid",
-         "cusp-overflow", "stability-digits"],
+         "cusp-overflow", "stability-digits", "stability-negative-dmax",
+         "stability-triple-2", "stability-triple-4"],
 )
 def test_fresh_process_input_error_exits_2(command, obj, message, tmp_path, capsys):
     argv = [*command.split(), write_json(tmp_path, "bad.json", obj)]

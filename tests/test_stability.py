@@ -16,12 +16,8 @@ from chnoids.stability import (
     WeightTriple,
     check_mixed_stability,
     nnoid_degrees,
-    par_deg_E,
-    par_deg_W1,
-    par_deg_W2,
     prop94_degrees,
     stability_region,
-    twist_invariance_check,
 )
 
 
@@ -49,25 +45,66 @@ def test_puncture_weights_membership():
         PunctureWeights.of(w, beta="1/2")
 
 
+# plain-Fraction oracles for the certificate's numbers, straight from the
+# weights: no weight sum, common denominator or helper of the module between
+def sum_omega(pws):
+    return sum((sum(pw.weights.values) for pw in pws), Fraction(0))
+
+
+def par_deg_E(d1, d2, pws):
+    """(d1 - d2) + sum of omega_p."""
+    return d1 - d2 + sum_omega(pws)
+
+
+def par_deg_W1(d1, pws, s):
+    """(-kappa + d1) + sum of beta_p."""
+    return -s.kappa + d1 + sum((pw.beta for pw in pws), Fraction(0))
+
+
+def par_deg_W2(d1, pws, s):
+    """(-kappa + d1) + sum of (beta_p + gamma_p)."""
+    return -s.kappa + d1 + sum((pw.beta + pw.gamma for pw in pws), Fraction(0))
+
+
+def expanded_rhs(pws, s):
+    """Right-hand sides of 2 d1 + d2 < rhs1 and d1 + 2 d2 < rhs2."""
+    k3 = 3 * s.kappa
+    beta_gamma = sum((pw.beta + pw.gamma for pw in pws), Fraction(0))
+    return (k3 + sum_omega(pws) - 3 * sum((pw.beta for pw in pws), Fraction(0)),
+            k3 + 2 * sum_omega(pws) - 3 * beta_gamma)
+
+
+def oracle_certificate(d1, d2, pws, s):
+    """(verdict, failing, slope_w1, slope_w2, expanded_1, expanded_2) in Fractions."""
+    mu_e = par_deg_E(d1, d2, pws) / 3
+    slope_w1 = (par_deg_W1(d1, pws, s), mu_e)
+    slope_w2 = (par_deg_W2(d1, pws, s) / 2, mu_e)
+    rhs1, rhs2 = expanded_rhs(pws, s)
+    exp1, exp2 = (Fraction(2 * d1 + d2), rhs1), (Fraction(d1 + 2 * d2), rhs2)
+    sides = (("W1", *slope_w1), ("W2", *slope_w2))
+    over = tuple(name for name, lhs, rhs in sides if lhs > rhs)
+    edge = tuple(name for name, lhs, rhs in sides if lhs == rhs)
+    verdict = "unstable" if over else "strictly-semistable" if edge else "stable"
+    return verdict, over or edge, slope_w1, slope_w2, exp1, exp2
+
+
 def test_par_degrees():
+    # slope_w1 = (deg W1, deg E / 3) and slope_w2 = (deg W2 / 2, deg E / 3)
     s = SurfaceData(0, 5)
-    d = MixedDegreeData.of(1, 2, ())
-    assert par_deg_E(d) == -1
-    assert par_deg_W1(d, s) == -2
-    assert par_deg_W2(d, s) == -2
-    d0 = MixedDegreeData.of(3, 3, ())
-    assert par_deg_E(d0) == 0
+    cert = check_mixed_stability(MixedDegreeData.of(1, 2, ()), s)
+    assert 3 * cert.slope_w1[1] == -1
+    assert cert.slope_w1[0] == -2
+    assert 2 * cert.slope_w2[0] == -2
+    cert0 = check_mixed_stability(MixedDegreeData.of(3, 3, ()), s)
+    assert 3 * cert0.slope_w1[1] == 0
     # 3 punctures of total weight 1 each
     w = WeightTriple.of(0, "1/2", "1/2")
     pw = PunctureWeights.of(w)
-    d3 = MixedDegreeData.of(0, 0, [pw, pw, pw])
-    assert par_deg_E(d3) == 3
-    # beta = 1/2 at 2 punctures, d1 = 0, kappa = 1
-    pw2 = PunctureWeights.of(w, beta="1/2")
-    assert par_deg_W1(MixedDegreeData.of(0, 0, [pw2, pw2]), SurfaceData(0, 2 + 1)) != None  # noqa: E711
-    s11 = SurfaceData(1, 1)
+    cert3 = check_mixed_stability(MixedDegreeData.of(0, 0, [pw, pw, pw]), SurfaceData(0, 3))
+    assert 3 * cert3.slope_w1[1] == 3
+    # beta = 1/2 at one puncture, d1 = 0, kappa = 1
     d11 = MixedDegreeData.of(0, 0, [PunctureWeights.of(w, beta="1/2")])
-    assert par_deg_W1(d11, s11) == Fraction(-1, 2)
+    assert check_mixed_stability(d11, SurfaceData(1, 1)).slope_w1[0] == Fraction(-1, 2)
 
 
 def test_check_mixed_stability_examples():
@@ -143,24 +180,51 @@ def mixed_data(draw):
         pws.append(PunctureWeights.of(triple, beta, gamma))
     d1 = draw(st.integers(0, 8))
     d2 = draw(st.integers(0, 8))
-    return MixedDegreeData.of(d1, d2, pws), SurfaceData(genus, n)
+    return MixedDegreeData.of(d1, d2, pws), SurfaceData(genus, n), pws
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_data())
 def test_forms_agree(args):
-    d, s = args
+    d, s, pws = args
     # check_mixed_stability raises InternalDisagreement if the slope and
-    # expanded evaluations ever differ
+    # expanded evaluations ever differ; every number it prints is the oracle's
     cert = check_mixed_stability(d, s)
-    assert cert.verdict in ("stable", "strictly-semistable", "unstable")
+    verdict, failing, *pairs = oracle_certificate(d.d1, d.d2, pws, s)
+    assert (cert.verdict, cert.failing) == (verdict, failing)
+    assert [cert.slope_w1, cert.slope_w2, cert.expanded_1, cert.expanded_2] == pairs
+
+
+def test_check_forms_must_agree(monkeypatch):
+    original = stability._expanded
+
+    # an expanded form whose first right-hand side drifts down onto its left-hand side
+    def drifted(d1, d2, kappa, w):
+        lhs1, rhs1, lhs2, rhs2 = original(d1, d2, kappa, w)
+        return lhs1, rhs1 - 5 * w.den, lhs2, rhs2
+
+    monkeypatch.setattr(stability, "_expanded", drifted)
+    said = r"slope form said stable/\(\), expanded form said strictly-semistable"
+    with pytest.raises(InternalDisagreement, match=said):
+        check_mixed_stability(MixedDegreeData.of(1, 2, ()), SurfaceData(0, 5))
+
+
+def twist_keeps_verdict(d, s, m):
+    """The verdict is unchanged by deg W1 += m, deg W2 += 2m, deg E += 3m."""
+    deg_e, deg_w1, deg_w2 = stability._degrees(d.d1, d.d2, s.kappa, d)
+    t = m * d.den  # the degrees are den times the parabolic degrees
+
+    def verdict(e, w1, w2):
+        return stability._verdict(3 * w1, e, 3 * w2, 2 * e)[0]
+
+    return verdict(deg_e, deg_w1, deg_w2) == verdict(deg_e + 3 * t, deg_w1 + t, deg_w2 + 2 * t)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mixed_data(), st.integers(-5, 5))
 def test_twist_invariance(args, m):
-    d, s = args
-    assert twist_invariance_check(d, s, m)
+    d, s, _ = args
+    assert twist_keeps_verdict(d, s, m)
 
 
 def brute_force_region(s, weights, dmax):
@@ -260,14 +324,14 @@ def test_stability_region_boundary_pairs_excluded():
 def test_stability_region_forms_must_agree(monkeypatch):
     s = SurfaceData(0, 5)
     weights = [PunctureWeights.of(WeightTriple.of(0, 0, 0))] * 5
-    original = stability._cleared_degrees
+    original = stability._degrees
 
     # a slope form whose deg W1 drifts by one from the expanded form from d1 = 2 on
-    def drifted(d1, kappa, w):
-        deg_e, deg_w1, deg_w2 = original(d1, kappa, w)
+    def drifted(d1, d2, kappa, w):
+        deg_e, deg_w1, deg_w2 = original(d1, d2, kappa, w)
         return deg_e, deg_w1 + (w.den if d1 >= 2 else 0), deg_w2
 
-    monkeypatch.setattr(stability, "_cleared_degrees", drifted)
+    monkeypatch.setattr(stability, "_degrees", drifted)
     with pytest.raises(InternalDisagreement, match="at d1 = 2"):
         stability_region(s, weights, 4)
 
