@@ -7,7 +7,10 @@ classification (ch2), and the cusp-strip finite-difference harness (cusp).
 The input boundary they share sits here: ``InputError``, ``rational``, the
 reader of every exact rational literal, ``integer``, the reader of every
 JSON count and degree, ``number``, the reader of every JSON real, and
-``array``, the reader of every JSON list.
+``array``, the reader of every JSON list.  The plain immutable records
+are ``typing.NamedTuple`` classes that ``record`` makes equal only to
+records of their own class.  Each submodule is imported on first access as
+``chnoids.<name>``, so a command loads only the modules it runs.
 """
 
 import re as _re
@@ -93,3 +96,30 @@ def array(x, what: str) -> list:
     if x.__class__ is not list:
         raise InputError(f"{what} must be a list, got {reprlib.repr(x)}")
     return x
+
+
+def _same_record(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _other_record(self, other) -> bool:
+    return not _same_record(self, other)
+
+
+def record(cls):
+    """A ``typing.NamedTuple`` class whose instances equal only instances of
+    the same class, field by field: not a plain tuple, nor a record of
+    another class with the same fields.  Hashing stays the tuple's."""
+    cls.__eq__, cls.__ne__ = _same_record, _other_record
+    return cls
+
+
+_SUBMODULES = frozenset("cli exactnum linalg sphere nnoid stability ch2 cusp".split())
+
+
+def __getattr__(name: str):
+    """``chnoids.<name>`` for a submodule not imported yet: import it (PEP 562)."""
+    if name in _SUBMODULES:
+        __import__(f"{__name__}.{name}")  # which binds the submodule here
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,9 +11,7 @@ the exact classifier) runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import InputError, array, linalg
@@ -145,12 +143,33 @@ def distances(z, w) -> np.ndarray:
 # matrices
 
 
-@dataclass(frozen=True)
 class Matrix21:
     """A 3x3 complex matrix, exact (a ``linalg.Matrix``, a tuple of Q(i)
-    row tuples) or floating (a numpy ndarray)."""
+    row tuples) or floating (a numpy ndarray).
 
-    rows: object  # linalg.Matrix | np.ndarray
+    Instances are immutable, and the exact backing's ``scaled`` form is
+    computed on first use."""
+
+    __slots__ = ("rows", "_scaled")
+
+    def __new__(cls, rows) -> "Matrix21":  # rows: linalg.Matrix | np.ndarray
+        a = object.__new__(cls)
+        object.__setattr__(a, "rows", rows)
+        return a
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix21 is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Matrix21:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Matrix21({self.rows!r})"
 
     @staticmethod
     def exact(rows) -> "Matrix21":
@@ -166,16 +185,17 @@ class Matrix21:
     def is_exact(self) -> bool:
         return isinstance(self.rows, tuple)
 
-    @cached_property
+    @property
     def scaled(self) -> tuple[linalg.GaussMatrix, int]:
         """Exact backing as (M, d) with A = M/d (``linalg.scaled``)."""
-        return linalg.scaled(self.rows)
+        try:
+            return self._scaled
+        except AttributeError:  # first use
+            object.__setattr__(self, "_scaled", linalg.scaled(self.rows))
+            return self._scaled
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        if self.is_exact:
-            return np.array([[complex(x) for x in row] for row in self.rows], dtype=complex)
+        """The float backing's ndarray."""
         return self.rows
 
     def to_json(self) -> dict:

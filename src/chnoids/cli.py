@@ -8,9 +8,12 @@ around them that loads the JSON, maps ``chnoids.InputError`` (the base of
 every module's error class) to exit 2, emits the output and the summary, and
 picks the exit code.
 
-``ch2`` and ``cusp`` are imported by the entries of the commands that use
-them, so the exact commands (``nnoid``, ``stability`` and an exact
-``ch2 classify``) never load numpy.
+Every module a command runs, past the package itself, is imported inside
+that command's parse and handler functions, so each command loads only the
+modules it runs: ``stability check`` and ``stability region`` load
+``stability`` alone, and the exact commands (``nnoid``, ``stability`` and an
+exact ``ch2 classify``) load neither numpy nor ``dataclasses``, which only
+``cusp`` uses.
 """
 
 from __future__ import annotations
@@ -18,38 +21,35 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, array, integer, rational
-from . import nnoid, stability
-from .exactnum import BinaryForm, GaussianRational
-from .nnoid import NnoidData
-from .sphere import make_log_form
 
 if TYPE_CHECKING:
     from . import ch2
+    from .nnoid import NnoidData
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# Size limits; a larger input is an input error.  At each limit, on a 2-CPU
-# host: nnoid check takes 0.15-0.20 s at n = 64 with 1-, 4- or 12-digit
-# coefficients and 0.14-0.15 s with g1 = z0^60, g2 = z1^61; when g1 and g2 share
-# the zero 3 + i, the Q(i) gcd refuses it in 0.23-0.24 s at 1 digit, 0.65 s at
-# 4, 3.1-3.2 s at 12 and 15.2-15.6 s at 30, still growing.  The per-puncture
-# pass grows with n times the punctures' summed height (the bit lengths of a, b
-# and d over the punctures (a + bi)/d); at that cap it takes 0.7-0.9 s at n = 64
-# with one tall puncture, 0.9-1.1 s at n = 16 and 0.3-0.4 s at n = 5.
-# 4,300-digit g1, g2 coefficients cost 5-6 s at n = 64 and 9-10 s with a
-# puncture at the cap; their height is not bounded here.  A stability region
-# takes 0.17 s at n = 5, dmax = 140; stability check or a region at dmax = 0
-# 0.15 s at n = 10^5 with zero weights and 1.6-1.8 s weighted; stability check
-# 0.18 s at the digit limit; cusp verify 0.1-0.8 s on the grid alone, 0.5-1.4 s
-# with 16 modes on 2^20 points and 6.5 s with 2^18 modes on 8 x 8.
+# Size limits; a larger input is an input error.  At each limit, in a fresh
+# process with its imports, on a 2-CPU host with Python 3.11: nnoid check takes
+# 0.14 s at n = 64 with 1-, 4- or 12-digit coefficients and 0.12 s with
+# g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i, the Q(i) gcd
+# refuses it in 0.19 s at 1 digit, 0.5-0.7 s at 4, 2.4 s at 12 and 14.8 s at
+# 30, still growing.  The per-puncture pass grows with n times the punctures'
+# summed height (the bit lengths of a, b and d over the punctures (a + bi)/d);
+# at that cap it takes 0.5 s at n = 64 with one tall puncture, and took
+# 0.9-1.1 s at n = 16 and 0.3-0.4 s at n = 5 at commit bb359af.  4,300-digit
+# g1, g2 coefficients cost 6.2 s at n = 64 and 9.3 s with a puncture at the
+# cap; their height is not bounded here.  A stability region takes 0.07 s at
+# n = 5, dmax = 140; stability check or a region at dmax = 0 0.07-0.10 s at
+# n = 10^5 with zero weights and 1.3-1.9 s weighted; stability check 0.15 s at
+# the digit limit; cusp verify 0.3 s on a 1024 x 1024 grid alone, 0.35 s with
+# 16 modes on it and 4.3 s with 2^18 modes on 8 x 8.
 MAX_NNOID_N = 64
 MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -123,6 +123,9 @@ def _over_limit(what: str, value: int, limit: int) -> None:
 
 
 def _parse_nnoid_check(obj: dict, args) -> NnoidData:
+    from .exactnum import GaussianRational
+    from .nnoid import NnoidData
+
     literals = array(obj["punctures"], "punctures")
     _over_limit("n", len(literals), MAX_NNOID_N)
     punctures = [GaussianRational.parse(s) for s in literals]
@@ -132,6 +135,8 @@ def _parse_nnoid_check(obj: dict, args) -> NnoidData:
 
 
 def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
+    from . import nnoid, stability
+
     checks = []
     s = nnoid.build_higgs(data)
     checks.append(
@@ -196,16 +201,29 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
 
 
 MAX_REJECTIONS = 1000
-# candidate punctures a + bi, |a| <= 5, |b| <= 2; seeded draws depend on this order
-PUNCTURE_POOL = tuple(GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3))
+
+
+@functools.cache
+def puncture_pool() -> tuple:
+    """Candidate punctures a + bi, |a| <= 5, |b| <= 2; seeded draws depend on this order."""
+    from .exactnum import GaussianRational
+
+    return tuple(GaussianRational.of(a, b) for a in range(-5, 6) for b in range(-2, 3))
 
 
 def random_nnoid_data(n: int, seed: int) -> NnoidData:
     """Seeded rejection sampler for valid n-noid data; small integer entries."""
+    import random
+
+    from .exactnum import BinaryForm, GaussianRational
+    from .nnoid import NnoidData
+    from .sphere import make_log_form
+
+    pool = puncture_pool()
     if n < 4:
         raise InputError("need n >= 4")
-    if n > len(PUNCTURE_POOL):
-        raise InputError(f"nnoid random draws at most {len(PUNCTURE_POOL)} punctures")
+    if n > len(pool):
+        raise InputError(f"nnoid random draws at most {len(pool)} punctures")
     rng = random.Random(seed)
 
     def gint(lo=-4, hi=4):
@@ -213,7 +231,7 @@ def random_nnoid_data(n: int, seed: int) -> NnoidData:
 
     for _ in range(MAX_REJECTIONS):
         try:
-            punctures = rng.sample(PUNCTURE_POOL, n)
+            punctures = rng.sample(pool, n)
             residues = []
             for _ in range(n - 1):
                 r = gint()
@@ -248,6 +266,8 @@ def cmd_nnoid_random(n: int, args) -> tuple[dict, bool]:
 
 def _parse_stability(obj: dict, pairs: int):
     """Surface and per-puncture weights for a query over ``pairs`` (d1, d2) pairs."""
+    from . import stability
+
     surf = stability.SurfaceData(integer(obj["genus"], "genus"), integer(obj["n"], "n"))
     _over_limit("(d1, d2) pairs times n", pairs * surf.punctures, MAX_STABILITY_WORK)
     raw = array(obj.get("weights", []), "weights")
@@ -288,12 +308,16 @@ def _parse_stability(obj: dict, pairs: int):
 
 
 def _parse_stability_check(obj: dict, args):
+    from . import stability
+
     surf, weights = _parse_stability(obj, 1)
     d1, d2 = integer(obj["d1"], "d1"), integer(obj["d2"], "d2")
     return obj, surf, stability.MixedDegreeData.of(d1, d2, weights)
 
 
 def cmd_stability_check(inputs, args) -> tuple[dict, bool]:
+    from . import stability
+
     obj, surf, data = inputs
     cert_s = stability.check_mixed_stability(data, surf)
     bound = 10**MAX_CERTIFICATE_DIGITS
@@ -324,6 +348,8 @@ def _parse_stability_region(obj: dict, args):
 
 
 def cmd_stability_region(inputs, args) -> tuple[dict, bool]:
+    from . import stability
+
     obj, dmax, surf, weights = inputs
     region = stability.stability_region(surf, weights, dmax)
     if args.csv:
@@ -395,6 +421,8 @@ def cmd_ch2_distance(inputs, args) -> tuple[dict, bool]:
 
 
 def _parse_cusp_verify(obj: dict, args):
+    import random
+
     from . import cusp
 
     grid = cusp.StripGrid.from_json(obj.get("grid", {"Nx": 256, "Ny": 256, "Y": 1.0, "Ymax": 20.0}))

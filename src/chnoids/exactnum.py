@@ -16,14 +16,12 @@ evaluation.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd as _gcd
 from math import lcm as _lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from . import array, integer, rational
+from . import array, integer, rational, record
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -260,7 +258,7 @@ def _poly_over(us: list[int], vs: list[int], den: int) -> "UniPoly":
     g = _gcd(den, *us, *vs)
     if g != 1:
         us, vs, den = [u // g for u in us], [v // g for v in vs], den // g
-    return UniPoly(tuple(us), tuple(vs), den)
+    return _new_poly(tuple(us), tuple(vs), den)
 
 
 def dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
@@ -290,18 +288,33 @@ I = GQ(0, 1)
 # univariate polynomials
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """Polynomial in one affine variable z: coefficient k is (re[k] + i im[k])/den.
 
     The triple is canonical: den > 0, gcd(re, im, den) = 1 and no trailing
     zero, so equal polynomials have equal triples.  The zero polynomial is
     ((), (), 1) (never degree -1 arithmetic: ``degree`` raises on it).
+    Instances are immutable; build them with ``UniPoly.of`` and ``zero``.
     """
 
-    re: tuple[int, ...]
-    im: tuple[int, ...]
-    den: int
+    __slots__ = ("re", "im", "den")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build polynomials with UniPoly.of or UniPoly.zero")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UniPoly is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not UniPoly:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.den))
+
+    def __repr__(self) -> str:
+        return f"UniPoly(re={self.re}, im={self.im}, den={self.den})"
 
     @staticmethod
     def of(coeffs: Iterable) -> "UniPoly":
@@ -309,9 +322,9 @@ class UniPoly:
 
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly((), (), 1)
+        return _new_poly((), (), 1)
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
         """The coefficients as canonical scalars, ascending."""
         return tuple(_canonical(u, v, self.den) for u, v in zip(self.re, self.im))
@@ -340,7 +353,7 @@ class UniPoly:
         return _poly_over(us, vs, den)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-u for u in self.re), tuple(-v for v in self.im), self.den)
+        return _new_poly(tuple(-u for u in self.re), tuple(-v for v in self.im), self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + -other
@@ -418,6 +431,20 @@ class UniPoly:
         return self * self.leading().inverse()
 
 
+_set_re = UniPoly.re.__set__
+_set_im = UniPoly.im.__set__
+_set_den = UniPoly.den.__set__
+
+
+def _new_poly(re: tuple[int, ...], im: tuple[int, ...], den: int) -> UniPoly:
+    """The polynomial with the triple (re, im, den), already canonical."""
+    p = _object_new(UniPoly)
+    _set_re(p, re)
+    _set_im(p, im)
+    _set_den(p, den)
+    return p
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over Q(i); gcd(0, 0) is the zero polynomial."""
     while not b.is_zero:
@@ -430,24 +457,43 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # binary forms
 
 
-@dataclass(frozen=True)
 class BinaryForm:
     """Homogeneous form f(z0, z1) of declared degree d, held as its chart polynomial.
 
     ``chart`` is f(z, 1) in the affine coordinate z = z0/z1, of degree at most
     d; its degree is below d exactly when f vanishes at [1:0].  The zero form
-    is flagged via ``is_zero``.
+    is flagged via ``is_zero``.  Instances are immutable; build them with
+    ``BinaryForm.of`` and ``from_json``.
     """
 
-    degree: int
-    chart: UniPoly
+    __slots__ = ("degree", "chart")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build binary forms with BinaryForm.of or BinaryForm.from_json")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinaryForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BinaryForm:
+            return NotImplemented
+        return self.degree == other.degree and self.chart == other.chart
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.chart))
+
+    def __repr__(self) -> str:
+        return f"BinaryForm(degree={self.degree}, chart={self.chart!r})"
 
     @staticmethod
     def of(degree: int, coeffs: Iterable) -> "BinaryForm":
         cs = [_coerce(c) for c in coeffs]
         if degree < 0 or len(cs) != degree + 1:
             raise ValueError("a degree-d binary form needs exactly d+1 coefficients")
-        return BinaryForm(degree, UniPoly.of(reversed(cs)))  # coefficient of z^j is cs[d-j]
+        f = _object_new(BinaryForm)
+        object.__setattr__(f, "degree", degree)
+        object.__setattr__(f, "chart", UniPoly.of(reversed(cs)))  # coefficient of z^j is cs[d-j]
+        return f
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
@@ -583,16 +629,12 @@ def _coprime_mod(f: BinaryForm, g: BinaryForm, p: int, s: int) -> bool:
 # rational functions and 1-forms
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+@record
+class RationalFunction(NamedTuple):
     """num/den in the affine chart; callers pass a monic den and at most simple poles."""
 
     num: UniPoly
     den: UniPoly
-
-    @cached_property
-    def _den_prime(self) -> UniPoly:
-        return self.den.derivative()
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         """Residue of (self) dz at z = p, where p is at most a simple pole.
@@ -605,7 +647,7 @@ class RationalFunction:
         re, im, _ = self.den.parts_at(p)
         if re or im:  # den(p) != 0: no pole at p
             return ZERO
-        a, b, e = self._den_prime.parts_at(p)
+        a, b, e = self.den.derivative().parts_at(p)
         if not a and not b:
             raise ExactArithmeticError(f"pole of order at least 2 at {p}")
         c, f, g = self.num.parts_at(p)
@@ -613,8 +655,8 @@ class RationalFunction:
         return _canonical(e * (c * a + f * b), e * (f * a - c * b), g * (a * a + b * b))
 
 
-@dataclass(frozen=True)
-class RationalOneForm:
+@record
+class RationalOneForm(NamedTuple):
     """(num/den) dz in the affine chart, with the invariant of ``RationalFunction``."""
 
     fn: RationalFunction

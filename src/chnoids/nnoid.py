@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import InputError, array, integer, linalg
+from . import InputError, array, integer, linalg, record
 from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, make_log_form
@@ -27,8 +27,8 @@ class NnoidDataError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class NnoidData:
+@record
+class NnoidData(NamedTuple):
     """Input data: the logarithmic 1-form omega, with the punctures and
     residues, and the sections g1, g2, q.
 
@@ -95,8 +95,8 @@ class NnoidData:
 Section = tuple[tuple[UniPoly, ...], ...]
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
+@record
+class ResidueMatrix(NamedTuple):
     """The residue at ``point`` as num/den, lowest terms: den > 0, gcd(den, num's parts) = 1."""
 
     point: GaussianRational

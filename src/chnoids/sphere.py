@@ -8,10 +8,9 @@ its residue at p_i is r_i by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from . import InputError
+from . import InputError, record
 from .exactnum import ZERO, GaussianRational
 
 
@@ -19,8 +18,8 @@ class SphereError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class LogOneForm:
+@record
+class LogOneForm(NamedTuple):
     """omega = sum_i r_i dz/(z - p_i) with simple poles exactly at P.
 
     P is n >= 1 pairwise distinct points of the affine chart; the residues

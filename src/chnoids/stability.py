@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from . import InputError, rational
+from . import InputError, rational, record
 
 
 class StabilityError(InputError):
@@ -37,18 +36,36 @@ class InternalDisagreement(AssertionError):
     """Slope-form and expanded-form evaluations disagreed; abort."""
 
 
-@dataclass(frozen=True)
 class SurfaceData:
-    """Genus and puncture count, with the hyperbolicity constraint 2g-2+n > 0."""
+    """Genus and puncture count, with the hyperbolicity constraint 2g-2+n > 0.
 
-    genus: int
-    punctures: int
+    Instances are immutable."""
 
-    def __post_init__(self):
-        if self.genus < 0 or self.punctures < 1:
+    __slots__ = ("genus", "punctures")
+
+    def __new__(cls, genus: int, punctures: int) -> "SurfaceData":
+        if genus < 0 or punctures < 1:
             raise StabilityError("need genus >= 0 and at least one puncture")
-        if 2 * self.genus - 2 + self.punctures <= 0:
+        if 2 * genus - 2 + punctures <= 0:
             raise StabilityError("hyperbolicity violated: 2g-2+n must be positive")
+        s = object.__new__(cls)
+        object.__setattr__(s, "genus", genus)
+        object.__setattr__(s, "punctures", punctures)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SurfaceData is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SurfaceData:
+            return NotImplemented
+        return self.genus == other.genus and self.punctures == other.punctures
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.punctures))
+
+    def __repr__(self) -> str:
+        return f"SurfaceData(genus={self.genus}, punctures={self.punctures})"
 
     @property
     def kappa(self) -> int:
@@ -56,8 +73,8 @@ class SurfaceData:
         return 2 * self.genus - 2 + self.punctures
 
 
-@dataclass(frozen=True)
-class WeightTriple:
+@record
+class WeightTriple(NamedTuple):
     """Ordered parabolic weights a1 <= a2 <= a3 in [0, 1)."""
 
     a1: Fraction
@@ -76,8 +93,8 @@ class WeightTriple:
         return (self.a1, self.a2, self.a3)
 
 
-@dataclass(frozen=True)
-class PunctureWeights:
+@record
+class PunctureWeights(NamedTuple):
     """Weight triple at one puncture plus the flag-position selections.
 
     beta is the induced weight of the line subbundle W1, gamma the weight
@@ -98,8 +115,8 @@ class PunctureWeights:
         return PunctureWeights(weights, b, g)
 
 
-@dataclass(frozen=True)
-class MixedDegreeData:
+@record
+class MixedDegreeData(NamedTuple):
     """(d1, d2) plus the sums over the punctures of omega_p, beta_p and
     gamma_p, as integer numerators over their common denominator den."""
 
@@ -155,8 +172,8 @@ def _pairwise_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+@record
+class StabilityCertificate(NamedTuple):
     """Both sides of every inequality, in slope and expanded form, plus verdict."""
 
     verdict: str  # stable | strictly-semistable | unstable

@@ -307,7 +307,8 @@ def test_classify_rejects_non_form_preserving():
 
 def test_conjugation_invariance_float():
     rng = np.random.default_rng(0)
-    seeds = [identity_matrix(False), boost(1.0), Matrix21.floating(parabolic_seed().as_array())]
+    parabolic = Matrix21.floating([[complex(x) for x in row] for row in parabolic_seed().rows])
+    seeds = [identity_matrix(False), boost(1.0), parabolic]
     labels = [classify_isometry(s) for s in seeds]
     for _ in range(25):
         g = random_form_preserving(rng, scale=0.4)

@@ -1228,35 +1228,46 @@ def test_fresh_process_nnoid_check_puncture_height_cap(past, tmp_path):
 
 
 # Runs main in a new interpreter and prints its exit code and whether numpy
-# was loaded; the certificate itself is discarded.
-NUMPY_PROBE = """
+# was loaded, then whether dataclasses was and the chnoids modules loaded,
+# sorted; the certificate itself is discarded.
+MODULE_PROBE = """
 import contextlib, io, sys
 from chnoids.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, "numpy" in sys.modules)
+print("dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.split(".")[0] == "chnoids"))
 """
+
+NNOID_MODULES = "cli exactnum linalg nnoid sphere"
+CH2_MODULES = "ch2 cli exactnum linalg"
 
 
 # The exact commands never load numpy, nor does the scalar ch2 distance; a
-# float ch2 classify does.
+# float ch2 classify does.  Each command loads only the chnoids modules it
+# runs, and none without numpy loads dataclasses (numpy may import it).
 @pytest.mark.parametrize(
-    "argv, obj, loads_numpy",
+    "argv, obj, loads_numpy, modules",
     [
-        (["nnoid", "random", "6", "--seed", "3"], None, False),
-        (["nnoid", "check"], nnoid_json(6), False),
-        (["stability", "check"], {"genus": 0, "n": 5, "d1": 1, "d2": 2}, False),
-        (["stability", "region"], REGION_INPUT, False),
-        (["ch2", "classify"], FUZZ_SEEDS["ch2 classify"], False),
-        (["ch2", "distance"], FUZZ_SEEDS["ch2 distance"], False),
-        (["ch2", "classify"], FLOAT_BOOST, True),
+        (["nnoid", "random", "6", "--seed", "3"], None, False, NNOID_MODULES),
+        (["nnoid", "check"], nnoid_json(6), False, NNOID_MODULES + " stability"),
+        (["stability", "check"], {"genus": 0, "n": 5, "d1": 1, "d2": 2}, False, "cli stability"),
+        (["stability", "region"], REGION_INPUT, False, "cli stability"),
+        (["ch2", "classify"], FUZZ_SEEDS["ch2 classify"], False, CH2_MODULES),
+        (["ch2", "distance"], FUZZ_SEEDS["ch2 distance"], False, CH2_MODULES),
+        (["ch2", "classify"], FLOAT_BOOST, True, CH2_MODULES),
     ],
     ids=["nnoid-random", "nnoid-check", "stability-check", "stability-region",
          "ch2-classify-exact", "ch2-distance", "ch2-classify-float"],
 )
-def test_numpy_loads_only_for_float_work(argv, obj, loads_numpy, tmp_path):
+def test_numpy_loads_only_for_float_work(argv, obj, loads_numpy, modules, tmp_path):
     if obj is not None:
         argv = [*argv, write_json(tmp_path, "in.json", obj)]
-    proc = run_python(["-c", NUMPY_PROBE, *argv])
+    proc = run_python(["-c", MODULE_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loads_numpy)]
+    numpy_line, module_line = proc.stdout.splitlines()
+    assert numpy_line.split() == ["0", str(loads_numpy)]
+    dataclasses_loaded, *loaded = module_line.split()
+    assert loaded == ["chnoids", *(f"chnoids.{m}" for m in modules.split())]
+    if not loads_numpy:
+        assert dataclasses_loaded == "False"
