@@ -60,7 +60,10 @@ def in_ch2(z: Sequence) -> bool:
 def _unit_representative(z: Sequence) -> list[complex]:
     """The point [Z] as complex coordinates scaled to largest modulus 1."""
     zc = [complex(x) for x in z]
-    moduli = [abs(x) for x in zc]
+    try:
+        moduli = [abs(x) for x in zc]
+    except OverflowError:  # a modulus past the largest float, as hypot's inf
+        moduli = [math.inf]
     scale = max(moduli)
     if not (scale > 0.0 and all(map(math.isfinite, moduli))):
         raise CH2Error("a CH^2 point needs a nonzero finite representative")
@@ -93,15 +96,18 @@ def _unit_representatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the scaled points and the mask of points with a nonzero finite
     representative; the other points come back as zero vectors.  The
     moduli (hypot) and the division of each part round as the scalar path
-    does, so the sign of <Z,Z> is decided on the same numbers.
+    does, so the sign of <Z,Z> is decided on the same numbers.  A NaN or
+    infinite modulus carries through the maximum into the scale's test.
     """
     import numpy as np
 
-    moduli = np.hypot(f.real, f.imag)
-    scale = moduli.max(axis=-1)
-    ok = (scale > 0.0) & np.isfinite(moduli).all(axis=-1)
-    scale = np.where(ok, scale, 1.0)[..., None]
-    f = np.where(ok[..., None], f, 0.0)
+    m = np.hypot(f.real, f.imag)
+    scale = np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2])
+    ok = np.isfinite(scale) & (scale > 0.0)
+    if not ok.all():
+        scale = np.where(ok, scale, 1.0)
+        f = np.where(ok[..., None], f, 0.0)
+    scale = scale[..., None]
     z = np.empty(f.shape, dtype=complex)
     z.real = f.real / scale
     z.imag = f.imag / scale
@@ -121,19 +127,24 @@ def points_in_ch2(f) -> np.ndarray:
     return ok & (_herm_forms(z, z).real < 0)
 
 
-def distances(z, w) -> np.ndarray:
-    """Array form of ``distance`` between the points along the last axes of
-    z and w, broadcast against each other; raises as ``distance`` does."""
+def normalize_points(f) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, <Z,Z>) for the points along the last axis of f, each Z scaled as
+    ``distance`` scales it; raises as ``distance`` does outside CH^2."""
     import numpy as np
 
-    z, z_ok = _unit_representatives(np.asarray(z, dtype=complex))
-    w, w_ok = _unit_representatives(np.asarray(w, dtype=complex))
-    if not (z_ok.all() and w_ok.all()):
+    z, ok = _unit_representatives(np.asarray(f, dtype=complex))
+    if not ok.all():
         raise CH2Error("a CH^2 point needs a nonzero finite representative")
     zz = _herm_forms(z, z).real
-    ww = _herm_forms(w, w).real
-    if not ((zz < 0).all() and (ww < 0).all()):
+    if not (zz < 0).all():
         raise CH2Error("distance arguments must lie in CH^2")
+    return z, zz
+
+
+def normalized_distances(z, zz, w, ww) -> np.ndarray:
+    """``distance`` between (Z, <Z,Z>) and (W, <W,W>) from ``normalize_points``, broadcast."""
+    import numpy as np
+
     zw = _herm_forms(z, w)
     ratio = (zw * zw.conj()).real / (zz * ww)
     return 2.0 * np.arccosh(np.sqrt(np.maximum(ratio, 1.0)))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import InputError, integer, number
-from .ch2 import distance, distances, in_ch2, points_in_ch2
+from .ch2 import distance, in_ch2, normalize_points, normalized_distances, points_in_ch2
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL_FACTOR = 10.0
@@ -101,14 +101,15 @@ def mean_function(s: StripField) -> np.ndarray:
     return s.u.mean(axis=1)
 
 
-def _d_dx(u: np.ndarray, hx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * hx)
-
-
 def oscillation_a(s: StripField) -> np.ndarray:
     """A(y) = (integral of U_x^2 over the period)^(1/2), centered differences."""
-    ux = _d_dx(s.u, s.grid.hx)
-    return np.sqrt((ux**2).sum(axis=1) * s.grid.hx)
+    u, ux = s.u, np.empty(s.u.shape)
+    np.subtract(u.ravel()[2:], u.ravel()[:-2], out=ux.ravel()[1:-1])  # rows laid end to end
+    np.subtract(u[:, 1], u[:, -1], out=ux[:, 0])  # and the two wrapped columns
+    np.subtract(u[:, 0], u[:, -2], out=ux[:, -1])
+    ux /= 2.0 * s.grid.hx
+    ux *= ux
+    return np.sqrt(ux.sum(axis=1) * s.grid.hx)
 
 
 def discrete_laplacian(s: StripField) -> np.ndarray:
@@ -129,14 +130,7 @@ class StripReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "worst_slack": self.worst_slack,
-            "precondition_ok": self.precondition_ok,
-            "per_row_slack": list(self.per_row_slack),
-            "note": self.note,
-        }
+        return {**vars(self), "per_row_slack": list(self.per_row_slack)}  # fields in order
 
 
 def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> StripReport:
@@ -157,7 +151,7 @@ def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> Str
         tol=tol,
         worst_slack=worst,
         precondition_ok=pre_ok,
-        per_row_slack=tuple(float(x) for x in slack),
+        per_row_slack=tuple(slack.tolist()),
         note="" if pre_ok else f"subharmonicity precondition violated (min Laplacian {lap_worst:g})",
     )
 
@@ -180,16 +174,18 @@ def check_distance_lipschitz(s: StripField, o: Sequence, tol: float = 1e-9) -> S
     """|U(x+hx) - U(x)| <= d(F(x+hx), F(x)) + tol with U = d(o, F).
 
     The discrete form of the 1-Lipschitz projection of distance; a
-    metric-space fact, so it must hold for any CH^2-valued F.  Distances
-    are taken over the whole grid at once; the cell that decides the
-    verdict is then recomputed with the scalar ``distance``.
+    metric-space fact, so it must hold for any CH^2-valued F.  F and o are
+    each normalized once and distances taken over the whole grid at once;
+    the cell that decides the verdict is recomputed with the scalar ``distance``.
     """
     if s.f is None:
         raise CuspGridError("field carries no CH^2 map samples")
     if not in_ch2(o):
         raise CuspGridError("base point must lie in CH^2")
-    u = distances(o, s.f)
-    step = distances(s.f, np.roll(s.f, -1, axis=1))
+    oz, oo = normalize_points(o)
+    fz, ff = normalize_points(s.f)
+    u = normalized_distances(oz, oo, fz, ff)
+    step = normalized_distances(fz, ff, np.roll(fz, -1, axis=1), np.roll(ff, -1, axis=1))
     slack = step + tol - np.abs(np.roll(u, -1, axis=1) - u)
     iy, ix = np.unravel_index(np.argmin(slack), slack.shape)
     z, w = s.f[iy, ix], s.f[iy, (ix + 1) % s.grid.nx]
@@ -200,7 +196,7 @@ def check_distance_lipschitz(s: StripField, o: Sequence, tol: float = 1e-9) -> S
         passed=worst >= 0.0,
         tol=tol,
         worst_slack=worst - tol,
-        per_row_slack=tuple(float(x) for x in per_row),
+        per_row_slack=tuple(per_row.tolist()),
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chnoids import linalg
+from chnoids import ch2, linalg
 from chnoids.ch2 import (
     J_EXACT,
     CH2Error,
@@ -18,6 +18,8 @@ from chnoids.ch2 import (
     herm_form,
     identity_matrix,
     in_ch2,
+    normalize_points,
+    points_in_ch2,
     preserves_form,
     random_exact_form_preserving,
     random_form_preserving,
@@ -62,6 +64,64 @@ def test_distance_basic():
     for bad in ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, math.nan, 1.0)):
         with pytest.raises(CH2Error):
             distance(bad, E3)
+
+
+BAD_POINTS = [
+    (0.0, 0.0, 0.0),
+    (0.0, complex(math.nan, 0.0), 1.0),
+    (0.5, 0.0, complex(1.0, math.nan)),
+    (math.inf, 0.0, 1.0),
+    (0.0, complex(0.0, -math.inf), 1.0),
+    (complex(-math.inf, math.nan), 0.0, 1.0),
+    (1.5e308 + 1.5e308j, 0.0, 1.0),  # hypot overflows
+]
+
+
+def kernel_points(with_bad):
+    """Points along the last axis: inside CH^2 at scales 1e-300..1e300, a
+    few positive and null lines and signed zeros, and, with_bad, the
+    points of BAD_POINTS, so the array kernel takes its fallback path."""
+    rng = np.random.default_rng(26)
+    v = 0.6 * (rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2)))
+    f = np.concatenate([v, np.ones((60, 1))], axis=1)
+    f *= 10.0 ** rng.uniform(-300, 300, (60, 1))
+    extra = [(1e-300, 0.0, 1e300), (1e300, 1e300j, 2e300), (-0.0, complex(-1.0, -0.0), -3.0),
+             (complex(-0.0, 1e-300), 0.0, -1e-300), (1.0, 0.0, 1.0), (1e300, 0.0, 0.0)]
+    return np.concatenate([f, np.array(extra + (BAD_POINTS if with_bad else []), dtype=complex)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in hypot:RuntimeWarning")
+@pytest.mark.parametrize("with_bad", [False, True])
+def test_unit_representatives_match_scalar(with_bad):
+    f = kernel_points(with_bad)
+    z, ok = ch2._unit_representatives(f)
+    assert ok.all() != with_bad
+    for p, zp, okp in zip(f, z, ok):
+        try:
+            ref = np.array(ch2._unit_representative(p))
+        except CH2Error:
+            assert not okp and (zp == 0).all()
+            continue
+        assert okp
+        # each part bit for bit; CPython divides complex by float as complex,
+        # so only the sign of a zero part may differ, which == ignores
+        np.testing.assert_array_equal(zp.view(float), ref.view(float))
+    assert points_in_ch2(f).tolist() == [in_ch2(p) for p in f]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in hypot:RuntimeWarning")
+@pytest.mark.parametrize(
+    "bad, message",
+    [(p, "a CH^2 point needs a nonzero finite representative") for p in BAD_POINTS]
+    + [(p, "distance arguments must lie in CH^2") for p in (E1, (1.0, 0.0, 1.0))],
+)
+def test_normalize_points_raises_as_distance(bad, message):
+    f = kernel_points(False)
+    f[7] = bad
+    for call in (lambda: distance(bad, E3), lambda: normalize_points(f)):
+        with pytest.raises(CH2Error) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_distance_symmetry_triangle():

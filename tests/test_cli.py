@@ -1045,7 +1045,15 @@ def test_fresh_process_matches_in_process(tmp_path, capsys):
 # print (stability-digits), which used to end in a ValueError traceback, a
 # negative dmax, whose pair count used to trip the work limit first, and a
 # weight triple of 2 or 4 entries, which used to end in a TypeError message.
+# A finite coordinate whose modulus overflows used to end in an OverflowError
+# traceback.  A zero g1 or g2 alone is refused by name, not as a shared zero.
 NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
+
+
+def nnoid_zeroed(name):
+    obj = random_nnoid_data(5, 0).to_json()
+    obj[name] = {**obj[name], "coeffs": ["0"] * len(obj[name]["coeffs"])}
+    return obj
 
 
 @pytest.mark.parametrize(
@@ -1057,6 +1065,10 @@ NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
          NOT_PRESERVED),
         ("ch2 distance", {"z": ["1", "0", "0"], "w": ["0", "0", "1"]},
          "distance arguments must lie in CH^2"),
+        ("ch2 distance", {"z": ["1.5e308+1.5e308i", "0", "1"], "w": ["0", "0", "1"]},
+         "a CH^2 point needs a nonzero finite representative"),
+        ("nnoid check", nnoid_zeroed("g1"), "g1 and g2 must be nonzero"),
+        ("nnoid check", nnoid_zeroed("g2"), "g1 and g2 must be nonzero"),
         ("cusp verify", {"grid": {"Nx": 4, "Ny": 8, "Y": 1.0, "Ymax": 5.0}},
          "need at least 8 samples in each direction"),
         ("cusp verify", {"grid": SMALL_GRID, "spec": {"modes": [], "poly": [0.0, 0.0, 1e308]}},
@@ -1070,7 +1082,8 @@ NOT_PRESERVED = "matrix does not preserve the signature-(2,1) form"
                              "weights": weights_json(["0", "0", "0", "1/2"])},
          "a weight triple has 3 entries, got 4"),
     ],
-    ids=["ch2-classify-exact", "ch2-classify-float", "ch2-distance", "cusp-grid",
+    ids=["ch2-classify-exact", "ch2-classify-float", "ch2-distance", "ch2-distance-overflow",
+         "nnoid-zero-g1", "nnoid-zero-g2", "cusp-grid",
          "cusp-overflow", "stability-digits", "stability-negative-dmax",
          "stability-triple-2", "stability-triple-4"],
 )

@@ -209,6 +209,34 @@ def test_check_forms_must_agree(monkeypatch):
         check_mixed_stability(MixedDegreeData.of(1, 2, ()), SurfaceData(0, 5))
 
 
+# At (6, 0) on (0, 5) the slope form says unstable, W1 failing; each patch
+# below changes one of the expanded form's verdict and failing list only.
+def test_check_forms_must_agree_on_the_failing_list(monkeypatch):
+    original = stability._expanded
+
+    def swapped(d1, d2, kappa, w):
+        lhs1, rhs1, lhs2, rhs2 = original(d1, d2, kappa, w)
+        return lhs2, rhs2, lhs1, rhs1
+
+    monkeypatch.setattr(stability, "_expanded", swapped)
+    said = r"slope form said unstable/\('W1',\), expanded form said unstable/\('W2',\)"
+    with pytest.raises(InternalDisagreement, match=said):
+        check_mixed_stability(MixedDegreeData.of(6, 0, ()), SurfaceData(0, 5))
+
+
+def test_check_forms_must_agree_on_the_verdict(monkeypatch):
+    original = stability._expanded
+
+    def tight(d1, d2, kappa, w):
+        lhs1, _, lhs2, rhs2 = original(d1, d2, kappa, w)
+        return lhs1, lhs1, lhs2, rhs2
+
+    monkeypatch.setattr(stability, "_expanded", tight)
+    said = r"slope form said unstable/\('W1',\), expanded form said strictly-semistable/\('W1',\)"
+    with pytest.raises(InternalDisagreement, match=said):
+        check_mixed_stability(MixedDegreeData.of(6, 0, ()), SurfaceData(0, 5))
+
+
 def twist_keeps_verdict(d, s, m):
     """The verdict is unchanged by deg W1 += m, deg W2 += 2m, deg E += 3m."""
     deg_e, deg_w1, deg_w2 = stability._degrees(d.d1, d.d2, s.kappa, d)
