@@ -7,12 +7,14 @@ classification (ch2), and the cusp-strip finite-difference harness (cusp).
 The input boundary they share sits here: ``InputError``, ``rational``, the
 reader of every exact rational literal, ``integer``, the reader of every
 JSON count and degree, ``number``, the reader of every JSON real, and
-``array``, the reader of every JSON list.  The plain immutable records
-are ``typing.NamedTuple`` classes that ``record`` makes equal only to
-records of their own class.  Each submodule is imported on first access as
+``array``, the reader of every JSON list.  Every immutable value class
+derives from ``Value``, which writes once that its fields are its slots,
+that none of them can be set, and that a value equals only a value of its
+own class, field by field.  Each submodule is imported on first access as
 ``chnoids.<name>``, so a command loads only the modules it runs.
 """
 
+import operator
 import re as _re
 import reprlib
 import sys
@@ -98,20 +100,48 @@ def array(x, what: str) -> list:
     return x
 
 
-def _same_record(self, other) -> bool:
-    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+class Value:
+    """An immutable value whose fields are its class's ``__slots__``, in order.
 
+    ``Cls(*fields)`` sets every slot; a wrong field count is a ``TypeError``.
+    No attribute can be set or deleted afterwards.  A value equals only a
+    value of its own class with equal fields, and hashes as the tuple of
+    its fields.  A value is not a tuple: it has no length, items or iterator.
+    """
 
-def _other_record(self, other) -> bool:
-    return not _same_record(self, other)
+    __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__)
+        # attrgetter gives one field bare, so a one-field class wraps it in a tuple
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
 
-def record(cls):
-    """A ``typing.NamedTuple`` class whose instances equal only instances of
-    the same class, field by field: not a plain tuple, nor a record of
-    another class with the same fields.  Hashing stays the tuple's."""
-    cls.__eq__, cls.__ne__ = _same_record, _other_record
-    return cls
+    def __new__(cls, *fields):
+        names = cls.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+        v = object.__new__(cls)
+        for name, field in zip(names, fields):
+            object.__setattr__(v, name, field)
+        return v
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={x!r}" for n, x in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__name__}({fields})"
 
 
 _SUBMODULES = frozenset("cli exactnum linalg sphere nnoid stability ch2 cusp".split())

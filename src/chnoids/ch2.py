@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from . import InputError, array, linalg
+from . import InputError, Value, array, linalg
 from .exactnum import GaussianRational, poly_gcd  # ch2.poly_gcd: read by bench/selftest.py
 from .linalg import gmul, gsub
 
@@ -101,7 +101,8 @@ def _unit_representatives(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    m = np.hypot(f.real, f.imag)
+    with np.errstate(over="ignore"):  # an overflowing modulus is inf, which ok refuses
+        m = np.hypot(f.real, f.imag)
     scale = np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2])
     ok = np.isfinite(scale) & (scale > 0.0)
     if not ok.all():
@@ -154,33 +155,18 @@ def normalized_distances(z, zz, w, ww) -> np.ndarray:
 # matrices
 
 
-class Matrix21:
+class Matrix21(Value):
     """A 3x3 complex matrix, exact (a ``linalg.Matrix``, a tuple of Q(i)
     row tuples) or floating (a numpy ndarray).
 
-    Instances are immutable, and the exact backing's ``scaled`` form is
-    computed on first use."""
+    ``scaled`` is the exact backing as (M, d) with A = M/d
+    (``linalg.scaled``), computed when the matrix is built, and None for a
+    float backing."""
 
-    __slots__ = ("rows", "_scaled")
+    __slots__ = ("rows", "scaled")
 
     def __new__(cls, rows) -> "Matrix21":  # rows: linalg.Matrix | np.ndarray
-        a = object.__new__(cls)
-        object.__setattr__(a, "rows", rows)
-        return a
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix21 is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Matrix21:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Matrix21({self.rows!r})"
+        return super().__new__(cls, rows, linalg.scaled(rows) if isinstance(rows, tuple) else None)
 
     @staticmethod
     def exact(rows) -> "Matrix21":
@@ -195,15 +181,6 @@ class Matrix21:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.rows, tuple)
-
-    @property
-    def scaled(self) -> tuple[linalg.GaussMatrix, int]:
-        """Exact backing as (M, d) with A = M/d (``linalg.scaled``)."""
-        try:
-            return self._scaled
-        except AttributeError:  # first use
-            object.__setattr__(self, "_scaled", linalg.scaled(self.rows))
-            return self._scaled
 
     def as_array(self) -> np.ndarray:
         """The float backing's ndarray."""

@@ -19,16 +19,16 @@ import re as _re
 from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from . import array, integer, rational, record
+from . import Value, array, integer, rational
 
 
 class ExactArithmeticError(ArithmeticError):
     pass
 
 
-class GaussianRational:
+class GaussianRational(Value):
     """A complex number (a + bi)/d with Python ints a, b, d.
 
     The triple is canonical: d > 0, gcd(a, b, d) = 1, and zero is (0, 0, 1),
@@ -40,9 +40,6 @@ class GaussianRational:
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("build Gaussian rationals with GaussianRational.of or parse")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
@@ -145,6 +142,7 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return not self.is_zero
 
+    # Value's __eq__ and __hash__, written out for speed: puncture lookups compare scalars
     def __eq__(self, other) -> bool:
         if other.__class__ is not GaussianRational:
             return NotImplemented
@@ -288,7 +286,7 @@ I = GQ(0, 1)
 # univariate polynomials
 
 
-class UniPoly:
+class UniPoly(Value):
     """Polynomial in one affine variable z: coefficient k is (re[k] + i im[k])/den.
 
     The triple is canonical: den > 0, gcd(re, im, den) = 1 and no trailing
@@ -301,20 +299,6 @@ class UniPoly:
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("build polynomials with UniPoly.of or UniPoly.zero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not UniPoly:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im, self.den))
-
-    def __repr__(self) -> str:
-        return f"UniPoly(re={self.re}, im={self.im}, den={self.den})"
 
     @staticmethod
     def of(coeffs: Iterable) -> "UniPoly":
@@ -457,7 +441,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # binary forms
 
 
-class BinaryForm:
+class BinaryForm(Value):
     """Homogeneous form f(z0, z1) of declared degree d, held as its chart polynomial.
 
     ``chart`` is f(z, 1) in the affine coordinate z = z0/z1, of degree at most
@@ -470,20 +454,6 @@ class BinaryForm:
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("build binary forms with BinaryForm.of or BinaryForm.from_json")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BinaryForm:
-            return NotImplemented
-        return self.degree == other.degree and self.chart == other.chart
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.chart))
-
-    def __repr__(self) -> str:
-        return f"BinaryForm(degree={self.degree}, chart={self.chart!r})"
 
     @staticmethod
     def of(degree: int, coeffs: Iterable) -> "BinaryForm":
@@ -629,12 +599,10 @@ def _coprime_mod(f: BinaryForm, g: BinaryForm, p: int, s: int) -> bool:
 # rational functions and 1-forms
 
 
-@record
-class RationalFunction(NamedTuple):
+class RationalFunction(Value):
     """num/den in the affine chart; callers pass a monic den and at most simple poles."""
 
-    num: UniPoly
-    den: UniPoly
+    __slots__ = ("num", "den")
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         """Residue of (self) dz at z = p, where p is at most a simple pole.
@@ -655,11 +623,10 @@ class RationalFunction(NamedTuple):
         return _canonical(e * (c * a + f * b), e * (f * a - c * b), g * (a * a + b * b))
 
 
-@record
-class RationalOneForm(NamedTuple):
-    """(num/den) dz in the affine chart, with the invariant of ``RationalFunction``."""
+class RationalOneForm(Value):
+    """(num/den) dz in the affine chart, fn = num/den, with the invariant of ``RationalFunction``."""
 
-    fn: RationalFunction
+    __slots__ = ("fn",)
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         return self.fn.residue_at(p)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
-from . import InputError, array, integer, linalg, record
+from . import InputError, Value, array, integer, linalg
 from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, make_log_form
@@ -27,20 +26,16 @@ class NnoidDataError(InputError):
     pass
 
 
-@record
-class NnoidData(NamedTuple):
-    """Input data: the logarithmic 1-form omega, with the punctures and
-    residues, and the sections g1, g2, q.
+class NnoidData(Value):
+    """Input data: the logarithmic 1-form omega (a ``LogOneForm``), with the
+    punctures and residues, and the sections g1, g2, q (``BinaryForm``s).
 
     Degrees are n-4, n-3 and 3; g1, g2 share no projective zero and q is
     nonvanishing at every puncture.  n = 4 is allowed (g1 constant); the
     stability verdict for that boundary case is strictly-semistable.
     """
 
-    omega: LogOneForm
-    g1: BinaryForm
-    g2: BinaryForm
-    q: BinaryForm
+    __slots__ = ("omega", "g1", "g2", "q")
 
     @property
     def punctures(self) -> tuple[GaussianRational, ...]:
@@ -95,13 +90,13 @@ class NnoidData(NamedTuple):
 Section = tuple[tuple[UniPoly, ...], ...]
 
 
-@record
-class ResidueMatrix(NamedTuple):
-    """The residue at ``point`` as num/den, lowest terms: den > 0, gcd(den, num's parts) = 1."""
+class ResidueMatrix(Value):
+    """The residue at ``point`` as num/den, lowest terms: den > 0, gcd(den, num's parts) = 1.
 
-    point: GaussianRational
-    num: linalg.GaussMatrix
-    den: int
+    ``point`` is a GaussianRational, ``num`` a ``linalg.GaussMatrix`` and ``den`` an int.
+    """
+
+    __slots__ = ("point", "num", "den")
 
 
 class EndType(enum.Enum):

@@ -8,9 +8,9 @@ its residue at p_i is r_i by definition.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from . import InputError, record
+from . import InputError, Value
 from .exactnum import ZERO, GaussianRational
 
 
@@ -18,16 +18,15 @@ class SphereError(InputError):
     pass
 
 
-@record
-class LogOneForm(NamedTuple):
+class LogOneForm(Value):
     """omega = sum_i r_i dz/(z - p_i) with simple poles exactly at P.
 
-    P is n >= 1 pairwise distinct points of the affine chart; the residues
-    sum to zero exactly and none of them vanishes.
+    ``punctures`` is P, a tuple of n >= 1 pairwise distinct points of the
+    affine chart, and ``residues`` the tuple of the r_i; the residues sum to
+    zero exactly and none of them vanishes.
     """
 
-    punctures: tuple[GaussianRational, ...]
-    residues: tuple[GaussianRational, ...]
+    __slots__ = ("punctures", "residues")
 
     def residue_at(self, p: GaussianRational) -> GaussianRational:
         try:

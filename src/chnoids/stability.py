@@ -23,9 +23,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from . import InputError, rational, record
+from . import InputError, Value, rational
 
 
 class StabilityError(InputError):
@@ -36,10 +36,8 @@ class InternalDisagreement(AssertionError):
     """Slope-form and expanded-form evaluations disagreed; abort."""
 
 
-class SurfaceData:
-    """Genus and puncture count, with the hyperbolicity constraint 2g-2+n > 0.
-
-    Instances are immutable."""
+class SurfaceData(Value):
+    """Genus and puncture count, with the hyperbolicity constraint 2g-2+n > 0."""
 
     __slots__ = ("genus", "punctures")
 
@@ -48,24 +46,7 @@ class SurfaceData:
             raise StabilityError("need genus >= 0 and at least one puncture")
         if 2 * genus - 2 + punctures <= 0:
             raise StabilityError("hyperbolicity violated: 2g-2+n must be positive")
-        s = object.__new__(cls)
-        object.__setattr__(s, "genus", genus)
-        object.__setattr__(s, "punctures", punctures)
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceData is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not SurfaceData:
-            return NotImplemented
-        return self.genus == other.genus and self.punctures == other.punctures
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.punctures))
-
-    def __repr__(self) -> str:
-        return f"SurfaceData(genus={self.genus}, punctures={self.punctures})"
+        return super().__new__(cls, genus, punctures)
 
     @property
     def kappa(self) -> int:
@@ -73,13 +54,10 @@ class SurfaceData:
         return 2 * self.genus - 2 + self.punctures
 
 
-@record
-class WeightTriple(NamedTuple):
-    """Ordered parabolic weights a1 <= a2 <= a3 in [0, 1)."""
+class WeightTriple(Value):
+    """Ordered parabolic weights a1 <= a2 <= a3 in [0, 1), each a Fraction."""
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
+    __slots__ = ("a1", "a2", "a3")
 
     @staticmethod
     def of(a1, a2, a3) -> "WeightTriple":
@@ -93,18 +71,15 @@ class WeightTriple(NamedTuple):
         return (self.a1, self.a2, self.a3)
 
 
-@record
-class PunctureWeights(NamedTuple):
+class PunctureWeights(Value):
     """Weight triple at one puncture plus the flag-position selections.
 
     beta is the induced weight of the line subbundle W1, gamma the weight
-    of the trivial summand; both must be drawn from the triple (the flag
-    incidence itself is caller knowledge).
+    of the trivial summand; both are Fractions drawn from the triple (the
+    flag incidence itself is caller knowledge).
     """
 
-    weights: WeightTriple
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ("weights", "beta", "gamma")
 
     @staticmethod
     def of(weights: WeightTriple, beta=None, gamma=None) -> "PunctureWeights":
@@ -115,17 +90,11 @@ class PunctureWeights(NamedTuple):
         return PunctureWeights(weights, b, g)
 
 
-@record
-class MixedDegreeData(NamedTuple):
+class MixedDegreeData(Value):
     """(d1, d2) plus the sums over the punctures of omega_p, beta_p and
     gamma_p, as integer numerators over their common denominator den."""
 
-    d1: int
-    d2: int
-    den: int
-    omega: int
-    beta: int
-    gamma: int
+    __slots__ = ("d1", "d2", "den", "omega", "beta", "gamma")
 
     @staticmethod
     def of(d1: int, d2: int, puncture_weights: Iterable[PunctureWeights]) -> "MixedDegreeData":
@@ -172,16 +141,18 @@ def _pairwise_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-@record
-class StabilityCertificate(NamedTuple):
-    """Both sides of every inequality, in slope and expanded form, plus verdict."""
+class StabilityCertificate(Value):
+    """Both sides of every inequality, in slope and expanded form, plus verdict.
 
-    verdict: str  # stable | strictly-semistable | unstable
-    slope_w1: tuple[Fraction, Fraction]  # (mu(W1), mu(E))
-    slope_w2: tuple[Fraction, Fraction]  # (mu(W2), mu(E))
-    expanded_1: tuple[Fraction, Fraction]  # 2d1+d2 vs 3k + sum(omega - 3 beta)
-    expanded_2: tuple[Fraction, Fraction]  # d1+2d2 vs 3k + sum(2 omega - 3(beta+gamma))
-    failing: tuple[str, ...]
+    verdict: stable | strictly-semistable | unstable
+    slope_w1: (mu(W1), mu(E)), and slope_w2: (mu(W2), mu(E))
+    expanded_1: 2d1+d2 vs 3k + sum(omega - 3 beta)
+    expanded_2: d1+2d2 vs 3k + sum(2 omega - 3(beta+gamma))
+    failing: the subbundles, "W1" and "W2", whose inequality fails
+    Each side is a Fraction.
+    """
+
+    __slots__ = ("verdict", "slope_w1", "slope_w2", "expanded_1", "expanded_2", "failing")
 
     def to_json(self) -> dict:
         def pair(t):

@@ -90,7 +90,7 @@ def kernel_points(with_bad):
     return np.concatenate([f, np.array(extra + (BAD_POINTS if with_bad else []), dtype=complex)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in hypot:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("with_bad", [False, True])
 def test_unit_representatives_match_scalar(with_bad):
     f = kernel_points(with_bad)
@@ -109,7 +109,7 @@ def test_unit_representatives_match_scalar(with_bad):
     assert points_in_ch2(f).tolist() == [in_ch2(p) for p in f]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in hypot:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "bad, message",
     [(p, "a CH^2 point needs a nonzero finite representative") for p in BAD_POINTS]

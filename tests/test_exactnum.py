@@ -13,7 +13,7 @@ from sympy import Poly, isprime, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from chnoids import InputError, integer, linalg, rational
+from chnoids import InputError, Value, integer, linalg, rational
 from chnoids.exactnum import (
     GQ,
     ONE,
@@ -78,6 +78,20 @@ def test_mul_commutes(a, b):
 def test_inverse_axiom(a):
     if not a.is_zero:
         assert a * a.inverse() == ONE
+
+
+# (a + bi)/d from a small triple, so that equal scalars from unequal triples are common
+gq_triple = st.builds(lambda a, b, d: GQ(Fraction(a, d), Fraction(b, d)),
+                      st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=300)
+@given(gq_triple, gq_triple)
+def test_scalar_equality_and_hash_are_those_of_value(a, b):
+    """GaussianRational writes out Value's __eq__ and __hash__; they must agree."""
+    assert (a == b) is Value.__eq__(a, b)
+    assert hash(a) == Value.__hash__(a)
+    assert a.__eq__(b.parts) is Value.__eq__(a, b.parts) is NotImplemented
 
 
 # Reference model for the differential test: a Gaussian rational as a pair

@@ -1,10 +1,11 @@
-"""The package boundary: submodules imported on first access, and the records.
+"""The package boundary: submodules imported on first access, and the values.
 
-Each record is immutable, hashable and equal by value, and, as a frozen
-dataclass was, equal to no instance of another class: neither a plain tuple
-of its fields nor a record of another class.
+Each value class derives from ``chnoids.Value``: each value is immutable,
+hashable and equal by value, equal to no instance of another class (neither
+a plain tuple of its fields nor a value of another class), and not a tuple.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -66,8 +67,9 @@ def _matrix():
     return Matrix21.exact([[one + i, zero, -i], [zero, one, zero], [i, zero, one - i]])
 
 
-# each builds a fresh instance; two calls give equal, distinct records
+# each builds a fresh instance; two calls give equal, distinct values
 RECORDS = {
+    "GaussianRational": lambda: GQ(1, -2) / 3,
     "UniPoly": lambda: UniPoly.of([1, GQ(0, 1), Fraction(1, 2)]),
     "BinaryForm": lambda: BinaryForm.of(2, [1, 0, GQ(2, 1)]),
     "RationalFunction": lambda: RationalFunction(UniPoly.of([1]), UniPoly.of([-2, 1])),
@@ -86,8 +88,12 @@ RECORDS = {
 }
 
 
-def _fields(x) -> tuple[str, ...]:
-    return getattr(x, "_fields", None) or tuple(f for f in x.__slots__ if not f.startswith("_"))
+def test_every_value_class_is_checked_here():
+    for layer in LAYERS:
+        importlib.import_module(f"chnoids.{layer}")
+    classes = {c.__name__ for c in chnoids.Value.__subclasses__()
+               if c.__module__.startswith("chnoids.")}
+    assert classes == set(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -98,18 +104,49 @@ def test_record_is_immutable_hashable_and_equal_by_value(name):
     assert x == y and not x != y
     assert hash(x) == hash(y)
     assert {x: 1}[y] == 1
-    for field in _fields(x):
+    for field in x.__slots__:
         with pytest.raises(AttributeError):
             setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
     with pytest.raises(AttributeError):
         x.extra = 1
     assert x == y
 
 
 @pytest.mark.parametrize("name", RECORDS)
+def test_value_is_not_a_tuple(name):
+    x = RECORDS[name]()
+    with pytest.raises(TypeError):
+        len(x)
+    with pytest.raises(TypeError):
+        iter(x)
+    with pytest.raises(TypeError):
+        x[0]
+
+
+def test_repr_names_each_field():
+    assert repr(SurfaceData(0, 5)) == "SurfaceData(genus=0, punctures=5)"
+    assert repr(RECORDS["RationalOneForm"]()) == (
+        "RationalOneForm(fn=RationalFunction(num=UniPoly(re=(1,), im=(0,), den=1), "
+        "den=UniPoly(re=(-2, 1), im=(0, 0), den=1)))"
+    )
+    assert repr(RECORDS["GaussianRational"]()) == "GQ(1/3-2/3i)"
+
+
+def test_a_wrong_field_count_is_a_type_error():
+    num = (((0, 0), (0, 0), (1, 2)),) * 3
+    assert ResidueMatrix(GQ(1), num, 3).den == 3
+    with pytest.raises(TypeError, match="ResidueMatrix takes 3 fields, got 2"):
+        ResidueMatrix(GQ(1), num)
+    with pytest.raises(TypeError, match="ResidueMatrix takes 3 fields, got 4"):
+        ResidueMatrix(GQ(1), num, 3, 3)
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_record_equals_no_instance_of_another_class(name):
     x = RECORDS[name]()
-    values = tuple(getattr(x, f) for f in _fields(x))
+    values = tuple(getattr(x, f) for f in x.__slots__)
     others = [values, *(make() for other, make in RECORDS.items() if other != name)]
     for other in others:
         assert x != other and not x == other
