@@ -161,12 +161,25 @@ class Matrix21(Value):
 
     ``scaled`` is the exact backing as (M, d) with A = M/d
     (``linalg.scaled``), computed when the matrix is built, and None for a
-    float backing."""
+    float backing.  A float backing is held as a read-only copy, and two
+    float matrices are equal, and hash, by its dtype, shape and bytes."""
 
     __slots__ = ("rows", "scaled")
 
     def __new__(cls, rows) -> "Matrix21":  # rows: linalg.Matrix | np.ndarray
-        return super().__new__(cls, rows, linalg.scaled(rows) if isinstance(rows, tuple) else None)
+        if isinstance(rows, tuple):
+            return super().__new__(cls, rows, linalg.scaled(rows))
+        rows = rows.copy()
+        rows.flags.writeable = False
+        return super().__new__(cls, rows, None)
+
+    @staticmethod
+    def _values(m) -> tuple:
+        # an ndarray compares elementwise and does not hash
+        rows = m.rows
+        if isinstance(rows, tuple):
+            return rows, m.scaled
+        return rows.dtype.str, rows.shape, rows.tobytes()
 
     @staticmethod
     def exact(rows) -> "Matrix21":

@@ -6,7 +6,8 @@ error.  All randomness is seeded and the seed is echoed in the output.
 Each subcommand is an entry of ``COMMANDS``; ``main`` is the one boundary
 around them that loads the JSON, maps ``chnoids.InputError`` (the base of
 every module's error class) to exit 2, emits the output and the summary, and
-picks the exit code.
+picks the exit code.  ``_encode`` writes every output, with the bytes of
+``json.dumps(output, indent=2)``.
 
 Every module a command runs, past the package itself, is imported inside
 that command's parse and handler functions, so each command loads only the
@@ -48,8 +49,10 @@ EXIT_INPUT = 2
 # cap; their height is not bounded here.  A stability region takes 0.07 s at
 # n = 5, dmax = 140; stability check or a region at dmax = 0 0.07-0.10 s at
 # n = 10^5 with zero weights and 1.3-1.9 s weighted; stability check 0.15 s at
-# the digit limit; cusp verify 0.3 s on a 1024 x 1024 grid alone, 0.35 s with
-# 16 modes on it and 4.3 s with 2^18 modes on 8 x 8.
+# the digit limit; cusp verify 0.28 s on a 1024 x 1024 grid alone, 0.52 s on
+# 8 x 2^17, 0.31 s with 16 modes on 1024 x 1024 and 4.9 s with 2^18 modes on
+# 8 x 8, of which sampling mode by mode takes about 2.3 s and writing the 24 MB
+# echo of the modes 1.2 s.
 MAX_NNOID_N = 64
 MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -81,8 +84,99 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+# the classes whose values json writes as they are; a container holding only
+# these goes to json's C encoder, which writes no indent of its own
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_all_scalars = _SCALARS.issuperset  # of an iterable of classes
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _unserializable(o):
+    """json's ``default``: refuse o."""
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _newline(level: int) -> str:
+    return "\n" + "  " * level
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    """json's C encoder with the item separator of indent level ``level``."""
+    return json.encoder.c_make_encoder(
+        None, _unserializable, _encode_str, None, ": ", "," + _newline(level), False, False, True
+    )
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == json.encoder.INFINITY:
+        return "Infinity"
+    if x == -json.encoder.INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _encode(o, level: int = 0) -> str:
+    """o as ``json.dumps(o, indent=2)`` writes it, at indent level ``level``.
+
+    Scalars, keys and the type order are json's.  A list, tuple or dict
+    whose items are all of a class in _SCALARS is one C encoder call, its
+    brackets padded to the indent.  Certificates are trees, so there is no
+    check for a circular reference.
+    """
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        brackets, flat = "[]", _all_scalars(map(type, o))
+    elif isinstance(o, dict):
+        if not o:
+            return "{}"
+        brackets, flat = "{}", _all_scalars(map(type, o.values())) and _all_scalars(map(type, o))
+    else:
+        _unserializable(o)
+    inner = _newline(level + 1)
+    if flat:
+        body = "".join(_flat_encoder(level + 1)(o, 0))[1:-1]
+    elif brackets == "[]":
+        body = ("," + inner).join([_encode(v, level + 1) for v in o])
+    else:
+        body = ("," + inner).join([_encode_str(_key(k)) + ": " + _encode(v, level + 1) for k, v in o.items()])
+    return brackets[0] + inner + body + _newline(level) + brackets[1]
+
+
 def _emit(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = _encode(obj)
     if out_path:
         _write(out_path, text + "\n")
     else:
@@ -443,8 +537,12 @@ def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
 
     grid, spec = inputs
     field = spec.sample(grid)
-    conv = cusp.check_mean_convexity(field, tol=args.tol)
+    # the sup bound first: its full-size buffer then reuses the memory that
+    # sampling freed.  glibc returns about 1 MB freed at the top of the heap to
+    # the system, and on a 256 x 256 grid the Laplacian's two buffers come to
+    # that; with this order a verify takes about 240 page faults instead of 440.
     sup = cusp.check_sup_bound(field, tol=args.tol)
+    conv = cusp.check_mean_convexity(field, tol=args.tol)
     checks = [
         _check("mean-convexity", conv.passed, f"worst slack {conv.worst_slack:.3e}, tol {conv.tol:.3e}"),
         _check("sup-bound", sup.passed, f"worst slack {sup.worst_slack:.3e}, tol {sup.tol:.3e}"),

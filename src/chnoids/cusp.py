@@ -95,10 +95,15 @@ class StripField:
         """Smallest five-point Laplacian value, computed once per field."""
         return float(discrete_laplacian(self).min())
 
+    @cached_property
+    def row_means(self) -> np.ndarray:
+        """Row means m(y), computed once per field."""
+        return self.u.mean(axis=1)
+
 
 def mean_function(s: StripField) -> np.ndarray:
     """Row means m(y); periodic trapezoid quadrature (spectrally accurate)."""
-    return s.u.mean(axis=1)
+    return s.row_means
 
 
 def oscillation_a(s: StripField) -> np.ndarray:
@@ -113,11 +118,26 @@ def oscillation_a(s: StripField) -> np.ndarray:
 
 
 def discrete_laplacian(s: StripField) -> np.ndarray:
-    """Five-point Laplacian on interior rows, periodic in x; shape (ny-2, nx)."""
+    """Five-point Laplacian on interior rows, periodic in x; shape (ny-2, nx).
+
+    Each stencil is ((next - 2 mid) + previous) / h^2, in that order, and the
+    x- and y-stencils are added in that order; both are written into two
+    buffers of the result's shape, with no other full-size temporary.
+    """
     u, hx, hy = s.u, s.grid.hx, s.grid.hy
-    uxx = (np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1)) / hx**2
-    uyy = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / hy**2
-    return uxx[1:-1, :] + uyy
+    mid = u[1:-1]
+    two = np.multiply(mid, 2, out=np.empty(mid.shape))
+    lap = np.empty(mid.shape)
+    np.subtract(mid[:, 1:], two[:, :-1], out=lap[:, :-1])  # x-stencil, periodic
+    np.subtract(mid[:, 0], two[:, -1], out=lap[:, -1])
+    lap[:, 1:] += mid[:, :-1]
+    lap[:, 0] += mid[:, -1]
+    lap /= hx**2
+    np.subtract(u[2:], two, out=two)  # y-stencil
+    two += u[:-2]
+    two /= hy**2
+    lap += two
+    return lap
 
 
 @dataclass(frozen=True)
@@ -228,13 +248,17 @@ class SubharmonicSpec:
 
     def sample(self, grid: StripGrid) -> StripField:
         b0, b1, b2 = self.poly
-        # a sample that overflows is not finite, which StripField rejects
+        # the profile is formed once per row, and each mode is added in place
+        # through one term buffer; a sample that overflows is not finite,
+        # which StripField rejects
         with np.errstate(over="ignore", invalid="ignore"):
             xs = grid.xs[None, :]
             ys = grid.ys[:, None]
-            u = np.full((grid.ny, grid.nx), 0.0) + b0 + b1 * ys + b2 * ys**2
+            u = np.empty((grid.ny, grid.nx))
+            u[...] = np.full(ys.shape, 0.0) + b0 + b1 * ys + b2 * ys**2
+            term = np.empty(u.shape)
             for k, amp, phase in self.modes:
-                u = u + amp * np.exp(-k * ys) * np.cos(k * xs + phase)
+                u += np.multiply(amp * np.exp(-k * ys), np.cos(k * xs + phase), out=term)
         return StripField(grid, u)
 
 

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +348,14 @@ PINNED_OUTPUTS = {
     "cusp-verify-spec": ("cusp verify", {"grid": {"Nx": 32, "Ny": 24, "Y": 0.5, "Ymax": 8.0},
         "spec": {"modes": [[1, 0.5, 0.0], [3, -1.25, 2.0]], "poly": [0.0, 0.1, 0.2]}}, 0,
         "0f478c01ca32f5e8ad0b851f68d2eed332d7823463f068ba5ade2a29ce81ca67"),
+    # the default 256 x 256 grid, the size the benchmark runs
+    "cusp-verify-default-grid": ("cusp verify --seed 5", {}, 0,
+        "5777c23dc30792b38319f8ae931e8c11c9f5163184af0fea46132122bb8b49b9"),
+    # a mode of amplitude 1e20 on 8 x 8 fails mean-convexity, as it stands: the
+    # rounding of the row means grows with the amplitude, the tolerance does not
+    "cusp-verify-large-mode": ("cusp verify", {"grid": {"Nx": 8, "Ny": 8, "Y": 1.0, "Ymax": 2.0},
+        "spec": {"modes": [[1, 1e20, 0]], "poly": [0, 0, 0]}}, 1,
+        "ced3bdfefe6af1dc08feb41c47067732c27885a645acc28ac83c75173bb9645d"),
     "nnoid-random-4": ("nnoid random 4 --seed 7", None, 0,
         "1d576bb969e2f4b04b0bc0cbe2e526414ee0cf2c943f19b8ccedf1dfa303712a"),
     "nnoid-random-9": ("nnoid random 9 --seed 2602", None, 0,
@@ -363,6 +372,44 @@ def test_output_pinned(name, tmp_path, capsys):
     code, out, _ = run(argv, capsys)
     assert code == expect_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every certificate is written by cli._encode, which must give json.dumps(x,
+# indent=2)'s bytes: on floats at the edges of binary64, ints past 2^64,
+# strings that need escapes, np.float64 leaves and every key class json reads.
+EDGE_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    EDGE_FLOATS, EDGE_FLOATS.map(np.float64),
+    st.text(), st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\U0001f600')),
+)
+KEYS = st.one_of(st.text(max_size=4), st.integers(), EDGE_FLOATS, st.booleans(), st.none())
+TREES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple),
+    st.dictionaries(KEYS, inner, max_size=6),
+), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_writer_matches_json_dumps_indent_2(tree):
+    assert cli._encode(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [1.5, Fraction(1, 3)],
+    {"checks": [{"passed": np.bool_(True)}]},
+    {(1, 2): 0},
+    {"a": {(1, 2): [0]}},
+], ids=["fraction-leaf", "numpy-bool-leaf", "tuple-key", "nested-tuple-key"])
+def test_writer_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._encode(obj)
+    assert str(got.value) == str(want.value)
 
 
 # sha256 of `stability region` stdout on weighted inputs, recorded at commit

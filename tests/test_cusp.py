@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,6 +136,73 @@ def test_laplacian_computed_once_per_field(monkeypatch):
     assert len(calls) == 1
     assert conv.precondition_ok and sup.precondition_ok
     assert field.min_laplacian == float(original(field).min())
+
+
+def test_row_means_computed_once_per_field():
+    class CountedMeans(np.ndarray):
+        calls = 0
+
+        def mean(self, *args, **kwargs):
+            CountedMeans.calls += 1
+            return super().mean(*args, **kwargs)
+
+    u = random_subharmonic_spec(random.Random(7)).sample(GRID).u
+    field = StripField(GRID, u.view(CountedMeans))
+    conv, sup = check_mean_convexity(field), check_sup_bound(field)
+    assert CountedMeans.calls == 1
+    assert conv.passed and sup.passed
+    assert mean_function(field) is field.row_means
+    assert field.row_means.tobytes() == u.mean(axis=1).tobytes()
+
+
+def sample_oracle(spec, grid):
+    """The samples of spec as SubharmonicSpec.sample first computed them."""
+    b0, b1, b2 = spec.poly
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = grid.xs[None, :]
+        ys = grid.ys[:, None]
+        u = np.full((grid.ny, grid.nx), 0.0) + b0 + b1 * ys + b2 * ys**2
+        for k, amp, phase in spec.modes:
+            u = u + amp * np.exp(-k * ys) * np.cos(k * xs + phase)
+    return u
+
+
+def laplacian_oracle(u, grid):
+    """The five-point Laplacian as discrete_laplacian first computed it."""
+    uxx = (np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1)) / grid.hx**2
+    uyy = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / grid.hy**2
+    return uxx[1:-1, :] + uyy
+
+
+def kernel_specs(seed):
+    """0 to 5 modes at three amplitude scales; from y = -10 a mode of amplitude
+    1e300 overflows to inf, and opposite infinities add to nan."""
+    rng = random.Random(seed)
+    for n_modes in range(6):
+        for top in (2.0, 1e200, 1e300):
+            modes = tuple((rng.randrange(1, 6), rng.uniform(-top, top), rng.uniform(0.0, 2 * math.pi))
+                          for _ in range(n_modes))
+            b0 = -0.0 if n_modes % 2 else rng.uniform(-1.0, 1.0)
+            yield SubharmonicSpec(modes, (b0, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)))
+    # integer coefficients, as JSON gives them
+    yield SubharmonicSpec(((1, 10**20, 0), (2, -3, 1)), (0, 0, 0))
+
+
+@pytest.mark.parametrize("grid", [StripGrid(8, 8, -10.0, 2.0), StripGrid(9, 11, -10.0, 4.0),
+                                  StripGrid(256, 256, -10.0, 20.0)], ids=["8x8", "9x11", "256x256"])
+def test_in_place_kernels_match_their_first_form_bitwise(grid, monkeypatch):
+    # sample's samples are taken before StripField refuses a non-finite one
+    monkeypatch.setattr(cusp, "StripField", lambda grid, u: SimpleNamespace(grid=grid, u=u))
+    finite = []
+    for spec in kernel_specs(grid.nx * grid.ny):
+        s = spec.sample(grid)
+        assert s.u.tobytes() == sample_oracle(spec, grid).tobytes(), spec
+        with np.errstate(over="ignore", invalid="ignore"):
+            lap, want = discrete_laplacian(s), laplacian_oracle(s.u, grid)
+        assert lap.shape == want.shape == (grid.ny - 2, grid.nx)
+        assert lap.tobytes() == want.tobytes(), spec
+        finite.append(np.isfinite(s.u).all() and np.isfinite(lap).all())
+    assert any(finite) and not all(finite)
 
 
 def test_subharmonic_spec_validation():

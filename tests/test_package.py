@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chnoids
@@ -88,6 +89,14 @@ RECORDS = {
 }
 
 
+def _float_matrix():
+    return Matrix21.floating(np.eye(3, dtype=complex))
+
+
+# the value checks cover both backings of Matrix21
+VALUES = {**RECORDS, "Matrix21 float": _float_matrix}
+
+
 def test_every_value_class_is_checked_here():
     for layer in LAYERS:
         importlib.import_module(f"chnoids.{layer}")
@@ -96,10 +105,10 @@ def test_every_value_class_is_checked_here():
     assert classes == set(RECORDS)
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", VALUES)
 def test_record_is_immutable_hashable_and_equal_by_value(name):
-    x, y = RECORDS[name](), RECORDS[name]()
-    assert type(x).__name__ == name
+    x, y = VALUES[name](), VALUES[name]()
+    assert type(x).__name__ == name.split()[0]
     assert x is not y
     assert x == y and not x != y
     assert hash(x) == hash(y)
@@ -114,15 +123,28 @@ def test_record_is_immutable_hashable_and_equal_by_value(name):
     assert x == y
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", VALUES)
 def test_value_is_not_a_tuple(name):
-    x = RECORDS[name]()
+    x = VALUES[name]()
     with pytest.raises(TypeError):
         len(x)
     with pytest.raises(TypeError):
         iter(x)
     with pytest.raises(TypeError):
         x[0]
+
+
+def test_float_matrix_backing_is_a_read_only_copy():
+    rows = np.eye(3, dtype=complex)
+    m = Matrix21.floating(rows)
+    rows[0, 0] = 2.0  # the caller's array is not the backing
+    assert m == _float_matrix() and hash(m) == hash(_float_matrix())
+    with pytest.raises(ValueError, match="read-only"):
+        m.rows[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        m.rows = rows
+    assert m != Matrix21.floating(rows)
+    assert m != Matrix21(np.eye(3, dtype=np.complex64))  # the same entries in another dtype
 
 
 def test_repr_names_each_field():
@@ -143,11 +165,11 @@ def test_a_wrong_field_count_is_a_type_error():
         ResidueMatrix(GQ(1), num, 3, 3)
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", VALUES)
 def test_record_equals_no_instance_of_another_class(name):
-    x = RECORDS[name]()
+    x = VALUES[name]()
     values = tuple(getattr(x, f) for f in x.__slots__)
-    others = [values, *(make() for other, make in RECORDS.items() if other != name)]
+    others = [values, *(make() for other, make in VALUES.items() if other != name)]
     for other in others:
         assert x != other and not x == other
         assert other != x and not other == x
