@@ -120,12 +120,24 @@ def _herm_forms(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return z[..., 0] * w[..., 0].conj() + z[..., 1] * w[..., 1].conj() - z[..., 2] * w[..., 2].conj()
 
 
+def _norms(z: np.ndarray) -> np.ndarray:
+    """<Z,Z> along the last axis of z, rounded as ``herm_form(z, z).real`` rounds it.
+
+    That is (|Z1|^2 + |Z2|^2) - |Z3|^2 with |Zk|^2 = x^2 + y^2 from real
+    products: numpy's complex multiply may round z conj(z) differently (it can
+    fuse a product into the subtraction), and then a point near the null cone
+    is in CH^2 for the array test but not for ``in_ch2``.
+    """
+    m = z.real * z.real + z.imag * z.imag
+    return (m[..., 0] + m[..., 1]) - m[..., 2]
+
+
 def points_in_ch2(f) -> np.ndarray:
     """Array form of ``in_ch2`` for float points along the last axis of f."""
     import numpy as np
 
     z, ok = _unit_representatives(np.asarray(f, dtype=complex))
-    return ok & (_herm_forms(z, z).real < 0)
+    return ok & (_norms(z) < 0)
 
 
 def normalize_points(f) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +148,13 @@ def normalize_points(f) -> tuple[np.ndarray, np.ndarray]:
     z, ok = _unit_representatives(np.asarray(f, dtype=complex))
     if not ok.all():
         raise CH2Error("a CH^2 point needs a nonzero finite representative")
-    zz = _herm_forms(z, z).real
-    if not (zz < 0).all():
+    inside = _norms(z)
+    if not (inside < 0).all():
         raise CH2Error("distance arguments must lie in CH^2")
-    return z, zz
+    # the distances keep numpy's own rounding of <Z,Z>; where it is not negative
+    # at a point that in_ch2 accepts, the scalar path's value stands in
+    zz = _herm_forms(z, z).real
+    return z, np.where(zz < 0, zz, inside)
 
 
 def normalized_distances(z, zz, w, ww) -> np.ndarray:

@@ -43,8 +43,10 @@ EXIT_INPUT = 2
 # refuses it in 0.19 s at 1 digit, 0.5-0.7 s at 4, 2.4 s at 12 and 14.8 s at
 # 30, still growing.  The per-puncture pass grows with n times the punctures'
 # summed height (the bit lengths of a, b and d over the punctures (a + bi)/d);
-# at that cap it takes 0.5 s at n = 64 with one tall puncture, and took
-# 0.9-1.1 s at n = 16 and 0.3-0.4 s at n = 5 at commit bb359af.  4,300-digit
+# at that cap it takes 0.11-0.13 s at n = 64 with one tall puncture (0.41-0.46 s
+# at commit cbc9b39, before each puncture's evaluations shared one list of
+# powers of its denominator), and took 0.9-1.1 s at n = 16 and 0.3-0.4 s at
+# n = 5 at commit bb359af.  4,300-digit
 # g1, g2 coefficients cost 6.2 s at n = 64 and 9.3 s with a puncture at the
 # cap; their height is not bounded here.  A stability region takes 0.07 s at
 # n = 5, dmax = 140; stability check or a region at dmax = 0 0.07-0.10 s at

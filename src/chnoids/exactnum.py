@@ -7,7 +7,9 @@ literal is read and written through ``int``, any other through
 ``rational``.  The polynomial kernels (product, division, evaluation) and
 ``dot`` write their operands as Gaussian integers over one common
 denominator, accumulate in Python ints, and reduce each output by one gcd;
-a polynomial is held that way.
+a polynomial is held that way.  Evaluation at z = (u + iv)/e is
+homogenized: it reads the powers of e from a list that a caller evaluating
+several polynomials at one point forms once.
 A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
 never materialize algebraic numbers: everything goes through gcds and
 evaluation.
@@ -389,21 +391,29 @@ class UniPoly(Value):
         return self.divmod(other)[1]
 
     def __call__(self, z: GaussianRational) -> GaussianRational:
-        return _canonical(*self.parts_at(z))
+        deg = max(len(self.re) - 1, 0)
+        es = powers_of(z._d, deg)
+        re, im = self.parts_at(z._a, z._b, es, deg)
+        return _canonical(re, im, self.den * es[deg])
 
-    def parts_at(self, z: GaussianRational) -> tuple[int, int, int]:
-        """self(z) as ints (re, im, den), den > 0, not reduced: self(z) = (re + i im)/den."""
-        if self.is_zero:
-            return 0, 0, 1
-        # Horner homogenized in z = (u + iv)/e: after each step the sum sits
-        # over den * e^k, so each lower coefficient enters times e^k.
+    def parts_at(self, u: int, v: int, powers: Sequence[int], deg: int) -> tuple[int, int]:
+        """self at z = (u + iv)/e, homogenized to degree deg, as unreduced ints (re, im):
+        e^deg self(z) = (re + i im)/den, for powers[k] = e^k and deg >= the degree of self.
+
+        Horner on the form sum_k c_k (u + iv)^k e^(deg - k), so coefficient k enters
+        times powers[deg - k]; callers that evaluate several polynomials at one point
+        form the powers of e once, and every value shares the factor e^deg.
+        """
         us, vs = self.re, self.im
-        u, v, e = z._a, z._b, z._d
-        re, im, s = us[-1], vs[-1], 1
-        for k in range(len(us) - 2, -1, -1):
-            s *= e
+        if not us:
+            return 0, 0
+        top = len(us) - 1
+        s = powers[deg - top]
+        re, im = us[top] * s, vs[top] * s
+        for k in range(top - 1, -1, -1):
+            s = powers[deg - k]
             re, im = re * u - im * v + us[k] * s, re * v + im * u + vs[k] * s
-        return re, im, self.den * s
+        return re, im
 
     def derivative(self) -> "UniPoly":
         return _poly_over([k * u for k, u in enumerate(self.re)][1:],
@@ -418,6 +428,14 @@ class UniPoly(Value):
 _set_re = UniPoly.re.__set__
 _set_im = UniPoly.im.__set__
 _set_den = UniPoly.den.__set__
+
+
+def powers_of(e: int, deg: int) -> list[int]:
+    """[1, e, e^2, ..., e^deg], the powers list that ``UniPoly.parts_at`` reads."""
+    out = [1]
+    for _ in range(deg):
+        out.append(out[-1] * e)
+    return out
 
 
 def _new_poly(re: tuple[int, ...], im: tuple[int, ...], den: int) -> UniPoly:
@@ -612,15 +630,21 @@ class RationalFunction(Value):
         order (den'(p) = 0 as well) raises: every denominator here divides
         the squarefree vanishing polynomial of the punctures.
         """
-        re, im, _ = self.den.parts_at(p)
+        num, den = self.num, self.den
+        u, v = p._a, p._b
+        deg = max(len(num.re), len(den.re)) - 1  # every value below carries e^deg
+        es = powers_of(p._d, deg)
+        re, im = den.parts_at(u, v, es, deg)
         if re or im:  # den(p) != 0: no pole at p
             return ZERO
-        a, b, e = self.den.derivative().parts_at(p)
+        dden = den.derivative()
+        a, b = dden.parts_at(u, v, es, deg)
         if not a and not b:
             raise ExactArithmeticError(f"pole of order at least 2 at {p}")
-        c, f, g = self.num.parts_at(p)
-        # ((c + fi)/g) / ((a + bi)/e) = e (c + fi)(a - bi) / (g (a^2 + b^2))
-        return _canonical(e * (c * a + f * b), e * (f * a - c * b), g * (a * a + b * b))
+        c, f = num.parts_at(u, v, es, deg)
+        # ((c + fi)/g) / ((a + bi)/h) = h (c + fi)(a - bi) / (g (a^2 + b^2)); e^deg cancels
+        g, h = num.den, dden.den
+        return _canonical(h * (c * a + f * b), h * (f * a - c * b), g * (a * a + b * b))
 
 
 class RationalOneForm(Value):

@@ -8,7 +8,11 @@ tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0 are checked as the
 polynomial identities tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a
 puncture is computed two independent ways, as a Gaussian-integer matrix over
 one denominator, and its nilpotent and end types are read from that
-numerator's 3x3 invariants.
+numerator's 3x3 invariants.  Each route forms the powers of the puncture's
+denominator e once and evaluates every polynomial homogenized to one degree
+D (``UniPoly.parts_at``), so its nine entries share the factor e^D: the
+common denominator is the lcm of the polynomials' own denominators times
+e^D, and the residue is reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import enum
 import math
 
 from . import InputError, Value, array, integer, linalg
-from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime
+from .exactnum import BinaryForm, GaussianRational, UniPoly, coprime, powers_of
 from .exactnum import resultant  # nnoid.resultant: read by bench/selftest.py
 from .sphere import LogOneForm, make_log_form
 
@@ -58,8 +62,11 @@ class NnoidData(Value):
             raise NnoidDataError("g1 and g2 must be nonzero")
         if not coprime(g1, g2):
             raise NnoidDataError("g1 and g2 share a projective zero")
+        chart, deg = q.chart, len(q.chart.re) - 1
         for p in omega.punctures:
-            if q.chart(p).is_zero:
+            u, v, e = p.parts
+            re, im = chart.parts_at(u, v, powers_of(e, deg), deg)
+            if not re and not im:
                 raise NnoidDataError(f"q vanishes at the puncture {p}")
         return NnoidData(omega, g1, g2, q)
 
@@ -97,6 +104,20 @@ class ResidueMatrix(Value):
     """
 
     __slots__ = ("point", "num", "den")
+
+
+_set_point = ResidueMatrix.point.__set__
+_set_num = ResidueMatrix.num.__set__
+_set_den = ResidueMatrix.den.__set__
+
+
+def _new_residue(point: GaussianRational, num: linalg.GaussMatrix, den: int) -> ResidueMatrix:
+    """``ResidueMatrix(point, num, den)`` without ``Value``'s generic field loop."""
+    m = object.__new__(ResidueMatrix)
+    _set_point(m, point)
+    _set_num(m, num)
+    _set_den(m, den)
+    return m
 
 
 class EndType(enum.Enum):
@@ -137,15 +158,14 @@ def trace_phi_squared(s: Section) -> UniPoly:
     return s[0][0] * s[0][0] + s[1][1] * s[1][1] + s[2][2] * s[2][2] + off + off
 
 
-def _residue(p: GaussianRational, r: GaussianRational, triples) -> ResidueMatrix:
-    """r times the 3x3 matrix of unreduced triples (re, im, den), row by row, reduced by one
-    lcm and one gcd, each fed smallest first so a tall puncture meets a small gcd."""
-    a, b, d = r.parts
-    den = math.lcm(*sorted([e for _, _, e in triples], key=int.bit_length))
-    parts = [((a * u - b * v) * (k := den // e), (a * v + b * u) * k) for u, v, e in triples]
-    g = math.gcd(*sorted([den * d, *(x for pair in parts for x in pair)], key=int.bit_length))
-    num = [(u // g, v // g) for u, v in parts]
-    return ResidueMatrix(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den * d // g)
+def _residue(p: GaussianRational, num: list[linalg.GaussInt], den: int) -> ResidueMatrix:
+    """The residue at p with the nine unreduced numerators ``num``, row by row, over
+    ``den``; reduced by one gcd, fed smallest first so that a tall puncture meets a
+    small gcd."""
+    if den != 1:  # over the denominator 1 it is in lowest terms already
+        g = math.gcd(*sorted([den, *[x for pair in num for x in pair]], key=int.bit_length))
+        num, den = [(x // g, y // g) for x, y in num], den // g
+    return _new_residue(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den)
 
 
 def residue_matrix(omega: LogOneForm, s: Section, p: GaussianRational) -> ResidueMatrix:
@@ -153,19 +173,56 @@ def residue_matrix(omega: LogOneForm, s: Section, p: GaussianRational) -> Residu
 
     Only omega has poles and S is polynomial, so Res_p(omega S) =
     Res_p(omega) S(p): the residue r_p that omega holds times the products
-    ``build_higgs`` built, evaluated at p.  A point that is not a puncture
-    raises ``SphereError``.
+    ``build_higgs`` built, evaluated at p.  For p = (u + iv)/e every entry f
+    is evaluated at D, the largest degree among them, so that it sits over
+    f.den e^D and the nine share the lcm of the f.den times e^D.  A point
+    that is not a puncture raises ``SphereError``.
     """
-    return _residue(p, omega.residue_at(p), [sij.parts_at(p) for row in s for sij in row])
+    a, b, d = omega.residue_at(p).parts
+    u, v, e = p.parts
+    fs = [*s[0], *s[1], *s[2]]
+    deg = max([len(f.re) for f in fs]) - 1
+    es = powers_of(e, deg)
+    den = math.lcm(*[f.den for f in fs])
+    num = []
+    for f in fs:
+        if f.re:
+            x, y = f.parts_at(u, v, es, deg)
+            k = den // f.den
+            ra, rb = a * k, b * k  # r_p's numerator, scaled to the common denominator
+            num.append((ra * x - rb * y, ra * y + rb * x))
+        else:  # a zero entry, as five of S's are
+            num.append((0, 0))
+    return _residue(p, num, den * es[deg] * d)
 
 
 def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
-    """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture."""
-    r = data.omega.residue_at(p)
-    g1, g2, q = (f.chart.parts_at(p) for f in (data.g1, data.g2, data.q))
-    (u, v), qg1 = linalg.gmul(q[:2], g2[:2]), (*linalg.gmul(q[:2], g1[:2]), q[2] * g1[2])
-    zero = (0, 0, 1)
-    return _residue(p, r, [zero, zero, (-u, -v, q[2] * g2[2]), zero, zero, qg1, g1, g2, zero])
+    """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture.
+
+    For p = (u + iv)/e, q is evaluated at its chart degree dq and g1, g2 at
+    dg, the larger of theirs, so that B = (-q g2, q g1)^t sits over
+    e^(dq + dg) and the row C = (g1, g2) is lifted to it by e^dq.
+    """
+    a, b, d = data.omega.residue_at(p).parts
+    u, v, e = p.parts
+    g1, g2, q = data.g1.chart, data.g2.chart, data.q.chart
+    dq, dg = len(q.re) - 1, max(len(g1.re), len(g2.re)) - 1
+    es = powers_of(e, dq + dg)
+    qx, qy = q.parts_at(u, v, es, dq)
+    x1, y1 = g1.parts_at(u, v, es, dg)
+    x2, y2 = g2.parts_at(u, v, es, dg)
+    # the common denominator is q.den lcm e^(dq + dg): B's entries -q g2 and q g1
+    # take the factors k2 and k1, and C's g1 and g2 the factors k1 lift and k2 lift
+    lcm = math.lcm(g1.den, g2.den)
+    k1, k2, lift = lcm // g1.den, lcm // g2.den, q.den * es[dq]
+    entries = ((qy * y2 - qx * x2, -qx * y2 - qy * x2, k2),
+               (qx * x1 - qy * y1, qx * y1 + qy * x1, k1),
+               (x1, y1, k1 * lift),
+               (x2, y2, k2 * lift))
+    b0, b1, c0, c1 = [(a * k * x - b * k * y, a * k * y + b * k * x) for x, y, k in entries]
+    zero = (0, 0)
+    num = [zero, zero, b0, zero, zero, b1, c0, c1, zero]
+    return _residue(p, num, q.den * lcm * es[dq + dg] * d)
 
 
 def nilpotency_profile(n: linalg.GaussMatrix) -> int | None:

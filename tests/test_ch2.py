@@ -109,6 +109,33 @@ def test_unit_representatives_match_scalar(with_bad):
     assert points_in_ch2(f).tolist() == [in_ch2(p) for p in f]
 
 
+# A point within rounding of the null cone: numpy's complex product rounds its
+# <Z,Z> to -2^-52 and Python's to 0.0, so the array test used to accept it
+# while in_ch2 refused it.
+NEAR_NULL = (-0.7591977654458661 - 0.2893257917423925j, 0.21264384190844116 + 0.54285535428239j, 1.0)
+
+
+def near_null_points(count, seed):
+    """(cos t e^(ia), sin t e^(ib), 1 + eps) with |eps| <= 3e-16, and NEAR_NULL first."""
+    rng = np.random.default_rng(seed)
+    t, a, b = rng.uniform(0.0, 2 * math.pi, (3, count))
+    eps = rng.uniform(-3e-16, 3e-16, count)
+    f = np.stack([np.cos(t) * np.exp(1j * a), np.sin(t) * np.exp(1j * b), 1.0 + eps], axis=1)
+    return np.concatenate([np.array([NEAR_NULL]), f])
+
+
+def test_array_and_scalar_membership_agree_near_the_null_cone():
+    f = near_null_points(20_000, 64)
+    inside = points_in_ch2(f)
+    assert inside.tolist() == [in_ch2(p) for p in f]
+    assert not inside[0] and 0 < inside.sum() < len(f)
+    # every point the array test accepts is one that normalize_points and distance accept
+    z, zz = normalize_points(f[inside])
+    assert (zz < 0).all()
+    for p in f[inside][:200]:
+        distance(p, E3)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "bad, message",

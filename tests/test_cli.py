@@ -1195,6 +1195,17 @@ def tall_nnoid(n: int, digits: int, seed: int) -> dict:
 # 0.8 s for the shared-zero input below.
 NNOID_64_BUDGET_S = 5
 
+# sha256 of the `nnoid check` certificates of the inputs at the size limit below,
+# recorded at commit cbc9b39, before the per-puncture pass formed the powers of
+# each puncture's denominator once: the tall-coefficient inputs by digit count,
+# and the two inputs with non-integer punctures
+PINNED_TALL_COEFFICIENTS = {
+    4: "df74e45f1d73e6e4c9f0ee167f21647376b465a53bad2af4ff719968abc387b0",
+    12: "1d30da8c9edaa743d174bd94db888300b765f48796cdd2cbd2e3ce455d3087a2",
+}
+PINNED_TALL_PUNCTURES = "fffad467ae6290aefc7622ecaf6fca6dceb602fde54f0b845e915eaa4c97b6ab"
+PINNED_PUNCTURE_HEIGHT_CAP = "45c2c2ae22d3a867dba50ac510012d1b6e783317d81b82f51c92b6ba280b37e4"
+
 
 @pytest.mark.parametrize("digits", [4, 12])
 def test_fresh_process_nnoid_check_at_limit_with_tall_coefficients(digits, tmp_path):
@@ -1204,6 +1215,7 @@ def test_fresh_process_nnoid_check_at_limit_with_tall_coefficients(digits, tmp_p
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     assert json.loads(proc.stdout)["status"] == "stable"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_TALL_COEFFICIENTS[digits]
     assert elapsed < NNOID_64_BUDGET_S
 
 
@@ -1255,6 +1267,7 @@ def test_fresh_process_nnoid_check_tall_punctures_at_limit(tmp_path):
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     assert json.loads(proc.stdout)["status"] == "stable"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_TALL_PUNCTURES
     assert elapsed < NNOID_64_BUDGET_S
 
 
@@ -1284,6 +1297,7 @@ def test_fresh_process_nnoid_check_puncture_height_cap(past, tmp_path):
     else:
         assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
         assert json.loads(proc.stdout)["status"] == "stable"
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_PUNCTURE_HEIGHT_CAP
     assert elapsed < NNOID_64_BUDGET_S
 
 

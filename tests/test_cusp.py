@@ -317,6 +317,27 @@ def test_distance_lipschitz_oracle_sees_a_failure():
     assert np.allclose(report.per_row_slack, slacks, rtol=0.0, atol=1e-12)
 
 
+def test_field_near_the_null_cone_is_refused_or_checked():
+    """A StripField that passes validation never makes the check raise: the
+    point at [0, 0] is in CH^2 for numpy's rounding of <Z,Z> but not for the
+    scalar in_ch2, and the field used to pass validation and then end in
+    CH2Error from the scalar recheck."""
+    g = StripGrid(8, 8, 1.0, 4.0)
+    f = np.zeros((8, 8, 3), dtype=complex)
+    f[..., 2] = 1.0
+    f[0, 0] = (-0.7591977654458661 - 0.2893257917423925j, 0.21264384190844116 + 0.54285535428239j, 1.0)
+    with pytest.raises(CuspGridError, match="every F sample must lie in CH\\^2"):
+        StripField(g, np.zeros((8, 8)), f)
+    # near-null points that validation accepts are checked without an error
+    rng = np.random.default_rng(28)
+    t, a, b = rng.uniform(0.0, 2 * math.pi, (3, 4000))
+    near = np.stack([np.cos(t) * np.exp(1j * a), np.sin(t) * np.exp(1j * b),
+                     1.0 + rng.uniform(-3e-16, 3e-16, 4000)], axis=1)
+    near = near[cusp.points_in_ch2(near)][:64].reshape(8, 8, 3)
+    report = check_distance_lipschitz(StripField(g, np.zeros((8, 8)), near), (0.0, 0.0, 1.0))
+    assert len(report.per_row_slack) == 8
+
+
 @pytest.mark.parametrize("o", [(1.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, np.inf)])
 def test_distance_lipschitz_base_point_outside(o):
     f, _ = list(oracle_maps())[0]

@@ -7,7 +7,7 @@ import re
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, isprime, symbols
 from sympy.polys.domains import QQ, QQ_I
@@ -752,6 +752,40 @@ def test_kernel_outputs_are_canonical(f, g, z, entries):
     for row in linalg.mat_mul(a, linalg.mat([entries[6:9], entries[0:3], entries[3:6]])):
         for x in row:
             assert_canonical(x)
+
+
+# ---------------------------------------------------------------------------
+# the homogenized evaluation kernel against canonical scalar arithmetic
+
+tall_part = st.integers(-(10**40), 10**40)
+tall_13 = st.builds(GQ, st.builds(Fraction, tall_part, st.integers(1, 10**40)),
+                    st.builds(Fraction, tall_part, st.integers(1, 13)))
+kernel_poly = st.one_of(poly_13, st.lists(st.one_of(gq_13, tall_13), max_size=6).map(UniPoly.of))
+# z = (u + iv)/e, not necessarily in lowest terms: small, negative and tall parts, e >= 1
+kernel_point = st.tuples(st.one_of(st.integers(-30, 30), tall_part),
+                         st.one_of(st.integers(-30, 30), tall_part),
+                         st.one_of(st.integers(1, 30), st.integers(2, 10**40)))
+
+
+def value_by_scalars(f, z):
+    """f(z) as the sum of c_k z^k, each term a canonical GaussianRational."""
+    return sum((c * z**k for k, c in enumerate(f.coeffs)), ZERO)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_poly, kernel_point, st.integers(0, 4))
+@example(UniPoly.zero(), (3, -2, 5), 0)
+@example(UniPoly.of([GQ(-7, 2)]), (10**30 + 1, -(10**30), 10**30 + 7), 0)
+@example(UniPoly.of([1, GQ(0, 1), GQ(Fraction(-3, 4))]), (-(10**30), 7, 10**30 - 1), 3)
+def test_parts_at_matches_scalar_sum(f, point, extra):
+    """e^deg f((u + iv)/e) = (re + i im)/f.den for powers[k] = e^k and deg >= deg f,
+    with the zero polynomial, degree 0 and deg above deg f among the draws."""
+    u, v, e = point
+    deg = max(len(f.re) - 1, 0) + extra
+    re, im = f.parts_at(u, v, [e**k for k in range(deg + 1)], deg)
+    z = GQ(Fraction(u, e), Fraction(v, e))
+    assert GQ(Fraction(re, f.den), Fraction(im, f.den)) == value_by_scalars(f, z) * e**deg
+    assert f(z) == value_by_scalars(f, z)
 
 
 # ---------------------------------------------------------------------------

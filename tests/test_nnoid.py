@@ -21,7 +21,7 @@ from chnoids.nnoid import (
     trace_phi_squared,
 )
 from chnoids.sphere import SphereError, make_log_form
-from test_cli import FRACTIONAL_NNOID, tall_punctures_nnoid
+from test_cli import FRACTIONAL_NNOID, puncture_height_nnoid, tall_punctures_nnoid
 
 
 def reference_data():
@@ -145,6 +145,37 @@ def test_residue_routes_match_q_i_oracle(make):
         r = data.omega.residue_at(p)
         expected = nnoid.ResidueMatrix(p, *linalg.scaled([[r * sij(p) for sij in row]
                                                           for row in s]))
+        assert residue_matrix(data.omega, s, p) == expected
+        assert residue_matrix_closed_form(data, p) == expected
+
+
+def value_by_scalars(f, p):
+    """f(p) by Horner in canonical GaussianRational arithmetic, not through UniPoly.parts_at."""
+    out = GQ(0)
+    for c in reversed(f.coeffs):
+        out = out * p + c
+    return out
+
+
+SCALAR_ORACLE_INSTANCES = [
+    ("fractional", lambda: NnoidData.from_json(FRACTIONAL_NNOID)),
+    ("tall-punctures", lambda: NnoidData.from_json(tall_punctures_nnoid(cli.MAX_NNOID_N, 10, 55))),
+    ("taller-punctures", lambda: NnoidData.from_json(tall_punctures_nnoid(12, 40, 29))),
+    ("puncture-height", lambda: NnoidData.from_json(puncture_height_nnoid(16, 3000))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in SCALAR_ORACLE_INSTANCES],
+                         ids=[name for name, _ in SCALAR_ORACLE_INSTANCES])
+def test_residue_routes_match_entrywise_scalar_oracle(make):
+    """Both routes against r_p S(p) with every entry evaluated term by term in
+    Q(i), at non-integer punctures, where the powers of each denominator matter."""
+    data = make()
+    s = build_higgs(data)
+    for p in data.punctures:
+        r = data.omega.residue_at(p)
+        rows = [[r * value_by_scalars(sij, p) for sij in row] for row in s]
+        expected = nnoid.ResidueMatrix(p, *linalg.scaled(rows))
         assert residue_matrix(data.omega, s, p) == expected
         assert residue_matrix_closed_form(data, p) == expected
 
