@@ -5,7 +5,8 @@ sphere (sphere), the explicit Higgs field and its residues (nnoid),
 parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
 The input boundary they share sits here: ``InputError``, ``rational``, the
-reader of every exact rational literal, ``integer``, the reader of every
+reader of every exact rational literal, ``int_ratio``, its reader of the
+integer and ``a/b`` literals in Python ints, ``integer``, the reader of every
 JSON count and degree, ``number``, the reader of every JSON real, and
 ``array``, the reader of every JSON list.  Every immutable value class
 derives from ``Value``, which writes once that its fields are its slots,
@@ -38,14 +39,36 @@ _DIGITS = r"(\d*|\d+(?:_\d+)*)"
 _EXPONENT_LITERAL = rf"\s*[+-]?(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?(?:[eE]([+-]?)(\d+(?:_\d+)*))?\s*"
 
 
+def int_ratio(s: str) -> tuple[int, int]:
+    """(n, d) with s = n/d, read by ``int`` alone; d may be 0.
+
+    s is an integer literal as ``int`` reads it, or n/d with a digit on each
+    side of "/" and no underscore, which Fraction reads as ``int`` does on
+    every Python version.  Any other s, with a decimal point or an exponent
+    among them, is a ValueError.
+    """
+    if "/" not in s:
+        return int(s), 1
+    n, _, d = s.partition("/")
+    # int would also read a space or a sign beside "/", which Fraction refuses,
+    # and an underscore, which Fraction reads only from Python 3.11
+    if "_" in s or not (n[-1:].isdecimal() and d[:1].isdecimal()):
+        raise ValueError(f"not an n/d literal: {s!r}")
+    return int(n), int(d)
+
+
 def rational(x) -> Fraction:
     """x as a Fraction, from a Fraction, an int or a literal that Fraction reads.
 
-    Fraction builds 10^|e| in full for an exponent e, and 10^k for k fraction
-    digits, so a literal with a decimal point or an exponent is refused with
-    an ``InputError``, before it is built, when the numerator or the
-    denominator that Fraction would build from its mantissa and exponent has
-    more than MAX_CERTIFICATE_DIGITS digits.
+    An integer or ``a/b`` literal with no underscore is read by ``int_ratio``
+    and becomes Fraction(n, d); any other literal, and a zero denominator,
+    goes to Fraction itself, which gives the value or the error (it reads an
+    underscore only from Python 3.11).  Fraction builds 10^|e| in full for
+    an exponent e, and 10^k for k fraction digits, so a literal with a
+    decimal point or an exponent is refused with an ``InputError``, before
+    it is built, when the numerator or the denominator that Fraction would
+    build from its mantissa and exponent has more than
+    MAX_CERTIFICATE_DIGITS digits.
     """
     if isinstance(x, Fraction):
         return x
@@ -53,16 +76,26 @@ def rational(x) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise TypeError(f"cannot coerce {x!r} to an exact rational")
-    m = ("." in x or "e" in x or "E" in x) and _re.fullmatch(_EXPONENT_LITERAL, x)
-    if m:
-        whole, frac, sign, exp = (g.replace("_", "") for g in m.groups(""))
-        limit = MAX_CERTIFICATE_DIGITS
-        exp = exp.lstrip("0")
-        e = int(exp or 0) if len(exp) <= len(str(limit)) else limit + 1  # longer is over anyway
-        num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
-        den = len(frac) + 1 + (e if sign == "-" else 0)
-        if max(num, den) > limit:
-            raise InputError(f"exact literal {reprlib.repr(x)} is over the limit of {limit} digits")
+    if "." in x or "e" in x or "E" in x:
+        m = _re.fullmatch(_EXPONENT_LITERAL, x)
+        if m:
+            whole, frac, sign, exp = (g.replace("_", "") for g in m.groups(""))
+            limit = MAX_CERTIFICATE_DIGITS
+            exp = exp.lstrip("0")
+            e = int(exp or 0) if len(exp) <= len(str(limit)) else limit + 1  # longer is over anyway
+            num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
+            den = len(frac) + 1 + (e if sign == "-" else 0)
+            if max(num, den) > limit:
+                raise InputError(
+                    f"exact literal {reprlib.repr(x)} is over the limit of {limit} digits")
+    elif "_" not in x:
+        try:
+            n, d = int_ratio(x)
+        except ValueError:
+            pass  # an invalid literal: Fraction gives the error
+        else:
+            if d:
+                return Fraction(n, d)
     return Fraction(x)
 
 

@@ -218,7 +218,7 @@ class Matrix21(Value):
         if self.is_exact:
             entries = [[str(x) for x in row] for row in self.rows]
         else:
-            entries = [[_format_complex(x) for x in row] for row in self.rows]
+            entries = [[_format_complex(x) for x in row] for row in self.rows.tolist()]
         return {"matrix": entries, "backing": "exact" if self.is_exact else "float"}
 
     @staticmethod
@@ -227,9 +227,10 @@ class Matrix21(Value):
         if len(entries) != 3 or any(len(array(r, "a matrix row")) != 3 for r in entries):
             raise CH2Error("expected a 3x3 matrix")
         flat = [str(x) for row in entries for x in row]
+        rows = flat[:3], flat[3:6], flat[6:]
         if any(("." in s) or ("e" in s.lower() and "/" not in s) for s in flat):
-            return Matrix21.floating([[_parse_complex(str(x)) for x in row] for row in entries])
-        return Matrix21.exact([[GaussianRational.parse(str(x)) for x in row] for row in entries])
+            return Matrix21.floating([[_parse_complex(s) for s in row] for row in rows])
+        return Matrix21.exact([[GaussianRational.parse(s) for s in row] for row in rows])
 
 
 def _format_complex(x: complex) -> str:

@@ -2,17 +2,20 @@
 
 Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
-ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0; an integer
-literal is read and written through ``int``, any other through
-``rational``.  The polynomial kernels (product, division, evaluation) and
-``dot`` write their operands as Gaussian integers over one common
-denominator, accumulate in Python ints, and reduce each output by one gcd;
-a polynomial is held that way.  Evaluation at z = (u + iv)/e is
-homogenized: it reads the powers of e from a list that a caller evaluating
-several polynomials at one point forms once.
-A residue is num(p)/den'(p), from three evaluations.  Zero-locus queries
-never materialize algebraic numbers: everything goes through gcds and
-evaluation.
+ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  A literal
+whose parts are integer or n/d literals is read into that triple by
+``chnoids.int_ratio`` and one gcd, and every scalar is written from it,
+each part reduced by its gcd with d; no Fraction is built either way.  A
+decimal or exponent literal, an underscore in an n/d one, and a zero
+denominator go through ``rational``.  The polynomial kernels (product,
+division, evaluation) and ``dot`` write their operands as Gaussian
+integers over one common denominator, accumulate in Python ints, and
+reduce each output by one gcd; a polynomial is held that way.
+Evaluation at z = (u + iv)/e is homogenized: it reads the powers of e
+from a list that a caller evaluating several polynomials at one point
+forms once.  A residue is num(p)/den'(p), from three evaluations.
+Zero-locus queries never materialize algebraic numbers: everything goes
+through gcds and evaluation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
 
-from . import Value, array, integer, rational
+from . import Value, array, int_ratio, integer, rational
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -35,7 +38,9 @@ class GaussianRational(Value):
 
     The triple is canonical: d > 0, gcd(a, b, d) = 1, and zero is (0, 0, 1),
     so equal numbers have equal triples.  Instances are immutable; build
-    them with ``GaussianRational.of`` (or ``GQ``) and ``parse``.
+    them with ``GaussianRational.of`` (or ``GQ``) and ``parse``.  The
+    literal ``str`` writes, "a/b+c/di", is each part as Fraction writes it;
+    ``parse`` reads that form and the others Fraction reads, part by part.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -161,14 +166,13 @@ class GaussianRational(Value):
     def __str__(self) -> str:
         if self._d == 1:  # a Gaussian integer formats as its ints, as Fraction does
             re, im = self._a, self._b
-        else:
-            re, im = self.re, self.im
-        if im == 0:
+        else:  # each part in lowest terms, as Fraction writes it
+            re, im = _ratio_str(self._a, self._d), _ratio_str(self._b, self._d)
+        if not self._b:
             return str(re)
-        if re == 0:
+        if not self._a:
             return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+        return f"{re}{im}i" if self._b < 0 else f"{re}+{im}i"  # a negative im writes its own "-"
 
     def __repr__(self) -> str:
         return f"GQ({self})"
@@ -176,30 +180,47 @@ class GaussianRational(Value):
     @staticmethod
     def parse(s: str) -> "GaussianRational":
         s = s.strip().replace(" ", "")
+        re_part = s
+        im_part = "0"
+        b = 0
+        f = 1
+        try:
+            if s.endswith("i"):
+                # split into real part and imaginary coefficient
+                m = _split_complex(s[:-1])
+                re_part, im_part = m.groups() if m else ("0", s[:-1])
+                if im_part in ("", "+", "-"):
+                    im_part += "1"
+                b, f = int_ratio(im_part)
+            a, d = int_ratio(re_part)
+        except ValueError:
+            d = 0
+        if d == f:
+            if d == 1:
+                return _new(a, b, 1)
+            if d:
+                return _canonical(a, b, d)
+        elif d and f:
+            return _canonical(a * f, b * d, d * f)
+        # a decimal or exponent literal, an n/d one with an underscore, a zero
+        # denominator or an invalid literal: Fraction gives the value or the error
         if not s:
             raise ValueError("empty Gaussian rational literal")
-        re_part, im_part = s, "0"
-        if s.endswith("i"):
-            body = s[:-1]
-            # split into real part and imaginary coefficient
-            m = _re.match(r"^([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)$", body)
-            if m:
-                re_part, im_part = m.group(1), m.group(2)
-            else:
-                re_part, im_part = "0", body
-            if im_part in ("", "+"):
-                im_part = "1"
-            elif im_part == "-":
-                im_part = "-1"
-        if "/" not in s:
-            try:  # int reads an integer literal as Fraction does
-                return _new(int(re_part), int(im_part), 1)
-            except ValueError:
-                pass  # a decimal or exponent literal, or an invalid one
         try:
             return GaussianRational.of(re_part, im_part)
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {s!r}") from exc
+
+
+# a literal's real part, an integer or a/b literal, and its signed imaginary
+# coefficient, whose digits may be omitted ("1+i")
+_split_complex = _re.compile(r"^([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)$").match
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d, d > 0, as Fraction(n, d) writes it: in lowest terms, and bare when an integer."""
+    g = _gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _object_new = object.__new__
@@ -329,6 +350,10 @@ class UniPoly(Value):
         return _canonical(self.re[-1], self.im[-1], self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not other.re:
+            return self
+        if not self.re:
+            return other
         a, b = (self, other) if len(self.re) >= len(other.re) else (other, self)
         den = _lcm(a.den, b.den)
         s, t = den // a.den, den // b.den
@@ -348,6 +373,8 @@ class UniPoly(Value):
         if other.__class__ is not UniPoly:
             other = UniPoly.of([other])  # a scalar is a constant polynomial
         au, av, bu, bv = self.re, self.im, other.re, other.im
+        if not au or not bu:
+            return _new_poly((), (), 1)
         ru = [0] * (len(au) + len(bu) - 1)
         rv = ru[:]
         for i, (a, b) in enumerate(zip(au, av)):

@@ -26,6 +26,7 @@ from chnoids.ch2 import J_EXACT, Matrix21, random_exact_form_preserving
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GQ, GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
+from test_exactnum import BIG, LITERAL_CORPUS
 
 
 def run(args, capsys):
@@ -360,6 +361,20 @@ PINNED_OUTPUTS = {
         "1d576bb969e2f4b04b0bc0cbe2e526414ee0cf2c943f19b8ccedf1dfa303712a"),
     "nnoid-random-9": ("nnoid random 9 --seed 2602", None, 0,
         "099cfd1d002294add7ae0fdcfaa0464c8490b40f8b961e8ed51508fd646c0f57"),
+    # a/b entries not in lowest terms: the echo writes each part reduced
+    "ch2-classify-fractional": ("ch2 classify --exact", {"matrix": [
+        ["10/8-70/192i", "0", "-9/20+337/480i"], ["0", "1", "0"],
+        ["-18/40-337/480i", "0", "5/4+35/96i"]]}, 0,
+        "660312c29a2fe2aa0b05e231d7d24f612cc973c6e2cc03a590a6d7d2acdc57a7"),
+    # a float conjugate of boost(0.7): the echo writes each entry with 17 significant digits
+    "ch2-classify-float": ("ch2 classify", {"matrix": [
+        ["1.166054546986574-0.032448344883517985i", "-0.25611222066513262-0.26071865581878101i",
+         "0.52738609548286874-0.4649383776276762i"],
+        ["0.035577769465140366-0.11822911753392781i", "1.0617696579397131+0.13855963108879166i",
+         "-0.18190600003048568+0.35875853572389393i"],
+        ["0.48426085146855119+0.37612688189181964i", "-0.16426516459224649-0.50312843355979886i",
+         "1.2825138063355992-0.10611128620527378i"]]}, 0,
+        "85d58bbd100b0d61fe936fa8f301362108f37f6148d9afd7595f10c01c928322"),
 }
 
 
@@ -372,6 +387,75 @@ def test_output_pinned(name, tmp_path, capsys):
     code, out, _ = run(argv, capsys)
     assert code == expect_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def invalid(part):
+    return f"malformed input: ValueError: Invalid literal for Fraction: {part!r}"
+
+
+INT_LIMIT = ("malformed input: ValueError: Exceeds the limit (4300 digits) for integer string "
+             "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+             "the limit")
+
+# Every literal of LITERAL_CORPUS that GaussianRational.parse refuses, with the
+# error line of `ch2 classify` on a matrix holding it and of `stability check`
+# with it as a weight; each command exits 2.
+REFUSED_LITERAL_ERRORS = {
+    "1__0": (invalid("1__0"), invalid("1__0")),
+    "_1": (invalid("_1"), invalid("_1")),
+    "1_": (invalid("1_"), invalid("1_")),
+    "²": (invalid("²"), invalid("²")),
+    "-2.5+1i": ("matrix does not preserve the signature-(2,1) form", invalid("-2.5+1i")),
+    "0x10": (invalid("0x10"), invalid("0x10")),
+    "0x10i": (invalid("0x10"), invalid("0x10i")),
+    "+-1": (invalid("+-1"), invalid("+-1")),
+    "+-1i": (invalid("+-1"), invalid("+-1i")),
+    "--1": (invalid("--1"), invalid("--1")),
+    "1_0+2_0i": (invalid("1_0+2_0"), invalid("1_0+2_0i")),
+    "1/0": ("malformed input: ValueError: zero denominator in '1/0'",
+            "malformed input: ZeroDivisionError: Fraction(1, 0)"),
+    "2+1/0i": ("malformed input: ValueError: zero denominator in '2+1/0i'", invalid("2+1/0i")),
+    "0/0": ("malformed input: ValueError: zero denominator in '0/0'",
+            "malformed input: ZeroDivisionError: Fraction(0, 0)"),
+    "": ("malformed input: ValueError: empty Gaussian rational literal", invalid("")),
+    "   ": ("malformed input: ValueError: empty Gaussian rational literal", invalid("   ")),
+    "1+": (invalid("1+"), invalid("1+")),
+    "i+1": (invalid("i+1"), invalid("i+1")),
+    "1+2i3": (invalid("1+2i3"), invalid("1+2i3")),
+    "ii": (invalid("i"), invalid("ii")),
+    "nan": (invalid("nan"), invalid("nan")),
+    "inf": (invalid("inf"), invalid("inf")),
+    BIG: (INT_LIMIT, INT_LIMIT),
+    BIG + "i": (INT_LIMIT, invalid(BIG + "i")),
+    "1+" + BIG + "i": (INT_LIMIT, invalid("1+" + BIG + "i")),
+    BIG + "/7": (INT_LIMIT, INT_LIMIT),
+    "/5i": (invalid("/5"), invalid("/5i")),
+    "+/8i": (invalid("+/8"), invalid("+/8i")),
+    "-/3i": (invalid("-/3"), invalid("-/3i")),
+    "2+/4115i": (invalid("2+/4115"), invalid("2+/4115i")),
+}
+
+
+def test_refused_literal_pins_cover_the_corpus():
+    refused = []
+    for literal in LITERAL_CORPUS:
+        try:
+            GaussianRational.parse(literal)
+        except ValueError:
+            refused.append(literal)
+    assert refused == list(REFUSED_LITERAL_ERRORS)
+
+
+@pytest.mark.parametrize("literal", list(REFUSED_LITERAL_ERRORS), ids=reprlib.repr)
+def test_refused_literal_error_lines_pinned(literal, tmp_path, capsys):
+    classify_line, stability_line = REFUSED_LITERAL_ERRORS[literal]
+    matrix = {"matrix": [[literal, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    weight = {"triple": [literal, "1/3", "1/3"], "beta": "0", "gamma": "1/3"}
+    checked = {"genus": 0, "n": 4, "d1": 0, "d2": 0, "weights": [weight] * 4}
+    for command, obj, line in (("ch2 classify", matrix, classify_line),
+                               ("stability check", checked, stability_line)):
+        code, out, err = run([*command.split(), write_json(tmp_path, "in.json", obj)], capsys)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 # Every certificate is written by cli._encode, which must give json.dumps(x,

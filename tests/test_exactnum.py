@@ -13,7 +13,7 @@ from sympy import Poly, isprime, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from chnoids import InputError, Value, integer, linalg, rational
+from chnoids import InputError, Value, int_ratio, integer, linalg, rational
 from chnoids.exactnum import (
     GQ,
     ONE,
@@ -26,6 +26,7 @@ from chnoids.exactnum import (
     RationalOneForm,
     UniPoly,
     _coprime_mod,
+    _poly_over,
     coprime,
     poly_gcd,
     resultant,
@@ -201,6 +202,44 @@ def test_poly_add_sub_roundtrip(f, g):
 @given(poly_strategy(3), poly_strategy(3), poly_strategy(3))
 def test_poly_mul_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h
+
+
+def add_by_loop(f, g):
+    """f + g by the coefficient loop alone, with no zero-operand shortcut."""
+    a, b = (f, g) if len(f.re) >= len(g.re) else (g, f)
+    den = math.lcm(a.den, b.den)
+    s, t = den // a.den, den // b.den
+    us, vs = [u * s for u in a.re], [v * s for v in a.im]
+    for k, (u, v) in enumerate(zip(b.re, b.im)):
+        us[k] += u * t
+        vs[k] += v * t
+    return _poly_over(us, vs, den)
+
+
+def mul_by_loop(f, g):
+    """f * g by the schoolbook loop alone, with no zero-operand shortcut."""
+    ru = [0] * (len(f.re) + len(g.re) - 1)
+    rv = ru[:]
+    for i, (a, b) in enumerate(zip(f.re, f.im)):
+        for k, c, e in zip(range(i, i + len(g.re)), g.re, g.im):
+            ru[k] += a * c - b * e
+            rv[k] += a * e + b * c
+    return _poly_over(ru, rv, f.den * g.den)
+
+
+# a zero operand returns at once: + gives the other operand itself, * the canonical zero
+@given(st.one_of(st.just(UniPoly.zero()), poly_strategy(3)),
+       st.one_of(st.just(UniPoly.zero()), poly_strategy(3)))
+def test_zero_operand_shortcuts_match_the_loop(f, g):
+    for x, y in ((f, g), (g, f)):
+        assert x + y == add_by_loop(x, y)
+        assert x * y == mul_by_loop(x, y)
+        assert_canonical_poly(x + y)
+        assert_canonical_poly(x * y)
+        if x.is_zero:
+            assert y + x is y
+            assert (x * y).re == () and (x * y).den == 1
+            assert (y * ZERO).is_zero and (ZERO * y).is_zero
 
 
 @given(poly_strategy(4), poly_strategy(4))
@@ -822,6 +861,8 @@ LITERAL_CORPUS = [
     "2+1/0i", "0/0", "", "   ", "1+", "i+1", "1+2i3", "ii", "nan", "inf", "1 0",
     "9" * 4300, "-" + "9" * 4300 + "i", BIG, BIG + "i", "1+" + BIG + "i", BIG + "/7",
     "12345678901234567890-98765432109876543210i",
+    # near-misses of a first-cut literal pattern, refused, and literals beside them, read
+    "/5i", "+/8i", "-/3i", "2+/4115i", "1/2i", "2-i", "1_0/3",
 ]
 
 
@@ -836,6 +877,71 @@ def test_parse_matches_fraction_route(literal):
     z = GaussianRational.parse(literal)
     assert (z.re, z.im) == expected
     assert_canonical(z)
+
+
+# int_ratio reads in ints only what Fraction reads the same way on every
+# Python version: a space, a sign or nothing beside "/" is refused, and so is
+# an underscore in an n/d literal (Fraction reads one only from 3.11)
+@pytest.mark.parametrize(
+    "literal, ratio",
+    [("7", (7, 1)), (" -7 ", (-7, 1)), ("1_0", (10, 1)), ("-12/8", (-12, 8)), ("+3/0", (3, 0)),
+     ("\t4/5 ", (4, 5)), ("١/٢", (1, 2)),
+     ("1_0/3", None), ("1/3_0", None), ("1 /3", None), ("1/ 3", None), ("1/+3", None),
+     ("1/-3", None), ("/3", None), ("1/", None), ("1/2/3", None), ("1.5", None), ("1e3", None)],
+)
+def test_int_ratio_reads_only_what_fraction_reads_alike(literal, ratio):
+    if ratio is None:
+        with pytest.raises(ValueError):
+            int_ratio(literal)
+    else:
+        assert int_ratio(literal) == ratio
+
+
+# the characters of every integer, a/b, decimal and exponent literal, and of
+# near-misses of them
+LITERAL_TEXT = st.text(alphabet="0123456789+-/i .e_", max_size=12)
+
+
+def over_digit_limit(call):
+    """call(), or None when it refuses an exponent literal over the digit limit.
+
+    Such a literal (1e99999999) is refused before it is built, and Fraction,
+    the oracle, would build it in full, so it has no oracle here; the
+    digit-limit tests below hold it.
+    """
+    try:
+        return call()
+    except InputError as exc:
+        assert "over the limit of 4300 digits" in str(exc)
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LITERAL_TEXT)
+def test_parse_matches_fraction_route_on_literal_text(literal):
+    try:
+        z = over_digit_limit(lambda: GaussianRational.parse(literal))
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_by_fractions(literal)
+        return
+    if z is not None:
+        assert (z.re, z.im) == parse_by_fractions(literal)
+        assert_canonical(z)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LITERAL_TEXT)
+def test_rational_matches_fraction_on_literal_text(literal):
+    try:
+        x = over_digit_limit(lambda: rational(literal))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as want:
+            Fraction(literal)
+        assert str(want.value) == str(exc)
+        return
+    if x is not None:
+        assert type(x) is Fraction and x == Fraction(literal)
 
 
 # an exponent literal may give its numerator or denominator at most 4300
@@ -878,4 +984,19 @@ big_int = st.integers(min_value=-(10**60), max_value=10**60)
 def test_integer_str_matches_fraction_route(a, b):
     z = GQ(a, b)
     assert str(z) == str_by_fractions(a, b)
+    assert GaussianRational.parse(str(z)) == z
+
+
+# a part over a denominator: numerators up to 10^60, denominators up to 10^40,
+# either part zero; each part is written over its own denominator in lowest terms
+tall_fraction = st.builds(Fraction, big_int, st.integers(min_value=1, max_value=10**40))
+
+
+@given(st.one_of(st.just(0), tall_fraction), st.one_of(st.just(0), tall_fraction))
+@example(Fraction(1, 2), Fraction(-5, 4))
+@example(0, Fraction(-1, 3))
+@example(Fraction(6, 4), 0)
+def test_fraction_str_matches_fraction_route(x, y):
+    z = GQ(x, y)
+    assert str(z) == str_by_fractions(x, y)
     assert GaussianRational.parse(str(z)) == z
