@@ -45,8 +45,11 @@ def int_ratio(s: str) -> tuple[int, int]:
     s is an integer literal as ``int`` reads it, or n/d with a digit on each
     side of "/" and no underscore, which Fraction reads as ``int`` does on
     every Python version.  Any other s, with a decimal point or an exponent
-    among them, is a ValueError.
+    among them, is a ValueError, and s with a part of more than
+    MAX_CERTIFICATE_DIGITS digits an ``InputError``.
     """
+    if len(s) > MAX_CERTIFICATE_DIGITS:
+        _refuse_tall(s)
     if "/" not in s:
         return int(s), 1
     n, _, d = s.partition("/")
@@ -55,6 +58,23 @@ def int_ratio(s: str) -> tuple[int, int]:
     if "_" in s or not (n[-1:].isdecimal() and d[:1].isdecimal()):
         raise ValueError(f"not an n/d literal: {s!r}")
     return int(n), int(d)
+
+
+def _refuse_tall(s: str) -> None:
+    """Refuse s with an ``InputError`` when one of its "/"-separated parts is an
+    integer literal of more than MAX_CERTIFICATE_DIGITS digits, before ``int``
+    reads it: ``int`` refuses such a part only while the interpreter's own
+    limit is on, in words that vary with the Python version."""
+    for part in s.split("/"):
+        part = part.strip()
+        digits = (part[1:] if part[:1] in ("+", "-") else part).replace("_", "")
+        if len(digits) > MAX_CERTIFICATE_DIGITS and digits.isdecimal():
+            raise _over_limit(s)
+
+
+def _over_limit(literal: str) -> InputError:
+    return InputError(
+        f"exact literal {reprlib.repr(literal)} is over the limit of {MAX_CERTIFICATE_DIGITS} digits")
 
 
 def rational(x) -> Fraction:
@@ -68,7 +88,8 @@ def rational(x) -> Fraction:
     decimal point or an exponent is refused with an ``InputError``, before
     it is built, when the numerator or the denominator that Fraction would
     build from its mantissa and exponent has more than
-    MAX_CERTIFICATE_DIGITS digits.
+    MAX_CERTIFICATE_DIGITS digits, and so is a literal with an integer part
+    of more digits than that.
     """
     if isinstance(x, Fraction):
         return x
@@ -76,6 +97,8 @@ def rational(x) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    if len(x) > MAX_CERTIFICATE_DIGITS:
+        _refuse_tall(x)
     if "." in x or "e" in x or "E" in x:
         m = _re.fullmatch(_EXPONENT_LITERAL, x)
         if m:
@@ -86,8 +109,7 @@ def rational(x) -> Fraction:
             num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
             den = len(frac) + 1 + (e if sign == "-" else 0)
             if max(num, den) > limit:
-                raise InputError(
-                    f"exact literal {reprlib.repr(x)} is over the limit of {limit} digits")
+                raise _over_limit(x)
     elif "_" not in x:
         try:
             n, d = int_ratio(x)

@@ -214,7 +214,7 @@ class GaussianRational(Value):
 
 # a literal's real part, an integer or a/b literal, and its signed imaginary
 # coefficient, whose digits may be omitted ("1+i")
-_split_complex = _re.compile(r"^([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)$").match
+_split_complex = _re.compile(r"([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)").fullmatch
 
 
 def _ratio_str(n: int, d: int) -> str:

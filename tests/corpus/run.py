@@ -1,0 +1,111 @@
+"""The certificate corpus, every pinned output of chnoids, and its runner.
+
+``cases.json`` maps each case's name to ``[argv, stdin, exit, pin]``, with
+``{"numpy": true}`` or a time bound ``{"seconds": s}`` where one holds.
+argv is split at spaces.  After exit 2, an input error, stdout is empty and
+stderr is the one line ``error: <pin>``; otherwise pin is the sha256 of
+stdout.  stdin is null, ``["file", name]``, a file beside this module, the
+stdout of ``["chnoids", argv]``, or the JSON of ``["json", obj]`` or of
+``inputs.<generator>(*args)`` for ``[generator, *args]``.  ``{BIG}`` stands
+for 5,000 nines.
+
+``PYTHONPATH=src:tests python -m corpus.run`` checks every case in this
+process, skipping those that need numpy where it is missing; a mismatch
+names the case, its pin and what it got.  Stdlib only, for the floor.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import time
+from pathlib import Path
+
+from chnoids import cli
+from corpus import inputs
+
+HERE = Path(__file__).parent
+
+
+def load() -> dict[str, dict]:
+    """The cases by name, each a dict of its fields."""
+    text = (HERE / "cases.json").read_text(encoding="utf-8").replace("{BIG}", inputs.BIG)
+    return {name: {"name": name, "argv": argv.split(), "stdin": stdin, "exit": code, "pin": pin,
+                   **dict(*extra)}
+            for name, (argv, stdin, code, pin, *extra) in json.loads(text).items()}
+
+
+def run(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``chnoids argv`` on stdin, in this process."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def stdin_text(case: dict) -> str:
+    """What case writes to the command's stdin."""
+    if case["stdin"] is None:
+        return ""
+    source, *args = case["stdin"]
+    if source == "file":
+        return (HERE / args[0]).read_text(encoding="utf-8")
+    if source == "chnoids":
+        return run(args[0].split())[1]
+    return json.dumps(args[0] if source == "json" else getattr(inputs, source)(*args))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned(case: dict) -> dict:
+    """What case pins, as observed() gives it."""
+    if case["exit"] == cli.EXIT_INPUT:
+        return {"exit": case["exit"], "stdout": "", "stderr": f"error: {case['pin']}\n"}
+    return {"exit": case["exit"], "sha256": case["pin"]}
+
+
+def observed(case: dict, code: int, out: str, err: str) -> dict:
+    """A run of case, as pinned(case) gives it."""
+    if case["exit"] == cli.EXIT_INPUT:
+        return {"exit": code, "stdout": out, "stderr": err}
+    return {"exit": code, "sha256": digest(out)}
+
+
+def check(case: dict) -> None:
+    """Run case, raising an AssertionError on a mismatch."""
+    text = stdin_text(case)
+    start = time.perf_counter()
+    got = observed(case, *run(case["argv"], text))
+    elapsed = time.perf_counter() - start
+    if got != pinned(case):
+        raise AssertionError(f"{case['name']}: pinned {pinned(case)}, got {got}")
+    if elapsed > case.get("seconds", elapsed):
+        raise AssertionError(f"{case['name']}: took {elapsed:.2f} s, over its {case['seconds']} s")
+
+
+def main() -> int:
+    cases = load()
+    runnable = [case for case in cases.values()
+                if not case.get("numpy") or importlib.util.find_spec("numpy")]
+    failed = 0
+    for case in runnable:
+        try:
+            check(case)
+        except AssertionError as exc:
+            print(f"FAIL {exc}")
+            failed += 1
+    print(f"{len(runnable) - failed} passed, {failed} failed, "
+          f"{len(cases) - len(runnable)} skipped: they need numpy")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+import sys
 
 import pytest
 from fractions import Fraction
@@ -31,6 +32,7 @@ from chnoids.exactnum import (
     poly_gcd,
     resultant,
 )
+from corpus.inputs import BIG
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +841,7 @@ def split_literal(s):
     if not s.endswith("i"):
         return s, "0"
     body = s[:-1]
-    m = re.match(r"^([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)$", body)
+    m = re.match(r"([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)\Z", body)
     re_part, im_part = (m.group(1), m.group(2)) if m else ("0", body)
     return re_part, {"": "1", "+": "1", "-": "-1"}.get(im_part, im_part)
 
@@ -852,7 +854,6 @@ def parse_by_fractions(s):
         raise ValueError(s) from exc
 
 
-BIG = "9" * 5000  # past the interpreter's int-to-str limit of 4300 digits
 LITERAL_CORPUS = [
     "0", "-0", "+0", "00", "007", "7", "-7", "+7", "1_0", "0_1", "1__0", "_1", "1_",
     "١", "١٢i", "٣/٤", "１", "²", "1e3", "1e3i", "1.5",
@@ -863,6 +864,8 @@ LITERAL_CORPUS = [
     "12345678901234567890-98765432109876543210i",
     # near-misses of a first-cut literal pattern, refused, and literals beside them, read
     "/5i", "+/8i", "-/3i", "2+/4115i", "1/2i", "2-i", "1_0/3",
+    # a newline inside a literal, before its "i" or not, is refused
+    "1+2\ni", "1+2\n\ni",
 ]
 
 
@@ -965,6 +968,21 @@ def test_exponent_literal_over_digit_limit(literal):
                     lambda: GaussianRational.parse(literal + "i")):
         with pytest.raises(InputError, match="over the limit of 4300 digits"):
             refused()
+
+
+# so is an integer part of more than 4300 digits, by its digit count, with the
+# interpreter's own int-to-str limit lifted too
+@pytest.mark.parametrize("literal", [BIG, "-" + BIG, "1/" + BIG, "1_" + BIG],
+                         ids=["integer", "negative", "denominator", "underscore"])
+def test_integer_part_over_digit_limit(literal):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for refused in (rational, GaussianRational.parse, lambda s: GaussianRational.parse(s + "i")):
+            with pytest.raises(InputError, match="over the limit of 4300 digits"):
+                refused(literal)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def str_by_fractions(a, b):

@@ -21,7 +21,8 @@ from chnoids.nnoid import (
     trace_phi_squared,
 )
 from chnoids.sphere import SphereError, make_log_form
-from test_cli import FRACTIONAL_NNOID, puncture_height_nnoid, tall_punctures_nnoid
+from corpus.inputs import puncture_height_nnoid, tall_punctures_nnoid
+from test_cli import FRACTIONAL_NNOID
 
 
 def reference_data():
