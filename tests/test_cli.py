@@ -29,7 +29,7 @@ from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
 from corpus import run as corpus
-from corpus.inputs import literal_matrix, nnoid_json, prime_weights
+from corpus.inputs import literal_matrix, literal_weights, nnoid_json, prime_weights
 from test_exactnum import LITERAL_CORPUS
 
 
@@ -316,6 +316,12 @@ def test_stability_check_stable():
     cert = json.loads(out)
     assert cert["status"] == "stable"
     assert cert["stability"]["expanded_1"] == {"lhs": "4", "rhs": "9"}
+
+
+def test_stability_check_weights():
+    code, out, _ = run(["stability", "check", "-"], literal_weights("0"))
+    assert code in (0, 1)
+    assert json.loads(out)["status"] in ("stable", "strictly-semistable", "unstable")
 
 
 def test_stability_check_unstable_exit():
