@@ -338,7 +338,7 @@ def _classify_exact(a: Matrix21) -> str:
     rank(A - lambda I) = rank(N) for N = 3M - T I or 2P M - (TE - 9D) I.
     """
     m, d = a.scaled
-    t, e, det = linalg.char_coefficients(m)
+    t, e, det = linalg.invariants(m)
     t_abs2 = t[0] * t[0] + t[1] * t[1]
     det_abs2 = det[0] * det[0] + det[1] * det[1]
     # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
@@ -355,8 +355,8 @@ def _classify_exact(a: Matrix21) -> str:
     q, r = ((3, 0), t) if triple else (gmul((2, 0), p), gsub(gmul(t, e), gmul((9, 0), det)))
     n = [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
          for i, row in enumerate(m)]
-    vanish = (x for row in n for x in row) if triple else linalg.minors(n)
-    return IsometryClass.PARABOLIC if any(map(any, vanish)) else IsometryClass.ELLIPTIC
+    elliptic = not any(map(any, n[0] + n[1] + n[2])) if triple else linalg.rank_at_most_one(n)
+    return IsometryClass.ELLIPTIC if elliptic else IsometryClass.PARABOLIC
 
 
 def _classify_float(arr: np.ndarray, tol: float) -> str:

@@ -38,23 +38,19 @@ EXIT_INPUT = 2
 
 # Size limits; a larger input is an input error.  At each limit, in a fresh
 # process with its imports, on a 2-CPU host with Python 3.11: nnoid check takes
-# 0.14 s at n = 64 with 1-, 4- or 12-digit coefficients and 0.12 s with
-# g1 = z0^60, g2 = z1^61; when g1 and g2 share the zero 3 + i, the Q(i) gcd
-# refuses it in 0.19 s at 1 digit, 0.5-0.7 s at 4, 2.4 s at 12 and 14.8 s at
-# 30, still growing.  The per-puncture pass grows with n times the punctures'
-# summed height (the bit lengths of a, b and d over the punctures (a + bi)/d);
-# at that cap it takes 0.11-0.13 s at n = 64 with one tall puncture (0.41-0.46 s
-# at commit cbc9b39, before each puncture's evaluations shared one list of
-# powers of its denominator), and took 0.9-1.1 s at n = 16 and 0.3-0.4 s at
-# n = 5 at commit bb359af.  4,300-digit
-# g1, g2 coefficients cost 6.2 s at n = 64 and 9.3 s with a puncture at the
-# cap; their height is not bounded here.  A stability region takes 0.07 s at
-# n = 5, dmax = 140; stability check or a region at dmax = 0 0.07-0.10 s at
-# n = 10^5 with zero weights and 1.3-1.9 s weighted; stability check 0.15 s at
-# the digit limit; cusp verify 0.28 s on a 1024 x 1024 grid alone, 0.52 s on
-# 8 x 2^17, 0.31 s with 16 modes on 1024 x 1024 and 4.9 s with 2^18 modes on
-# 8 x 8, of which sampling mode by mode takes about 2.3 s and writing the 24 MB
-# echo of the modes 1.2 s.
+# 0.11-0.12 s at n = 64 with 1-, 4- or 12-digit coefficients, with g1 = z0^60,
+# g2 = z1^61, and with one puncture at the height cap (the per-puncture pass
+# grows with n times the punctures' summed height, the bit lengths of a, b and
+# d over the punctures (a + bi)/d); when g1 and g2 share the zero 3 + i, the
+# Q(i) gcd refuses it in 0.19 s at 1 digit, 0.5-0.7 s at 4, 2.4 s at 12 and
+# 14.8 s at 30, still growing.  4,300-digit g1, g2 coefficients cost 6.2 s at
+# n = 64 and 9.3 s with a puncture at the cap; their height is not bounded
+# here.  A stability region takes 0.07 s at n = 5, dmax = 140; stability check
+# or a region at dmax = 0 0.07-0.10 s at n = 10^5 with zero weights and
+# 1.3-1.9 s weighted; stability check 0.15 s at the digit limit; cusp verify
+# 0.28 s on a 1024 x 1024 grid alone, 0.52 s on 8 x 2^17, 0.31 s with 16 modes
+# on 1024 x 1024 and 4.9 s with 2^18 modes on 8 x 8, of which sampling mode by
+# mode takes about 2.3 s and writing the 24 MB echo of the modes 1.2 s.
 MAX_NNOID_N = 64
 MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -243,9 +239,10 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
 
     residue_detail = []
     residues_ok = True
-    for p in data.punctures:
-        direct = nnoid.residue_matrix(data.omega, s, p)
-        agree = direct == nnoid.residue_matrix_closed_form(data, p)
+    plan, closed = nnoid.residue_plan(s), nnoid.closed_form_plan(data.g1, data.g2, data.q)
+    for p, r in zip(data.punctures, data.omega.residues):
+        direct = nnoid.residue_matrix(plan, p, r)
+        agree = direct == nnoid.residue_matrix_closed_form(closed, p, r)
         k = nnoid.nilpotency_profile(direct.num)
         jt = nnoid.JORDAN_TYPES.get(k)
         et = nnoid.END_TYPES[jt].value if jt else None
@@ -601,25 +598,48 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The argparse tree, built once: the root under (), each command's subparser
+    under its two words."""
     parser = argparse.ArgumentParser(prog="chnoids")
     parser.add_argument("--version", action="version", version=f"chnoids {__version__}")
     modules = parser.add_subparsers(dest="module", required=True)
-    actions = {}
+    parsers, actions = {(): parser}, {}
     for name, (arguments, _, _) in COMMANDS.items():
         module, action = name.split()
         if module not in actions:
             actions[module] = modules.add_parser(module).add_subparsers(dest="action", required=True)
-        p = actions[module].add_parser(action)
+        p = parsers[module, action] = actions[module].add_parser(action)
         for arg in arguments:
             p.add_argument(arg, **ARGUMENTS[arg])
         p.set_defaults(command=name)
-    return parser
+    return parsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[()]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the subparser of the command its first two words name; by the
+    whole tree if they name none, words are left over or the root would read one as
+    two of its options ("--=x"), so that every usage, help and error line is the tree's."""
+    leaf = _parsers().get(tuple(argv[:2]))
+    if leaf is not None and not any(a.startswith("--=") for a in argv[2:]):
+        args, rest = leaf.parse_known_args(argv[2:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     arguments, parse, handler = COMMANDS[args.command]
+    # ints of MAX_CERTIFICATE_DIGITS digits must read and print: hold the limit there (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    held = 0 < limit < MAX_CERTIFICATE_DIGITS
+    if held:
+        sys.set_int_max_str_digits(MAX_CERTIFICATE_DIGITS)
     try:
         try:
             inputs = parse(_load_json(args.config) if "config" in arguments else None, args)
@@ -632,6 +652,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if held:
+            sys.set_int_max_str_digits(limit)
     _summary(args.command, output)
     return EXIT_OK if passed else EXIT_FAIL
 

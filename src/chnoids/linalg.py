@@ -3,13 +3,14 @@
 Matrices are tuples of row tuples of GaussianRational.  Everything here
 is pure and allocation-light; sizes never exceed a handful of rows.
 ``scaled`` writes a matrix as M/d with M over the Gaussian integers, and
-``char_coefficients`` and ``minors`` decide 3x3 questions on M in Python ints.
+``invariants`` and ``rank_at_most_one`` are the one kernel that decides 3x3
+questions on M: straight-line products of its 18 int parts, with no call per
+product.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
 
 from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, dot
 
@@ -40,9 +41,6 @@ def scaled(a: Matrix) -> tuple[GaussMatrix, int]:
     return tuple(tuple((u * (d // e), v * (d // e)) for u, v, e in row) for row in parts), d
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))  # the row or column pairs of a 2x2 minor
-
-
 def gmul(x: GaussInt, y: GaussInt) -> GaussInt:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
@@ -51,30 +49,33 @@ def gsub(x: GaussInt, y: GaussInt) -> GaussInt:
     return x[0] - y[0], x[1] - y[1]
 
 
-def gsum(xs: Iterable[GaussInt]) -> GaussInt:
-    re = im = 0
-    for x, y in xs:
-        re += x
-        im += y
-    return re, im
+def invariants(m: GaussMatrix) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """T, E and D of m's characteristic polynomial w^3 - T w^2 + E w - D: tr m,
+    the sum of its principal 2x2 minors, and det m, by straight-line products
+    of the 18 int parts of m's entries."""
+    ((ar, ai), (br, bi), (cr, ci)), ((dr, di), (er, ei), (fr, fi)), ((gr, gi), (hr, hi), (kr, ki)) = m
+    # the 2x2 minors of rows 1, 2 along row 0's cofactors, and the other two principal ones
+    xr, xi = er * kr - ei * ki - fr * hr + fi * hi, er * ki + ei * kr - fr * hi - fi * hr
+    yr, yi = dr * kr - di * ki - fr * gr + fi * gi, dr * ki + di * kr - fr * gi - fi * gr
+    zr, zi = dr * hr - di * hi - er * gr + ei * gi, dr * hi + di * hr - er * gi - ei * gr
+    e_r = xr + ar * er - ai * ei - br * dr + bi * di + ar * kr - ai * ki - cr * gr + ci * gi
+    e_i = xi + ar * ei + ai * er - br * di - bi * dr + ar * ki + ai * kr - cr * gi - ci * gr
+    d_r = ar * xr - ai * xi - br * yr + bi * yi + cr * zr - ci * zi
+    d_i = ar * xi + ai * xr - br * yi - bi * yr + cr * zi + ci * zr
+    return (ar + er + kr, ai + ei + ki), (e_r, e_i), (d_r, d_i)
 
 
-def minor(m: GaussMatrix, i: int, j: int, k: int, l: int) -> GaussInt:  # rows i, j; columns k, l
-    return gsub(gmul(m[i][k], m[j][l]), gmul(m[i][l], m[j][k]))
-
-
-def minors(m: GaussMatrix) -> Iterator[GaussInt]:
-    """Every 2x2 minor of a 3x3 matrix, each only when asked for."""
-    return (minor(m, *rows, *cols) for rows in _PAIRS for cols in _PAIRS)
-
-
-def char_coefficients(m: GaussMatrix) -> Iterator[GaussInt]:
-    """T, E and D of m's characteristic polynomial w^3 - T w^2 + E w - D, each
-    only when asked for: tr m, the sum of its principal 2x2 minors, and det m."""
-    yield gsum(m[i][i] for i in range(3))
-    yield gsum(minor(m, i, j, i, j) for i, j in _PAIRS)
-    yield gsum(gmul(m[0][c], minor(m, 1, 2, k, l))  # along row 0, skipping its zeros
-               for c, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) if any(m[0][c]))
+def rank_at_most_one(m: GaussMatrix) -> bool:
+    """Whether every 2x2 minor of the 3x3 m vanishes, stopping at the first that does not."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        (ar, ai), (br, bi), (cr, ci) = m[i]
+        (dr, di), (er, ei), (fr, fi) = m[j]
+        # the minors of rows i, j on columns (0, 1), (0, 2) and (1, 2)
+        if (ar * er - ai * ei - br * dr + bi * di or ar * ei + ai * er - br * di - bi * dr
+                or ar * fr - ai * fi - cr * dr + ci * di or ar * fi + ai * fr - cr * di - ci * dr
+                or br * fr - bi * fi - cr * er + ci * ei or br * fi + bi * fr - cr * ei - ci * er):
+            return False
+    return True
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:

@@ -6,9 +6,12 @@ polynomial section matrix S = [[0, 0, -q g2], [0, 0, q g1], [g1, g2, 0]],
 which ``build_higgs`` returns.  Since omega != 0, the trace identities
 tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0 are checked as the
 polynomial identities tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a
-puncture is computed two independent ways, as a Gaussian-integer matrix over
-one denominator, and its nilpotent and end types are read from that
-numerator's 3x3 invariants.  Each route forms the powers of the puncture's
+puncture is computed two independent ways, from S (``residue_matrix``) and
+from g1, g2 and q (``residue_matrix_closed_form``), as a Gaussian-integer
+matrix over one denominator.  Each route is given r_p, which the caller reads
+in order with its puncture, and its constants, formed once per check.  The
+nilpotent and end types are read from the numerator's 3x3 invariants
+(``linalg.invariants``).  Each route forms the powers of the puncture's
 denominator e once and evaluates every polynomial homogenized to one degree
 D (``UniPoly.parts_at``), so its nine entries share the factor e^D: the
 common denominator is the lcm of the polynomials' own denominators times
@@ -168,72 +171,78 @@ def _residue(p: GaussianRational, num: list[linalg.GaussInt], den: int) -> Resid
     return _new_residue(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den)
 
 
-def residue_matrix(omega: LogOneForm, s: Section, p: GaussianRational) -> ResidueMatrix:
-    """Residue of Phi = omega S at a puncture, from its two factors.
-
-    Only omega has poles and S is polynomial, so Res_p(omega S) =
-    Res_p(omega) S(p): the residue r_p that omega holds times the products
-    ``build_higgs`` built, evaluated at p.  For p = (u + iv)/e every entry f
-    is evaluated at D, the largest degree among them, so that it sits over
-    f.den e^D and the nine share the lcm of the f.den times e^D.  A point
-    that is not a puncture raises ``SphereError``.
-    """
-    a, b, d = omega.residue_at(p).parts
-    u, v, e = p.parts
+def residue_plan(s: Section) -> tuple:
+    """Route 1's constants, formed once per check: S's nonzero entries, each with its
+    place among the nine and the factor that lifts it to den, then D, the largest
+    degree among the entries, and den, the lcm of their denominators."""
     fs = [*s[0], *s[1], *s[2]]
-    deg = max([len(f.re) for f in fs]) - 1
-    es = powers_of(e, deg)
     den = math.lcm(*[f.den for f in fs])
-    num = []
-    for f in fs:
-        if f.re:
-            x, y = f.parts_at(u, v, es, deg)
-            k = den // f.den
-            ra, rb = a * k, b * k  # r_p's numerator, scaled to the common denominator
-            num.append((ra * x - rb * y, ra * y + rb * x))
-        else:  # a zero entry, as five of S's are
-            num.append((0, 0))
+    terms = tuple((i, f, den // f.den) for i, f in enumerate(fs) if f.re)
+    return terms, max([len(f.re) for f in fs]) - 1, den
+
+
+def residue_matrix(plan: tuple, p: GaussianRational, r: GaussianRational) -> ResidueMatrix:
+    """Res_p(omega S) = r S(p) at the puncture p, as only omega has poles, for r = r_p
+    and ``plan`` = ``residue_plan(S)``.  For p = (u + iv)/e every entry f is evaluated
+    at D, so that it sits over f.den e^D and the nine share the lcm of the f.den e^D."""
+    terms, deg, den = plan
+    a, b, d = r.parts
+    u, v, e = p.parts
+    es = powers_of(e, deg)
+    num = [(0, 0)] * 9  # five of S's entries are zero
+    for i, f, k in terms:
+        x, y = f.parts_at(u, v, es, deg)
+        ra, rb = a * k, b * k  # r_p's numerator, scaled to the common denominator
+        num[i] = (ra * x - rb * y, ra * y + rb * x)
     return _residue(p, num, den * es[deg] * d)
 
 
-def residue_matrix_closed_form(data: NnoidData, p: GaussianRational) -> ResidueMatrix:
-    """Closed-form residue r_i * [[0, B], [C, 0]] evaluated at the puncture.
-
-    For p = (u + iv)/e, q is evaluated at its chart degree dq and g1, g2 at
-    dg, the larger of theirs, so that B = (-q g2, q g1)^t sits over
-    e^(dq + dg) and the row C = (g1, g2) is lifted to it by e^dq.
-    """
-    a, b, d = data.omega.residue_at(p).parts
-    u, v, e = p.parts
-    g1, g2, q = data.g1.chart, data.g2.chart, data.q.chart
+def closed_form_plan(g1: BinaryForm, g2: BinaryForm, q: BinaryForm) -> tuple:
+    """Route 2's constants, formed once per check: the charts of g1, g2 and q, dq,
+    q's degree, dg, the larger of g1's and g2's, the factors k1, k2 that lift g1,
+    g2 to lcm = lcm(g1.den, g2.den), and q.den lcm."""
+    g1, g2, q = g1.chart, g2.chart, q.chart
+    lcm = math.lcm(g1.den, g2.den)
     dq, dg = len(q.re) - 1, max(len(g1.re), len(g2.re)) - 1
+    return g1, g2, q, dq, dg, lcm // g1.den, lcm // g2.den, q.den * lcm
+
+
+def residue_matrix_closed_form(plan: tuple, p: GaussianRational,
+                               r: GaussianRational) -> ResidueMatrix:
+    """Closed-form residue r [[0, B], [C, 0]] at the puncture p, for r = r_p and ``plan`` =
+    ``closed_form_plan(g1, g2, q)``.  For p = (u + iv)/e, q is evaluated at dq and g1, g2 at
+    dg, so that B = (-q g2, q g1)^t sits over e^(dq + dg), and C = (g1, g2) is lifted by e^dq."""
+    g1, g2, q, dq, dg, k1, k2, den = plan
+    a, b, d = r.parts
+    u, v, e = p.parts
     es = powers_of(e, dq + dg)
     qx, qy = q.parts_at(u, v, es, dq)
     x1, y1 = g1.parts_at(u, v, es, dg)
     x2, y2 = g2.parts_at(u, v, es, dg)
     # the common denominator is q.den lcm e^(dq + dg): B's entries -q g2 and q g1
     # take the factors k2 and k1, and C's g1 and g2 the factors k1 lift and k2 lift
-    lcm = math.lcm(g1.den, g2.den)
-    k1, k2, lift = lcm // g1.den, lcm // g2.den, q.den * es[dq]
-    entries = ((qy * y2 - qx * x2, -qx * y2 - qy * x2, k2),
-               (qx * x1 - qy * y1, qx * y1 + qy * x1, k1),
-               (x1, y1, k1 * lift),
-               (x2, y2, k2 * lift))
-    b0, b1, c0, c1 = [(a * k * x - b * k * y, a * k * y + b * k * x) for x, y, k in entries]
+    lift = q.den * es[dq]
+    a1, b1, a2, b2 = a * k1, b * k1, a * k2, b * k2  # r_p's numerator times k1 and k2
+    mx, my = qy * y2 - qx * x2, -qx * y2 - qy * x2  # -q g2
+    px, py = qx * x1 - qy * y1, qx * y1 + qy * x1  # q g1
     zero = (0, 0)
-    num = [zero, zero, b0, zero, zero, b1, c0, c1, zero]
-    return _residue(p, num, q.den * lcm * es[dq + dg] * d)
+    num = [zero, zero, (a2 * mx - b2 * my, a2 * my + b2 * mx),
+           zero, zero, (a1 * px - b1 * py, a1 * py + b1 * px),
+           ((a1 * x1 - b1 * y1) * lift, (a1 * y1 + b1 * x1) * lift),
+           ((a2 * x2 - b2 * y2) * lift, (a2 * y2 + b2 * x2) * lift), zero]
+    return _residue(p, num, den * es[dq + dg] * d)
 
 
 def nilpotency_profile(n: linalg.GaussMatrix) -> int | None:
     """Smallest k in {1, 2, 3} with N^k = 0, or None if N^3 != 0; M = N/d has N's profile:
-    N is nilpotent iff T, E and D (``linalg.char_coefficients``) vanish, and then N^2 = 0
-    iff rank N = 1, iff every 2x2 minor vanishes."""
-    if not any(re or im for row in n for re, im in row):
-        return 1
-    if any(map(any, linalg.char_coefficients(n))):
+    N is nilpotent iff T, E and D (``linalg.invariants``) vanish, and then N^2 = 0
+    iff rank N <= 1, iff every 2x2 minor vanishes (``linalg.rank_at_most_one``)."""
+    (t0, t1), (e0, e1), (d0, d1) = linalg.invariants(n)
+    if t0 or t1 or e0 or e1 or d0 or d1:
         return None
-    return 3 if any(map(any, linalg.minors(n))) else 2
+    if not linalg.rank_at_most_one(n):
+        return 3
+    return 2 if any(map(any, n[0] + n[1] + n[2])) else 1
 
 
 # Jordan type of a nonzero nilpotent 3x3 matrix by its nilpotency profile,

@@ -9,8 +9,9 @@ stdout of ``["chnoids", argv]``, or the JSON of ``["json", obj]`` or of
 ``inputs.<generator>(*args)`` for ``[generator, *args]``.  ``{BIG}`` stands
 for 5,000 nines.
 
-``PYTHONPATH=src:tests python -m corpus.run`` checks every case in this
-process, skipping those that need numpy where it is missing; a mismatch
+``PYTHONPATH=src:tests python -m corpus.run [PREFIX ...]`` checks every case
+in this process, or with prefixes only the cases whose names start with one
+of them, skipping those that need numpy where it is missing; a mismatch
 names the case, its pin and what it got.  Stdlib only, for the floor.
 """
 
@@ -91,8 +92,14 @@ def check(case: dict) -> None:
         raise AssertionError(f"{case['name']}: took {elapsed:.2f} s, over its {case['seconds']} s")
 
 
-def main() -> int:
+def main(prefixes: list[str]) -> int:
     cases = load()
+    unmatched = [p for p in prefixes if not any(name.startswith(p) for name in cases)]
+    if unmatched:
+        print(f"no case name starts with {', '.join(unmatched)}")
+        return 2
+    cases = {name: case for name, case in cases.items()
+             if not prefixes or name.startswith(tuple(prefixes))}
     runnable = [case for case in cases.values()
                 if not case.get("numpy") or importlib.util.find_spec("numpy")]
     failed = 0
@@ -108,4 +115,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chnoids
-from chnoids import ch2, cli, exactnum, linalg, nnoid
+from chnoids import ch2, cli, exactnum, linalg, nnoid, sphere
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
@@ -193,6 +193,23 @@ def test_nnoid_check_avoids_mat_mul_and_divmod(case, monkeypatch):
     UniPoly.divmod refused, so no second residue or nilpotency path is left,
     and parsing decides "g1 and g2 share no zero" without the Q(i) resultant."""
     refuse(monkeypatch, (UniPoly, "divmod"), (linalg, "mat_mul"))
+    corpus.check(case)
+
+
+@pytest.mark.parametrize("case", CERTIFICATES)
+def test_nnoid_check_makes_no_puncture_lookup(case, monkeypatch):
+    """From build_higgs to the certificate, nnoid check reads each r_p with its
+    puncture, in order: it calls neither LogOneForm.residue_at nor
+    GaussianRational.__eq__, which a lookup by puncture would, once per earlier
+    puncture."""
+    build = nnoid.build_higgs
+
+    def build_then_refuse(data):
+        s = build(data)
+        refuse(monkeypatch, (sphere.LogOneForm, "residue_at"), (GaussianRational, "__eq__"))
+        return s
+
+    monkeypatch.setattr(nnoid, "build_higgs", build_then_refuse)
     corpus.check(case)
 
 
@@ -545,6 +562,33 @@ def test_unread_flag_rejected(argv, capsys):
     assert exc.value.code == 2
 
 
+# argvs that argparse refuses or answers itself: unread flags, bad --tol values,
+# help, the version, a missing positional or value, "--", abbreviations, and
+# words that name no command
+PARSER_ARGVS = [
+    *(f"{command} {flag}" for command, flags in UNREAD_FLAGS.items() for flag in flags),
+    *(f"ch2 classify in.json --tol{sep}{tol}" for tol in ("nan", "-1", "1e400", "x")
+      for sep in (" ", "=")),
+    "--help", "-h", "--version", "", "nnoid", "nnoid chk in.json", "check nnoid in.json",
+    *(f"{command} --help" for command in cli.COMMANDS), "nnoid check in.json -h",
+    "nnoid check in.json --version", "nnoid check", "nnoid check in.json --out",
+    "nnoid check -- in.json x", "nnoid check in.json --o", "cusp verify in.json --se x",
+    "nnoid check in.json --=x", "ch2 classify in.json --=x --ver",
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_main_parses_as_the_whole_tree(argv, capsys):
+    """main sends an argv that names a command to that command's subparser; its
+    exit code, stdout and stderr are still those of the whole argparse tree."""
+    outcomes = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv.split())
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 # every flag each subcommand reads, with inputs that pass
 KEPT_FLAGS = {
     "nnoid check": (nnoid_json(5), []),
@@ -735,12 +779,40 @@ def test_non_finite_or_negative_tol_exits_2(command, config, flags, tol, tmp_pat
     assert "argument --tol: need a finite number >= 0" in capsys.readouterr().err
 
 
-def run_python(args, timeout=60, input=None):
-    """``python args`` in a new interpreter that imports this checkout's chnoids."""
+def run_python(args, timeout=60, input=None, **env):
+    """``python args`` in a new interpreter that imports this checkout's chnoids,
+    with the environment variables env set."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=timeout, input=input)
+
+
+# A certificate prints numbers of up to MAX_CERTIFICATE_DIGITS digits whatever the
+# interpreter's own int-to-str limit: under a limit of 640, digit-limit-715, whose
+# numbers have about 4,290 digits, ended in a ValueError traceback with exit 1.
+def test_fresh_process_holds_int_digit_limit():
+    case = CASES["digit-limit-715"]
+    proc = run_python(["-m", "chnoids.cli", *case["argv"]], input=corpus.stdin_text(case),
+                      PYTHONINTMAXSTRDIGITS="640")
+    assert corpus.observed(case, proc.returncode, proc.stdout, proc.stderr) == corpus.pinned(case)
+
+
+def test_main_restores_int_digit_limit():
+    """main raises a lower limit while the command runs and restores it after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        corpus.check(CASES["digit-limit-715"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_corpus_runner_selects_by_prefix(capsys):
+    assert corpus.main(["digit-limit-", "literal-22"]) == 0
+    assert capsys.readouterr().out == "5 passed, 0 failed, 0 skipped: they need numpy\n"
+    assert corpus.main(["no-such-case"]) == 2
 
 
 # In-process tests import every module before they run, so only a new

@@ -23,6 +23,18 @@ from chnoids.nnoid import (
 from chnoids.sphere import SphereError, make_log_form
 from corpus.inputs import puncture_height_nnoid, tall_punctures_nnoid
 from test_cli import FRACTIONAL_NNOID
+from test_linalg import gsum
+
+
+def direct_residue(omega, s, p):
+    """Route 1's residue at p, with r_p looked up in omega."""
+    return residue_matrix(nnoid.residue_plan(s), p, omega.residue_at(p))
+
+
+def closed_residue(data, p):
+    """Route 2's residue at p, with r_p looked up in data's omega."""
+    plan = nnoid.closed_form_plan(data.g1, data.g2, data.q)
+    return residue_matrix_closed_form(plan, p, data.omega.residue_at(p))
 
 
 def reference_data():
@@ -76,7 +88,7 @@ def test_build_higgs_structure():
 def test_entry_residue_vanishing_section():
     # residue of entry (3,1) at p=0 is r * g1(0) = 0 since g1 = z0 vanishes there
     data = reference_data()
-    assert residue_matrix(data.omega, build_higgs(data), GQ(0)).num[2][0] == (0, 0)
+    assert direct_residue(data.omega, build_higgs(data), GQ(0)).num[2][0] == (0, 0)
 
 
 def test_trace_identities():
@@ -98,12 +110,12 @@ def test_residue_two_ways_and_kernel_relation():
     data = reference_data()
     s = build_higgs(data)
     for p in data.punctures:
-        direct = residue_matrix(data.omega, s, p)
-        closed = residue_matrix_closed_form(data, p)
+        direct = direct_residue(data.omega, s, p)
+        closed = closed_residue(data, p)
         assert direct == closed
         # C(p) B(p) = g1(-q g2) + g2(q g1) = 0: lower-left row times upper-right col
         m = direct.num
-        assert linalg.gsum([linalg.gmul(m[2][0], m[0][2]), linalg.gmul(m[2][1], m[1][2])]) == (0, 0)
+        assert gsum([linalg.gmul(m[2][0], m[0][2]), linalg.gmul(m[2][1], m[1][2])]) == (0, 0)
 
 
 def test_residue_routes_disagree_on_tampered_field():
@@ -119,11 +131,11 @@ def test_residue_routes_disagree_on_tampered_field():
     rotated = (make_log_form(data.punctures, rs[1:] + rs[:1]), s)
     for tampered in (negated, rotated):
         assert any(
-            residue_matrix(*tampered, p) != residue_matrix_closed_form(data, p)
+            direct_residue(*tampered, p) != closed_residue(data, p)
             for p in data.punctures
         )
     assert all(
-        residue_matrix(data.omega, s, p) == residue_matrix_closed_form(data, p)
+        direct_residue(data.omega, s, p) == closed_residue(data, p)
         for p in data.punctures
     )
 
@@ -146,8 +158,8 @@ def test_residue_routes_match_q_i_oracle(make):
         r = data.omega.residue_at(p)
         expected = nnoid.ResidueMatrix(p, *linalg.scaled([[r * sij(p) for sij in row]
                                                           for row in s]))
-        assert residue_matrix(data.omega, s, p) == expected
-        assert residue_matrix_closed_form(data, p) == expected
+        assert direct_residue(data.omega, s, p) == expected
+        assert closed_residue(data, p) == expected
 
 
 def value_by_scalars(f, p):
@@ -177,8 +189,8 @@ def test_residue_routes_match_entrywise_scalar_oracle(make):
         r = data.omega.residue_at(p)
         rows = [[r * value_by_scalars(sij, p) for sij in row] for row in s]
         expected = nnoid.ResidueMatrix(p, *linalg.scaled(rows))
-        assert residue_matrix(data.omega, s, p) == expected
-        assert residue_matrix_closed_form(data, p) == expected
+        assert direct_residue(data.omega, s, p) == expected
+        assert closed_residue(data, p) == expected
 
 
 def test_doubled_omega_never_agrees(monkeypatch):
@@ -189,20 +201,21 @@ def test_doubled_omega_never_agrees(monkeypatch):
     residues = [GQ(Fraction(1, 2))] * 4 + [GQ(-2)]
     data = NnoidData.make(make_log_form(ref.punctures, residues), ref.g1, ref.g2, ref.q)
     doubled = make_log_form(data.punctures, [r * 2 for r in residues])
-    monkeypatch.setattr(nnoid, "residue_matrix", lambda _, s, p: residue_matrix(doubled, s, p))
+    monkeypatch.setattr(nnoid, "residue_matrix",
+                        lambda plan, p, _: residue_matrix(plan, p, doubled.residue_at(p)))
     args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
     cert, passed = cli.cmd_nnoid_check(data, args)
     assert not passed
     assert [r["agree"] for r in cert["residues"]] == [False] * 5
     s = build_higgs(data)
-    assert any(residue_matrix(doubled, s, p).num == residue_matrix_closed_form(data, p).num
+    assert any(direct_residue(doubled, s, p).num == closed_residue(data, p).num
                for p in data.punctures)
 
 
 def test_residue_matrix_rejects_non_puncture():
     data = reference_data()
     with pytest.raises(SphereError):
-        residue_matrix(data.omega, build_higgs(data), GQ(7))
+        direct_residue(data.omega, build_higgs(data), GQ(7))
 
 
 def numerator(m):
@@ -217,7 +230,7 @@ def test_nilpotency_profile():
     data = reference_data()
     s = build_higgs(data)
     for p in data.punctures:
-        assert nilpotency_profile(residue_matrix(data.omega, s, p).num) == 3
+        assert nilpotency_profile(direct_residue(data.omega, s, p).num) == 3
 
 
 def profile_by_mat_mul(m):
@@ -327,6 +340,6 @@ def test_random_instances_full_pipeline():
         assert trace_phi(s).is_zero
         assert trace_phi_squared(s).is_zero
         for p in data.punctures:
-            m = residue_matrix(data.omega, s, p).num
+            m = direct_residue(data.omega, s, p).num
             assert jordan_type(m) == (3,)
             assert end_type(m) == EndType.TYPE_II
