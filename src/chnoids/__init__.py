@@ -4,14 +4,14 @@ Subpackages: exact Gaussian-rational arithmetic (exactnum), the punctured
 sphere (sphere), the explicit Higgs field and its residues (nnoid),
 parabolic stability (stability), CH^2 geometry and isometry
 classification (ch2), and the cusp-strip finite-difference harness (cusp).
-The input boundary they share sits here: ``InputError``, ``rational``, the
-reader of every exact rational literal, ``int_ratio``, its reader of the
-integer and ``a/b`` literals in Python ints, ``integer``, the reader of every
-JSON count and degree, ``number``, the reader of every JSON real, and
-``array``, the reader of every JSON list.  Every immutable value class
-derives from ``Value``, which writes once that its fields are its slots,
-that none of them can be set, and that a value equals only a value of its
-own class, field by field.  Each submodule is imported on first access as
+The input boundary they share sits here: ``InputError``, ``literal``, the
+exact literal grammar (README, "Literal grammar"), ``int_ratio``, its one
+part reader, ``rational``, ``integer``, the reader of every JSON count and
+degree, ``number``, the reader of every JSON real, and ``array``, the
+reader of every JSON list.  Every immutable value class derives from
+``Value``, which writes once that its fields are its slots, that none of
+them can be set, and that a value equals only a value of its own class,
+field by field.  Each submodule is imported on first access as
 ``chnoids.<name>``, so a command loads only the modules it runs.
 """
 
@@ -33,92 +33,70 @@ class InputError(ValueError):
     """Input outside a command's domain: ``chnoids`` exits 2 on it and its subclasses."""
 
 
-# a decimal literal, in Fraction's syntax: integer digits, fraction digits and
-# an optional exponent sign and exponent digits; compiled on first use
-_DIGITS = r"(\d*|\d+(?:_\d+)*)"
-_EXPONENT_LITERAL = rf"\s*[+-]?(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?(?:[eE]([+-]?)(\d+(?:_\d+)*))?\s*"
+# The exact literal grammar, written out in the README's "Literal grammar"
+# section.  ``literal`` matches a whole literal; its groups are the real part
+# when an integer or n/d, the signed imaginary part after it, the imaginary
+# part alone (each before an "i"), and the real part when a decimal.
+_RATIO = r"[0-9]+(?:/[0-9]+)?"
+_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+literal = _re.compile(
+    rf"([+-]?{_RATIO})(?:([+-](?:{_RATIO})?)i)?|([+-]?(?:{_RATIO}|{_DECIMAL})?)i|([+-]?{_DECIMAL})"
+).fullmatch
 
 
 def int_ratio(s: str) -> tuple[int, int]:
-    """(n, d) with s = n/d, read by ``int`` alone; d may be 0.
-
-    s is an integer literal as ``int`` reads it, or n/d with a digit on each
-    side of "/" and no underscore, which Fraction reads as ``int`` does on
-    every Python version.  Any other s, with a decimal point or an exponent
-    among them, is a ValueError, and s with a part of more than
-    MAX_CERTIFICATE_DIGITS digits an ``InputError``.
-    """
-    if len(s) > MAX_CERTIFICATE_DIGITS:
-        _refuse_tall(s)
-    if "/" not in s:
-        return int(s), 1
-    n, _, d = s.partition("/")
-    # int would also read a space or a sign beside "/", which Fraction refuses,
-    # and an underscore, which Fraction reads only from Python 3.11
-    if "_" in s or not (n[-1:].isdecimal() and d[:1].isdecimal()):
-        raise ValueError(f"not an n/d literal: {s!r}")
-    return int(n), int(d)
+    """(n, d) with s = n/d, d possibly 0, for a part s of the grammar; else a ValueError."""
+    if literal(s) is None or s.endswith("i"):
+        raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    return part_ratio(s)
 
 
-def _refuse_tall(s: str) -> None:
-    """Refuse s with an ``InputError`` when one of its "/"-separated parts is an
-    integer literal of more than MAX_CERTIFICATE_DIGITS digits, before ``int``
-    reads it: ``int`` refuses such a part only while the interpreter's own
-    limit is on, in words that vary with the Python version."""
-    for part in s.split("/"):
-        part = part.strip()
-        digits = (part[1:] if part[:1] in ("+", "-") else part).replace("_", "")
-        if len(digits) > MAX_CERTIFICATE_DIGITS and digits.isdecimal():
+def part_ratio(s: str) -> tuple[int, int]:
+    """``int_ratio(s)`` for a matched part s; an ``InputError``, before n or d is built, when
+    a part has more than MAX_CERTIFICATE_DIGITS digits before "/" or ".", or n or d would:
+    a decimal, its significant digits times 10^e over 10^k for k fraction digits."""
+    limit = MAX_CERTIFICATE_DIGITS
+    if "/" in s:
+        n, _, d = s.partition("/")
+        if len(s) > limit and max(len(n.lstrip("+-")), len(d)) > limit:
             raise _over_limit(s)
+        return int(n), int(d)
+    if len(s) <= limit or len(s.lstrip("+-")) <= limit:
+        try:
+            return int(s), 1
+        except ValueError:
+            pass  # a decimal: int reads every other part of the grammar
+    elif s.lstrip("+-").isdigit():
+        raise _over_limit(s)
+    mantissa, _, exp = s.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = exp.lstrip("+-").lstrip("0")
+    e = int(digits or 0) if len(digits) <= len(str(limit)) else limit + 1  # longer is over anyway
+    up, down = (0, e) if exp[:1] == "-" else (e, 0)
+    whole = whole.lstrip("+-")
+    significant = (whole + frac).lstrip("0")
+    if max(len(whole), len(significant) + up, len(frac) + 1 + down) > limit:
+        raise _over_limit(s)
+    n = int(significant or 0) * 10**up
+    return -n if s[0] == "-" else n, 10 ** (len(frac) + down)
 
 
-def _over_limit(literal: str) -> InputError:
+def _over_limit(s: str) -> InputError:
     return InputError(
-        f"exact literal {reprlib.repr(literal)} is over the limit of {MAX_CERTIFICATE_DIGITS} digits")
+        f"exact literal {reprlib.repr(s)} is over the limit of {MAX_CERTIFICATE_DIGITS} digits")
 
 
 def rational(x) -> Fraction:
-    """x as a Fraction, from a Fraction, an int or a literal that Fraction reads.
-
-    An integer or ``a/b`` literal with no underscore is read by ``int_ratio``
-    and becomes Fraction(n, d); any other literal, and a zero denominator,
-    goes to Fraction itself, which gives the value or the error (it reads an
-    underscore only from Python 3.11).  Fraction builds 10^|e| in full for
-    an exponent e, and 10^k for k fraction digits, so a literal with a
-    decimal point or an exponent is refused with an ``InputError``, before
-    it is built, when the numerator or the denominator that Fraction would
-    build from its mantissa and exponent has more than
-    MAX_CERTIFICATE_DIGITS digits, and so is a literal with an integer part
-    of more digits than that.
-    """
+    """x as a Fraction, from a Fraction, an int or a part of the exact literal
+    grammar, read by ``int_ratio``; a zero denominator is Fraction's
+    ZeroDivisionError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if not isinstance(x, str):
         raise TypeError(f"cannot coerce {x!r} to an exact rational")
-    if len(x) > MAX_CERTIFICATE_DIGITS:
-        _refuse_tall(x)
-    if "." in x or "e" in x or "E" in x:
-        m = _re.fullmatch(_EXPONENT_LITERAL, x)
-        if m:
-            whole, frac, sign, exp = (g.replace("_", "") for g in m.groups(""))
-            limit = MAX_CERTIFICATE_DIGITS
-            exp = exp.lstrip("0")
-            e = int(exp or 0) if len(exp) <= len(str(limit)) else limit + 1  # longer is over anyway
-            num = len((whole + frac).lstrip("0")) + (0 if sign == "-" else e)
-            den = len(frac) + 1 + (e if sign == "-" else 0)
-            if max(num, den) > limit:
-                raise _over_limit(x)
-    elif "_" not in x:
-        try:
-            n, d = int_ratio(x)
-        except ValueError:
-            pass  # an invalid literal: Fraction gives the error
-        else:
-            if d:
-                return Fraction(n, d)
-    return Fraction(x)
+    return Fraction(*int_ratio(x))
 
 
 def integer(x, what: str) -> int:

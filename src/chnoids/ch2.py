@@ -11,6 +11,7 @@ the exact classifier) runs without it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -233,12 +234,16 @@ class Matrix21(Value):
         return Matrix21.exact([[GaussianRational.parse(s) for s in row] for row in rows])
 
 
+# a complex literal's spaces: around the sign of a part (not an exponent's) or before "i"
+_SIGN_SPACES = re.compile(r"(?<![eE]) *([+-]) *| +(?=i\Z)")
+
+
 def _format_complex(x: complex) -> str:
     return f"{x.real:.17g}{x.imag:+.17g}i"
 
 
 def _parse_complex(s: str) -> complex:
-    s = s.strip().replace(" ", "")
+    s = _SIGN_SPACES.sub(r"\1", s.strip()) if " " in s else s.strip()  # "1 0" stays refused
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:

@@ -3,16 +3,14 @@
 Scalars, univariate polynomials, homogeneous binary forms and rational
 1-forms, all with exact coefficients.  A scalar is held as three Python
 ints a, b, d meaning (a + bi)/d, in lowest terms with d > 0.  A literal
-whose parts are integer or n/d literals is read into that triple by
-``chnoids.int_ratio`` and one gcd, and every scalar is written from it,
-each part reduced by its gcd with d; no Fraction is built either way.  A
-decimal or exponent literal, an underscore in an n/d one, and a zero
-denominator go through ``rational``.  The polynomial kernels (product,
-division, evaluation) and ``dot`` write their operands as Gaussian
-integers over one common denominator, accumulate in Python ints, and
-reduce each output by one gcd; a polynomial is held that way.
-Evaluation at z = (u + iv)/e is homogenized: it reads the powers of e
-from a list that a caller evaluating several polynomials at one point
+(README, "Literal grammar") is read into that triple by ``chnoids.literal``,
+its part reader and one gcd, and every scalar is written from it, each
+part reduced by its gcd with d; no Fraction is built either way.  The
+polynomial kernels (product, division, evaluation) and ``dot`` write their
+operands as Gaussian integers over one common denominator, accumulate in
+Python ints, and reduce each output by one gcd; a polynomial is held that
+way.  Evaluation at z = (u + iv)/e is homogenized: it reads the powers of
+e from a list that a caller evaluating several polynomials at one point
 forms once.  A residue is num(p)/den'(p), from three evaluations.
 Zero-locus queries never materialize algebraic numbers: everything goes
 through gcds and evaluation.
@@ -20,13 +18,12 @@ through gcds and evaluation.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd as _gcd
 from math import lcm as _lcm
 from typing import Iterable, Sequence
 
-from . import Value, array, int_ratio, integer, rational
+from . import Value, array, integer, literal, part_ratio, rational
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -40,7 +37,7 @@ class GaussianRational(Value):
     so equal numbers have equal triples.  Instances are immutable; build
     them with ``GaussianRational.of`` (or ``GQ``) and ``parse``.  The
     literal ``str`` writes, "a/b+c/di", is each part as Fraction writes it;
-    ``parse`` reads that form and the others Fraction reads, part by part.
+    ``parse`` reads that form and every other literal of the grammar.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -179,42 +176,21 @@ class GaussianRational(Value):
 
     @staticmethod
     def parse(s: str) -> "GaussianRational":
-        s = s.strip().replace(" ", "")
-        re_part = s
-        im_part = "0"
-        b = 0
-        f = 1
-        try:
-            if s.endswith("i"):
-                # split into real part and imaginary coefficient
-                m = _split_complex(s[:-1])
-                re_part, im_part = m.groups() if m else ("0", s[:-1])
-                if im_part in ("", "+", "-"):
-                    im_part += "1"
-                b, f = int_ratio(im_part)
-            a, d = int_ratio(re_part)
-        except ValueError:
-            d = 0
-        if d == f:
-            if d == 1:
-                return _new(a, b, 1)
-            if d:
-                return _canonical(a, b, d)
-        elif d and f:
-            return _canonical(a * f, b * d, d * f)
-        # a decimal or exponent literal, an n/d one with an underscore, a zero
-        # denominator or an invalid literal: Fraction gives the value or the error
-        if not s:
-            raise ValueError("empty Gaussian rational literal")
-        try:
-            return GaussianRational.of(re_part, im_part)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {s!r}") from exc
-
-
-# a literal's real part, an integer or a/b literal, and its signed imaginary
-# coefficient, whose digits may be omitted ("1+i")
-_split_complex = _re.compile(r"([+-]?\d+(?:/\d+)?)([+-](?:\d+(?:/\d+)?)?)").fullmatch
+        """The Gaussian literal s of the exact literal grammar (``chnoids.literal``)."""
+        m = literal(s) if s.__class__ is str else None  # any other s fails on strip
+        if m is None:
+            if not s.strip():
+                raise ValueError("empty Gaussian rational literal")
+            raise ValueError(f"Invalid literal for Fraction: {s[:-1] if s.endswith('i') else s!r}")
+        re_part, im_part, im_alone, re_decimal = m.groups()
+        a, d = (0, 1) if im_alone is not None else part_ratio(re_part or re_decimal)
+        im_part = im_part or im_alone  # its digits may be omitted: "i", "1-i"
+        b, f = (0, 1) if im_part is None else part_ratio(im_part + "1" if im_part in ("", "+", "-") else im_part)
+        if d == f == 1:
+            return _new(a, b, 1)
+        if not (d and f):
+            raise ValueError(f"zero denominator in {s!r}")
+        return _canonical(a, b, d) if d == f else _canonical(a * f, b * d, d * f)
 
 
 def _ratio_str(n: int, d: int) -> str:

@@ -172,6 +172,21 @@ def test_refused_literal_error_lines_pinned(literal):
         corpus.check(case)
 
 
+def test_no_str_reaches_fraction(monkeypatch):
+    """Every exact literal of the corpus is read into ints by the grammar's one
+    part reader: while every case runs, Fraction is never given a str."""
+    new, given = Fraction.__new__, []
+
+    def recorded(cls, *args, **kwargs):
+        given.extend(arg for arg in args if isinstance(arg, str))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", recorded)
+    for case in CASES.values():
+        corpus.check(case)
+    assert given == []
+
+
 def refuse(monkeypatch, *targets):
     """Make each attribute (owner, name) of targets raise when it is called."""
     for owner, name in targets:
