@@ -24,6 +24,10 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-9
 
+# the largest float entry modulus M read: each entry of A* J A sums three products of
+# modulus at most M^2, and 3 * 7.7e153^2 is under the largest float, so none overflows
+MAX_FLOAT_ENTRY = 7.7e153
+
 J_EXACT = linalg.mat(
     [
         [GaussianRational.of(1), GaussianRational.of(0), GaussianRational.of(0)],
@@ -149,13 +153,10 @@ def normalize_points(f) -> tuple[np.ndarray, np.ndarray]:
     z, ok = _unit_representatives(np.asarray(f, dtype=complex))
     if not ok.all():
         raise CH2Error("a CH^2 point needs a nonzero finite representative")
-    inside = _norms(z)
-    if not (inside < 0).all():
+    zz = _norms(z)
+    if not (zz < 0).all():
         raise CH2Error("distance arguments must lie in CH^2")
-    # the distances keep numpy's own rounding of <Z,Z>; where it is not negative
-    # at a point that in_ch2 accepts, the scalar path's value stands in
-    zz = _herm_forms(z, z).real
-    return z, np.where(zz < 0, zz, inside)
+    return z, zz
 
 
 def normalized_distances(z, zz, w, ww) -> np.ndarray:
@@ -243,6 +244,8 @@ def _format_complex(x: complex) -> str:
 
 
 def _parse_complex(s: str) -> complex:
+    if not s.isascii() or "_" in s:  # complex() would read "1_0" and non-ASCII digits
+        raise CH2Error(f"bad complex literal {s.strip()!r}")
     s = _SIGN_SPACES.sub(r"\1", s.strip()) if " " in s else s.strip()  # "1 0" stays refused
     if s.endswith("i"):
         s = s[:-1] + "j"
@@ -252,30 +255,19 @@ def _parse_complex(s: str) -> complex:
         raise CH2Error(f"bad complex literal {s!r}") from exc
 
 
-def identity_matrix(exact: bool = True) -> Matrix21:
-    if exact:
-        return Matrix21(linalg.identity(3))
-    import numpy as np
-
-    return Matrix21.floating(np.eye(3, dtype=complex))
-
-
 def boost(t: float) -> Matrix21:
     """One-parameter loxodromic family translating along a real geodesic."""
     c, s = math.cosh(t), math.sinh(t)
     return Matrix21.floating([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
-def geodesic_point(t: float) -> tuple[complex, complex, complex]:
-    """Unit-speed-parametrized geodesic through the origin e3 (speed 2)."""
-    return (math.sinh(t), 0.0, math.cosh(t))
-
-
 def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
     """A* J A = J, exactly for exact backing, entrywise within tol otherwise.
 
     Exact backing tests M* J M = d^2 J in Python ints, for A = M/d; the
-    Gram matrix is Hermitian, so its upper triangle decides.
+    Gram matrix is Hermitian, so its upper triangle decides.  A float
+    backing with an entry of modulus over MAX_FLOAT_ENTRY, or not finite,
+    is refused.
     """
     if a.is_exact:
         m, d = a.scaled
@@ -292,11 +284,13 @@ def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
         return True
     import numpy as np
 
-    j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
     arr = a.as_array()
+    top = float(np.abs(arr).max())
+    if not top <= MAX_FLOAT_ENTRY:
+        raise CH2Error(f"a float matrix entry is not finite or over {MAX_FLOAT_ENTRY:g} in modulus")
+    j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
     lhs = arr.conj().T @ j_float @ arr
-    scale = max(1.0, float(np.abs(arr).max()) ** 2)
-    return bool(np.abs(lhs - j_float).max() <= tol * scale)
+    return bool(np.abs(lhs - j_float).max() <= tol * max(1.0, top * top))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
         agree = direct == nnoid.residue_matrix_closed_form(closed, p, r)
         k = nnoid.nilpotency_profile(direct.num)
         jt = nnoid.JORDAN_TYPES.get(k)
-        et = nnoid.END_TYPES[jt].value if jt else None
+        et = nnoid.END_TYPES[jt] if jt else None
         ok = agree and k == 3
         residues_ok = residues_ok and ok
         residue_detail.append(

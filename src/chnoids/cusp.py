@@ -97,13 +97,8 @@ class StripField:
 
     @cached_property
     def row_means(self) -> np.ndarray:
-        """Row means m(y), computed once per field."""
+        """Row means m(y), by the periodic trapezoid rule (spectrally accurate), once per field."""
         return self.u.mean(axis=1)
-
-
-def mean_function(s: StripField) -> np.ndarray:
-    """Row means m(y); periodic trapezoid quadrature (spectrally accurate)."""
-    return s.row_means
 
 
 def oscillation_a(s: StripField) -> np.ndarray:
@@ -179,14 +174,14 @@ def _strip_report(s: StripField, tol: Optional[float], slack: np.ndarray) -> Str
 @np.errstate(over="ignore", invalid="ignore")
 def check_mean_convexity(s: StripField, tol: Optional[float] = None) -> StripReport:
     """Discrete second differences of the row mean must be >= -tol."""
-    m = mean_function(s)
+    m = s.row_means
     return _strip_report(s, tol, (m[2:] - 2 * m[1:-1] + m[:-2]) / s.grid.hy**2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_sup_bound(s: StripField, tol: Optional[float] = None) -> StripReport:
     """U(0, y) <= sup_t m(t) + sqrt(2 pi) A(y) with slack tol, every row."""
-    m_sup = float(mean_function(s).max())
+    m_sup = float(s.row_means.max())
     return _strip_report(s, tol, m_sup + math.sqrt(TWO_PI) * oscillation_a(s) - s.u[:, 0])
 
 

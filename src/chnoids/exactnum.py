@@ -146,18 +146,6 @@ class GaussianRational(Value):
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    # Value's __eq__ and __hash__, written out for speed: puncture lookups compare scalars
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GaussianRational:
-            return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     # -- serialization ("a/b+c/di") ---------------------------------------
 
     def __str__(self) -> str:
@@ -278,7 +266,6 @@ def dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> Gauss
 GQ = GaussianRational.of
 ZERO = GQ(0)
 ONE = GQ(1)
-I = GQ(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly, dot
 
 Matrix = tuple[tuple[GaussianRational, ...], ...]
-Vector = tuple[GaussianRational, ...]
 GaussInt = tuple[int, int]  # (re, im), Python ints
 GaussMatrix = tuple[tuple[GaussInt, ...], ...]
 
@@ -76,17 +75,6 @@ def rank_at_most_one(m: GaussMatrix) -> bool:
                 or br * fr - bi * fi - cr * er + ci * ei or br * fi + bi * fr - cr * ei - ci * er):
             return False
     return True
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_zero for row in a for x in row)
 
 
 def conj_transpose(a: Matrix) -> Matrix:

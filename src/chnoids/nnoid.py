@@ -20,7 +20,6 @@ e^D, and the residue is reduced by one gcd.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from . import InputError, Value, array, integer, linalg
@@ -121,11 +120,6 @@ def _new_residue(point: GaussianRational, num: linalg.GaussMatrix, den: int) -> 
     _set_num(m, num)
     _set_den(m, den)
     return m
-
-
-class EndType(enum.Enum):
-    TYPE_I = "I"
-    TYPE_II = "II"
 
 
 def build_higgs(data: NnoidData) -> Section:
@@ -248,7 +242,7 @@ def nilpotency_profile(n: linalg.GaussMatrix) -> int | None:
 # Jordan type of a nonzero nilpotent 3x3 matrix by its nilpotency profile,
 # and end type by Jordan type
 JORDAN_TYPES = {2: (2, 1), 3: (3,)}
-END_TYPES = {(2, 1): EndType.TYPE_I, (3,): EndType.TYPE_II}
+END_TYPES = {(2, 1): "I", (3,): "II"}
 
 
 def jordan_type(n: linalg.GaussMatrix) -> tuple[int, ...]:
@@ -260,5 +254,5 @@ def jordan_type(n: linalg.GaussMatrix) -> tuple[int, ...]:
     return JORDAN_TYPES[k]
 
 
-def end_type(n: linalg.GaussMatrix) -> EndType:
+def end_type(n: linalg.GaussMatrix) -> str:
     return END_TYPES[jordan_type(n)]

@@ -28,12 +28,6 @@ class LogOneForm(Value):
 
     __slots__ = ("punctures", "residues")
 
-    def residue_at(self, p: GaussianRational) -> GaussianRational:
-        try:
-            return self.residues[self.punctures.index(p)]
-        except ValueError:
-            raise SphereError(f"{p} is not a puncture of this form") from None
-
     def to_json(self) -> dict:
         return {
             "punctures": [str(p) for p in self.punctures],

@@ -121,3 +121,10 @@ def puncture_height_nnoid(n: int, height: int) -> dict:
     rest = sum(k.bit_length() + 1 for k in range(n - 1))
     obj["punctures"][-1] = f"1/{2 ** (height - rest - 2)}"
     return obj
+
+
+def boost_matrix(t: float) -> dict:
+    """The `ch2 classify` input that ``ch2.boost(t).to_json()`` writes."""
+    from chnoids import ch2  # here, not at the top: a float matrix needs numpy, the floor has none
+
+    return ch2.boost(t).to_json()

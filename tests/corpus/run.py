@@ -4,10 +4,11 @@
 ``{"numpy": true}`` or a time bound ``{"seconds": s}`` where one holds.
 argv is split at spaces.  After exit 2, an input error, stdout is empty and
 stderr is the one line ``error: <pin>``; otherwise pin is the sha256 of
-stdout.  stdin is null, ``["file", name]``, a file beside this module, the
-stdout of ``["chnoids", argv]``, or the JSON of ``["json", obj]`` or of
-``inputs.<generator>(*args)`` for ``[generator, *args]``.  ``{BIG}`` stands
-for 5,000 nines.
+stdout, and stderr holds only the ``[chnoids ...]`` summary and its ok/FAIL
+lines.  A case fails on any warning its run raises.  stdin is null,
+``["file", name]``, a file beside this module, the stdout of ``["chnoids",
+argv]``, or the JSON of ``["json", obj]`` or of ``inputs.<generator>(*args)``
+for ``[generator, *args]``.  ``{BIG}`` stands for 5,000 nines.
 
 ``PYTHONPATH=src:tests python -m corpus.run [PREFIX ...]`` checks every case
 in this process, or with prefixes only the cases whose names start with one
@@ -20,14 +21,19 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from chnoids import cli
 from corpus import inputs
 
 HERE = Path(__file__).parent
+
+# what cli._summary writes to stderr after exit 0 or 1, and nothing else
+SUMMARY = re.compile(r"\[chnoids [^]\n]*\] status: [^\n]*\n(?:  (?:ok  |FAIL) [^\n]*\n)*").fullmatch
 
 
 def load() -> dict[str, dict]:
@@ -83,11 +89,19 @@ def observed(case: dict, code: int, out: str, err: str) -> dict:
 def check(case: dict) -> None:
     """Run case, raising an AssertionError on a mismatch."""
     text = stdin_text(case)
-    start = time.perf_counter()
-    got = observed(case, *run(case["argv"], text))
-    elapsed = time.perf_counter() - start
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code, out, err = run(case["argv"], text)
+        elapsed = time.perf_counter() - start
+    got = observed(case, code, out, err)
     if got != pinned(case):
         raise AssertionError(f"{case['name']}: pinned {pinned(case)}, got {got}")
+    if caught:
+        warning = caught[0]
+        raise AssertionError(f"{case['name']}: warned {warning.category.__name__}: {warning.message}")
+    if code != cli.EXIT_INPUT and not SUMMARY(err):
+        raise AssertionError(f"{case['name']}: stderr holds more than the summary: {err!r}")
     if elapsed > case.get("seconds", elapsed):
         raise AssertionError(f"{case['name']}: took {elapsed:.2f} s, over its {case['seconds']} s")
 

@@ -7,10 +7,11 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ_I
+from sympy.polys.matrices import DomainMatrix
 
 from chnoids import cli, linalg, nnoid, stability
 from chnoids.ch2 import (
@@ -18,8 +19,6 @@ from chnoids.ch2 import (
     boost,
     classify_isometry,
     distance,
-    geodesic_point,
-    identity_matrix,
     in_ch2,
     preserves_form,
     random_exact_form_preserving,
@@ -31,7 +30,6 @@ from chnoids.cusp import (
     StripGrid,
     check_mean_convexity,
     check_sup_bound,
-    mean_function,
     oscillation_a,
     random_subharmonic_spec,
 )
@@ -81,11 +79,10 @@ def test_criterion_1_nnoid_exact_suite(exact_suite, report):
             m = residue.num
             ok = ok and nnoid.nilpotency_profile(m) == 3
             ok = ok and nnoid.jordan_type(m) == (3,)
-            ok = ok and nnoid.end_type(m) == nnoid.EndType.TYPE_II
+            ok = ok and nnoid.end_type(m) == "II"
         # factored-field residue Res_p(omega) S(p) cross-checked against the closed form,
         # numerator and denominator
-        p0 = data.punctures[0]
-        r0 = data.omega.residue_at(p0)
+        p0, r0 = data.punctures[0], data.omega.residues[0]
         ok = ok and nnoid.residue_matrix(nnoid.residue_plan(s), p0, r0) == residues[0]
     elapsed = build_time + (time.time() - t0)
     in_time = elapsed < 120.0
@@ -175,7 +172,7 @@ def parabolic_seed() -> Matrix21:
 
 def test_criterion_5_isometry_classifier(report):
     seeds = [
-        (identity_matrix(), "elliptic", True),
+        (Matrix21.exact(linalg.identity(3)), "elliptic", True),
         (boost(1.0), "loxodromic", False),
         (parabolic_seed(), "parabolic", True),
     ]
@@ -217,7 +214,7 @@ def test_criterion_6_metric_properties(report):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         o = (v[0], v[1], 2.5 + abs(v[2]))
         ts = np.linspace(-2.0, 2.0, 81)
-        vals = [distance(o, geodesic_point(t)) for t in ts]
+        vals = [distance(o, (math.sinh(t), 0.0, math.cosh(t))) for t in ts]  # a geodesic through e3
         worst = min(worst, float(np.diff(vals, 2).min() / (ts[1] - ts[0]) ** 2))
     ok = ok and worst >= -1e-6
     report(
@@ -232,12 +229,12 @@ def test_criterion_7_unipotent_monodromy(exact_suite, report):
     suite, _ = exact_suite
     ok = True
     # (exp(2 pi i r N) - I)^3 = a^3 N^3 (I + (a/2) N)^3 for commuting powers,
-    # so exact vanishing of N^3 certifies the norm bound with value 0
+    # so exact vanishing of N^3 certifies the norm bound with value 0; for N = num/den
+    # that is num^3 = 0, taken over sympy's Gaussian integers, an independent oracle
     for _, _, residues in suite:
         for residue in residues:
-            m = linalg.mat([[GQ(Fraction(u, residue.den), Fraction(v, residue.den))
-                             for u, v in row] for row in residue.num])
-            ok = ok and linalg.is_zero_matrix(linalg.mat_pow(m, 3))
+            num = DomainMatrix([[ZZ_I(u, v) for u, v in row] for row in residue.num], (3, 3), ZZ_I)
+            ok = ok and (num**3).is_zero_matrix
     # nonzero nilpotent N in u(2,1): K = i t v v* J with v null; exp is in
     # U(2,1) for real t r and must classify parabolic
     xrng = random.Random(4)
@@ -286,7 +283,7 @@ def test_criterion_8_cusp_harness(report):
         a = oscillation_a(s)
         exact_a = math.sqrt(math.pi) * np.exp(-g.ys)
         errs_a.append(float(np.abs(a - exact_a).max()))
-        m = mean_function(s)
+        m = s.row_means
         second = (m[2:] - 2 * m[1:-1] + m[:-2]) / g.hy**2
         errs_m.append(float(np.abs(second - np.exp(-g.ys[1:-1])).max()))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errs_a, errs_a[1:])]

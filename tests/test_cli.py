@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chnoids
-from chnoids import ch2, cli, exactnum, linalg, nnoid, sphere
+from chnoids import ch2, cli, exactnum, linalg, nnoid
 from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
@@ -214,14 +214,13 @@ def test_nnoid_check_avoids_mat_mul_and_divmod(case, monkeypatch):
 @pytest.mark.parametrize("case", CERTIFICATES)
 def test_nnoid_check_makes_no_puncture_lookup(case, monkeypatch):
     """From build_higgs to the certificate, nnoid check reads each r_p with its
-    puncture, in order: it calls neither LogOneForm.residue_at nor
-    GaussianRational.__eq__, which a lookup by puncture would, once per earlier
-    puncture."""
+    puncture, in order: it never calls GaussianRational.__eq__, which a lookup
+    by puncture would, once per earlier puncture."""
     build = nnoid.build_higgs
 
     def build_then_refuse(data):
         s = build(data)
-        refuse(monkeypatch, (sphere.LogOneForm, "residue_at"), (GaussianRational, "__eq__"))
+        refuse(monkeypatch, (GaussianRational, "__eq__"))
         return s
 
     monkeypatch.setattr(nnoid, "build_higgs", build_then_refuse)

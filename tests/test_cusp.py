@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chnoids import cusp
-from chnoids.ch2 import distance, geodesic_point
+from chnoids.ch2 import distance
 from chnoids.cusp import (
     CuspGridError,
     StripField,
@@ -17,7 +17,6 @@ from chnoids.cusp import (
     check_mean_convexity,
     check_sup_bound,
     discrete_laplacian,
-    mean_function,
     oscillation_a,
     random_subharmonic_spec,
 )
@@ -69,9 +68,9 @@ def test_field_membership_is_projective(scale):
 
 
 def test_mean_function():
-    assert np.allclose(mean_function(field_from(lambda x, y: 3.0 + 0 * x)), 3.0)
-    assert np.allclose(mean_function(field_from(lambda x, y: np.cos(x))), 0.0, atol=1e-14)
-    m = mean_function(field_from(lambda x, y: y + np.exp(-y) * np.cos(x)))
+    assert np.allclose(field_from(lambda x, y: 3.0 + 0 * x).row_means, 3.0)
+    assert np.allclose(field_from(lambda x, y: np.cos(x)).row_means, 0.0, atol=1e-14)
+    m = field_from(lambda x, y: y + np.exp(-y) * np.cos(x)).row_means
     assert np.allclose(m, GRID.ys, atol=1e-13)
 
 
@@ -151,7 +150,6 @@ def test_row_means_computed_once_per_field():
     conv, sup = check_mean_convexity(field), check_sup_bound(field)
     assert CountedMeans.calls == 1
     assert conv.passed and sup.passed
-    assert mean_function(field) is field.row_means
     assert field.row_means.tobytes() == u.mean(axis=1).tobytes()
 
 
@@ -233,7 +231,8 @@ def test_distance_lipschitz_geodesic():
     g = StripGrid(16, 8, 0.0, 1.0)
     f = np.zeros((g.ny, g.nx, 3), dtype=complex)
     for ix, x in enumerate(g.xs):
-        f[:, ix, :] = geodesic_point(0.1 * math.sin(x))
+        t = 0.1 * math.sin(x)
+        f[:, ix, :] = (math.sinh(t), 0.0, math.cosh(t))  # a geodesic through e3
     s = StripField(g, np.zeros((g.ny, g.nx)), f)
     report = check_distance_lipschitz(s, (0.0, 0.0, 1.0))
     assert report.passed
@@ -283,7 +282,8 @@ def oracle_maps():
         yield f, (0.1, 0.2j, 1.0)
     geo = np.zeros((g.ny, g.nx, 3), dtype=complex)
     for ix, x in enumerate(g.xs):
-        geo[:, ix, :] = geodesic_point(0.1 * math.sin(x))
+        t = 0.1 * math.sin(x)
+        geo[:, ix, :] = (math.sinh(t), 0.0, math.cosh(t))
     yield geo, (0.0, 0.0, 1.0)
     const = np.zeros((g.ny, g.nx, 3), dtype=complex)
     const[..., 2] = 1.0

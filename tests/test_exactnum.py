@@ -92,10 +92,13 @@ gq_triple = st.builds(lambda a, b, d: GQ(Fraction(a, d), Fraction(b, d)),
 @settings(max_examples=300)
 @given(gq_triple, gq_triple)
 def test_scalar_equality_and_hash_are_those_of_value(a, b):
-    """GaussianRational writes out Value's __eq__ and __hash__; they must agree."""
-    assert (a == b) is Value.__eq__(a, b)
-    assert hash(a) == Value.__hash__(a)
-    assert a.__eq__(b.parts) is Value.__eq__(a, b.parts) is NotImplemented
+    """GaussianRational takes Value's __eq__ and __hash__, on the canonical
+    triple: equal numbers from unequal triples are equal and hash alike, and a
+    triple is not a scalar."""
+    assert (GaussianRational.__eq__, GaussianRational.__hash__) == (Value.__eq__, Value.__hash__)
+    assert (a == b) is (a - b).is_zero
+    assert a != b or hash(a) == hash(b)
+    assert a.__eq__(b.parts) is NotImplemented
 
 
 # Reference model for the differential test: a Gaussian rational as a pair

@@ -8,7 +8,6 @@ from chnoids import cli, linalg, nnoid
 from chnoids.cli import random_nnoid_data
 from chnoids.exactnum import GQ, BinaryForm
 from chnoids.nnoid import (
-    EndType,
     NnoidData,
     NnoidDataError,
     build_higgs,
@@ -20,21 +19,26 @@ from chnoids.nnoid import (
     trace_phi,
     trace_phi_squared,
 )
-from chnoids.sphere import SphereError, make_log_form
+from chnoids.sphere import make_log_form
 from corpus.inputs import puncture_height_nnoid, tall_punctures_nnoid
 from test_cli import FRACTIONAL_NNOID
 from test_linalg import gsum
 
 
+def residue_of(omega, p):
+    """r_p, looked up in omega by its puncture p."""
+    return omega.residues[omega.punctures.index(p)]
+
+
 def direct_residue(omega, s, p):
     """Route 1's residue at p, with r_p looked up in omega."""
-    return residue_matrix(nnoid.residue_plan(s), p, omega.residue_at(p))
+    return residue_matrix(nnoid.residue_plan(s), p, residue_of(omega, p))
 
 
 def closed_residue(data, p):
     """Route 2's residue at p, with r_p looked up in data's omega."""
     plan = nnoid.closed_form_plan(data.g1, data.g2, data.q)
-    return residue_matrix_closed_form(plan, p, data.omega.residue_at(p))
+    return residue_matrix_closed_form(plan, p, residue_of(data.omega, p))
 
 
 def reference_data():
@@ -154,8 +158,7 @@ def test_residue_routes_match_q_i_oracle(make):
     entry by entry in Q(i); both are canonical, so they are equal objects."""
     data = make()
     s = build_higgs(data)
-    for p in data.punctures:
-        r = data.omega.residue_at(p)
+    for p, r in zip(data.punctures, data.omega.residues):
         expected = nnoid.ResidueMatrix(p, *linalg.scaled([[r * sij(p) for sij in row]
                                                           for row in s]))
         assert direct_residue(data.omega, s, p) == expected
@@ -185,8 +188,7 @@ def test_residue_routes_match_entrywise_scalar_oracle(make):
     Q(i), at non-integer punctures, where the powers of each denominator matter."""
     data = make()
     s = build_higgs(data)
-    for p in data.punctures:
-        r = data.omega.residue_at(p)
+    for p, r in zip(data.punctures, data.omega.residues):
         rows = [[r * value_by_scalars(sij, p) for sij in row] for row in s]
         expected = nnoid.ResidueMatrix(p, *linalg.scaled(rows))
         assert direct_residue(data.omega, s, p) == expected
@@ -202,7 +204,7 @@ def test_doubled_omega_never_agrees(monkeypatch):
     data = NnoidData.make(make_log_form(ref.punctures, residues), ref.g1, ref.g2, ref.q)
     doubled = make_log_form(data.punctures, [r * 2 for r in residues])
     monkeypatch.setattr(nnoid, "residue_matrix",
-                        lambda plan, p, _: residue_matrix(plan, p, doubled.residue_at(p)))
+                        lambda plan, p, _: residue_matrix(plan, p, residue_of(doubled, p)))
     args = cli.build_parser().parse_args(["nnoid", "check", "input.json"])
     cert, passed = cli.cmd_nnoid_check(data, args)
     assert not passed
@@ -210,12 +212,6 @@ def test_doubled_omega_never_agrees(monkeypatch):
     s = build_higgs(data)
     assert any(direct_residue(doubled, s, p).num == closed_residue(data, p).num
                for p in data.punctures)
-
-
-def test_residue_matrix_rejects_non_puncture():
-    data = reference_data()
-    with pytest.raises(SphereError):
-        direct_residue(data.omega, build_higgs(data), GQ(7))
 
 
 def numerator(m):
@@ -237,7 +233,7 @@ def profile_by_mat_mul(m):
     """Smallest k in {1, 2, 3} with m^k = 0, powers taken with linalg.mat_mul."""
     power = m
     for k in range(1, 4):
-        if linalg.is_zero_matrix(power):
+        if not any(x for row in power for x in row):
             return k
         power = linalg.mat_mul(power, m)
     return None
@@ -325,8 +321,8 @@ def full_jordan():
 def test_jordan_and_end_type():
     assert jordan_type(numerator(e13())) == (2, 1)
     assert jordan_type(numerator(full_jordan())) == (3,)
-    assert end_type(numerator(e13())) == EndType.TYPE_I
-    assert end_type(numerator(full_jordan())) == EndType.TYPE_II
+    assert end_type(numerator(e13())) == "I"
+    assert end_type(numerator(full_jordan())) == "II"
     with pytest.raises(NnoidDataError):
         jordan_type(numerator(linalg.identity(3)))
     with pytest.raises(NnoidDataError):
@@ -342,4 +338,4 @@ def test_random_instances_full_pipeline():
         for p in data.punctures:
             m = direct_residue(data.omega, s, p).num
             assert jordan_type(m) == (3,)
-            assert end_type(m) == EndType.TYPE_II
+            assert end_type(m) == "II"

@@ -14,10 +14,8 @@ def punctures(*zs):
 def test_make_log_form_valid():
     P = punctures(0, 1, 2, 3, 4)
     omega = make_log_form(P, [GQ(1)] * 4 + [GQ(-4)])
-    assert omega.residue_at(GQ(3)) == GQ(1)
-    assert omega.residue_at(GQ(4)) == GQ(-4)
-    with pytest.raises(SphereError):
-        omega.residue_at(GQ(7))
+    assert omega.punctures == tuple(P)
+    assert omega.residues == (GQ(1),) * 4 + (GQ(-4),)
 
 
 def test_make_log_form_rejects():
@@ -50,8 +48,9 @@ def test_residues_sum_zero_and_match(points, data):
         return
     P = punctures(*points)
     omega = make_log_form(P, rs + [last])
+    assert omega.punctures == tuple(P)
+    assert omega.residues == tuple(rs + [last])
     total = ZERO
-    for p, r in zip(P, rs + [last]):
-        assert omega.residue_at(p) == r
-        total = total + omega.residue_at(p)
+    for r in omega.residues:
+        total = total + r
     assert total.is_zero
