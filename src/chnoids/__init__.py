@@ -139,17 +139,13 @@ class Value:
     ``Cls(*fields)`` sets every slot; a wrong field count is a ``TypeError``.
     No attribute can be set or deleted afterwards.  A value equals only a
     value of its own class with equal fields, and hashes as the tuple of
-    its fields; a class whose field does not compare or hash by value
-    (``Matrix21``'s ndarray) defines the tuple itself, as ``_values``.  A
-    value is not a tuple: it has no length, items or iterator.
+    its fields.  A value is not a tuple: it has no length, items or iterator.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_values" in vars(cls):
-            return
         get = operator.attrgetter(*cls.__slots__)
         # attrgetter gives one field bare, so a one-field class wraps it in a tuple
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))

@@ -2,14 +2,17 @@
 
 Signature-(2,1) Hermitian form, membership and distance, the isometry
 trichotomy and unipotent monodromy exponentials.  Points are binary64;
-matrices have dual numeric backing, exact Q(i) wherever the entries are
-rational and binary64 where transcendentals enter.  numpy is imported by
-the float functions only, so the exact path (parsing, ``preserves_form``,
-the exact classifier) runs without it.
+matrices are exact Q(i) wherever the entries are rational and binary64 where
+transcendentals enter.  Every binary64 number is a dyadic rational, so both
+backings are read as A = M/d with M over the Gaussian integers, and one
+integer kernel checks the form and classifies them.  numpy is imported by
+the array functions only, so ``ch2 classify`` and ``ch2 distance`` run
+without it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -23,10 +26,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-# the largest float entry modulus M read: each entry of A* J A sums three products of
-# modulus at most M^2, and 3 * 7.7e153^2 is under the largest float, so none overflows
-MAX_FLOAT_ENTRY = 7.7e153
 
 J_EXACT = linalg.mat(
     [
@@ -174,29 +173,17 @@ def normalized_distances(z, zz, w, ww) -> np.ndarray:
 
 class Matrix21(Value):
     """A 3x3 complex matrix, exact (a ``linalg.Matrix``, a tuple of Q(i)
-    row tuples) or floating (a numpy ndarray).
+    row tuples) or floating (a tuple of row tuples of Python complex).
 
-    ``scaled`` is the exact backing as (M, d) with A = M/d
-    (``linalg.scaled``), computed when the matrix is built, and None for a
-    float backing.  A float backing is held as a read-only copy, and two
-    float matrices are equal, and hash, by its dtype, shape and bytes."""
+    ``scaled`` is the matrix as (M, d) with A = M/d and M over the Gaussian
+    integers, computed when the matrix is built: ``linalg.scaled`` for an
+    exact backing, and for a float one the dyadic rationals that its binary64
+    parts are, over d a power of 2.  So one kernel on M decides both."""
 
     __slots__ = ("rows", "scaled")
 
-    def __new__(cls, rows) -> "Matrix21":  # rows: linalg.Matrix | np.ndarray
-        if isinstance(rows, tuple):
-            return super().__new__(cls, rows, linalg.scaled(rows))
-        rows = rows.copy()
-        rows.flags.writeable = False
-        return super().__new__(cls, rows, None)
-
-    @staticmethod
-    def _values(m) -> tuple:
-        # an ndarray compares elementwise and does not hash
-        rows = m.rows
-        if isinstance(rows, tuple):
-            return rows, m.scaled
-        return rows.dtype.str, rows.shape, rows.tobytes()
+    def __new__(cls, rows: linalg.Matrix) -> "Matrix21":
+        return super().__new__(cls, rows, linalg.scaled(rows))
 
     @staticmethod
     def exact(rows) -> "Matrix21":
@@ -204,23 +191,28 @@ class Matrix21(Value):
 
     @staticmethod
     def floating(rows) -> "Matrix21":
-        import numpy as np
+        """The float matrix of three rows of numbers (lists or an ndarray), copied.
 
-        return Matrix21(np.asarray(rows, dtype=complex))
+        An entry that is not finite has no dyadic value, and is refused."""
+        rows = tuple(tuple(map(complex, row)) for row in rows)
+        if not all(cmath.isfinite(x) for row in rows for x in row):
+            raise CH2Error("a float matrix entry is not finite")
+        scaled = linalg.scaled_parts([[_dyadic(x) for x in row] for row in rows])
+        return Value.__new__(Matrix21, rows, scaled)
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.rows, tuple)
+        return isinstance(self.rows[0][0], GaussianRational)
 
     def as_array(self) -> np.ndarray:
-        """The float backing's ndarray."""
-        return self.rows
+        """The float backing as a new ndarray."""
+        import numpy as np
+
+        return np.array(self.rows, dtype=complex)
 
     def to_json(self) -> dict:
-        if self.is_exact:
-            entries = [[str(x) for x in row] for row in self.rows]
-        else:
-            entries = [[_format_complex(x) for x in row] for row in self.rows.tolist()]
+        entry = str if self.is_exact else _format_complex
+        entries = [[entry(x) for x in row] for row in self.rows]
         return {"matrix": entries, "backing": "exact" if self.is_exact else "float"}
 
     @staticmethod
@@ -233,6 +225,12 @@ class Matrix21(Value):
         if any(("." in s) or ("e" in s.lower() and "/" not in s) for s in flat):
             return Matrix21.floating([[_parse_complex(s) for s in row] for row in rows])
         return Matrix21.exact([[GaussianRational.parse(s) for s in row] for row in rows])
+
+
+def _dyadic(x: complex) -> tuple[int, int, int]:
+    """(u, v, e) with x = (u + vi)/e exactly and e a power of 2, for finite parts."""
+    (u, p), (v, q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    return (u * (q // p), v, q) if p < q else (u, v * (p // q), p)
 
 
 # a complex literal's spaces: around the sign of a part (not an exponent's) or before "i"
@@ -262,39 +260,53 @@ def boost(t: float) -> Matrix21:
 
 
 def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
-    """A* J A = J, exactly for exact backing, entrywise within tol otherwise.
+    """A* J A = J: exactly for exact backing; for float backing, entrywise within
+    tol + 64 u max(|A|^T |A|), u = 2^-53, a bound on the rounding of the products
+    and sums that gave A's entries (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 3).
 
-    Exact backing tests M* J M = d^2 J in Python ints, for A = M/d; the
-    Gram matrix is Hermitian, so its upper triangle decides.  A float
-    backing with an entry of modulus over MAX_FLOAT_ENTRY, or not finite,
-    is refused.
+    Both backings test R = M* J M - d^2 J in Python ints, for A = M/d; R is
+    Hermitian, so its upper triangle decides.  max(|A|^T |A|) is the largest
+    squared column norm of A (Cauchy-Schwarz).  A float matrix whose rounding
+    allowance 64 u max(|A|^T |A|) is 1/2 or more, half the size of J's entries,
+    is refused: at that scale no allowance tells A* J A = J from A* J A != J.
     """
-    if a.is_exact:
-        m, d = a.scaled
-        for j in range(3):
-            for k in range(j, 3):
-                re = im = 0
-                for i, sign in enumerate(_J_SIGNS):
-                    (p, q), (u, v) = m[i][j], m[i][k]
-                    # conj(p + qi) (u + vi) = (pu + qv) + (pv - qu) i
-                    re += sign * (p * u + q * v)
-                    im += sign * (p * v - q * u)
-                if im or re != (_J_SIGNS[j] * d * d if j == k else 0):
-                    return False
-        return True
-    import numpy as np
-
-    arr = a.as_array()
-    top = float(np.abs(arr).max())
-    if not top <= MAX_FLOAT_ENTRY:
-        raise CH2Error(f"a float matrix entry is not finite or over {MAX_FLOAT_ENTRY:g} in modulus")
-    j_float = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    lhs = arr.conj().T @ j_float @ arr
-    return bool(np.abs(lhs - j_float).max() <= tol * max(1.0, top * top))
+    m, d = a.scaled
+    d2 = d * d
+    bound, scale = 0, 1  # |R_jk| <= bound / scale
+    if not a.is_exact:
+        w = max(sum(p * p + q * q for p, q in column) for column in zip(*m))  # d^2 max(|A|^T |A|)
+        if w >= d2 << 46:  # 64 u w / d^2 >= 1/2
+            raise CH2Error("the form cannot be decided at this scale: 64u max(|A|^T |A|) >= 1/2, "
+                           "u = 2^-53")
+        num, den = tol.as_integer_ratio()
+        bound, scale = (num * d2 << 47) + den * w, den << 47  # (tol + 2^-47 w / d^2) d^2
+    bound2, scale2 = bound * bound, scale * scale
+    for j in range(3):
+        for k in range(j, 3):
+            re = -_J_SIGNS[j] * d2 if j == k else 0
+            im = 0
+            for i, sign in enumerate(_J_SIGNS):
+                (p, q), (u, v) = m[i][j], m[i][k]
+                # conj(p + qi) (u + vi) = (pu + qv) + (pv - qu) i
+                re += sign * (p * u + q * v)
+                im += sign * (p * v - q * u)
+            if (re or im) and (re * re + im * im) * scale2 > bound2:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # classification
+
+# A float matrix's entries carry rounding, so the classifier's zero tests on it
+# allow a fixed fraction of a reference size: Goldman's f counts as zero within
+# 1/F_REL of the sum of its terms' moduli, and P = T^2 - 3E within 1/F_REL of
+# the root-sum-square of its terms' moduli; N = q M - r I counts as zero, or its
+# 2x2 minors do, within 1/RANK_REL of the root-sum-square of the moduli of qM's
+# and rI's entries, or its square.  An exact matrix's zero tests are exact.
+F_REL = 10**9
+RANK_REL = 10**3
 
 
 class IsometryClass:
@@ -303,87 +315,62 @@ class IsometryClass:
     LOXODROMIC = "loxodromic"
 
 
+def _abs2(x: linalg.GaussInt) -> int:
+    return x[0] * x[0] + x[1] * x[1]
+
+
 def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     """Elliptic / parabolic / loxodromic trichotomy for a form-preserving matrix.
 
     Loxodromic iff some eigenvalue modulus differs from 1; otherwise
-    elliptic iff diagonalizable.  Exact backing decides with exact
-    rationals only, by Goldman's trace discriminant (Complex Hyperbolic
-    Geometry, 1999, Thm 6.2.4): with tau = tr A and |det A| = 1,
-    f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is positive iff A
-    is loxodromic and negative iff A is regular elliptic.  At f = 0 an
-    eigenvalue lambda repeats; with e the sum of A's principal 2x2 minors,
-    it is tau/3, triple, if tau^2 = 3e, and else (tau e - 9 det A) /
+    elliptic iff diagonalizable.  Decided by Goldman's trace discriminant
+    (Complex Hyperbolic Geometry, 1999, Thm 6.2.4): with tau = tr A and
+    |det A| = 1, f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is
+    positive iff A is loxodromic and negative iff A is regular elliptic.  At
+    f = 0 an eigenvalue lambda repeats; with e the sum of A's principal 2x2
+    minors, it is tau/3, triple, if tau^2 = 3e, and else (tau e - 9 det A) /
     (2 (tau^2 - 3e)), double.  A double lambda is elliptic iff
     rank(A - lambda I) = 1, a triple one iff A = lambda I.
-    Float backing compares eigenvalues within ``tol``.
+
+    Both backings are decided on A = M/d with M over the Gaussian integers
+    (``Matrix21.scaled``).  M's characteristic polynomial is
+    chi_M(w) = w^3 - T w^2 + E w - D, for T = tr M, E the sum of its principal
+    2x2 minors and D = det M, and A's is chi_M(d z) / d^3: tau = T/d and
+    det A = D/d^3.  Goldman's f times d^4 |D|^2 > 0 is an integer.  At f = 0
+    chi_M has roots mu = d lambda, mu, nu: P = T^2 - 3E = (mu - nu)^2 and
+    TE - 9D = 2 mu P.  So mu = T/3 is triple if P = 0, else (TE - 9D)/(2P) is
+    double, and rank(A - lambda I) = rank(N) for N = 3M - T I or
+    2P M - (TE - 9D) I.  An exact matrix's signs and zeros are exact; a float
+    matrix's zero tests allow rounding (F_REL, RANK_REL), and ``tol`` is read
+    by the form check alone.
     """
     if not preserves_form(a, tol):
         raise CH2Error("matrix does not preserve the signature-(2,1) form")
-    if a.is_exact:
-        return _classify_exact(a)
-    return _classify_float(a.as_array(), tol)
-
-
-def _classify_exact(a: Matrix21) -> str:
-    """The exact trichotomy, on A = M/d with M over the Gaussian integers.
-
-    M's characteristic polynomial is chi_M(w) = w^3 - T w^2 + E w - D, for
-    T = tr M, E the sum of its principal 2x2 minors and D = det M, and A's
-    is chi_M(d z) / d^3: tau = T/d and det A = D/d^3.  Goldman's f times
-    d^4 |D|^2 > 0 is an integer, so its sign is exact.  At f = 0 chi_M has
-    roots mu = d lambda, mu, nu: P = T^2 - 3E = (mu - nu)^2, TE - 9D = 2 mu P.
-    So mu = T/3 is triple if P = 0, else (TE - 9D)/(2P) is double, and
-    rank(A - lambda I) = rank(N) for N = 3M - T I or 2P M - (TE - 9D) I.
-    """
+    exact = a.is_exact
     m, d = a.scaled
     t, e, det = linalg.invariants(m)
-    t_abs2 = t[0] * t[0] + t[1] * t[1]
-    det_abs2 = det[0] * det[0] + det[1] * det[1]
+    t_abs2, det_abs2 = _abs2(t), _abs2(det)
     # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
     re_t3_conj_det = gmul(gmul(gmul(t, t), t), (det[0], -det[1]))[0]
     d2 = d * d
     f = (t_abs2 * t_abs2 + (18 * t_abs2 - 27 * d2) * d2) * det_abs2 - 8 * d2 * d2 * re_t3_conj_det
-    if f > 0:
-        return IsometryClass.LOXODROMIC
-    if f < 0:
-        return IsometryClass.ELLIPTIC
+    if f and (exact or abs(f) * F_REL > (t_abs2 * t_abs2 + (18 * t_abs2 + 27 * d2) * d2) * det_abs2
+              + 8 * d2 * d2 * abs(re_t3_conj_det)):
+        return IsometryClass.LOXODROMIC if f > 0 else IsometryClass.ELLIPTIC
     p = gsub(gmul(t, t), gmul((3, 0), e))
-    triple = p == (0, 0)
+    p_abs2 = _abs2(p)
+    triple = not p_abs2 or not exact and p_abs2 * F_REL**2 <= t_abs2 * t_abs2 + 9 * _abs2(e)
     # N = q (M - mu I) for mu = r/q; A is elliptic iff rank N is 0 (triple mu) or 1 (double)
     q, r = ((3, 0), t) if triple else (gmul((2, 0), p), gsub(gmul(t, e), gmul((9, 0), det)))
     n = [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
          for i, row in enumerate(m)]
-    elliptic = not any(map(any, n[0] + n[1] + n[2])) if triple else linalg.rank_at_most_one(n)
+    slack = 0 if exact else (
+        (_abs2(q) * sum(_abs2(x) for row in m for x in row) + 3 * _abs2(r)) // RANK_REL**2)
+    if triple:
+        elliptic = sum(_abs2(x) for row in n for x in row) <= slack
+    else:
+        elliptic = linalg.rank_at_most_one(n, slack * slack)
     return IsometryClass.ELLIPTIC if elliptic else IsometryClass.PARABOLIC
-
-
-def _classify_float(arr: np.ndarray, tol: float) -> str:
-    import numpy as np
-
-    eigvals = np.linalg.eigvals(arr)
-    scale = max(1.0, float(np.abs(arr).max()))
-    eps = np.finfo(float).eps
-    # eigenvalues of a k x k Jordan block move like eps^(1/k) under roundoff;
-    # k can be 3 here, and conjugation conditioning eats another safety factor
-    modulus_tol = max(tol, 10.0 * (eps * scale) ** (1.0 / 3.0))
-    cluster_tol = max(tol, 20.0 * (eps * scale) ** (1.0 / 3.0))
-    if any(abs(abs(l) - 1.0) > modulus_tol for l in eigvals):
-        return IsometryClass.LOXODROMIC
-    remaining = list(eigvals)
-    while remaining:
-        mu = remaining[0]
-        cluster = [l for l in remaining if abs(l - mu) <= cluster_tol]
-        remaining = [l for l in remaining if abs(l - mu) > cluster_tol]
-        alg_mult = len(cluster)
-        if alg_mult == 1:
-            continue
-        center = sum(cluster) / alg_mult
-        sing = np.linalg.svd(arr - center * np.eye(3), compute_uv=False)
-        geo_mult = int(np.sum(sing <= cluster_tol * scale))
-        if geo_mult < alg_mult:
-            return IsometryClass.PARABOLIC
-    return IsometryClass.ELLIPTIC
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ picks the exit code.  ``_encode`` writes every output, with the bytes of
 Every module a command runs, past the package itself, is imported inside
 that command's parse and handler functions, so each command loads only the
 modules it runs: ``stability check`` and ``stability region`` load
-``stability`` alone, and the exact commands (``nnoid``, ``stability`` and an
-exact ``ch2 classify``) load neither numpy nor ``dataclasses``, which only
-``cusp`` uses.
+``stability`` alone, and every command but ``cusp verify`` (``nnoid``,
+``stability`` and ``ch2``, a float ``ch2 classify`` included) loads neither
+numpy nor ``dataclasses``, which only ``cusp`` uses.
 """
 
 from __future__ import annotations

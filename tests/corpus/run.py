@@ -13,7 +13,9 @@ for ``[generator, *args]``.  ``{BIG}`` stands for 5,000 nines.
 ``PYTHONPATH=src:tests python -m corpus.run [PREFIX ...]`` checks every case
 in this process, or with prefixes only the cases whose names start with one
 of them, skipping those that need numpy where it is missing; a mismatch
-names the case, its pin and what it got.  Stdlib only, for the floor.
+names the case, its pin and what it got, and a case whose command raises
+names the case and the exception, prints the traceback to stderr, and the
+run goes on.  Stdlib only, for the floor.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import json
 import re
 import sys
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -122,6 +125,10 @@ def main(prefixes: list[str]) -> int:
             check(case)
         except AssertionError as exc:
             print(f"FAIL {exc}")
+            failed += 1
+        except (Exception, SystemExit) as exc:  # a fault in the command: name it, run the rest
+            traceback.print_exc()
+            print(f"FAIL {case['name']}: {type(exc).__name__}: {exc}")
             failed += 1
     print(f"{len(runnable) - failed} passed, {failed} failed, "
           f"{len(cases) - len(runnable)} skipped: they need numpy")

@@ -405,6 +405,65 @@ def test_conjugation_invariance_float():
             assert classify_isometry(conj) == label
 
 
+def classify_float_oracle(arr: np.ndarray, tol: float = ch2.DEFAULT_TOL) -> str:
+    """The float classifier that the integer kernel replaced, kept as the
+    differential oracle: an eigenvalue modulus off 1 is loxodromic; else each
+    cluster of repeated eigenvalues is elliptic iff its geometric multiplicity,
+    from the singular values of A - lambda I, is its size."""
+    eigvals = np.linalg.eigvals(arr)
+    scale = max(1.0, float(np.abs(arr).max()))
+    eps = np.finfo(float).eps
+    # eigenvalues of a k x k Jordan block move like eps^(1/k) under roundoff;
+    # k can be 3 here, and conjugation conditioning eats another safety factor
+    modulus_tol = max(tol, 10.0 * (eps * scale) ** (1.0 / 3.0))
+    cluster_tol = max(tol, 20.0 * (eps * scale) ** (1.0 / 3.0))
+    if any(abs(abs(l) - 1.0) > modulus_tol for l in eigvals):
+        return "loxodromic"
+    remaining = list(eigvals)
+    while remaining:
+        mu = remaining[0]
+        cluster = [l for l in remaining if abs(l - mu) <= cluster_tol]
+        remaining = [l for l in remaining if abs(l - mu) > cluster_tol]
+        alg_mult = len(cluster)
+        if alg_mult == 1:
+            continue
+        center = sum(cluster) / alg_mult
+        sing = np.linalg.svd(arr - center * np.eye(3), compute_uv=False)
+        geo_mult = int(np.sum(sing <= cluster_tol * scale))
+        if geo_mult < alg_mult:
+            return "parabolic"
+    return "elliptic"
+
+
+J_FLOAT = np.diag([1.0, 1.0, -1.0]).astype(complex)
+NULL_VECTORS = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13))
+FLOAT_KINDS = {"identity": "elliptic", "boost": "loxodromic", "unipotent": "parabolic"}
+
+
+def float_conjugate(kind, rng, nrng) -> np.ndarray:
+    """g A g^-1 for a random U(2,1) element g, with A the identity, a boost or
+    exp(K) for K = i t v v* J nilpotent (v null): its label is FLOAT_KINDS[kind]."""
+    if kind == "identity":
+        a, scale = np.eye(3, dtype=complex), 0.4
+    elif kind == "boost":
+        a, scale = boost(rng.uniform(0.5, 2.0)).as_array(), 0.4
+    else:
+        v = np.array(rng.choice(NULL_VECTORS), dtype=complex)
+        k = 1j * rng.choice((1, -2, 3)) * np.outer(v, v.conj()) @ J_FLOAT
+        a, scale = unipotent_exponential(k, 0.25 / (2j * math.pi)).as_array(), 0.3
+    g = random_form_preserving(nrng, scale=scale).as_array()
+    return g @ a @ np.linalg.inv(g)
+
+
+def test_float_classifier_agrees_with_numpy_oracle():
+    rng, nrng = random.Random(5), np.random.default_rng(5)
+    for _ in range(1000):
+        for kind, label in FLOAT_KINDS.items():
+            arr = float_conjugate(kind, rng, nrng)
+            got = classify_isometry(Matrix21.floating(arr))
+            assert got == classify_float_oracle(arr) == label, (kind, arr.tolist())
+
+
 def test_conjugation_invariance_exact():
     rng = random.Random(3)
     seeds = [IDENTITY, parabolic_seed()]

@@ -396,6 +396,20 @@ def test_ch2_classify_float_backing():
     assert code == 2
 
 
+# A* J A = J is decided within tol + 64u max(|A|^T |A|), which reaches 1/2 at
+# column norm 2^23: boost(16)'s column norm is 6.3e6, boost(17)'s 1.7e7
+def test_ch2_classify_boost_sweep():
+    for t in range(24):
+        code, out, err = run(["ch2", "classify", "-"], ch2.boost(t).to_json())
+        if t <= 16:
+            assert code == 0, t
+            assert json.loads(out)["classification"] == ("elliptic" if t == 0 else "loxodromic")
+        else:
+            assert code == 2, t
+            assert err == ("error: the form cannot be decided at this scale: "
+                           "64u max(|A|^T |A|) >= 1/2, u = 2^-53\n")
+
+
 def test_ch2_classify_not_form_preserving():
     code, _, _ = run(["ch2", "classify", "-"], literal_matrix("2"))
     assert code == 2
@@ -705,12 +719,17 @@ def test_handler_fault_propagates(exc_type, monkeypatch):
         run(["nnoid", "check", "-"], nnoid_json(5))
 
 
-# one valid input per config-reading subcommand, mutated by the fuzz test
+FLOAT_BOOST = CASES["ch2-classify-float"]["stdin"][1]  # a float loxodromic
+
+# one valid input per config-reading subcommand, mutated by the fuzz test; a
+# seed is named by its command's two words, then by a word of its own if the
+# command has a second seed
 FUZZ_SEEDS = {
     "nnoid check": nnoid_json(4),
     "stability check": {"genus": 0, "n": 3, "d1": 1, "d2": 0, "weights": REGION_WEIGHTS},
     "stability region": REGION_INPUT,
     "ch2 classify": IDENTITY,
+    "ch2 classify float": FLOAT_BOOST,
     "ch2 distance": CASES["ch2-distance"]["stdin"][1],
     "cusp verify": {"grid": SMALL_GRID, "spec": {"modes": [[1, 0.5, 0.0]], "poly": [0, 0.1, 0.2]}},
 }
@@ -753,7 +772,7 @@ def test_mutated_json_never_crashes(command, data):
     path = data.draw(st.sampled_from(list(_paths(seed))))
     how = data.draw(st.sampled_from([DROP, WRAP, *REPLACEMENTS]))
     text = json.dumps(_mutate(seed, path, how)).replace(f'"{INF}"', "1e400")
-    code, out, err = corpus.run([*command.split(), "-"], text)
+    code, out, err = corpus.run([*command.split()[:2], "-"], text)
     assert code in (0, 1, 2), text
     assert "Traceback" not in err
     if code != 2:  # a certificate is strict JSON: no NaN or Infinity
@@ -772,7 +791,6 @@ def test_random_sampler_invariants():
 
 
 SRC = str(Path(chnoids.__file__).resolve().parents[1])
-FLOAT_BOOST = CASES["ch2-classify-float"]["stdin"][1]  # a float loxodromic
 
 
 # a tolerance that is not a finite number >= 0 would print NaN or Infinity into
@@ -827,6 +845,22 @@ def test_corpus_runner_selects_by_prefix(capsys):
     assert corpus.main(["digit-limit-", "literal-22"]) == 0
     assert capsys.readouterr().out == "5 passed, 0 failed, 0 skipped: they need numpy\n"
     assert corpus.main(["no-such-case"]) == 2
+
+
+def test_corpus_runner_names_a_case_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    check = corpus.check
+
+    def raising(case):
+        if case["name"] == "literal-22-classify":
+            raise OverflowError("int too large to convert to float")
+        check(case)
+
+    monkeypatch.setattr(corpus, "check", raising)
+    assert corpus.main(["digit-limit-", "literal-22"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("FAIL literal-22-classify: OverflowError: int too large to convert to float\n"
+                   "4 passed, 1 failed, 0 skipped: they need numpy\n")
+    assert "Traceback" in err
 
 
 # In-process tests import every module before they run, so only a new
@@ -995,9 +1029,10 @@ NNOID_MODULES = "cli exactnum linalg nnoid sphere"
 CH2_MODULES = "ch2 cli exactnum linalg"
 
 
-# The exact commands never load numpy, nor does the scalar ch2 distance; a
-# float ch2 classify does.  Each command loads only the chnoids modules it
-# runs, and none without numpy loads dataclasses (numpy may import it).
+# The exact commands never load numpy, nor do the scalar ch2 distance and a
+# float ch2 classify (read as dyadic rationals); cusp verify's grids do.  Each
+# command loads only the chnoids modules it runs, and none without numpy loads
+# dataclasses (numpy may import it).
 @pytest.mark.parametrize(
     "argv, obj, loads_numpy, modules",
     [
@@ -1007,10 +1042,11 @@ CH2_MODULES = "ch2 cli exactnum linalg"
         (["stability", "region"], REGION_INPUT, False, "cli stability"),
         (["ch2", "classify"], FUZZ_SEEDS["ch2 classify"], False, CH2_MODULES),
         (["ch2", "distance"], FUZZ_SEEDS["ch2 distance"], False, CH2_MODULES),
-        (["ch2", "classify"], FLOAT_BOOST, True, CH2_MODULES),
+        (["ch2", "classify"], FLOAT_BOOST, False, CH2_MODULES),
+        (["cusp", "verify"], {"grid": SMALL_GRID}, True, "ch2 cli cusp exactnum linalg"),
     ],
     ids=["nnoid-random", "nnoid-check", "stability-check", "stability-region",
-         "ch2-classify-exact", "ch2-distance", "ch2-classify-float"],
+         "ch2-classify-exact", "ch2-distance", "ch2-classify-float", "cusp-verify"],
 )
 def test_numpy_loads_only_for_float_work(argv, obj, loads_numpy, modules):
     if obj is not None:

@@ -135,16 +135,15 @@ def test_value_is_not_a_tuple(name):
 
 
 def test_float_matrix_backing_is_a_read_only_copy():
-    rows = np.eye(3, dtype=complex)
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     m = Matrix21.floating(rows)
-    rows[0, 0] = 2.0  # the caller's array is not the backing
+    rows[0][0] = 2.0  # the caller's rows are not the backing
     assert m == _float_matrix() and hash(m) == hash(_float_matrix())
-    with pytest.raises(ValueError, match="read-only"):
-        m.rows[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        m.rows[0][0] = 2.0
     with pytest.raises(AttributeError):
         m.rows = rows
     assert m != Matrix21.floating(rows)
-    assert m != Matrix21(np.eye(3, dtype=np.complex64))  # the same entries in another dtype
 
 
 def test_repr_names_each_field():
