@@ -4,10 +4,11 @@ Signature-(2,1) Hermitian form, membership and distance, the isometry
 trichotomy and unipotent monodromy exponentials.  Points are binary64;
 matrices are exact Q(i) wherever the entries are rational and binary64 where
 transcendentals enter.  Every binary64 number is a dyadic rational, so both
-backings are read as A = M/d with M over the Gaussian integers, and one
-integer kernel checks the form and classifies them.  numpy is imported by
-the array functions only, so ``ch2 classify`` and ``ch2 distance`` run
-without it.
+backings are read as A = M/d with M over the Gaussian integers: one integer
+Gram loop checks the form, and A's characteristic polynomial is exact.  An
+exact matrix is classified by exact signs on it, a float one by its roots
+within a rounding tolerance.  numpy is imported by the array functions only,
+so ``ch2 classify`` and ``ch2 distance`` run without it.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Matrix21(Value):
     ``scaled`` is the matrix as (M, d) with A = M/d and M over the Gaussian
     integers, computed when the matrix is built: ``linalg.scaled`` for an
     exact backing, and for a float one the dyadic rationals that its binary64
-    parts are, over d a power of 2.  So one kernel on M decides both."""
+    parts are, over d a power of 2."""
 
     __slots__ = ("rows", "scaled")
 
@@ -193,11 +194,17 @@ class Matrix21(Value):
     def floating(rows) -> "Matrix21":
         """The float matrix of three rows of numbers (lists or an ndarray), copied.
 
-        An entry that is not finite has no dyadic value, and is refused."""
+        Each binary64 part is u / 2^j exactly, so over d, the largest 2^j, the
+        matrix is M/d with M over the Gaussian integers.  An entry that is not
+        finite has no such value, and is refused."""
         rows = tuple(tuple(map(complex, row)) for row in rows)
-        if not all(cmath.isfinite(x) for row in rows for x in row):
-            raise CH2Error("a float matrix entry is not finite")
-        scaled = linalg.scaled_parts([[_dyadic(x) for x in row] for row in rows])
+        try:
+            parts = [x.real.as_integer_ratio() + x.imag.as_integer_ratio() for row in rows for x in row]
+        except (OverflowError, ValueError):  # an infinite or NaN part
+            raise CH2Error("a float matrix entry is not finite") from None
+        d = max(max(p, q) for _, p, _, q in parts)
+        m = [(u * (d // p), v * (d // q)) for u, p, v, q in parts]
+        scaled = ((m[0], m[1], m[2]), (m[3], m[4], m[5]), (m[6], m[7], m[8])), d
         return Value.__new__(Matrix21, rows, scaled)
 
     @property
@@ -225,12 +232,6 @@ class Matrix21(Value):
         if any(("." in s) or ("e" in s.lower() and "/" not in s) for s in flat):
             return Matrix21.floating([[_parse_complex(s) for s in row] for row in rows])
         return Matrix21.exact([[GaussianRational.parse(s) for s in row] for row in rows])
-
-
-def _dyadic(x: complex) -> tuple[int, int, int]:
-    """(u, v, e) with x = (u + vi)/e exactly and e a power of 2, for finite parts."""
-    (u, p), (v, q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
-    return (u * (q // p), v, q) if p < q else (u, v * (p // q), p)
 
 
 # a complex literal's spaces: around the sign of a part (not an exponent's) or before "i"
@@ -299,15 +300,6 @@ def preserves_form(a: Matrix21, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 # classification
 
-# A float matrix's entries carry rounding, so the classifier's zero tests on it
-# allow a fixed fraction of a reference size: Goldman's f counts as zero within
-# 1/F_REL of the sum of its terms' moduli, and P = T^2 - 3E within 1/F_REL of
-# the root-sum-square of its terms' moduli; N = q M - r I counts as zero, or its
-# 2x2 minors do, within 1/RANK_REL of the root-sum-square of the moduli of qM's
-# and rI's entries, or its square.  An exact matrix's zero tests are exact.
-F_REL = 10**9
-RANK_REL = 10**3
-
 
 class IsometryClass:
     ELLIPTIC = "elliptic"
@@ -315,62 +307,143 @@ class IsometryClass:
     LOXODROMIC = "loxodromic"
 
 
-def _abs2(x: linalg.GaussInt) -> int:
-    return x[0] * x[0] + x[1] * x[1]
-
-
 def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     """Elliptic / parabolic / loxodromic trichotomy for a form-preserving matrix.
 
     Loxodromic iff some eigenvalue modulus differs from 1; otherwise
-    elliptic iff diagonalizable.  Decided by Goldman's trace discriminant
-    (Complex Hyperbolic Geometry, 1999, Thm 6.2.4): with tau = tr A and
-    |det A| = 1, f = |tau|^4 - 8 Re(tau^3 / det A) + 18 |tau|^2 - 27 is
-    positive iff A is loxodromic and negative iff A is regular elliptic.  At
-    f = 0 an eigenvalue lambda repeats; with e the sum of A's principal 2x2
-    minors, it is tau/3, triple, if tau^2 = 3e, and else (tau e - 9 det A) /
-    (2 (tau^2 - 3e)), double.  A double lambda is elliptic iff
-    rank(A - lambda I) = 1, a triple one iff A = lambda I.
-
-    Both backings are decided on A = M/d with M over the Gaussian integers
-    (``Matrix21.scaled``).  M's characteristic polynomial is
-    chi_M(w) = w^3 - T w^2 + E w - D, for T = tr M, E the sum of its principal
-    2x2 minors and D = det M, and A's is chi_M(d z) / d^3: tau = T/d and
-    det A = D/d^3.  Goldman's f times d^4 |D|^2 > 0 is an integer.  At f = 0
-    chi_M has roots mu = d lambda, mu, nu: P = T^2 - 3E = (mu - nu)^2 and
-    TE - 9D = 2 mu P.  So mu = T/3 is triple if P = 0, else (TE - 9D)/(2P) is
-    double, and rank(A - lambda I) = rank(N) for N = 3M - T I or
-    2P M - (TE - 9D) I.  An exact matrix's signs and zeros are exact; a float
-    matrix's zero tests allow rounding (F_REL, RANK_REL), and ``tol`` is read
-    by the form check alone.
+    elliptic iff diagonalizable.  Both backings are read as A = M/d with M
+    over the Gaussian integers (``Matrix21.scaled``), and M's characteristic
+    polynomial chi_M(w) = w^3 - T w^2 + E w - D, for T = tr M, E the sum of
+    its principal 2x2 minors and D = det M, is exact; A's is chi_M(d z) / d^3.
+    An exact matrix is decided by exact signs on it (``_classify_exact``), a
+    float one within a rounding tolerance (``_classify_float``).  ``tol`` is
+    read by the form check alone.
     """
     if not preserves_form(a, tol):
         raise CH2Error("matrix does not preserve the signature-(2,1) form")
-    exact = a.is_exact
     m, d = a.scaled
-    t, e, det = linalg.invariants(m)
-    t_abs2, det_abs2 = _abs2(t), _abs2(det)
+    invariants = linalg.invariants(m)
+    if a.is_exact:
+        return _classify_exact(m, d, *invariants)
+    return _classify_float(a, m, d, *invariants)
+
+
+def _classify_exact(m, d, t, e, det) -> str:
+    """Goldman's trace discriminant (Complex Hyperbolic Geometry, 1999,
+    Thm 6.2.4): with tau = tr A and |det A| = 1, f = |tau|^4 - 8 Re(tau^3 /
+    det A) + 18 |tau|^2 - 27 is positive iff A is loxodromic and negative iff
+    A is regular elliptic.  At f = 0 an eigenvalue lambda repeats.  With
+    tau = T/d and det A = D/d^3, f times d^4 |D|^2 > 0 is an integer, so its
+    sign is exact.  At f = 0 chi_M has roots mu = d lambda, mu, nu:
+    P = T^2 - 3E = (mu - nu)^2 and TE - 9D = 2 mu P.  So mu = T/3 is triple if
+    P = 0, else (TE - 9D)/(2P) is double, and A is elliptic iff rank N is 0
+    (triple) or 1 (double), for N = 3M - T I or 2P M - (TE - 9D) I.
+    """
+    t_abs2 = t[0] * t[0] + t[1] * t[1]
+    det_abs2 = det[0] * det[0] + det[1] * det[1]
     # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
     re_t3_conj_det = gmul(gmul(gmul(t, t), t), (det[0], -det[1]))[0]
     d2 = d * d
     f = (t_abs2 * t_abs2 + (18 * t_abs2 - 27 * d2) * d2) * det_abs2 - 8 * d2 * d2 * re_t3_conj_det
-    if f and (exact or abs(f) * F_REL > (t_abs2 * t_abs2 + (18 * t_abs2 + 27 * d2) * d2) * det_abs2
-              + 8 * d2 * d2 * abs(re_t3_conj_det)):
-        return IsometryClass.LOXODROMIC if f > 0 else IsometryClass.ELLIPTIC
+    if f > 0:
+        return IsometryClass.LOXODROMIC
+    if f < 0:
+        return IsometryClass.ELLIPTIC
     p = gsub(gmul(t, t), gmul((3, 0), e))
-    p_abs2 = _abs2(p)
-    triple = not p_abs2 or not exact and p_abs2 * F_REL**2 <= t_abs2 * t_abs2 + 9 * _abs2(e)
+    triple = p == (0, 0)
     # N = q (M - mu I) for mu = r/q; A is elliptic iff rank N is 0 (triple mu) or 1 (double)
     q, r = ((3, 0), t) if triple else (gmul((2, 0), p), gsub(gmul(t, e), gmul((9, 0), det)))
     n = [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
          for i, row in enumerate(m)]
-    slack = 0 if exact else (
-        (_abs2(q) * sum(_abs2(x) for row in m for x in row) + 3 * _abs2(r)) // RANK_REL**2)
-    if triple:
-        elliptic = sum(_abs2(x) for row in n for x in row) <= slack
-    else:
-        elliptic = linalg.rank_at_most_one(n, slack * slack)
+    elliptic = not any(map(any, n[0] + n[1] + n[2])) if triple else linalg.rank_at_most_one(n)
     return IsometryClass.ELLIPTIC if elliptic else IsometryClass.PARABOLIC
+
+
+def _classify_float(a: Matrix21, m, d, t, e, det) -> str:
+    """The trichotomy within rounding: loxodromic if an eigenvalue modulus is
+    off 1 by more than 10 r; else each cluster of eigenvalues within 20 r of
+    one is elliptic iff A - cI, for c its mean, has as many singular values
+    within 20 r max(1, max |a_ij|) as the cluster has eigenvalues.  Here
+    r = (2^-52 max(1, max |a_ij|))^(1/3): a k x k Jordan block's eigenvalues
+    move like (u |A|)^(1/k) when A's entries move by u |A|, k can be 3, and
+    conjugation conditioning eats the factors 10 and 20.  The eigenvalues are
+    chi_M's roots (``_roots``), and the singular values are counted exactly
+    (``_count_over``)."""
+    scale = max(1.0, max(map(abs, a.rows[0] + a.rows[1] + a.rows[2])))
+    r = (2.0**-52 * scale) ** (1.0 / 3.0)
+    modulus_tol, cluster_tol = 10.0 * r, 20.0 * r
+    eigenvalues = _roots(d, t, e, det)
+    if any(abs(abs(x) - 1.0) > modulus_tol for x in eigenvalues):
+        return IsometryClass.LOXODROMIC
+    num, den = (cluster_tol * scale).as_integer_ratio()
+    remaining = eigenvalues
+    while remaining:
+        cluster = [x for x in remaining if abs(x - remaining[0]) <= cluster_tol]
+        remaining = [x for x in remaining if abs(x - remaining[0]) > cluster_tol]
+        if len(cluster) > 1:
+            # N = ce d (A - c I) over the Gaussian integers, by columns, for c = (cu + cv i)/ce
+            c = sum(cluster) / len(cluster)
+            (cu, p), (cv, q) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+            ce = max(p, q)
+            cu, cv = d * cu * (ce // p), d * cv * (ce // q)
+            columns = [[(ce * x - cu, ce * y - cv) if i == j else (ce * x, ce * y)
+                        for i, (x, y) in enumerate(column)] for j, column in enumerate(zip(*m))]
+            if _count_over(columns, (num * d * ce) ** 2, den * den, 3 - len(cluster)):
+                return IsometryClass.PARABOLIC
+    return IsometryClass.ELLIPTIC
+
+
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a primitive cube root of 1
+
+
+def _roots(d: int, t, e, det) -> list[complex]:
+    """The roots lambda of chi_M(d lambda) / d^3, A's characteristic polynomial.
+
+    With w = d lambda = z + T/3, chi_M(w) = z^3 - (P/3) z - Q/27 for
+    P = T^2 - 3E and Q = 2T^3 - 9TE + 27D, and by Cardano z = s + P/(9s) over
+    the cube roots s of (Q +- sqrt(Q^2 - 4P^3))/54, the sign that does not
+    cancel.  P, Q and Q^2 - 4P^3 are Gaussian integers, each rounded once, so
+    a cluster of roots is as tight as A's entries make it."""
+    (tr, ti), (er, ei), (dr, di) = t, e, det
+    t2r, t2i = tr * tr - ti * ti, 2 * tr * ti
+    pr, pi = t2r - 3 * er, t2i - 3 * ei
+    qr = 2 * (t2r * tr - t2i * ti) - 9 * (tr * er - ti * ei) + 27 * dr
+    qi = 2 * (t2r * ti + t2i * tr) - 9 * (tr * ei + ti * er) + 27 * di
+    p2r, p2i = pr * pr - pi * pi, 2 * pr * pi
+    disc_r = qr * qr - qi * qi - 4 * (p2r * pr - p2i * pi)
+    disc_i = 2 * qr * qi - 4 * (p2r * pi + p2i * pr)
+    d2, d3 = d * d, d * d * d
+    pf, qf = complex(pr / d2, pi / d2), complex(qr / d3, qi / d3)
+    root = cmath.sqrt(complex(disc_r / (d3 * d3), disc_i / (d3 * d3)))
+    s3 = (qf + root if abs(qf + root) >= abs(qf - root) else qf - root) / 54.0
+    shift = complex(tr / d, ti / d) / 3.0
+    if s3 == 0:  # P = Q = 0: a triple root
+        return [shift] * 3
+    s = s3 ** (1.0 / 3.0)
+    return [w * s + pf / (9.0 * w * s) + shift for w in (1.0, _OMEGA, _OMEGA.conjugate())]
+
+
+def _count_over(columns, num: int, den: int, most: int) -> bool:
+    """Whether more than ``most`` singular values of the 3x3 Gaussian-integer N,
+    given by its columns, have square over x = num/den.
+
+    They are the eigenvalues of H = N* N: each at most tr H, the largest at
+    least each diagonal entry, and all real roots of H's characteristic
+    polynomial, so Descartes' rule of signs counts those over x exactly on
+    that polynomial shifted by x."""
+    diagonal = [sum(p * p + q * q for p, q in column) for column in columns]
+    if sum(diagonal) * den <= num:
+        return False
+    if most == 0 and max(diagonal) * den > num:
+        return True
+    h = [[(sum(p * u + q * v for (p, q), (u, v) in zip(cj, ck)),
+           sum(p * v - q * u for (p, q), (u, v) in zip(cj, ck))) for ck in columns] for cj in columns]
+    (c1, _), (c2, _), (c3, _) = linalg.invariants(h)
+    # den^3 chi_H(x + y), for chi_H(w) = w^3 - c1 w^2 + c2 w - c3, by powers of y from y^3
+    coeffs = (1, 3 * num - c1 * den, (3 * num - 2 * c1 * den) * num + c2 * den * den,
+              ((num - c1 * den) * num + c2 * den * den) * num - c3 * den**3)
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:])) > most
 
 
 # ---------------------------------------------------------------------------

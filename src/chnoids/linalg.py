@@ -35,11 +35,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def scaled(a: Matrix) -> tuple[GaussMatrix, int]:
     """A as (M, d) with A = M/d: M has Gaussian-integer entries and d > 0 is
     the lcm of the entries' denominators."""
-    return scaled_parts([[x.parts for x in row] for row in a])
-
-
-def scaled_parts(parts) -> tuple[GaussMatrix, int]:
-    """``scaled`` of the matrix of entries (u + vi)/e, given as rows of (u, v, e), e > 0."""
+    parts = [[x.parts for x in row] for row in a]
     d = math.lcm(*(e for row in parts for _, _, e in row))
     return tuple(tuple((u * (d // e), v * (d // e)) for u, v, e in row) for row in parts), d
 
@@ -68,19 +64,15 @@ def invariants(m: GaussMatrix) -> tuple[GaussInt, GaussInt, GaussInt]:
     return (ar + er + kr, ai + ei + ki), (e_r, e_i), (d_r, d_i)
 
 
-def rank_at_most_one(m: GaussMatrix, slack: int = 0) -> bool:
-    """Whether every 2x2 minor of the 3x3 m has squared modulus at most slack, stopping at the
-    first that does not: with slack 0, whether every minor vanishes."""
+def rank_at_most_one(m: GaussMatrix) -> bool:
+    """Whether every 2x2 minor of the 3x3 m vanishes, stopping at the first that does not."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         (ar, ai), (br, bi), (cr, ci) = m[i]
         (dr, di), (er, ei), (fr, fi) = m[j]
-        # the squared moduli of the minors of rows i, j on columns (0, 1), (0, 2) and (1, 2)
-        if ((ar * er - ai * ei - br * dr + bi * di) ** 2
-                + (ar * ei + ai * er - br * di - bi * dr) ** 2 > slack
-                or (ar * fr - ai * fi - cr * dr + ci * di) ** 2
-                + (ar * fi + ai * fr - cr * di - ci * dr) ** 2 > slack
-                or (br * fr - bi * fi - cr * er + ci * ei) ** 2
-                + (br * fi + bi * fr - cr * ei - ci * er) ** 2 > slack):
+        # the minors of rows i, j on columns (0, 1), (0, 2) and (1, 2)
+        if (ar * er - ai * ei - br * dr + bi * di or ar * ei + ai * er - br * di - bi * dr
+                or ar * fr - ai * fi - cr * dr + ci * di or ar * fi + ai * fr - cr * di - ci * dr
+                or br * fr - bi * fi - cr * er + ci * ei or br * fi + bi * fr - cr * ei - ci * er):
             return False
     return True
 

@@ -391,25 +391,12 @@ def test_classify_rejects_non_form_preserving():
         classify_isometry(Matrix21.floating(np.diag([1.0, 1.0, 2.0])))
 
 
-def test_conjugation_invariance_float():
-    rng = np.random.default_rng(0)
-    parabolic = Matrix21.floating([[1 + 1j, 0, -1j], [0, 1, 0], [1j, 0, 1 - 1j]])  # parabolic_seed
-    seeds = [Matrix21.floating(np.eye(3)), boost(1.0), parabolic]
-    labels = [classify_isometry(s) for s in seeds]
-    for _ in range(25):
-        g = random_form_preserving(rng, scale=0.4)
-        garr = g.as_array()
-        ginv = np.linalg.inv(garr)
-        for seed, label in zip(seeds, labels):
-            conj = Matrix21.floating(garr @ seed.as_array() @ ginv)
-            assert classify_isometry(conj) == label
-
-
 def classify_float_oracle(arr: np.ndarray, tol: float = ch2.DEFAULT_TOL) -> str:
-    """The float classifier that the integer kernel replaced, kept as the
-    differential oracle: an eigenvalue modulus off 1 is loxodromic; else each
-    cluster of repeated eigenvalues is elliptic iff its geometric multiplicity,
-    from the singular values of A - lambda I, is its size."""
+    """``ch2._classify_float``'s rule on numpy's eigenvalues and singular
+    values, the differential oracle: an eigenvalue modulus off 1 is
+    loxodromic; else each cluster of repeated eigenvalues is elliptic iff its
+    geometric multiplicity, from the singular values of A - lambda I, is its
+    size."""
     eigvals = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(arr).max()))
     eps = np.finfo(float).eps
@@ -435,33 +422,78 @@ def classify_float_oracle(arr: np.ndarray, tol: float = ch2.DEFAULT_TOL) -> str:
     return "elliptic"
 
 
-J_FLOAT = np.diag([1.0, 1.0, -1.0]).astype(complex)
-NULL_VECTORS = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13))
-FLOAT_KINDS = {"identity": "elliptic", "boost": "loxodromic", "unipotent": "parabolic"}
+J_FLOAT = np.diag([1.0, 1.0, -1.0])
 
 
-def float_conjugate(kind, rng, nrng) -> np.ndarray:
-    """g A g^-1 for a random U(2,1) element g, with A the identity, a boost or
-    exp(K) for K = i t v v* J nilpotent (v null): its label is FLOAT_KINDS[kind]."""
-    if kind == "identity":
-        a, scale = np.eye(3, dtype=complex), 0.4
-    elif kind == "boost":
-        a, scale = boost(rng.uniform(0.5, 2.0)).as_array(), 0.4
-    else:
-        v = np.array(rng.choice(NULL_VECTORS), dtype=complex)
-        k = 1j * rng.choice((1, -2, 3)) * np.outer(v, v.conj()) @ J_FLOAT
-        a, scale = unipotent_exponential(k, 0.25 / (2j * math.pi)).as_array(), 0.3
-    g = random_form_preserving(nrng, scale=scale).as_array()
-    return g @ a @ np.linalg.inv(g)
+def unit_diagonal(*angles) -> np.ndarray:
+    return np.diag(np.exp(1j * np.array(angles)))
 
 
-def test_float_classifier_agrees_with_numpy_oracle():
-    rng, nrng = random.Random(5), np.random.default_rng(5)
-    for _ in range(1000):
-        for kind, label in FLOAT_KINDS.items():
-            arr = float_conjugate(kind, rng, nrng)
-            got = classify_isometry(Matrix21.floating(arr))
-            assert got == classify_float_oracle(arr) == label, (kind, arr.tolist())
+def float_seeds(rng):
+    """(A, label, scale) for float matrices whose class is known by
+    construction, A's conjugates to be classified up to conjugator scale
+    ``scale``: the exact repeated-eigenvalue shapes rounded to binary64;
+    boost(t) for t from 1e-3 to 16; and unit diagonals at random angles under
+    pi/2, 1e-2 and 1e-6, with three eigenvalues at least a fifth of that apart
+    and with a repeated one; and diag(e^(it), e^(-it), 1) for t from 0.07 to
+    1e-6, whose Goldman f = -4t^6 + O(t^8) is far under the size of its terms.
+
+    The float classifier reads eigenvalues within its cluster tolerance (about
+    1.2e-4 at entries near 1) as one repeated eigenvalue c, elliptic iff
+    A - cI is within that tolerance of the rank it needs, so the 1e-6
+    diagonals stay elliptic while |g| |g^-1| is under about 60: scale 0.4.  At
+    scale 2 (|g| |g^-1| up to 10^6) a 3x3 Jordan block or an ellipto-parabolic
+    moves its eigenvalues by (10^6 u)^(1/3) under A's rounding, so those
+    shapes go up to scale 1.  boost(16)'s conjugates are past the form check's
+    scale."""
+    shapes = dict.fromkeys(("jordan-3-unipotent", "ellipto-parabolic"), 1.0)
+    seeds = [(np.array([[complex(x.re, x.im) for x in row] for row in rows]), label,
+              shapes.get(name.removesuffix("-times-unit"), 2.0))
+             for name, rows, label in f0_fixtures()]
+    seeds += [(boost(t).as_array(), "loxodromic", 2.0 if t < 16 else 0.0)
+              for t in (1e-3, 0.01, 0.05, 0.5, 2, 16)]
+    for size, scale in ((math.pi / 2, 2.0), (1e-2, 2.0), (1e-6, 0.4)):
+        a, b, c = (size * rng.uniform(lo, lo + 0.4) for lo in (-1.0, -0.2, 0.6))
+        seeds += [(unit_diagonal(a, b, c), "elliptic", scale), (unit_diagonal(a, a, c), "elliptic", scale)]
+    seeds += [(unit_diagonal(t, -t, 0.0), "elliptic", 0.0) for t in (0.07, 0.05, 0.01, 0.0025, 1e-3, 1e-6)]
+    return seeds
+
+
+# conjugator scales: the benchmark's 0.4, and 1 and 2, whose conjugates have
+# entries up to about 10^4 and 10^6
+CONJUGATOR_SCALES = (0.4, 1.0, 2.0)
+
+
+def test_conjugation_invariance_float():
+    rng, nrng = random.Random(0), np.random.default_rng(0)
+    seeds = float_seeds(rng)
+    cases = [(a, label) for a, label, _ in seeds]
+    for scale in CONJUGATOR_SCALES:
+        for _ in range(65):
+            g = random_form_preserving(nrng, scale=scale).as_array()
+            g_inv = J_FLOAT @ g.conj().T @ J_FLOAT  # g* J g = J
+            cases += [(g @ a @ g_inv, label) for a, label, largest in seeds if scale <= largest]
+    assert len(cases) >= 3000
+    for a, label in cases:
+        got = classify_isometry(Matrix21.floating(a))
+        assert got == classify_float_oracle(a) == label, (label, a.tolist())
+
+
+def test_count_over_matches_singular_values():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        rank = int(rng.integers(0, 4))
+        left, right = (rng.integers(-9, 10, (2, *shape)) for shape in ((3, rank), (rank, 3)))
+        n = (left[0] + 1j * left[1]) @ (right[0] + 1j * right[1])
+        columns = [[(int(n[i, j].real), int(n[i, j].imag)) for i in range(3)] for j in range(3)]
+        sigma2 = np.linalg.svd(n, compute_uv=False) ** 2
+        # x = 0 counts the rank; else x away from every sigma^2, so numpy's rounding does not decide
+        for x in (0.0, *rng.uniform(0.0, 1.2 * sigma2.max() + 1.0, 4)):
+            if x and np.abs(sigma2 - x).min() < 1e-6 * (x + 1.0):
+                continue
+            over = rank if x == 0.0 else int((sigma2 > x).sum())
+            for most in range(3):
+                assert ch2._count_over(columns, *x.as_integer_ratio(), most) == (over > most), (n, x)
 
 
 def test_conjugation_invariance_exact():
