@@ -5,10 +5,11 @@ trichotomy and unipotent monodromy exponentials.  Points are binary64;
 matrices are exact Q(i) wherever the entries are rational and binary64 where
 transcendentals enter.  Every binary64 number is a dyadic rational, so both
 backings are read as A = M/d with M over the Gaussian integers: one integer
-Gram loop checks the form, and A's characteristic polynomial is exact.  An
-exact matrix is classified by exact signs on it, a float one by its roots
-within a rounding tolerance.  numpy is imported by the array functions only,
-so ``ch2 classify`` and ``ch2 distance`` run without it.
+Gram loop checks the form, and A's characteristic polynomial is exact, read
+as one depressed cubic.  An exact matrix is classified by exact signs on it,
+Goldman's f read from the cubic's discriminant, a float one by the cubic's
+roots within a rounding tolerance.  numpy is imported by the array functions
+only, so ``ch2 classify`` and ``ch2 distance`` run without it.
 """
 
 from __future__ import annotations
@@ -315,51 +316,59 @@ def classify_isometry(a: Matrix21, tol: float = DEFAULT_TOL) -> str:
     over the Gaussian integers (``Matrix21.scaled``), and M's characteristic
     polynomial chi_M(w) = w^3 - T w^2 + E w - D, for T = tr M, E the sum of
     its principal 2x2 minors and D = det M, is exact; A's is chi_M(d z) / d^3.
-    An exact matrix is decided by exact signs on it (``_classify_exact``), a
-    float one within a rounding tolerance (``_classify_float``).  ``tol`` is
-    read by the form check alone.
+    Both deciders read it as one depressed cubic (``_cubic``): an exact matrix
+    by exact signs (``_classify_exact``), a float one by its roots within a
+    rounding tolerance (``_classify_float``).  ``tol`` is read by the form
+    check alone.
     """
     if not preserves_form(a, tol):
         raise CH2Error("matrix does not preserve the signature-(2,1) form")
     m, d = a.scaled
-    invariants = linalg.invariants(m)
+    t, e, det = linalg.invariants(m)
+    p, r, q, disc = _cubic(t, e, det)
     if a.is_exact:
-        return _classify_exact(m, d, *invariants)
-    return _classify_float(a, m, d, *invariants)
+        return _classify_exact(m, t, det, p, r, disc)
+    return _classify_float(a, m, d, _roots(d, t, p, q, disc))
 
 
-def _classify_exact(m, d, t, e, det) -> str:
+def _cubic(t, e, det):
+    """P = T^2 - 3E, R = TE - 9D, Q = 2TP - 3R and Delta = Q^2 - 4P^3 for chi_M:
+    with w = z + T/3, chi_M(w) = z^3 - (P/3) z - Q/27, of discriminant -Delta/27."""
+    p = gsub(gmul(t, t), gmul((3, 0), e))
+    r = gsub(gmul(t, e), gmul((9, 0), det))
+    q = gsub(gmul((2, 0), gmul(t, p)), gmul((3, 0), r))
+    return p, r, q, gsub(gmul(q, q), gmul((4, 0), gmul(gmul(p, p), p)))
+
+
+def _shifted(m, q, r) -> list:
+    """q M - r I over the Gaussian integers, row by row."""
+    return [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def _classify_exact(m, t, det, p, r, disc) -> str:
     """Goldman's trace discriminant (Complex Hyperbolic Geometry, 1999,
     Thm 6.2.4): with tau = tr A and |det A| = 1, f = |tau|^4 - 8 Re(tau^3 /
     det A) + 18 |tau|^2 - 27 is positive iff A is loxodromic and negative iff
-    A is regular elliptic.  At f = 0 an eigenvalue lambda repeats.  With
-    tau = T/d and det A = D/d^3, f times d^4 |D|^2 > 0 is an integer, so its
-    sign is exact.  At f = 0 chi_M has roots mu = d lambda, mu, nu:
-    P = T^2 - 3E = (mu - nu)^2 and TE - 9D = 2 mu P.  So mu = T/3 is triple if
-    P = 0, else (TE - 9D)/(2P) is double, and A is elliptic iff rank N is 0
-    (triple) or 1 (double), for N = 3M - T I or 2P M - (TE - 9D) I.
+    A is regular elliptic.  For A in U(2,1), A's discriminant is det(A)^2 f, so
+    -Delta/27 = D^2 f, and the integer Delta conj(D)^2 = -27 |D|^4 f gives f's
+    sign exactly.  At f = 0 chi_M has roots mu, mu, nu: P = (mu - nu)^2 and R = 2 mu P.
+    So mu = T/3 is triple if P = 0, else R/(2P) is double, and A is elliptic
+    iff rank N is 0 (triple) or 1 (double), for N = 3M - T I or 2P M - R I.
     """
-    t_abs2 = t[0] * t[0] + t[1] * t[1]
-    det_abs2 = det[0] * det[0] + det[1] * det[1]
-    # Re(tau^3 / det A) = Re(T^3 conj(D)) / |D|^2
-    re_t3_conj_det = gmul(gmul(gmul(t, t), t), (det[0], -det[1]))[0]
-    d2 = d * d
-    f = (t_abs2 * t_abs2 + (18 * t_abs2 - 27 * d2) * d2) * det_abs2 - 8 * d2 * d2 * re_t3_conj_det
+    d2 = gmul(det, det)
+    f = -(disc[0] * d2[0] + disc[1] * d2[1])  # -Re(Delta conj(D)^2) = 27 |D|^4 f
     if f > 0:
         return IsometryClass.LOXODROMIC
     if f < 0:
         return IsometryClass.ELLIPTIC
-    p = gsub(gmul(t, t), gmul((3, 0), e))
     triple = p == (0, 0)
-    # N = q (M - mu I) for mu = r/q; A is elliptic iff rank N is 0 (triple mu) or 1 (double)
-    q, r = ((3, 0), t) if triple else (gmul((2, 0), p), gsub(gmul(t, e), gmul((9, 0), det)))
-    n = [[gsub(gmul(q, x), r if i == j else (0, 0)) for j, x in enumerate(row)]
-         for i, row in enumerate(m)]
+    n = _shifted(m, (3, 0), t) if triple else _shifted(m, gmul((2, 0), p), r)
     elliptic = not any(map(any, n[0] + n[1] + n[2])) if triple else linalg.rank_at_most_one(n)
     return IsometryClass.ELLIPTIC if elliptic else IsometryClass.PARABOLIC
 
 
-def _classify_float(a: Matrix21, m, d, t, e, det) -> str:
+def _classify_float(a: Matrix21, m, d, eigenvalues: list[complex]) -> str:
     """The trichotomy within rounding: loxodromic if an eigenvalue modulus is
     off 1 by more than 10 r; else each cluster of eigenvalues within 20 r of
     one is elliptic iff A - cI, for c its mean, has as many singular values
@@ -372,7 +381,6 @@ def _classify_float(a: Matrix21, m, d, t, e, det) -> str:
     scale = max(1.0, max(map(abs, a.rows[0] + a.rows[1] + a.rows[2])))
     r = (2.0**-52 * scale) ** (1.0 / 3.0)
     modulus_tol, cluster_tol = 10.0 * r, 20.0 * r
-    eigenvalues = _roots(d, t, e, det)
     if any(abs(abs(x) - 1.0) > modulus_tol for x in eigenvalues):
         return IsometryClass.LOXODROMIC
     num, den = (cluster_tol * scale).as_integer_ratio()
@@ -381,14 +389,12 @@ def _classify_float(a: Matrix21, m, d, t, e, det) -> str:
         cluster = [x for x in remaining if abs(x - remaining[0]) <= cluster_tol]
         remaining = [x for x in remaining if abs(x - remaining[0]) > cluster_tol]
         if len(cluster) > 1:
-            # N = ce d (A - c I) over the Gaussian integers, by columns, for c = (cu + cv i)/ce
+            # N = ce d (A - c I) = ce M - d ce c I, for c = (cu + cv i)/ce
             c = sum(cluster) / len(cluster)
             (cu, p), (cv, q) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
             ce = max(p, q)
-            cu, cv = d * cu * (ce // p), d * cv * (ce // q)
-            columns = [[(ce * x - cu, ce * y - cv) if i == j else (ce * x, ce * y)
-                        for i, (x, y) in enumerate(column)] for j, column in enumerate(zip(*m))]
-            if _count_over(columns, (num * d * ce) ** 2, den * den, 3 - len(cluster)):
+            n = _shifted(m, (ce, 0), (d * cu * (ce // p), d * cv * (ce // q)))
+            if _count_over(n, (num * d * ce) ** 2, den * den, 3 - len(cluster)):
                 return IsometryClass.PARABOLIC
     return IsometryClass.ELLIPTIC
 
@@ -396,27 +402,18 @@ def _classify_float(a: Matrix21, m, d, t, e, det) -> str:
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # a primitive cube root of 1
 
 
-def _roots(d: int, t, e, det) -> list[complex]:
+def _roots(d: int, t, p, q, disc) -> list[complex]:
     """The roots lambda of chi_M(d lambda) / d^3, A's characteristic polynomial.
 
-    With w = d lambda = z + T/3, chi_M(w) = z^3 - (P/3) z - Q/27 for
-    P = T^2 - 3E and Q = 2T^3 - 9TE + 27D, and by Cardano z = s + P/(9s) over
-    the cube roots s of (Q +- sqrt(Q^2 - 4P^3))/54, the sign that does not
-    cancel.  P, Q and Q^2 - 4P^3 are Gaussian integers, each rounded once, so
-    a cluster of roots is as tight as A's entries make it."""
-    (tr, ti), (er, ei), (dr, di) = t, e, det
-    t2r, t2i = tr * tr - ti * ti, 2 * tr * ti
-    pr, pi = t2r - 3 * er, t2i - 3 * ei
-    qr = 2 * (t2r * tr - t2i * ti) - 9 * (tr * er - ti * ei) + 27 * dr
-    qi = 2 * (t2r * ti + t2i * tr) - 9 * (tr * ei + ti * er) + 27 * di
-    p2r, p2i = pr * pr - pi * pi, 2 * pr * pi
-    disc_r = qr * qr - qi * qi - 4 * (p2r * pr - p2i * pi)
-    disc_i = 2 * qr * qi - 4 * (p2r * pi + p2i * pr)
+    With w = d lambda = z + T/3, chi_M(w) = z^3 - (P/3) z - Q/27 (``_cubic``),
+    and by Cardano z = s + P/(9s) over the cube roots s of (Q +- sqrt(Delta))/54,
+    the sign that does not cancel.  P, Q and Delta are Gaussian integers, each
+    rounded once, so a cluster of roots is as tight as A's entries make it."""
     d2, d3 = d * d, d * d * d
-    pf, qf = complex(pr / d2, pi / d2), complex(qr / d3, qi / d3)
-    root = cmath.sqrt(complex(disc_r / (d3 * d3), disc_i / (d3 * d3)))
+    pf, qf = complex(p[0] / d2, p[1] / d2), complex(q[0] / d3, q[1] / d3)
+    root = cmath.sqrt(complex(disc[0] / (d3 * d3), disc[1] / (d3 * d3)))
     s3 = (qf + root if abs(qf + root) >= abs(qf - root) else qf - root) / 54.0
-    shift = complex(tr / d, ti / d) / 3.0
+    shift = complex(t[0] / d, t[1] / d) / 3.0
     if s3 == 0:  # P = Q = 0: a triple root
         return [shift] * 3
     s = s3 ** (1.0 / 3.0)
@@ -425,7 +422,8 @@ def _roots(d: int, t, e, det) -> list[complex]:
 
 def _count_over(columns, num: int, den: int, most: int) -> bool:
     """Whether more than ``most`` singular values of the 3x3 Gaussian-integer N,
-    given by its columns, have square over x = num/den.
+    given by its columns (or its rows: N's transpose has its singular values),
+    have square over x = num/den.
 
     They are the eigenvalues of H = N* N: each at most tr H, the largest at
     least each diagonal entry, and all real roots of H's characteristic

@@ -243,7 +243,7 @@ def cmd_nnoid_check(data: NnoidData, args) -> tuple[dict, bool]:
     for p, r in zip(data.punctures, data.omega.residues):
         direct = nnoid.residue_matrix(plan, p, r)
         agree = direct == nnoid.residue_matrix_closed_form(closed, p, r)
-        k = nnoid.nilpotency_profile(direct.num)
+        k = nnoid.nilpotency_profile(direct[0])
         jt = nnoid.JORDAN_TYPES.get(k)
         et = nnoid.END_TYPES[jt] if jt else None
         ok = agree and k == 3

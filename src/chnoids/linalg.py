@@ -17,6 +17,7 @@ from .exactnum import ONE, ZERO, ExactArithmeticError, GaussianRational, UniPoly
 Matrix = tuple[tuple[GaussianRational, ...], ...]
 GaussInt = tuple[int, int]  # (re, im), Python ints
 GaussMatrix = tuple[tuple[GaussInt, ...], ...]
+Scaled = tuple[GaussMatrix, int]  # (M, d) for M/d, as ``scaled`` writes a matrix
 
 
 def mat(rows) -> Matrix:
@@ -32,7 +33,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in columns) for row in a)
 
 
-def scaled(a: Matrix) -> tuple[GaussMatrix, int]:
+def scaled(a: Matrix) -> Scaled:
     """A as (M, d) with A = M/d: M has Gaussian-integer entries and d > 0 is
     the lcm of the entries' denominators."""
     parts = [[x.parts for x in row] for row in a]

@@ -7,15 +7,16 @@ which ``build_higgs`` returns.  Since omega != 0, the trace identities
 tr Phi = omega tr S = 0 and tr Phi^2 = omega^2 tr S^2 = 0 are checked as the
 polynomial identities tr S = 0 and tr S^2 = 0.  The residue r_p S(p) at a
 puncture is computed two independent ways, from S (``residue_matrix``) and
-from g1, g2 and q (``residue_matrix_closed_form``), as a Gaussian-integer
-matrix over one denominator.  Each route is given r_p, which the caller reads
-in order with its puncture, and its constants, formed once per check.  The
-nilpotent and end types are read from the numerator's 3x3 invariants
-(``linalg.invariants``).  Each route forms the powers of the puncture's
-denominator e once and evaluates every polynomial homogenized to one degree
-D (``UniPoly.parts_at``), so its nine entries share the factor e^D: the
-common denominator is the lcm of the polynomials' own denominators times
-e^D, and the residue is reduced by one gcd.
+from g1, g2 and q (``residue_matrix_closed_form``), as the pair (M, d) in
+lowest terms that ``linalg.scaled`` writes, so the routes agree iff the pairs
+are equal.  Each route is given r_p, which the caller reads in order with its
+puncture, and its constants, formed once per check.  The nilpotent and end
+types are read from M's 3x3 invariants (``linalg.invariants``).  Each route
+forms the powers of the puncture's denominator e once and evaluates every
+polynomial homogenized to one degree D (``UniPoly.parts_at``), so its nine
+entries share the factor e^D: the common denominator is the lcm of the
+polynomials' own denominators times e^D, and the residue is reduced by one
+gcd.
 """
 
 from __future__ import annotations
@@ -99,29 +100,6 @@ class NnoidData(Value):
 Section = tuple[tuple[UniPoly, ...], ...]
 
 
-class ResidueMatrix(Value):
-    """The residue at ``point`` as num/den, lowest terms: den > 0, gcd(den, num's parts) = 1.
-
-    ``point`` is a GaussianRational, ``num`` a ``linalg.GaussMatrix`` and ``den`` an int.
-    """
-
-    __slots__ = ("point", "num", "den")
-
-
-_set_point = ResidueMatrix.point.__set__
-_set_num = ResidueMatrix.num.__set__
-_set_den = ResidueMatrix.den.__set__
-
-
-def _new_residue(point: GaussianRational, num: linalg.GaussMatrix, den: int) -> ResidueMatrix:
-    """``ResidueMatrix(point, num, den)`` without ``Value``'s generic field loop."""
-    m = object.__new__(ResidueMatrix)
-    _set_point(m, point)
-    _set_num(m, num)
-    _set_den(m, den)
-    return m
-
-
 def build_higgs(data: NnoidData) -> Section:
     """S in the affine chart, strictly off-diagonal in the 2+1 split E = V + L.
 
@@ -155,14 +133,14 @@ def trace_phi_squared(s: Section) -> UniPoly:
     return s[0][0] * s[0][0] + s[1][1] * s[1][1] + s[2][2] * s[2][2] + off + off
 
 
-def _residue(p: GaussianRational, num: list[linalg.GaussInt], den: int) -> ResidueMatrix:
-    """The residue at p with the nine unreduced numerators ``num``, row by row, over
-    ``den``; reduced by one gcd, fed smallest first so that a tall puncture meets a
-    small gcd."""
+def _residue(num: list[linalg.GaussInt], den: int) -> linalg.Scaled:
+    """The residue with the nine unreduced numerators ``num``, row by row, over ``den``,
+    as ``linalg.scaled`` writes it: reduced by one gcd, fed smallest first so that a
+    tall puncture meets a small gcd."""
     if den != 1:  # over the denominator 1 it is in lowest terms already
         g = math.gcd(*sorted([den, *[x for pair in num for x in pair]], key=int.bit_length))
         num, den = [(x // g, y // g) for x, y in num], den // g
-    return _new_residue(p, (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den)
+    return (tuple(num[:3]), tuple(num[3:6]), tuple(num[6:])), den
 
 
 def residue_plan(s: Section) -> tuple:
@@ -175,7 +153,7 @@ def residue_plan(s: Section) -> tuple:
     return terms, max([len(f.re) for f in fs]) - 1, den
 
 
-def residue_matrix(plan: tuple, p: GaussianRational, r: GaussianRational) -> ResidueMatrix:
+def residue_matrix(plan: tuple, p: GaussianRational, r: GaussianRational) -> linalg.Scaled:
     """Res_p(omega S) = r S(p) at the puncture p, as only omega has poles, for r = r_p
     and ``plan`` = ``residue_plan(S)``.  For p = (u + iv)/e every entry f is evaluated
     at D, so that it sits over f.den e^D and the nine share the lcm of the f.den e^D."""
@@ -188,7 +166,7 @@ def residue_matrix(plan: tuple, p: GaussianRational, r: GaussianRational) -> Res
         x, y = f.parts_at(u, v, es, deg)
         ra, rb = a * k, b * k  # r_p's numerator, scaled to the common denominator
         num[i] = (ra * x - rb * y, ra * y + rb * x)
-    return _residue(p, num, den * es[deg] * d)
+    return _residue(num, den * es[deg] * d)
 
 
 def closed_form_plan(g1: BinaryForm, g2: BinaryForm, q: BinaryForm) -> tuple:
@@ -202,7 +180,7 @@ def closed_form_plan(g1: BinaryForm, g2: BinaryForm, q: BinaryForm) -> tuple:
 
 
 def residue_matrix_closed_form(plan: tuple, p: GaussianRational,
-                               r: GaussianRational) -> ResidueMatrix:
+                               r: GaussianRational) -> linalg.Scaled:
     """Closed-form residue r [[0, B], [C, 0]] at the puncture p, for r = r_p and ``plan`` =
     ``closed_form_plan(g1, g2, q)``.  For p = (u + iv)/e, q is evaluated at dq and g1, g2 at
     dg, so that B = (-q g2, q g1)^t sits over e^(dq + dg), and C = (g1, g2) is lifted by e^dq."""
@@ -224,7 +202,7 @@ def residue_matrix_closed_form(plan: tuple, p: GaussianRational,
            zero, zero, (a1 * px - b1 * py, a1 * py + b1 * px),
            ((a1 * x1 - b1 * y1) * lift, (a1 * y1 + b1 * x1) * lift),
            ((a2 * x2 - b2 * y2) * lift, (a2 * y2 + b2 * x2) * lift), zero]
-    return _residue(p, num, den * es[dq + dg] * d)
+    return _residue(num, den * es[dq + dg] * d)
 
 
 def nilpotency_profile(n: linalg.GaussMatrix) -> int | None:

@@ -1,7 +1,9 @@
 """The certificate corpus, every pinned output of chnoids, and its runner.
 
 ``cases.json`` maps each case's name to ``[argv, stdin, exit, pin]``, with
-``{"numpy": true}`` or a time bound ``{"seconds": s}`` where one holds.
+``{"numpy": true}``, a time bound ``{"seconds": s}`` or a module budget
+``{"modules": "cli ..."}`` where one holds: one case per command names the
+chnoids modules that the command loads in a new interpreter, sorted.
 argv is split at spaces.  After exit 2, an input error, stdout is empty and
 stderr is the one line ``error: <pin>``; otherwise pin is the sha256 of
 stdout, and stderr holds only the ``[chnoids ...]`` summary and its ok/FAIL
@@ -15,7 +17,8 @@ in this process, or with prefixes only the cases whose names start with one
 of them, skipping those that need numpy where it is missing; a mismatch
 names the case, its pin and what it got, and a case whose command raises
 names the case and the exception, prints the traceback to stderr, and the
-run goes on.  Stdlib only, for the floor.
+run goes on.  A case with a module budget is also run in a new interpreter
+(``check_modules``).  Stdlib only, for the floor.
 """
 
 import contextlib
@@ -23,7 +26,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import traceback
@@ -34,6 +39,7 @@ from chnoids import cli
 from corpus import inputs
 
 HERE = Path(__file__).parent
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 # what cli._summary writes to stderr after exit 0 or 1, and nothing else
 SUMMARY = re.compile(r"\[chnoids [^]\n]*\] status: [^\n]*\n(?:  (?:ok  |FAIL) [^\n]*\n)*").fullmatch
@@ -109,6 +115,37 @@ def check(case: dict) -> None:
         raise AssertionError(f"{case['name']}: took {elapsed:.2f} s, over its {case['seconds']} s")
 
 
+# Runs main on argv in a new interpreter, its output discarded, and prints the exit
+# code, whether numpy and dataclasses were loaded and the chnoids modules loaded, sorted.
+PROBE = """
+import contextlib, io, sys
+from chnoids.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules, "dataclasses" in sys.modules,
+      *sorted(m[len("chnoids."):] for m in sys.modules if m.startswith("chnoids.")))
+"""
+
+
+def check_modules(case: dict) -> None:
+    """Run case in a new interpreter, raising an AssertionError unless it exits as pinned
+    and loads the chnoids modules of its budget and no others, and numpy and dataclasses
+    only if it needs numpy (numpy may import dataclasses)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *case["argv"]], input=stdin_text(case),
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    if proc.returncode:
+        raise AssertionError(f"{case['name']}: the module probe failed: {proc.stderr}")
+    code, numpy, dataclasses, *modules = proc.stdout.split()
+    needs_numpy = bool(case.get("numpy"))
+    got = int(code), numpy == "True", dataclasses == "True" and not needs_numpy, " ".join(modules)
+    want = case["exit"], needs_numpy, False, case["modules"]
+    if got != want:
+        raise AssertionError(f"{case['name']}: (exit, numpy, dataclasses, modules) should be "
+                             f"{want}, got {got}")
+
+
 def main(prefixes: list[str]) -> int:
     cases = load()
     unmatched = [p for p in prefixes if not any(name.startswith(p) for name in cases)]
@@ -123,6 +160,8 @@ def main(prefixes: list[str]) -> int:
     for case in runnable:
         try:
             check(case)
+            if "modules" in case:
+                check_modules(case)
         except AssertionError as exc:
             print(f"FAIL {exc}")
             failed += 1

@@ -76,7 +76,7 @@ def test_criterion_1_nnoid_exact_suite(exact_suite, report):
         ok = ok and nnoid.trace_phi(s).is_zero
         ok = ok and nnoid.trace_phi_squared(s).is_zero
         for residue in residues:
-            m = residue.num
+            m = residue[0]
             ok = ok and nnoid.nilpotency_profile(m) == 3
             ok = ok and nnoid.jordan_type(m) == (3,)
             ok = ok and nnoid.end_type(m) == "II"
@@ -233,7 +233,7 @@ def test_criterion_7_unipotent_monodromy(exact_suite, report):
     # that is num^3 = 0, taken over sympy's Gaussian integers, an independent oracle
     for _, _, residues in suite:
         for residue in residues:
-            num = DomainMatrix([[ZZ_I(u, v) for u, v in row] for row in residue.num], (3, 3), ZZ_I)
+            num = DomainMatrix([[ZZ_I(u, v) for u, v in row] for row in residue[0]], (3, 3), ZZ_I)
             ok = ok and (num**3).is_zero_matrix
     # nonzero nilpotent N in u(2,1): K = i t v v* J with v null; exp is in
     # U(2,1) for real t r and must classify parabolic

@@ -492,8 +492,16 @@ def test_count_over_matches_singular_values():
             if x and np.abs(sigma2 - x).min() < 1e-6 * (x + 1.0):
                 continue
             over = rank if x == 0.0 else int((sigma2 > x).sum())
-            for most in range(3):
-                assert ch2._count_over(columns, *x.as_integer_ratio(), most) == (over > most), (n, x)
+            for most, vectors in itertools.product(range(3), (columns, list(zip(*columns)))):
+                assert ch2._count_over(vectors, *x.as_integer_ratio(), most) == (over > most), (n, x)
+
+
+def delta_conj_det_squared(a):
+    """Delta conj(D)^2 for a = M/d, with D = det M and Delta = ``ch2._cubic``'s Q^2 - 4P^3:
+    -27 |D|^4 f for Goldman's f, which the exact decider reads."""
+    t, e, det = linalg.invariants(a.scaled[0])
+    dc = det[0], -det[1]
+    return linalg.gmul(ch2._cubic(t, e, det)[3], linalg.gmul(dc, dc))
 
 
 def test_conjugation_invariance_exact():
@@ -507,6 +515,9 @@ def test_conjugation_invariance_exact():
         for seed, label in zip(seeds, labels):
             conj = Matrix21(linalg.mat_mul(linalg.mat_mul(g.rows, seed.rows), ginv))
             assert classify_isometry(conj) == label
+        for a in (g, conj):
+            (re, im), f = delta_conj_det_squared(a), goldman_f(a.rows)
+            assert im == 0 and (re < 0, re > 0) == (f > 0, f < 0)
 
 
 def test_unipotent_exponential():

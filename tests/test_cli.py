@@ -1013,49 +1013,28 @@ def test_fresh_process_nnoid_check_puncture_height_cap(past):
     check_fresh(case)
 
 
-# Runs main in a new interpreter and prints its exit code and whether numpy
-# was loaded, then whether dataclasses was and the chnoids modules loaded,
-# sorted; the certificate itself is discarded.
-MODULE_PROBE = """
-import contextlib, io, sys
-from chnoids.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
-print("dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.split(".")[0] == "chnoids"))
-"""
-
-NNOID_MODULES = "cli exactnum linalg nnoid sphere"
-CH2_MODULES = "ch2 cli exactnum linalg"
+def budget_id(case):
+    """The case's command words, and for ch2 classify the backing it runs."""
+    words = case["argv"][:2]
+    if words == ["ch2", "classify"]:
+        words = [*words, "exact" if "--exact" in case["argv"] else "float"]
+    return "-".join(words)
 
 
 # The exact commands never load numpy, nor do the scalar ch2 distance and a
 # float ch2 classify (read as dyadic rationals); cusp verify's grids do.  Each
 # command loads only the chnoids modules it runs, and none without numpy loads
-# dataclasses (numpy may import it).
-@pytest.mark.parametrize(
-    "argv, obj, loads_numpy, modules",
-    [
-        (["nnoid", "random", "6", "--seed", "3"], None, False, NNOID_MODULES),
-        (["nnoid", "check"], nnoid_json(6), False, NNOID_MODULES + " stability"),
-        (["stability", "check"], STABLE, False, "cli stability"),
-        (["stability", "region"], REGION_INPUT, False, "cli stability"),
-        (["ch2", "classify"], FUZZ_SEEDS["ch2 classify"], False, CH2_MODULES),
-        (["ch2", "distance"], FUZZ_SEEDS["ch2 distance"], False, CH2_MODULES),
-        (["ch2", "classify"], FLOAT_BOOST, False, CH2_MODULES),
-        (["cusp", "verify"], {"grid": SMALL_GRID}, True, "ch2 cli cusp exactnum linalg"),
-    ],
-    ids=["nnoid-random", "nnoid-check", "stability-check", "stability-region",
-         "ch2-classify-exact", "ch2-distance", "ch2-classify-float", "cusp-verify"],
-)
-def test_numpy_loads_only_for_float_work(argv, obj, loads_numpy, modules):
-    if obj is not None:
-        argv = [*argv, "-"]
-    proc = run_python(["-c", MODULE_PROBE, *argv], input=None if obj is None else json.dumps(obj))
-    assert proc.returncode == 0, proc.stderr
-    numpy_line, module_line = proc.stdout.splitlines()
-    assert numpy_line.split() == ["0", str(loads_numpy)]
-    dataclasses_loaded, *loaded = module_line.split()
-    assert loaded == ["chnoids", *(f"chnoids.{m}" for m in modules.split())]
-    if not loads_numpy:
-        assert dataclasses_loaded == "False"
+# dataclasses (numpy may import it).  The budgets are the corpus cases' "modules"
+# fields, which the corpus runner checks on the floor Pythons too.
+BUDGETED = [case for case in CASES.values() if "modules" in case]
+
+
+@pytest.mark.parametrize("case", BUDGETED, ids=[budget_id(case) for case in BUDGETED])
+def test_numpy_loads_only_for_float_work(case):
+    corpus.check_modules(case)
+
+
+def test_each_command_has_one_module_budget():
+    assert sorted(map(budget_id, BUDGETED)) == [
+        "ch2-classify-exact", "ch2-classify-float", "ch2-distance", "cusp-verify",
+        "nnoid-check", "nnoid-random", "stability-check", "stability-region"]

@@ -19,7 +19,6 @@ import chnoids
 from chnoids.ch2 import Matrix21
 from chnoids.cli import random_nnoid_data
 from chnoids.exactnum import GQ, BinaryForm, RationalFunction, RationalOneForm, UniPoly
-from chnoids.nnoid import ResidueMatrix
 from chnoids.sphere import make_log_form
 from chnoids.stability import (
     MixedDegreeData,
@@ -77,7 +76,6 @@ RECORDS = {
     "RationalOneForm": lambda: RationalOneForm(RECORDS["RationalFunction"]()),
     "LogOneForm": lambda: make_log_form([GQ(0), GQ(1)], [GQ(1), GQ(-1)]),
     "NnoidData": lambda: random_nnoid_data(5, 1),
-    "ResidueMatrix": lambda: ResidueMatrix(GQ(1), (((0, 0), (0, 0), (1, 2)),) * 3, 3),
     "SurfaceData": lambda: SurfaceData(0, 5),
     "WeightTriple": lambda: _weights().weights,
     "PunctureWeights": _weights,
@@ -156,12 +154,12 @@ def test_repr_names_each_field():
 
 
 def test_a_wrong_field_count_is_a_type_error():
-    num = (((0, 0), (0, 0), (1, 2)),) * 3
-    assert ResidueMatrix(GQ(1), num, 3).den == 3
-    with pytest.raises(TypeError, match="ResidueMatrix takes 3 fields, got 2"):
-        ResidueMatrix(GQ(1), num)
-    with pytest.raises(TypeError, match="ResidueMatrix takes 3 fields, got 4"):
-        ResidueMatrix(GQ(1), num, 3, 3)
+    third = Fraction(1, 3)
+    assert WeightTriple(0, third, third).a3 == third
+    with pytest.raises(TypeError, match="WeightTriple takes 3 fields, got 2"):
+        WeightTriple(0, third)
+    with pytest.raises(TypeError, match="WeightTriple takes 3 fields, got 4"):
+        WeightTriple(0, third, third, third)
 
 
 @pytest.mark.parametrize("name", VALUES)
