@@ -48,9 +48,9 @@ EXIT_INPUT = 2
 # here.  A stability region takes 0.07 s at n = 5, dmax = 140; stability check
 # or a region at dmax = 0 0.07-0.10 s at n = 10^5 with zero weights and
 # 1.3-1.9 s weighted; stability check 0.15 s at the digit limit; cusp verify
-# 0.28 s on a 1024 x 1024 grid alone, 0.52 s on 8 x 2^17, 0.31 s with 16 modes
-# on 1024 x 1024 and 4.9 s with 2^18 modes on 8 x 8, of which sampling mode by
-# mode takes about 2.3 s and writing the 24 MB echo of the modes 1.2 s.
+# 0.25 s on a 1024 x 1024 grid alone, 0.53 s on Nx 8, Ny 2^17, 0.35 s with 16
+# modes on 1024 x 1024 and 4.4 s with 2^18 modes on 8 x 8, of which sampling
+# mode by mode takes about 2.0 s and writing the 24 MB echo of the modes 1.2 s.
 MAX_NNOID_N = 64
 MAX_NNOID_HEIGHT_WORK = 700_000  # n times the punctures' summed height, in bits
 MAX_STABILITY_WORK = 10**5  # (d1, d2) pairs in [0, dmax]^2 times n
@@ -536,12 +536,8 @@ def cmd_cusp_verify(inputs, args) -> tuple[dict, bool]:
 
     grid, spec = inputs
     field = spec.sample(grid)
-    # the sup bound first: its full-size buffer then reuses the memory that
-    # sampling freed.  glibc returns about 1 MB freed at the top of the heap to
-    # the system, and on a 256 x 256 grid the Laplacian's two buffers come to
-    # that; with this order a verify takes about 240 page faults instead of 440.
-    sup = cusp.check_sup_bound(field, tol=args.tol)
     conv = cusp.check_mean_convexity(field, tol=args.tol)
+    sup = cusp.check_sup_bound(field, tol=args.tol)
     checks = [
         _check("mean-convexity", conv.passed, f"worst slack {conv.worst_slack:.3e}, tol {conv.tol:.3e}"),
         _check("sup-bound", sup.passed, f"worst slack {sup.worst_slack:.3e}, tol {sup.tol:.3e}"),

@@ -21,6 +21,7 @@ from .ch2 import distance, in_ch2, normalize_points, normalized_distances, point
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL_FACTOR = 10.0
+_BLOCK = 2**14  # samples in a row block: 128 KB of float64, which stays in cache
 
 
 class CuspGridError(InputError):
@@ -92,8 +93,19 @@ class StripField:
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # _strip_report refuses a non-finite value
     def min_laplacian(self) -> float:
-        """Smallest five-point Laplacian value, computed once per field."""
-        return float(discrete_laplacian(self).min())
+        """Smallest five-point Laplacian value, computed once per field.
+
+        The row kernel runs one block at a time through two block buffers, and
+        the minimum is taken over the block minima, so a NaN anywhere gives NaN.
+        """
+        blocks = _row_blocks(self.grid.ny - 2, self.grid.nx)
+        two, lap = np.empty((2, blocks[0].stop, self.grid.nx))
+        mins = np.empty(len(blocks))
+        for i, rows in enumerate(blocks):
+            n = rows.stop - rows.start
+            _laplacian_rows(self, rows, two[:n], lap[:n])
+            mins[i] = lap[:n].min()
+        return float(mins.min())
 
     @cached_property
     def row_means(self) -> np.ndarray:
@@ -101,37 +113,67 @@ class StripField:
         return self.u.mean(axis=1)
 
 
+def _row_blocks(n_rows: int, nx: int) -> list[slice]:
+    """Consecutive slices of n_rows rows of nx samples, each slice at most
+    _BLOCK samples (one row where a row is longer); the first is the largest."""
+    step = max(1, _BLOCK // nx)
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
 def oscillation_a(s: StripField) -> np.ndarray:
-    """A(y) = (integral of U_x^2 over the period)^(1/2), centered differences."""
-    u, ux = s.u, np.empty(s.u.shape)
-    np.subtract(u.ravel()[2:], u.ravel()[:-2], out=ux.ravel()[1:-1])  # rows laid end to end
-    np.subtract(u[:, 1], u[:, -1], out=ux[:, 0])  # and the two wrapped columns
-    np.subtract(u[:, 0], u[:, -2], out=ux[:, -1])
-    ux /= 2.0 * s.grid.hx
-    ux *= ux
-    return np.sqrt(ux.sum(axis=1) * s.grid.hx)
+    """A(y) = (integral of U_x^2 over the period)^(1/2), centered differences.
+
+    U_x is formed one row block at a time in one block buffer.
+    """
+    u, hx = s.u, s.grid.hx
+    blocks = _row_blocks(s.grid.ny, s.grid.nx)
+    buf = np.empty((blocks[0].stop, s.grid.nx))
+    sq = np.empty(s.grid.ny)
+    for rows in blocks:
+        ux, flat = buf[: rows.stop - rows.start], u[rows].ravel()
+        np.subtract(flat[2:], flat[:-2], out=ux.ravel()[1:-1])  # rows laid end to end
+        np.subtract(u[rows, 1], u[rows, -1], out=ux[:, 0])  # and the two wrapped columns
+        np.subtract(u[rows, 0], u[rows, -2], out=ux[:, -1])
+        ux /= 2.0 * hx
+        ux *= ux
+        sq[rows] = ux.sum(axis=1)
+    return np.sqrt(sq * hx)
+
+
+def _laplacian_rows(s: StripField, rows: slice, two: np.ndarray, lap: np.ndarray) -> None:
+    """Write the five-point Laplacian of the interior rows in rows into lap.
+
+    Interior row r is row r + 1 of U; two and lap are C-contiguous buffers
+    shaped (len(rows), nx).  Each stencil is ((next - 2 mid) + previous) / h^2,
+    in that order, and the x- and y-stencils are added in that order.  The
+    x-stencil runs on the rows laid end to end, and the wrapped columns are
+    then rewritten.
+    """
+    u, hx, hy = s.u, s.grid.hx, s.grid.hy
+    mid = u[rows.start + 1 : rows.stop + 1]
+    flat, lap_flat = mid.ravel(), lap.ravel()
+    np.multiply(mid, 2, out=two)
+    np.subtract(flat[1:], two.ravel()[:-1], out=lap_flat[:-1])  # x-stencil, rows end to end
+    np.subtract(mid[:, 0], two[:, -1], out=lap[:, -1])  # the wrapped last column
+    lap_flat[1:] += flat[:-1]
+    np.subtract(mid[:, 1], two[:, 0], out=lap[:, 0])  # and column 0 afresh
+    lap[:, 0] += mid[:, -1]
+    lap /= hx**2
+    np.subtract(u[rows.start + 2 : rows.stop + 2], two, out=two)  # y-stencil
+    two += u[rows]
+    two /= hy**2
+    lap += two
 
 
 def discrete_laplacian(s: StripField) -> np.ndarray:
     """Five-point Laplacian on interior rows, periodic in x; shape (ny-2, nx).
 
-    Each stencil is ((next - 2 mid) + previous) / h^2, in that order, and the
-    x- and y-stencils are added in that order; both are written into two
-    buffers of the result's shape, with no other full-size temporary.
+    The row kernel over all interior rows at once, into the result and one
+    buffer of its shape.  The checks never form this array: they read
+    ``StripField.min_laplacian``, which runs the kernel one row block at a time.
     """
-    u, hx, hy = s.u, s.grid.hx, s.grid.hy
-    mid = u[1:-1]
-    two = np.multiply(mid, 2, out=np.empty(mid.shape))
-    lap = np.empty(mid.shape)
-    np.subtract(mid[:, 1:], two[:, :-1], out=lap[:, :-1])  # x-stencil, periodic
-    np.subtract(mid[:, 0], two[:, -1], out=lap[:, -1])
-    lap[:, 1:] += mid[:, :-1]
-    lap[:, 0] += mid[:, -1]
-    lap /= hx**2
-    np.subtract(u[2:], two, out=two)  # y-stencil
-    two += u[:-2]
-    two /= hy**2
-    lap += two
+    lap = np.empty((s.grid.ny - 2, s.grid.nx))
+    _laplacian_rows(s, slice(0, s.grid.ny - 2), np.empty(lap.shape), lap)
     return lap
 
 
@@ -243,17 +285,22 @@ class SubharmonicSpec:
 
     def sample(self, grid: StripGrid) -> StripField:
         b0, b1, b2 = self.poly
-        # the profile is formed once per row, and each mode is added in place
-        # through one term buffer; a sample that overflows is not finite,
+        # the profile is formed once per row; each mode forms its cos row once
+        # and its exp column one row block at a time, and is added in place
+        # through one block buffer; a sample that overflows is not finite,
         # which StripField rejects
         with np.errstate(over="ignore", invalid="ignore"):
             xs = grid.xs[None, :]
             ys = grid.ys[:, None]
             u = np.empty((grid.ny, grid.nx))
             u[...] = np.full(ys.shape, 0.0) + b0 + b1 * ys + b2 * ys**2
-            term = np.empty(u.shape)
+            blocks = _row_blocks(grid.ny, grid.nx)
+            term = np.empty((blocks[0].stop, grid.nx))
+            parts = [(ys[rows], u[rows], term[: rows.stop - rows.start]) for rows in blocks]
             for k, amp, phase in self.modes:
-                u += np.multiply(amp * np.exp(-k * ys), np.cos(k * xs + phase), out=term)
+                wave = np.cos(k * xs + phase)
+                for y, u_rows, t in parts:
+                    u_rows += np.multiply(amp * np.exp(-k * y), wave, out=t)
         return StripField(grid, u)
 
 

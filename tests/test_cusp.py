@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -127,14 +128,19 @@ def test_generated_fields_pass():
 
 
 def test_laplacian_computed_once_per_field(monkeypatch):
-    calls = []
-    original = cusp.discrete_laplacian
-    monkeypatch.setattr(cusp, "discrete_laplacian", lambda s: calls.append(s) or original(s))
+    # blocks of 5 rows, so that the sweep has many blocks and a short last one
+    monkeypatch.setattr(cusp, "_BLOCK", 5 * GRID.nx)
+    swept = []
+    original = cusp._laplacian_rows
+    monkeypatch.setattr(cusp, "_laplacian_rows",
+                        lambda s, rows, two, lap: swept.append(rows) or original(s, rows, two, lap))
     field = random_subharmonic_spec(random.Random(7)).sample(GRID)
     conv, sup = check_mean_convexity(field), check_sup_bound(field)
-    assert len(calls) == 1
+    # one sweep of the row kernel: its blocks cover the interior rows once, in order
+    assert [r for rows in swept for r in range(rows.start, rows.stop)] == list(range(GRID.ny - 2))
+    assert len(swept) == 13
     assert conv.precondition_ok and sup.precondition_ok
-    assert field.min_laplacian == float(original(field).min())
+    assert field.min_laplacian == float(discrete_laplacian(field).min())
 
 
 def test_row_means_computed_once_per_field():
@@ -186,21 +192,78 @@ def kernel_specs(seed):
     yield SubharmonicSpec(((1, 10**20, 0), (2, -3, 1)), (0, 0, 0))
 
 
-@pytest.mark.parametrize("grid", [StripGrid(8, 8, -10.0, 2.0), StripGrid(9, 11, -10.0, 4.0),
-                                  StripGrid(256, 256, -10.0, 20.0)], ids=["8x8", "9x11", "256x256"])
-def test_in_place_kernels_match_their_first_form_bitwise(grid, monkeypatch):
+def oscillation_oracle(u, grid):
+    """A(y) as oscillation_a first computed it, through one full-size U_x."""
+    ux = np.empty(u.shape)
+    np.subtract(u.ravel()[2:], u.ravel()[:-2], out=ux.ravel()[1:-1])
+    np.subtract(u[:, 1], u[:, -1], out=ux[:, 0])
+    np.subtract(u[:, 0], u[:, -2], out=ux[:, -1])
+    ux /= 2.0 * grid.hx
+    ux *= ux
+    return np.sqrt(ux.sum(axis=1) * grid.hx)
+
+
+KERNEL_GRIDS = {
+    "8x8": StripGrid(8, 8, -10.0, 2.0),
+    "9x11": StripGrid(9, 11, -10.0, 4.0),
+    "100x131": StripGrid(100, 131, -10.0, 6.0),
+    "256x256": StripGrid(256, 256, -10.0, 20.0),
+    "32768x9": StripGrid(2**15, 9, -10.0, 3.0),  # longer than a block: one row per block
+}
+
+
+@pytest.mark.parametrize("grid, rows", [
+    *(pytest.param(grid, None, id=name) for name, grid in KERNEL_GRIDS.items()),
+    *(pytest.param(grid, 4, id=f"{name}-4-row-blocks") for name, grid in KERNEL_GRIDS.items()),
+])
+def test_in_place_kernels_match_their_first_form_bitwise(grid, rows, monkeypatch):
     # sample's samples are taken before StripField refuses a non-finite one
     monkeypatch.setattr(cusp, "StripField", lambda grid, u: SimpleNamespace(grid=grid, u=u))
+    if rows:  # several blocks per grid, the last one short on most grids
+        monkeypatch.setattr(cusp, "_BLOCK", rows * grid.nx)
     finite = []
     for spec in kernel_specs(grid.nx * grid.ny):
         s = spec.sample(grid)
         assert s.u.tobytes() == sample_oracle(spec, grid).tobytes(), spec
         with np.errstate(over="ignore", invalid="ignore"):
             lap, want = discrete_laplacian(s), laplacian_oracle(s.u, grid)
+            low, want_low = StripField.min_laplacian.func(s), float(want.min())
+            a, want_a = oscillation_a(s), oscillation_oracle(s.u, grid)
         assert lap.shape == want.shape == (grid.ny - 2, grid.nx)
         assert lap.tobytes() == want.tobytes(), spec
+        assert low == want_low or math.isnan(low) and math.isnan(want_low), spec
+        assert a.tobytes() == want_a.tobytes(), spec
         finite.append(np.isfinite(s.u).all() and np.isfinite(lap).all())
     assert any(finite) and not all(finite)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_min_laplacian_keeps_a_non_finite_value_in_any_block(bad, monkeypatch):
+    # blocks of 4 rows; the value sits in each row in turn, so also past the first block
+    grid = KERNEL_GRIDS["9x11"]
+    monkeypatch.setattr(cusp, "_BLOCK", 4 * grid.nx)
+    for row in range(grid.ny):
+        u = np.ones((grid.ny, grid.nx))
+        u[row, 3] = bad
+        with np.errstate(invalid="ignore"):
+            low = StripField.min_laplacian.func(SimpleNamespace(grid=grid, u=u))
+            want = float(laplacian_oracle(u, grid).min())
+        assert low == want or math.isnan(low) and math.isnan(want), (row, low, want)
+
+
+def test_verify_scratch_is_bounded_by_the_field():
+    # a 2^20-point verify holds U and block buffers, no other array of U's size
+    grid = StripGrid(1024, 1024, 1.0, 20.0)
+    spec = SubharmonicSpec(((1, 2.0, 0.5), (3, -1.0, 2.5)), (0.0, 0.1, 0.3))
+    tracemalloc.start()
+    try:
+        field = spec.sample(grid)
+        conv, sup = check_mean_convexity(field), check_sup_bound(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conv.passed and sup.passed
+    assert peak < 1.5 * field.u.nbytes
 
 
 def test_subharmonic_spec_validation():
