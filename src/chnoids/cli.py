@@ -7,7 +7,9 @@ Each subcommand is an entry of ``COMMANDS``; ``main`` is the one boundary
 around them that loads the JSON, maps ``chnoids.InputError`` (the base of
 every module's error class) to exit 2, emits the output and the summary, and
 picks the exit code.  ``_encode`` writes every output, with the bytes of
-``json.dumps(output, indent=2)``.
+``json.dumps(output, indent=2)``: a container of scalars, or a table of rows
+of scalars such as a region's (d1, d2) pairs, in one call of json's C
+encoder, and any other container item by item.
 
 Every module a command runs, past the package itself, is imported inside
 that command's parse and handler functions, so each command loads only the
@@ -24,6 +26,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import MAX_CERTIFICATE_DIGITS, InputError, __version__, array, integer, rational
@@ -45,9 +48,11 @@ EXIT_INPUT = 2
 # Q(i) gcd refuses it in 0.19 s at 1 digit, 0.5-0.7 s at 4, 2.4 s at 12 and
 # 14.8 s at 30, still growing.  4,300-digit g1, g2 coefficients cost 6.2 s at
 # n = 64 and 9.3 s with a puncture at the cap; their height is not bounded
-# here.  A stability region takes 0.07 s at n = 5, dmax = 140; stability check
-# or a region at dmax = 0 0.07-0.10 s at n = 10^5 with zero weights and
-# 1.3-1.9 s weighted; stability check 0.15 s at the digit limit; cusp verify
+# here.  A stability region takes 0.08 s at n = 5, dmax = 140 with zero weights
+# and 0.11 s weighted, and 0.20 s at n = 1, dmax = 315, whose 99,856 pairs are
+# all stable and written out; stability check or a region at dmax = 0 0.07-0.10 s
+# at n = 10^5 with zero weights and 1.3-1.9 s weighted; stability check 0.15 s
+# at the digit limit; cusp verify
 # 0.25 s on a 1024 x 1024 grid alone, 0.53 s on Nx 8, Ny 2^17, 0.35 s with 16
 # modes on 1024 x 1024 and 4.4 s with 2^18 modes on 8 x 8, of which sampling
 # mode by mode takes about 2.0 s and writing the 24 MB echo of the modes 1.2 s.
@@ -87,6 +92,7 @@ def _write(path: str, text: str) -> None:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _all_scalars = _SCALARS.issuperset  # of an iterable of classes
 _encode_str = json.encoder.encode_basestring_ascii
+_ARRAYS = frozenset((list, tuple))
 
 
 def _unserializable(o):
@@ -99,12 +105,49 @@ def _newline(level: int) -> str:
     return "\n" + "  " * level
 
 
+def _c_encoder(item_separator: str):
+    """json's C encoder, with no indent, writing items apart by item_separator."""
+    return json.encoder.c_make_encoder(
+        None, _unserializable, _encode_str, None, ": ", item_separator, False, False, True
+    )
+
+
 @functools.cache
 def _flat_encoder(level: int):
     """json's C encoder with the item separator of indent level ``level``."""
-    return json.encoder.c_make_encoder(
-        None, _unserializable, _encode_str, None, ": ", "," + _newline(level), False, False, True
-    )
+    return _c_encoder("," + _newline(level))
+
+
+_table_encoder = _c_encoder(",\x00")  # why ",\x00" is safe: see ``_encode``
+
+
+def _table(o, level: int) -> str | None:
+    """The list or tuple o written as ``_encode`` writes it, at indent level
+    ``level``, if o is a table, else None.
+
+    A table is two or more non-empty rows of items of a class in _SCALARS,
+    every row a list or tuple or every row a dict.  It is one C encoder call,
+    whose output is split into rows at "],\x00[" (or "},\x00{"), each row's
+    ",\x00" becoming that row's indent.  The test runs in C, so a list that
+    is not a table costs a few passes over its items.
+    """
+    if len(o) < 2:
+        return None
+    kinds = set(map(type, o))
+    if kinds <= _ARRAYS:
+        opening, closing, keys, values = "[", "]", (), chain.from_iterable(o)
+    elif kinds == {dict}:
+        opening, closing = "{", "}"
+        keys, values = chain.from_iterable(o), chain.from_iterable(map(dict.values, o))
+    else:
+        return None
+    if not (all(o) and _all_scalars(map(type, values)) and _all_scalars(map(type, keys))):
+        return None
+    row, cell = _newline(level + 1), _newline(level + 2)
+    body = "".join(_table_encoder(o, 0))[2:-2]
+    body = body.replace(closing + ",\x00" + opening, row + closing + "," + row + opening + cell)
+    body = body.replace(",\x00", "," + cell)
+    return "[" + row + opening + cell + body + row + closing + _newline(level) + "]"
 
 
 def _float(x: float) -> str:
@@ -138,8 +181,13 @@ def _encode(o, level: int = 0) -> str:
 
     Scalars, keys and the type order are json's.  A list, tuple or dict
     whose items are all of a class in _SCALARS is one C encoder call, its
-    brackets padded to the indent.  Certificates are trees, so there is no
-    check for a circular reference.
+    brackets padded to the indent, and so is a table, a list or tuple of
+    rows of such items (``_table``): its items are written apart by
+    ",\x00", which no string holds, since json escapes every control
+    character, and "],\x00[" or "},\x00{" stands only between two rows,
+    since a row of scalars ends in a scalar.  Any other container is written
+    item by item.  Certificates are trees, so there is no check for a
+    circular reference.
     """
     if isinstance(o, str):
         return _encode_str(o)
@@ -157,6 +205,8 @@ def _encode(o, level: int = 0) -> str:
         if not o:
             return "[]"
         brackets, flat = "[]", _all_scalars(map(type, o))
+        if not flat and (table := _table(o, level)) is not None:
+            return table
     elif isinstance(o, dict):
         if not o:
             return "{}"
@@ -453,7 +503,7 @@ def cmd_stability_region(inputs, args) -> tuple[dict, bool]:
         obj,
         checks,
         "done",
-        region=[list(p) for p in region],
+        region=region,
     )
     return cert, True
 

@@ -82,7 +82,8 @@ class StripField:
     def __post_init__(self):
         if self.u.shape != (self.grid.ny, self.grid.nx):
             raise CuspGridError("U samples must be shaped (Ny, Nx)")
-        if not np.isfinite(self.u).all():
+        # NaN carries through min and max; neither forms an array of U's size
+        if not (math.isfinite(self.u.min()) and math.isfinite(self.u.max())):
             raise CuspGridError("U must be finite everywhere")
         if self.f is not None:
             if self.f.shape != (self.grid.ny, self.grid.nx, 3):

@@ -6,15 +6,17 @@ must agree; a disagreement signals an implementation bug and aborts.
 
 The weights are rationals with small denominators, so the arithmetic runs
 on Python ints.  The weight sums add integer numerators per denominator,
-each distinct entry once times its count, then the one Fraction term per
-distinct denominator in pairwise rounds.  ``MixedDegreeData`` clears the
-three sums once, to integer numerators over their common denominator den,
-and each formula is written once, in integers over den: ``_degrees`` for
-the parabolic degrees of E, W1 and W2, ``_expanded`` for both sides of each
-expanded inequality.  ``check_mixed_stability`` and ``stability_region``
-both read them; ``Fraction`` is built only for the numbers a certificate
-prints, and each d1's largest stable d2 in the region is an integer floor
-division, taken from the slope form and from the expanded form separately.
+each distinct entry once times its count, then the one (numerator,
+denominator) pair per distinct denominator in pairwise rounds, to a reduced
+int pair per sum.  ``MixedDegreeData`` clears the three sums once, to
+integer numerators over their common denominator den, and each formula is
+written once, in integers over den: ``_degrees`` for the parabolic degrees
+of E, W1 and W2, ``_expanded`` for both sides of each expanded inequality.
+``check_mixed_stability`` and ``stability_region`` both read them;
+``Fraction`` is built only for the numbers that a certificate of
+``check_mixed_stability`` prints, and each d1's largest stable d2 in the
+region is an integer floor division, taken from the slope form and from
+the expanded form separately.
 """
 
 from __future__ import annotations
@@ -101,17 +103,18 @@ class MixedDegreeData(Value):
         if d1 < 0 or d2 < 0:
             raise StabilityError("d1 and d2 must be nonnegative")
         sums = _weight_sums(tuple(puncture_weights))
-        den = math.lcm(*(x.denominator for x in sums))
-        return MixedDegreeData(d1, d2, den, *(x.numerator * (den // x.denominator) for x in sums))
+        den = math.lcm(*(d for _, d in sums))
+        return MixedDegreeData(d1, d2, den, *(n * (den // d) for n, d in sums))
 
 
-def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fraction]:
-    """Sum of omega_p, of beta_p and of gamma_p.
+def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[tuple[int, int], ...]:
+    """Sum of omega_p, of beta_p and of gamma_p, each a reduced (numerator,
+    denominator) pair of ints.
 
     An entry repeated as one object (the CLI builds each distinct entry
     once) is taken once, times its count; counting ids runs in C and hashes
     no Fraction.  Numerators are added as ints per denominator, so only the
-    distinct denominators are added as Fractions, by ``_pairwise_sum``.
+    distinct denominators are added as pairs, by ``_pairwise_sum``.
     """
     distinct = dict(zip(map(id, pws), pws))
     by_den: tuple[dict[int, int], ...] = ({}, {}, {})  # omega, beta, gamma
@@ -120,25 +123,32 @@ def _weight_sums(pws: Sequence[PunctureWeights]) -> tuple[Fraction, Fraction, Fr
         for acc, values in zip(by_den, (pw.weights.values, (pw.beta,), (pw.gamma,))):
             for v in values:
                 acc[v.denominator] = acc.get(v.denominator, 0) + count * v.numerator
-    omega, beta, gamma = (
-        _pairwise_sum([Fraction(num, den) for den, num in acc.items()]) for acc in by_den
-    )
-    return omega, beta, gamma
+    return tuple(_pairwise_sum([(num, den) for den, num in acc.items()]) for acc in by_den)
 
 
-def _pairwise_sum(terms: list[Fraction]) -> Fraction:
-    """Sum in rounds of pairwise additions.
+def _pairwise_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions num/den given as int pairs (num, den), den > 0,
+    as a reduced pair; (0, 1) for no terms.
 
-    Each addition then meets operands of about equal size, so with many
-    coprime denominators the cost stays near-linear in the digits of the
-    sum; adding them one by one to a growing total is quadratic.
+    The terms are added in rounds of pairwise additions, a/b + c/d =
+    (ad + cb)/bd with one gcd each.  Each addition then meets operands of
+    about equal size, so with many coprime denominators the cost stays
+    near-linear in the digits of the sum; adding them one by one to a
+    growing total is quadratic.
     """
-    if not terms:
-        return Fraction(0)
+    if len(terms) < 2:
+        return _add(*terms[0], 0, 1) if terms else (0, 1)
     while len(terms) > 1:
-        pairs = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        pairs = [_add(*terms[i], *terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
         terms = pairs + terms[len(pairs) * 2:]
     return terms[0]
+
+
+def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as a reduced pair."""
+    num, den = a * d + c * b, b * d
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 class StabilityCertificate(Value):

@@ -29,6 +29,7 @@ from chnoids.cli import main, random_nnoid_data
 from chnoids.exactnum import GaussianRational, UniPoly
 from chnoids.nnoid import NnoidData
 from corpus import run as corpus
+from corpus import writer
 from corpus.inputs import literal_matrix, literal_weights, nnoid_json, prime_weights
 from test_exactnum import LITERAL_CORPUS
 
@@ -296,16 +297,42 @@ IDENTITY = literal_matrix("1")
 EDGE_FLOATS = st.one_of(
     st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
 )
-LEAVES = st.one_of(
+# A table (two or more non-empty rows of scalars, all arrays or all dicts) is
+# written by one C encoder call and split at "],\x00[" or "},\x00{", so
+# strings hold those separators.
+SEPARATORS = st.lists(st.sampled_from(["],", "},", ",", '"', "\\", "\x00", "[", "{", "]", "}"]),
+                      max_size=5).map("".join)
+SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
-    EDGE_FLOATS, EDGE_FLOATS.map(np.float64),
-    st.text(), st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\U0001f600')),
+    EDGE_FLOATS, st.text(), st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\U0001f600')), SEPARATORS,
 )
+LEAVES = st.one_of(SCALARS, EDGE_FLOATS.map(np.float64))
 KEYS = st.one_of(st.text(max_size=4), st.integers(), EDGE_FLOATS, st.booleans(), st.none())
-TREES = st.recursive(LEAVES, lambda inner: st.one_of(
-    st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple),
-    st.dictionaries(KEYS, inner, max_size=6),
+
+
+def lists_and_tuples(items, **size):
+    return st.one_of(st.lists(items, **size), st.lists(items, **size).map(tuple))
+
+
+ARRAY_ROWS = lists_and_tuples(SCALARS, min_size=1, max_size=4)
+DICT_ROWS = st.dictionaries(st.one_of(KEYS, SEPARATORS), SCALARS, min_size=1, max_size=4)
+# an empty row, or a row with a np.float64 cell, makes its list no table
+ODD_ROWS = st.one_of(st.just([]), st.just({}), lists_and_tuples(LEAVES, max_size=4))
+TABLES = st.one_of(
+    lists_and_tuples(ARRAY_ROWS, min_size=2, max_size=40),
+    lists_and_tuples(DICT_ROWS, min_size=2, max_size=40),
+    # near misses: no row, one row, list and dict rows mixed, odd rows
+    lists_and_tuples(st.one_of(ARRAY_ROWS, DICT_ROWS, ODD_ROWS), max_size=4),
+)
+TREES = st.recursive(st.one_of(LEAVES, TABLES), lambda inner: st.one_of(
+    lists_and_tuples(inner, max_size=6), st.dictionaries(KEYS, inner, max_size=6),
 ), max_leaves=40)
+
+
+def under_dicts(tables, levels: int):
+    for _ in range(levels):
+        tables = st.dictionaries(KEYS, tables, min_size=1, max_size=2)
+    return tables
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,12 +341,26 @@ def test_writer_matches_json_dumps_indent_2(tree):
     assert cli._encode(tree) == json.dumps(tree, indent=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(*(under_dicts(TABLES, levels) for levels in range(4))))
+def test_writer_writes_tables_as_json_dumps_indent_2(tree):
+    assert cli._encode(tree) == json.dumps(tree, indent=2)
+
+
+def test_writer_differential_on_seeded_trees():
+    # the stdlib differential that CI runs on every floor Python
+    assert writer.main(["39", "2000"]) == 0
+
+
 @pytest.mark.parametrize("obj", [
     [1.5, Fraction(1, 3)],
     {"checks": [{"passed": np.bool_(True)}]},
     {(1, 2): 0},
     {"a": {(1, 2): [0]}},
-], ids=["fraction-leaf", "numpy-bool-leaf", "tuple-key", "nested-tuple-key"])
+    [[1, 2], [3, Fraction(1, 3)]],
+    [{"a": 1}, {(1, 2): 0}],
+], ids=["fraction-leaf", "numpy-bool-leaf", "tuple-key", "nested-tuple-key", "fraction-in-table-row",
+        "tuple-key-in-table-row"])
 def test_writer_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError) as want:
         json.dumps(obj, indent=2)

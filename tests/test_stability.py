@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -382,13 +383,32 @@ def random_weights(rng):
     return out
 
 
+def plain_fraction_sums(pws):
+    return (
+        sum((sum(pw.weights.values) for pw in pws), Fraction(0)),
+        sum((pw.beta for pw in pws), Fraction(0)),
+        sum((pw.gamma for pw in pws), Fraction(0)),
+    )
+
+
 def test_weight_sums_match_plain_fraction_sum():
     rng = random.Random(4517)
     for _ in range(300):
         pws = random_weights(rng)
-        expected = (
-            sum((sum(pw.weights.values) for pw in pws), Fraction(0)),
-            sum((pw.beta for pw in pws), Fraction(0)),
-            sum((pw.gamma for pw in pws), Fraction(0)),
-        )
-        assert stability._weight_sums(pws) == expected
+        sums = stability._weight_sums(pws)
+        assert tuple(Fraction(*pair) for pair in sums) == plain_fraction_sums(pws)
+        assert all(den > 0 and math.gcd(num, den) == 1 for num, den in sums)
+
+
+def test_cleared_sums_match_the_fraction_route():
+    # MixedDegreeData clears the int pairs as it cleared the Fraction sums
+    def fraction_route(pws):
+        sums = plain_fraction_sums(pws)
+        den = math.lcm(*(x.denominator for x in sums))
+        return (den, *(x.numerator * (den // x.denominator) for x in sums))
+
+    rng = random.Random(4517)
+    for pws in [[], *(random_weights(rng) for _ in range(300))]:
+        w = MixedDegreeData.of(0, 0, pws)
+        assert (w.den, w.omega, w.beta, w.gamma) == fraction_route(pws)
+    assert stability._weight_sums(()) == ((0, 1),) * 3
